@@ -71,6 +71,11 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise CliError("bad-config", f"--alpha must lie in (0, 1), got {alpha}")
+
+
 def _resolve_settings(cfg: RunConfig, args) -> SamplerSettings:
     settings = cfg.sampler
     scale = getattr(args, "scale", None)
@@ -168,6 +173,7 @@ def _describe_spec(panel: SurveyPanel, spec: ModelSpec) -> str:
 
 
 def _cmd_fit(args) -> int:
+    _check_alpha(args.alpha)
     cfg = _load_config(args)
     panel = _read_input(io.read_panel, args.panel, "panel")
     spec = _resolve_spec(cfg, args, panel)
@@ -195,6 +201,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_nowcast(args) -> int:
+    _check_alpha(args.alpha)
     cfg = _load_config(args)
     panel = _read_input(io.read_panel, args.panel, "panel")
     spec = _resolve_spec(cfg, args, panel)
@@ -258,6 +265,7 @@ def _cmd_sim_study(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    _check_alpha(args.alpha)
     baseline = _read_input(io.read_summary, args.baseline, "baseline summary")
     method = _read_input(io.read_summary, args.method, "method summary")
     restrict = None

@@ -1,9 +1,22 @@
-"""Statistical kernels: logit transforms, truncated normals, and the
-non-central hypergeometric sampling law used for biased survey counts.
+"""Statistical kernels: logit transforms, truncated normals, and the Fisher
+non-central hypergeometric law used for biased survey counts.
 
-All probability mass work happens in log space; binomial coefficients are
-built from log-gamma, and pmf tables across a support are filled by the
-odds-ratio recurrence rather than large factorials.
+All probability mass work happens in log space. For the non-central
+hypergeometric law with m1 positives, m2 negatives, n draws and odds ratio
+phi, a count's unnormalized log-weight
+
+    log w(y) = lchoose(m1, y) + lchoose(m2, n - y) + y log(phi)
+
+costs O(1) through ``math.lgamma`` and Stirling's series. With phi = 1 the
+normalizer is lchoose(m1 + m2, n) by Vandermonde's identity, so the
+central law costs O(1) per point. Otherwise the weights are summed by the
+odds-ratio recurrence r(y) = w(y+1)/w(y) outward from the closed-form mode
+of Liao & Rosen (Am. Stat. 55(4), 2001), over a window sized from the
+law's variance. The law is log-concave, so r falls as y grows and the mass
+beyond each edge of the window is at most a geometric series in the edge
+ratio; the window widens until that bound certifies every tail below 1e-16
+of the window's mass (the scheme of A. Fog, 2008, for Fisher's law). The
+cost is O(sqrt(n)). Sampling inverts the CDF over the same window.
 """
 
 from __future__ import annotations
@@ -133,72 +146,172 @@ class NchgParams:
         return max(0, self.n - self.m2), min(self.n, self.m1)
 
 
-def _lchoose(n: int, k) -> float:
-    k = np.asarray(k, dtype=float)
+# Initial half-width of the summation window, in approximate sd. Wider than a
+# normal tail needs, so that skewed laws near a support edge rarely widen.
+_WINDOW_SD = 13.0
+_LOG_TAIL_TOL = math.log(1e-16)  # certified bound on each tail, relative to the window
+
+
+def _lchoose(m: int, k: int) -> float:
+    """log C(m, k), accurate to a few ulp of its own size for any m.
+
+    Three lgamma values of size m log m would cancel and keep their absolute
+    error. For large m, log(m!/j!) with j = m - k comes instead from
+    Stirling's series, (j + 1/2) log1p(k/j) + k (log m - 1) + s(m) - s(j),
+    where s(x) = 1/(12x) - 1/(360x^3) + ... is the series remainder.
+    """
+    k = min(k, m - k)
+    if m < 1000:
+        return math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
+    j = m - k  # >= 500, where two remainder terms reach full precision
     return (
-        special.gammaln(n + 1.0)
-        - special.gammaln(k + 1.0)
-        - special.gammaln(n - k + 1.0)
+        (j + 0.5) * math.log1p(k / j)
+        + k * (math.log(m) - 1.0)
+        + (1.0 / 12.0 - 1.0 / (360.0 * m * m)) / m
+        - (1.0 / 12.0 - 1.0 / (360.0 * j * j)) / j
+        - math.lgamma(k + 1)
     )
 
 
-def _nchg_log_weights(params: NchgParams) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized log-weights over the support, filled by recurrence.
+def _log_weight(m1: int, m2: int, n: int, log_phi: float, y: int) -> float:
+    """log C(m1, y) + log C(m2, n - y) + y log(phi), for y inside the support."""
+    return _lchoose(m1, y) + _lchoose(m2, n - y) + y * log_phi
 
-    The anchor weight at the lower support edge comes from log-gamma; each
-    further term multiplies by phi*(m1-y)(n-y) / ((y+1)(m2-n+y+1)).
+
+def _approx_mode(m1: int, m2: int, n: int, phi: float) -> float:
+    """Real root x of the mode quadratic of Liao & Rosen (2001); floor(x) is the mode.
+
+    With a = m1 + 1, b = n + 1 and L = n - m2, w(y) >= w(y - 1) exactly when
+    (1 - phi) y^2 + ((a + b) phi - L) y - a b phi <= 0. For phi > 1 the
+    coefficients are divided by phi, so they stay finite for every finite
+    phi; the root is taken in the form that does not cancel.
     """
-    lo, hi = params.support
-    ys = np.arange(lo, hi + 1)
-    lw = np.empty(len(ys))
-    lw[0] = float(_lchoose(params.m1, lo) + _lchoose(params.m2, params.n - lo))
-    if params.phi != 1.0:
-        lw[0] += lo * math.log(params.phi)
-    if len(ys) > 1:
-        y = ys[:-1].astype(float)
-        step = (
-            np.log(params.m1 - y)
-            + np.log(params.n - y)
-            - np.log(y + 1.0)
-            - np.log(params.m2 - params.n + y + 1.0)
-            + math.log(params.phi)
+    a, b, ell = m1 + 1.0, n + 1.0, float(n - m2)
+    if phi > 1.0:
+        qa, qb, qc = 1.0 / phi - 1.0, a + b - ell / phi, -a * b
+    else:
+        qa, qb, qc = 1.0 - phi, (a + b) * phi - ell, -a * b * phi
+    d = math.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0))
+    # qb <= 0 only when phi < 1, so qa > 0 there
+    return -2.0 * qc / (qb + d) if qb > 0.0 else (d - qb) / (2.0 * qa)
+
+
+def _log_ratio(m1: int, m2: int, n: int, log_phi: float, y: int) -> float:
+    """log(w(y + 1) / w(y)), for lo <= y < hi."""
+    log = math.log
+    return log(m1 - y) + log(n - y) - log(y + 1) - log(m2 - n + y + 1) + log_phi
+
+
+def _tail_ok(log_edge: float, log_step: float, log_s: float) -> bool:
+    """Geometric bound on the mass beyond an edge of weight exp(log_edge).
+
+    The law is log-concave, so each further step shrinks the weight by at
+    least the edge step; the tail is then at most w r / (1 - r).
+    """
+    return log_step < 0.0 and (
+        log_edge + log_step - math.log(-math.expm1(log_step)) <= log_s + _LOG_TAIL_TOL
+    )
+
+
+def _nchg_window(
+    m1: int, m2: int, n: int, phi: float
+) -> tuple[int, np.ndarray, float, int]:
+    """Log-weights over a window that holds all but 1e-16 of the mass.
+
+    Returns the window's first count a, the log-weights of a, a + 1, ...
+    relative to the largest one, the log of their sum, and the mode. The
+    weights are filled by the odds-ratio recurrence from a. The window
+    starts _WINDOW_SD approximate standard deviations either side of the
+    mode and doubles until the tail bound holds at every edge inside the
+    support.
+    """
+    lo, hi = max(0, n - m2), min(n, m1)
+    log_phi = math.log(phi)
+    x = min(max(_approx_mode(m1, m2, n, phi), float(lo)), float(hi))
+    # large-sample variance of the Fisher law at its mode
+    inv_var = sum(1.0 / max(d, 1.0) for d in (x, m1 - x, n - x, x - n + m2))
+    half = int(_WINDOW_SD / math.sqrt(inv_var)) + 2
+    centre = int(x)
+    while True:
+        a, b = max(lo, centre - half), min(hi, centre + half)
+        # log r(y) for y = a .. b-1, as one log of a ratio of integer products
+        ratio = (np.arange(m1 - a, m1 - b, -1.0) * np.arange(n - a, n - b, -1.0)) / (
+            np.arange(a + 1.0, b + 1.0) * np.arange(m2 - n + a + 1.0, m2 - n + b + 1.0)
         )
-        lw[1:] = lw[0] + np.cumsum(step)
-    return ys, lw
+        lw = np.zeros(b - a + 1)
+        np.add.accumulate(np.log(ratio) + log_phi, out=lw[1:])
+        k = int(lw.argmax())
+        lw -= lw[k]
+        log_s = math.log(float(np.exp(lw).sum()))
+        if (a == lo or _tail_ok(lw[0], -_log_ratio(m1, m2, n, log_phi, a - 1), log_s)) and (
+            b == hi or _tail_ok(lw[-1], _log_ratio(m1, m2, n, log_phi, b), log_s)
+        ):
+            return a, lw, log_s, a + k
+        half *= 2
+
+
+def _log_probs(ys, m1: int, m2: int, n: int, phi: float) -> list[float]:
+    """Log-pmf at each count in ys (plain ints); -inf outside the support.
+
+    With phi = 1 the normalizer is lchoose(m1 + m2, n) (Vandermonde) and
+    every point costs O(1). Otherwise counts inside the certified window read
+    their recurrence weight, and counts beyond it use the closed-form weight.
+    """
+    lo, hi = max(0, n - m2), min(n, m1)
+    if phi == 1.0:
+        a, lw, log_s, log_phi = lo, (), 0.0, 0.0
+        log_z = _lchoose(m1 + m2, n)
+    else:
+        a, lw, log_s, mode = _nchg_window(m1, m2, n, phi)
+        log_phi = math.log(phi)
+        log_z = _log_weight(m1, m2, n, log_phi, mode) + log_s
+    out = []
+    for y in ys:
+        if y < lo or y > hi:
+            out.append(-math.inf)
+        elif a <= y < a + len(lw):
+            out.append(float(lw[y - a]) - log_s)
+        else:
+            out.append(_log_weight(m1, m2, n, log_phi, y) - log_z)
+    return out
+
+
+def nchg_logpmf_unchecked(y: int, m1: int, m2: int, n: int, phi: float) -> float:
+    """Log-pmf at one count, on plain numbers and without validating them.
+
+    For hot loops whose inputs are valid by construction; see nchg_logpmf.
+    """
+    return _log_probs((y,), m1, m2, n, phi)[0]
 
 
 def nchg_logpmf(y, params: NchgParams):
     """Log-pmf at y; -inf outside the support. Accepts scalars or arrays."""
-    ys, lw = _nchg_log_weights(params)
-    log_z = special.logsumexp(lw)
     arr = np.asarray(y)
     if not np.issubdtype(arr.dtype, np.integer):
         if np.any(np.asarray(arr, dtype=float) != np.floor(arr)):
             raise ValueError(f"counts must be integers, got {y!r}")
         arr = arr.astype(int)
-    lo, hi = params.support
-    idx = np.clip(arr - lo, 0, hi - lo)
-    out = np.where((arr >= lo) & (arr <= hi), lw[idx] - log_z, -math.inf)
-    return float(out) if arr.ndim == 0 else out
+    out = _log_probs(arr.ravel().tolist(), params.m1, params.m2, params.n, params.phi)
+    return out[0] if arr.ndim == 0 else np.array(out).reshape(arr.shape)
 
 
 def nchg_sample(params: NchgParams, rng: np.random.Generator, size: int | None = None):
-    """Exact draw by inverse-CDF, accumulating outward from the mode.
+    """Exact draw by inverse-CDF over the certified window, outward from the mode.
 
     Summation starts at the highest-probability point so the cumulative
-    table resolves the bulk of the mass first; ties in u land deterministically.
+    table resolves the bulk of the mass first; equidistant points go lower
+    count first, and ties in u land deterministically.
     """
-    ys, lw = _nchg_log_weights(params)
-    pmf = np.exp(lw - special.logsumexp(lw))
+    a, lw, log_s, _ = _nchg_window(params.m1, params.m2, params.n, params.phi)
+    pmf = np.exp(lw - log_s)
     mode = int(np.argmax(pmf))
-    # interleave indices by distance from the mode: mode, mode+1, mode-1, ...
-    order = np.argsort(np.abs(np.arange(len(ys)) - mode), kind="stable")
+    # interleave indices by distance from the mode: mode, mode-1, mode+1, ...
+    order = np.argsort(np.abs(np.arange(len(pmf)) - mode), kind="stable")
     cum = np.cumsum(pmf[order])
     cum[-1] = 1.0
     u = rng.random(size=size)
-    pick = np.searchsorted(cum, u, side="right")
-    pick = np.minimum(pick, len(ys) - 1)
-    out = ys[order][pick]
+    pick = np.minimum(np.searchsorted(cum, u, side="right"), len(pmf) - 1)
+    out = a + order[pick]
     return int(out) if size is None else out
 
 

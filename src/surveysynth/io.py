@@ -119,12 +119,16 @@ def read_panel(path) -> SurveyPanel:
     index = {label: k for k, label in enumerate(labels)}
     y = np.full((len(labels), n_times), np.nan)
     n = np.full((len(labels), n_times), np.nan)
+    seen: set[tuple[str, int]] = set()
     for survey, t_s, y_s, n_s in rows:
         if survey not in index:
             raise ValueError(f"{path}: survey {survey!r} not listed in the surveys meta line")
         t = int(t_s)
         if not 1 <= t <= n_times:
             raise ValueError(f"{path}: time {t} outside 1..{n_times}")
+        if (survey, t) in seen:
+            raise ValueError(f"{path}: duplicate row for survey {survey!r} at t={t}")
+        seen.add((survey, t))
         y[index[survey], t - 1] = float(y_s)
         n[index[survey], t - 1] = float(n_s)
     return SurveyPanel(y=y, n=n, population=int(meta["population"]), labels=labels)
@@ -164,7 +168,12 @@ def write_benchmark(benchmark: BenchmarkSeries, path) -> None:
 
 def read_benchmark(path) -> BenchmarkSeries:
     _, rows = _read(path, _BENCHMARK_HEADER)
-    by_t = {int(t): (float(rate), float(margin)) for t, rate, margin in rows}
+    by_t: dict[int, tuple[float, float]] = {}
+    for t_s, rate, margin in rows:
+        t = int(t_s)
+        if t in by_t:
+            raise ValueError(f"{path}: duplicate row for t={t}")
+        by_t[t] = (float(rate), float(margin))
     n_times = max(by_t) if by_t else 0
     if sorted(by_t) != list(range(1, n_times + 1)):
         raise ValueError(f"{path}: benchmark rows must cover t=1..{n_times} exactly")

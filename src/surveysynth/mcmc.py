@@ -37,7 +37,7 @@ from .core import (
     gamma_length,
     validate_panel,
 )
-from .dists import NchgParams, inv_logit, nchg_logpmf
+from .dists import inv_logit, nchg_logpmf_unchecked
 
 _HALF_NORMAL_MEDIAN = 0.6744897501960817  # Phi^{-1}(3/4)
 _INF = math.inf
@@ -150,20 +150,23 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                 row_cells[k].append((t, y, n))
                 cell_at[k][t] = (y, n)
 
+    _exp = math.exp
     if spec.use_exact_nchg:
         population = panel.population
 
         def cell_ll(th: float, g: float, y: float, n: float) -> float:
             if abs(g) > 690.0:  # odds outside float range: impossible cell
                 return -_INF
-            p = inv_logit(th)
+            if th >= 0.0:  # inv_logit on one float, without numpy's per-call cost
+                p = 1.0 / (1.0 + _exp(-th))
+            else:
+                e = _exp(th)
+                p = e / (1.0 + e)
             m1 = int(math.floor(p * population + 0.5))
-            params = NchgParams(m1=m1, m2=population - m1, n=int(n), phi=math.exp(g))
-            return float(nchg_logpmf(int(y), params))
+            return nchg_logpmf_unchecked(int(y), m1, population - m1, int(n), _exp(g))
 
     else:
         _log1p = math.log1p
-        _exp = math.exp
 
         def cell_ll(th: float, g: float, y: float, n: float) -> float:
             x = th + g
@@ -558,8 +561,6 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                 out_pi[keep_i] = pi_sq
             keep_i += 1
 
-    if scales_frozen is None:  # unreachable while n_draws >= 1; kept as a guard
-        scales_frozen = dict(zip(names, scale))
     return ChainDraws(
         theta=out_theta[None, :, :],
         sigma_sq=out_sig[None, :],

@@ -182,6 +182,22 @@ def test_fit_error_categories(tmp_path, demo_panel, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["fit", "nowcast"])
+@pytest.mark.parametrize("alpha", ["0", "1", "1.5", "-0.1", "nan"])
+def test_bad_alpha_fails_before_sampling(tmp_path, demo_panel, capsys, monkeypatch, command, alpha):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the sampler ran")
+
+    monkeypatch.setattr("surveysynth.cli.fit_full", must_not_run)
+    monkeypatch.setattr("surveysynth.cli.nowcast_series", must_not_run)
+    out = tmp_path / "out"
+    code = main([command, "--panel", demo_panel_file(tmp_path, demo_panel),
+                 "--config", fit_cfg(tmp_path), "--out", str(out), "--alpha", alpha])
+    assert code == 3
+    assert "error: bad-config: --alpha" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nowcast_cli(tmp_path, capsys):
     panel = SurveyPanel(
         y=np.array([[10.0, 20.0]]), n=np.array([[100.0, 100.0]]),
@@ -291,6 +307,18 @@ def test_report_cli(tmp_path, capsys):
     assert niid.gain[0] > 0
     stdout = capsys.readouterr().out
     assert "coverage" in stdout and "1/2" in stdout
+
+
+def test_report_rejects_bad_alpha(tmp_path, capsys):
+    table = SummaryTable(alpha=0.05, rows=[rate_row(1, 0.5, 0.10)], converged=True)
+    path = tmp_path / "s.csv"
+    io.write_summary(table, path)
+    out = tmp_path / "out"
+    code = main(["report", "--baseline", str(path), "--method", str(path),
+                 "--out", str(out), "--alpha", "2"])
+    assert code == 3
+    assert "error: bad-config: --alpha" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_restrict(tmp_path):

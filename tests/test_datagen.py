@@ -1,4 +1,5 @@
 import datetime
+import hashlib
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from surveysynth.datagen import (
     vaccine_shaped_bundle,
 )
 from surveysynth.dists import inv_logit, logit
+from surveysynth.simstudy import TRUTH_KINDS, rep_dataset
 
 
 def design_of(kinds, T=3, n=50, population=1000, **kw):
@@ -328,3 +330,37 @@ def test_vaccine_shaped_bundle_dates_weekly_and_deterministic():
     again = vaccine_shaped_bundle()
     assert again.panel == b.panel
     np.testing.assert_array_equal(again.truth.theta, b.truth.theta)
+
+
+def _panel_digest(panel) -> str:
+    h = hashlib.sha256()
+    for a in (panel.y, panel.n):
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
+# Digests of generated panels as the full-support inverse-CDF sampler drew
+# them (numpy 2.4). The windowed sampler must reproduce them bit for bit:
+# the bundled panel and the study grid's datasets are fixed inputs.
+_PINNED_REP_DIGESTS = {
+    (0, "constant"): "ab8d823f972a9a54",
+    (0, "linear"): "1775ac84f00474e6",
+    (0, "walk"): "a7b3491bb6348c0e",
+    (1, "constant"): "c11cf1420c3aa4f9",
+    (1, "linear"): "c88f0ddeb3b181b4",
+    (1, "walk"): "b73444d1d41e0653",
+    (2, "constant"): "03b106101ddb6fce",
+    (2, "linear"): "3b0079fb72fb5d62",
+    (2, "walk"): "4c7d5780102027f5",
+    (20240, "constant"): "60147382d85341a5",
+    (20240, "linear"): "dede995de2c8987e",
+    (20240, "walk"): "84f1eb74d1000272",
+}
+
+
+def test_generated_panels_match_pinned_digests():
+    assert _panel_digest(vaccine_shaped_bundle().panel) == "e486e5f2b0e17c63"
+    assert {kind for _, kind in _PINNED_REP_DIGESTS} == set(TRUTH_KINDS)
+    for (seed, kind), digest in _PINNED_REP_DIGESTS.items():
+        _, panel = rep_dataset(seed, kind, 5, 0)
+        assert _panel_digest(panel) == digest, (seed, kind)

@@ -1,14 +1,16 @@
 """Distribution kernel tests against independent oracles.
 
 Oracles used here: exact rational enumeration of hypergeometric-family
-weights, scipy's central and non-central hypergeometric distributions,
-numerical quadrature for truncated-normal normalization, and closed-form
-moments for half-normal sampling.
+weights, a 40-digit mpmath sum over the whole support, scipy's central and
+non-central hypergeometric distributions, numerical quadrature for
+truncated-normal normalization, and closed-form moments for half-normal
+sampling.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,10 +23,12 @@ from surveysynth.dists import (
     inv_logit,
     logit,
     nchg_logpmf,
+    nchg_logpmf_unchecked,
     nchg_sample,
     truncnorm_logpdf,
     truncnorm_sample,
 )
+from surveysynth.dists import _approx_mode
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +294,134 @@ def test_nchg_logpmf_vectorized_matches_scalar():
     vec = nchg_logpmf(ys, params)
     scal = np.array([nchg_logpmf(int(y), params) for y in ys])
     np.testing.assert_allclose(vec, scal, rtol=0, atol=0)
+
+
+def _mp_log_pmf(params: NchgParams) -> list[float]:
+    """Log-pmf over the whole support, summed at 40 significant digits."""
+    with mpmath.workdps(40):
+        m1, m2, n = params.m1, params.m2, params.n
+        lo, hi = params.support
+        phi = mpmath.mpf(params.phi)
+        w = mpmath.binomial(m1, lo) * mpmath.binomial(m2, n - lo) * phi**lo
+        weights = [w]
+        for y in range(lo, hi):
+            w = w * phi * (m1 - y) * (n - y) / ((y + 1) * (m2 - n + y + 1))
+            weights.append(w)
+        log_z = mpmath.log(mpmath.fsum(weights))
+        return [float(mpmath.log(v) - log_z) for v in weights]
+
+
+def _assert_log_pmf_close(got: float, ref: float, rel: float) -> None:
+    # relative error of the probability, and of its log where |log p| > 1
+    assert abs(got - ref) <= rel * max(1.0, abs(ref)), (got, ref)
+
+
+@given(
+    m1=st.integers(min_value=0, max_value=10_000_000),
+    m2=st.integers(min_value=0, max_value=10_000_000),
+    log_phi=st.one_of(st.just(0.0), st.floats(min_value=-30.0, max_value=30.0)),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_nchg_logpmf_matches_mpmath_full_support_sum(m1, m2, log_phi, data):
+    n = data.draw(st.integers(min_value=0, max_value=min(2000, m1 + m2)))
+    params = NchgParams(m1, m2, n, math.exp(log_phi))
+    lo, hi = params.support
+    ref = _mp_log_pmf(params)
+    mode = lo + int(np.argmax(ref))
+    ys = {lo, hi, mode, max(lo, mode - 1), min(hi, mode + 1)}
+    ys |= set(data.draw(st.lists(st.integers(lo, hi), max_size=5)))
+    for y in sorted(ys):
+        _assert_log_pmf_close(nchg_logpmf(y, params), ref[y - lo], 1e-10)
+
+
+@pytest.mark.parametrize(
+    "m1,m2,n,phi",
+    [
+        (50, 50, 10, 1e6),  # mode at the upper support edge
+        (50, 50, 10, 1e-6),  # mode at the lower support edge
+        (8, 3, 6, 40.0),  # lower edge max(0, n - m2) > 0, mode at the upper edge
+        (12, 900, 400, 0.05),  # upper edge m1 < n, mode at the lower edge
+        (0, 30, 7, 2.0),  # single point y = 0 (no positives)
+        (30, 0, 7, 0.5),  # single point y = n (no negatives)
+        (9, 6, 15, 3.0),  # single point y = m1 (everyone sampled)
+        (9, 6, 0, 3.0),  # single point y = 0 (nobody sampled)
+        (1, 1, 1, 1.0),
+        (4000, 3000, 2000, math.exp(690.0)),  # the sampler's largest odds
+        (4000, 3000, 2000, math.exp(-690.0)),  # and its smallest
+        (5_000_000, 5_000_000, 1000, math.exp(690.0)),
+        (5_000_000, 5_000_000, 1000, math.exp(-690.0)),
+    ],
+)
+def test_nchg_logpmf_edges_and_extreme_odds_match_mpmath(m1, m2, n, phi):
+    params = NchgParams(m1, m2, n, phi)
+    lo, hi = params.support
+    ref = _mp_log_pmf(params)
+    ys = np.arange(lo, hi + 1)
+    got = nchg_logpmf(ys, params)
+    assert np.all(np.isfinite(got))
+    for y, g in zip(ys, got):
+        _assert_log_pmf_close(g, ref[y - lo], 1e-10)
+    assert nchg_logpmf(lo - 1, params) == nchg_logpmf(hi + 1, params) == -math.inf
+    assert math.fsum(np.exp(got)) == pytest.approx(1.0, abs=1e-12)
+    # the draws saturate where the mode sits at an edge
+    mode = lo + int(np.argmax(ref))
+    if ref[mode - lo] > math.log(1.0 - 1e-12):
+        draws = nchg_sample(params, np.random.default_rng(2), size=50)
+        assert np.all(draws == mode)
+
+
+@pytest.mark.parametrize("n", [10, 1000, 100_000])
+@pytest.mark.parametrize("phi", [1.0, 0.3, 1.7, 20.0])
+@pytest.mark.parametrize("scale", [10, 100])
+def test_nchg_logpmf_matches_scipy_up_to_large_samples(n, phi, scale):
+    population = scale * n
+    m1 = 3 * population // 10
+    params = NchgParams(m1, population - m1, n, phi)
+    ref_law = stats.nchypergeom_fisher(M=population, n=m1, N=n, odds=phi)
+    lo, hi = params.support
+    sd = ref_law.std()
+    ys = np.unique(np.clip(np.round(ref_law.mean() + sd * np.arange(-8, 9)), lo, hi))
+    got = nchg_logpmf(ys.astype(int), params)
+    # scipy's own error reaches ~1e-7 at n = 1e5 (checked against mpmath)
+    for g, r in zip(got, ref_law.logpmf(ys)):
+        _assert_log_pmf_close(g, float(r), 1e-7)
+
+
+@given(
+    m1=st.integers(min_value=0, max_value=10_000_000),
+    m2=st.integers(min_value=0, max_value=10_000_000),
+    log_phi=st.one_of(
+        st.sampled_from([0.0, 690.0, -690.0]), st.floats(min_value=-690.0, max_value=690.0)
+    ),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_nchg_closed_form_mode_is_a_mode(m1, m2, log_phi, data):
+    # at phi = e^690 the unscaled quadratic's b^2 overflows to inf; floor(x)
+    # must still be a mode, up to one step of rounding in x
+    n = data.draw(st.integers(min_value=0, max_value=m1 + m2))
+    phi = math.exp(log_phi)
+    lo, hi = NchgParams(m1, m2, n, phi).support
+    x = _approx_mode(m1, m2, n, phi)
+    assert math.isfinite(x)
+    m = min(max(math.floor(x), lo), hi)
+
+    def ratio(y):  # w(y + 1) / w(y), exact
+        return Fraction(phi) * (m1 - y) * (n - y) / ((y + 1) * (m2 - n + y + 1))
+
+    def is_mode(y):
+        return (y == lo or ratio(y - 1) >= 1) and (y == hi or ratio(y) <= 1)
+
+    assert any(is_mode(y) for y in (m - 1, m, m + 1) if lo <= y <= hi)
+
+
+def test_nchg_logpmf_unchecked_matches_checked():
+    for m1, m2, n, phi in ((12, 9, 8, 0.6), (3000, 7000, 1000, 1.0), (3000, 7000, 1000, 2.5)):
+        params = NchgParams(m1, m2, n, phi)
+        lo, hi = params.support
+        for y in range(lo - 1, hi + 2):
+            assert nchg_logpmf_unchecked(y, m1, m2, n, phi) == nchg_logpmf(y, params)
 
 
 def test_nchg_sample_within_support():

@@ -67,6 +67,16 @@ def test_panel_reader_rejects_unknown_survey_and_bad_meta(tmp_path):
         io.read_panel(path)
 
 
+def test_panel_reader_rejects_duplicate_cells(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text(
+        "# meta: population=100\n# meta: n_times=2\n# meta: surveys=a,b\n"
+        "survey,t,y,n\na,1,1,2\nb,1,1,2\na,2,1,2\na,1,2,2\n"
+    )
+    with pytest.raises(ValueError, match="duplicate row for survey 'a' at t=1"):
+        io.read_panel(path)
+
+
 def test_panel_label_with_comma_rejected(tmp_path):
     panel = SurveyPanel(
         y=np.array([[1.0]]), n=np.array([[2.0]]), population=10, labels=("a,b",)
@@ -100,6 +110,13 @@ def test_benchmark_roundtrip_with_gaps(tmp_path):
     assert back.rates == pytest.approx(bench.rates, nan_ok=True)
     assert back.margins.tolist() == bench.margins.tolist()
     assert path.read_text().splitlines()[0] == "t,rate,margin"
+
+
+def test_benchmark_reader_rejects_duplicate_times(tmp_path):
+    path = tmp_path / "bench.csv"
+    path.write_text("t,rate,margin\n1,0.1,0.05\n2,0.2,0.05\n1,0.3,0.05\n")
+    with pytest.raises(ValueError, match="duplicate row for t=1"):
+        io.read_benchmark(path)
 
 
 # ---------------------------------------------------------------------------
