@@ -25,6 +25,7 @@ from .mcmc import (
     InitializationError,
     SamplerSettings,
     diagnose,
+    map_jobs,
     run_chains,
     summarize,
 )
@@ -244,20 +245,15 @@ def nowcast_series(
 ) -> NowcastResult:
     """Refit on panel.up_to(t*) for every t*, one independent job each.
 
-    workers > 1 spreads the per-t* jobs over processes (each fit then runs
-    its chains serially); the result is identical either way because every
-    job seeds from settings alone.
+    The per-t* jobs are spread over processes as ``run_chains`` spreads
+    chains (``mcmc.map_jobs``; each fit then runs its chains serially); the
+    result is identical either way because every job seeds from settings
+    alone.
     """
     jobs = [
         (panel, spec, settings, t_star, alpha) for t_star in range(1, panel.n_times + 1)
     ]
-    if workers is not None and workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_nowcast_job, jobs))
-    else:
-        outcomes = [_nowcast_job(j) for j in jobs]
+    outcomes = map_jobs(_nowcast_job, jobs, workers)
     rows = [row for _, row, _ in outcomes if row is not None]
     failures = tuple(t for t, row, _ in outcomes if row is None)
     converged = all(conv for _, _, conv in outcomes)

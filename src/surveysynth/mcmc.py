@@ -4,17 +4,26 @@ Every parameter is updated as its own scalar Metropolis block in a fixed
 sweep order: theta[0..T], the latent-walk variance, each survey's bias
 coefficients, then the bias-walk variance when one exists. When walk-bias
 surveys are present the sweep ends with one extra block per time-point that
-shifts theta[t] and counter-shifts every bias walk at t by the same amount;
-those surveys' cell likelihoods are invariant under the shift, so the move
-travels along the level-versus-bias ridge that scalar updates cross only in
-tiny steps when a large biased survey has no unbiased companion. Proposal
-scales adapt toward a target acceptance rate during burn-in only; they are
-snapshotted at the freeze point and again at the end so callers can check
-that no post-burn-in adaptation happened.
+shifts theta[t] and counter-shifts every bias walk at t by the same amount,
+so the move travels along the level-versus-bias ridge that scalar updates
+cross only in tiny steps when a large biased survey has no unbiased
+companion. Under the logit-shift approximation a cell depends on theta[t]
+and the bias only through their sum, so the walk cells at t are invariant
+under the shift and the move leaves them out of its acceptance ratio. The
+exact kernel reads theta through the rounded positive count and the bias
+through the odds separately, so there the walk cells count like any other.
+Proposal scales adapt toward a target acceptance rate during burn-in only;
+they are snapshotted at the freeze point and again at the end so callers
+can check that no post-burn-in adaptation happened.
 
 The hot loop works on plain Python floats and evaluates only the terms of
-the log posterior a block actually touches; the likelihood module is kept
-as the reference density and is used to vet the starting point.
+the log posterior a block actually touches. A table holds every observed
+cell's log-likelihood under the current state: it is filled once at the
+start, each block evaluates the cells it touches at the proposal only and
+takes the difference against the table, and an accepted move writes its
+values back. The table therefore equals a fresh evaluation bit for bit, and
+each touched cell costs one kernel call per block. The likelihood module is
+kept as the reference density and is used to vet the starting point.
 """
 
 from __future__ import annotations
@@ -228,6 +237,25 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
         )
         raise InitializationError(bad)
 
+    def bias_at(code: int, k: int, t: int) -> float:
+        if code == 0:
+            return log_phi_known[k][t]
+        if code == 1:
+            return gam[k][0]
+        if code == 2:
+            return gam[k][0] + gam[k][1] * tcov[t]
+        return gam[k][t]
+
+    # ll[k][t]: cell log-likelihood of survey k at time t under the current
+    # state; each block evaluates only its proposal and stores on accept
+    ll = [[0.0] * (T + 1) for _ in range(K)]
+    for t in range(1, T + 1):
+        for code, k, y, n in col_cells[t]:
+            ll[k][t] = cell_ll(theta[t], bias_at(code, k, t), y, n)
+    # under the logit-shift approximation a cell depends on theta[t] + g only,
+    # so a ridge move leaves walk cells unchanged; the exact kernel does not
+    ridge_skips_walk = not spec.use_exact_nchg
+
     # ---- block bookkeeping
     names = [f"theta[{t}]" for t in range(T + 1)]
     names.append("sigma_sq")
@@ -349,19 +377,23 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                 dn = nxt - prop
                 dc = nxt - cur
                 d += (dc * dc - dn * dn) / (2.0 * sigma_sq)
-            if t >= 1:
-                for code, k, y, n in col_cells[t]:
-                    if code == 0:
-                        g = log_phi_known[k][t]
-                    elif code == 1:
-                        g = gam[k][0]
-                    elif code == 2:
-                        g = gam[k][0] + gam[k][1] * tcov[t]
-                    else:
-                        g = gam[k][t]
-                    d += cell_ll(prop, g, y, n) - cell_ll(cur, g, y, n)
+            news = []
+            for code, k, y, n in col_cells[t]:
+                if code == 0:
+                    g = log_phi_known[k][t]
+                elif code == 1:
+                    g = gam[k][0]
+                elif code == 2:
+                    g = gam[k][0] + gam[k][1] * tcov[t]
+                else:
+                    g = gam[k][t]
+                v = cell_ll(prop, g, y, n)
+                news.append((k, v))
+                d += v - ll[k][t]
             if d >= 0.0 or draw_u() < exp_(d):
                 theta[t] = prop
+                for k, v in news:
+                    ll[k][t] = v
                 record_decision(t, True, adapting)
             else:
                 record_decision(t, False, adapting)
@@ -394,15 +426,20 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
             if code == 0:
                 continue
             gk = gam[k]
+            llk = ll[k]
             if code == 1:
                 cur = gk[0]
                 prop = cur + scale[bid] * draw_z()
                 d = (cur * cur - prop * prop) / (2.0 * g0v)
+                news = []
                 for t, y, n in row_cells[k]:
-                    th = theta[t]
-                    d += cell_ll(th, prop, y, n) - cell_ll(th, cur, y, n)
+                    v = cell_ll(theta[t], prop, y, n)
+                    news.append((t, v))
+                    d += v - llk[t]
                 if d >= 0.0 or draw_u() < exp_(d):
                     gk[0] = prop
+                    for t, v in news:
+                        llk[t] = v
                     record_decision(bid, True, adapting)
                 else:
                     record_decision(bid, False, adapting)
@@ -411,25 +448,30 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                 g0, g1 = gk[0], gk[1]
                 prop = g0 + scale[bid] * draw_z()
                 d = (g0 * g0 - prop * prop) / (2.0 * g0v)
+                news = []
                 for t, y, n in row_cells[k]:
-                    th = theta[t]
-                    ct = g1 * tcov[t]
-                    d += cell_ll(th, prop + ct, y, n) - cell_ll(th, g0 + ct, y, n)
+                    v = cell_ll(theta[t], prop + g1 * tcov[t], y, n)
+                    news.append((t, v))
+                    d += v - llk[t]
                 if d >= 0.0 or draw_u() < exp_(d):
                     gk[0] = g0 = prop
+                    for t, v in news:
+                        llk[t] = v
                     record_decision(bid, True, adapting)
                 else:
                     record_decision(bid, False, adapting)
                 bid += 1
                 prop = g1 + scale[bid] * draw_z()
                 d = (g1 * g1 - prop * prop) / (2.0 * g1v)
+                news = []
                 for t, y, n in row_cells[k]:
-                    th = theta[t]
-                    d += cell_ll(th, g0 + prop * tcov[t], y, n) - cell_ll(
-                        th, g0 + g1 * tcov[t], y, n
-                    )
+                    v = cell_ll(theta[t], g0 + prop * tcov[t], y, n)
+                    news.append((t, v))
+                    d += v - llk[t]
                 if d >= 0.0 or draw_u() < exp_(d):
                     gk[1] = prop
+                    for t, v in news:
+                        llk[t] = v
                     record_decision(bid, True, adapting)
                 else:
                     record_decision(bid, False, adapting)
@@ -453,10 +495,12 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                     cell = cell_at[k][t]
                     if cell is not None:
                         y, n = cell
-                        th = theta[t]
-                        d += cell_ll(th, prop, y, n) - cell_ll(th, cur, y, n)
+                        v = cell_ll(theta[t], prop, y, n)
+                        d += v - llk[t]
                     if d >= 0.0 or draw_u() < exp_(d):
                         gk[t] = prop
+                        if cell is not None:
+                            llk[t] = v
                         record_decision(bid, True, adapting)
                     else:
                         record_decision(bid, False, adapting)
@@ -489,7 +533,7 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                 record_decision(bid, False, adapting)
 
         # ridge moves: shift the level at one time-point and counter-shift
-        # every bias walk there, leaving those cells' likelihoods unchanged
+        # every bias walk there
         if walk_ks:
             for t in range(T + 1):
                 bid = joint0 + t
@@ -532,21 +576,35 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                         dn = gnxt - gprop
                         dc = gnxt - gcur
                         d += (dc * dc - dn * dn) / (2.0 * pi_sq)
-                if t >= 1:
-                    for code, k, y, n in col_cells[t]:
-                        if code == 3:
-                            continue
-                        if code == 0:
-                            g = log_phi_known[k][t]
-                        elif code == 1:
-                            g = gam[k][0]
-                        else:
-                            g = gam[k][0] + gam[k][1] * tcov[t]
-                        d += cell_ll(prop, g, y, n) - cell_ll(cur, g, y, n)
+                news = []
+                for code, k, y, n in col_cells[t]:
+                    if code == 0:
+                        g = log_phi_known[k][t]
+                    elif code == 1:
+                        g = gam[k][0]
+                    elif code == 2:
+                        g = gam[k][0] + gam[k][1] * tcov[t]
+                    elif ridge_skips_walk:
+                        continue
+                    else:
+                        g = gam[k][t] - delta
+                    v = cell_ll(prop, g, y, n)
+                    news.append((k, v))
+                    d += v - ll[k][t]
                 if d >= 0.0 or draw_u() < exp_(d):
                     theta[t] = prop
                     for k in walk_ks:
                         gam[k][t] -= delta
+                    for k, v in news:
+                        ll[k][t] = v
+                    if ridge_skips_walk:
+                        # equal up to rounding; refresh so the table stays
+                        # bit-equal to a fresh evaluation
+                        for k in walk_ks:
+                            cell = cell_at[k][t]
+                            if cell is not None:
+                                y, n = cell
+                                ll[k][t] = cell_ll(prop, gam[k][t], y, n)
                     record_decision(bid, True, adapting)
                 else:
                     record_decision(bid, False, adapting)
@@ -581,6 +639,21 @@ def _chain_job(args):
     return _sample_chain(*args)
 
 
+def map_jobs(fn, jobs: list, workers: int | None = None) -> list:
+    """``[fn(job) for job in jobs]``, spread over up to ``workers`` processes.
+
+    ``workers=None`` reads the SURVEYSYNTH_WORKERS environment variable
+    (default 1, serial). Results come back in job order, so they do not
+    depend on the worker count when every job seeds itself.
+    """
+    if workers is None:
+        workers = int(os.environ.get("SURVEYSYNTH_WORKERS", "1"))
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
+
+
 def run_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings, chain_seed) -> ChainDraws:
     """Run one chain seeded independently of ``settings.seed``."""
     _validate_inputs(panel, spec)
@@ -596,21 +669,13 @@ def run_chains(
     """Run ``settings.n_chains`` independent chains and stack their draws.
 
     Chain seeds are spawned from ``settings.seed``, so results are
-    reproducible bit-for-bit regardless of ``workers`` (default: the
-    SURVEYSYNTH_WORKERS environment variable, else serial).
+    reproducible bit-for-bit regardless of ``workers`` (see ``map_jobs``).
     """
     if settings is None:
         settings = SamplerSettings()
     _validate_inputs(panel, spec)
     seeds = np.random.SeedSequence(settings.seed).spawn(settings.n_chains)
-    if workers is None:
-        workers = int(os.environ.get("SURVEYSYNTH_WORKERS", "1"))
-    if workers > 1 and settings.n_chains > 1:
-        jobs = [(panel, spec, settings, s) for s in seeds]
-        with ProcessPoolExecutor(max_workers=min(workers, settings.n_chains)) as pool:
-            chains = list(pool.map(_chain_job, jobs))
-    else:
-        chains = [_sample_chain(panel, spec, settings, s) for s in seeds]
+    chains = map_jobs(_chain_job, [(panel, spec, settings, s) for s in seeds], workers)
 
     acceptance = {
         name: float(np.mean([c.acceptance_rates[name] for c in chains]))

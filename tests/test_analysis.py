@@ -24,6 +24,7 @@ from surveysynth.core import (
     SurveyPanel,
 )
 from surveysynth.datagen import vaccine_shaped_bundle
+from surveysynth import mcmc
 from surveysynth.mcmc import SamplerSettings
 
 QUICK = SamplerSettings(n_chains=2, burn_in=400, n_draws=600, thin=3, seed=19)
@@ -220,6 +221,26 @@ def test_nowcast_workers_do_not_change_results():
     parallel = nowcast_series(panel, spec, QUICK, workers=2)
     assert parallel.table.rows == serial.table.rows
     assert parallel.failures == serial.failures
+
+
+def test_nowcast_honours_workers_variable(monkeypatch):
+    pools = []
+
+    class RecordingPool(mcmc.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kw):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers, **kw)
+
+    monkeypatch.setattr(mcmc, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("SURVEYSYNTH_WORKERS", "2")
+    panel = anchor_only_panel([10.0, 20.0], [100.0, 100.0])
+    spec = ModelSpec(bias=(BiasModelSpec.anchor(),))
+    from_env = nowcast_series(panel, spec, QUICK)
+    assert pools == [2]
+    serial = nowcast_series(panel, spec, QUICK, workers=1)
+    assert pools == [2]
+    assert from_env.table == serial.table
+    assert from_env.failures == serial.failures
 
 
 def test_nowcast_widths_at_least_full_fit_on_average():

@@ -1,9 +1,12 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from surveysynth import datagen, mcmc
 from surveysynth.core import (
     BiasModelSpec,
     ChainDraws,
@@ -394,3 +397,132 @@ def test_summarize_attaches_diagnostics_and_phi():
     sig = table.row("sigma_sq")
     assert sig.r_hat is not None and sig.ess is not None
     assert table.row("rate", t=1).r_hat is not None
+
+
+# ---------------------------------------------------------------------------
+# the cached cell table: bit-identical draws, one kernel call per cell
+
+
+def _draws_digest(draws) -> str:
+    h = hashlib.sha256()
+    for a in (draws.theta, draws.sigma_sq, *draws.gamma, draws.pi_sq):
+        if a is not None:
+            h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
+_SHORT = SamplerSettings(n_chains=2, burn_in=200, n_draws=300, thin=2, seed=5)
+_EXACT_DEMO = SamplerSettings(n_chains=1, burn_in=40, n_draws=80, thin=1, adapt_window=10)
+
+
+def _demo_spec(*kinds, exact=False):
+    bias = (BiasModelSpec.anchor(),) + tuple(
+        k if isinstance(k, BiasModelSpec) else BiasModelSpec(kind=k) for k in kinds
+    )
+    return ModelSpec(bias=bias, use_exact_nchg=exact)
+
+
+def _pinned_cases():
+    demo = datagen.demo_panel()
+    known = BiasModelSpec(kind="known", fixed_phi=tuple(1.2 + 0.05 * t for t in range(10)))
+    vaccine = datagen.vaccine_shaped_bundle()
+    return {
+        "constant": (demo, _demo_spec("constant", "constant"), _SHORT),
+        "linear": (demo, _demo_spec("linear", "linear"), _SHORT),
+        "walk": (demo, _demo_spec("walk", "walk"), _SHORT),
+        "known": (demo, _demo_spec(known, "linear"), _SHORT),
+        "exact-linear": (
+            demo,
+            _demo_spec("linear", "linear", exact=True),
+            dataclasses.replace(_EXACT_DEMO, seed=3),
+        ),
+        "vaccine": (
+            vaccine.panel,
+            vaccine.design.model_spec(),
+            SamplerSettings(n_chains=2, burn_in=100, n_draws=100, thin=1, seed=2),
+        ),
+    }
+
+
+# Digests of the draws as the sampler made them when it evaluated every cell
+# at both the current and the proposed state (numpy 2.4). Reading the current
+# value from the cell table must not change one bit. Exact + walk is absent:
+# its ridge moves now count the walk cells (see the quadrature test below).
+_PINNED_DRAW_DIGESTS = {
+    "constant": "241446f333737392",
+    "linear": "980aeafa1da445e8",
+    "walk": "7ba8b5325efcf25d",
+    "known": "ff78f77a524b40a3",
+    "exact-linear": "6d6b53404c8aeb94",
+    "vaccine": "f063ae7df942d4fd",
+}
+
+
+def test_draws_match_pinned_digests():
+    for name, (panel, spec, settings) in _pinned_cases().items():
+        draws = run_chains(panel, spec, settings, workers=1)
+        assert _draws_digest(draws) == _PINNED_DRAW_DIGESTS[name], name
+
+
+def test_exact_demo_chain_calls_kernel_once_per_touched_cell(monkeypatch):
+    # demo panel, anchor + 2 linear: 30 cells filled once, then per sweep
+    # 30 theta-block calls and 10 + 10 per linear survey
+    calls = [0]
+    kernel = mcmc.nchg_logpmf_unchecked
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(mcmc, "nchg_logpmf_unchecked", counted)
+    run_chains(datagen.demo_panel(), _demo_spec("linear", "linear", exact=True), _EXACT_DEMO)
+    assert calls[0] == 30 + 70 * 120
+
+
+def _exact_loglik(y, n, m1, m2, log_phi):
+    """Fisher NCHG log-pmf from its definition, over the whole support."""
+    j = np.arange(max(0, n - m2), min(n, m1) + 1)
+    lw = (
+        special.gammaln(m1 + 1) - special.gammaln(j + 1) - special.gammaln(m1 - j + 1)
+        + special.gammaln(m2 + 1) - special.gammaln(n - j + 1) - special.gammaln(m2 - n + j + 1)
+    )
+    if not j[0] <= y <= j[-1]:
+        return np.full(np.shape(log_phi), -np.inf)
+    lp = np.asarray(log_phi)[..., None] * j
+    return lw[y - j[0]] + lp[..., y - j[0]] - special.logsumexp(lw + lp, axis=-1)
+
+
+def _walk_marginal_prior(x, var0):
+    """Density of x1 = x0 + e: x0 ~ N(0, var0), e ~ N(0, s), s ~ N+(0, 1)."""
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    s = 5.0 * (nodes + 1.0)
+    w = 5.0 * weights * 2.0 * stats.norm.pdf(s)
+    return stats.norm.pdf(x[:, None], scale=np.sqrt(var0 + s)) @ w
+
+
+def test_exact_walk_ridge_posterior_matches_quadrature():
+    # a small population makes the exact cell depend on theta and gamma
+    # separately, so a ridge move changes the walk cell's likelihood
+    N, (ya, na), (yw, nw) = 40, (8, 15), (16, 25)
+    panel = panel_of([[ya], [yw]], [[na], [nw]], population=N)
+    spec = ModelSpec(
+        bias=(BiasModelSpec.anchor(), BiasModelSpec(kind="walk")), use_exact_nchg=True
+    )
+    settings = SamplerSettings(n_chains=4, burn_in=1000, n_draws=8000, thin=2, seed=1)
+    draws = run_chains(panel, spec, settings)
+
+    # (theta[1], gamma[1]) on a grid: the two walks are a priori independent
+    th = np.linspace(-8.0, 8.0, 801)
+    g = np.linspace(-8.0, 8.0, 801)
+    m1 = np.floor(inv_logit(th) * N + 0.5).astype(int)
+    lp = np.log(_walk_marginal_prior(th, 2.0))[:, None] + np.log(_walk_marginal_prior(g, 1.0))
+    for i, m in enumerate(m1):
+        lp[i] += _exact_loglik(ya, na, m, N - m, 0.0) + _exact_loglik(yw, nw, m, N - m, g)
+    w = np.exp(lp - lp.max())
+    for x, grid, marg in (
+        (draws.theta[:, :, 1], th, w.sum(axis=1)),
+        (draws.gamma[1][:, :, 1], g, w.sum(axis=0)),
+    ):
+        want = float(grid @ marg / marg.sum())
+        se = float(x.std()) / math.sqrt(ess(x))
+        assert abs(float(x.mean()) - want) < 4.0 * se, (float(x.mean()), want, se)
