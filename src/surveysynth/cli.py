@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -25,10 +26,9 @@ from .analysis import (
     nowcast_series,
 )
 from .config import ConfigError, RunConfig, StudyConfig
-from .core import BiasModelSpec, ModelSpec, SurveyPanel
+from .core import BiasModelSpec, ModelSpec, SurveyPanel, bias_designs
 from .datagen import draw_parameters, generate_panel
-from .likelihood import phi_value
-from .mcmc import InitializationError, SamplerSettings
+from .mcmc import InitializationError, SamplerSettings, resolve_workers
 from .simstudy import run_grid
 
 EXIT_CODES = {
@@ -74,6 +74,13 @@ def _out_dir(args) -> Path:
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise CliError("bad-config", f"--alpha must lie in (0, 1), got {alpha}")
+
+
+def _check_workers(workers: int | None) -> int:
+    try:
+        return resolve_workers(workers)
+    except ValueError as e:
+        raise CliError("bad-config", str(e)) from e
 
 
 def _resolve_settings(cfg: RunConfig, args) -> SamplerSettings:
@@ -149,10 +156,10 @@ def _cmd_simulate(args) -> int:
     truth_seq, panel_seq = np.random.SeedSequence(seed).spawn(2)
     truth = draw_parameters(design, np.random.default_rng(truth_seq))
     panel, positives = generate_panel(truth, design, np.random.default_rng(panel_seq))
-    spec = design.model_spec()
+    designs = bias_designs(design.model_spec(), panel.n_times)
     phi = np.array(
-        [[phi_value(spec, truth, k, t) for t in range(1, panel.n_times + 1)]
-         for k in range(panel.n_surveys)]
+        [[math.exp(d.log_phi(g, t)) for t in range(1, panel.n_times + 1)]
+         for d, g in zip(designs, truth.gamma)]
     )
     io.write_panel(panel, out / "panel.csv")
     io.write_truth(
@@ -174,12 +181,13 @@ def _describe_spec(panel: SurveyPanel, spec: ModelSpec) -> str:
 
 def _cmd_fit(args) -> int:
     _check_alpha(args.alpha)
+    workers = _check_workers(args.workers)
     cfg = _load_config(args)
     panel = _read_input(io.read_panel, args.panel, "panel")
     spec = _resolve_spec(cfg, args, panel)
     settings = _resolve_settings(cfg, args)
     try:
-        result = fit_full(panel, spec, settings, alpha=args.alpha, workers=args.workers)
+        result = fit_full(panel, spec, settings, alpha=args.alpha, workers=workers)
     except InitializationError as e:
         raise CliError("run-failure", str(e)) from e
     except ValueError as e:
@@ -202,12 +210,13 @@ def _cmd_fit(args) -> int:
 
 def _cmd_nowcast(args) -> int:
     _check_alpha(args.alpha)
+    workers = _check_workers(args.workers)
     cfg = _load_config(args)
     panel = _read_input(io.read_panel, args.panel, "panel")
     spec = _resolve_spec(cfg, args, panel)
     settings = _resolve_settings(cfg, args)
     try:
-        result = nowcast_series(panel, spec, settings, alpha=args.alpha, workers=args.workers)
+        result = nowcast_series(panel, spec, settings, alpha=args.alpha, workers=workers)
     except InitializationError as e:
         raise CliError("run-failure", str(e)) from e
     except ValueError as e:

@@ -31,6 +31,13 @@ def _check_keys(section: dict, allowed: tuple[str, ...], where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _flag(section: dict, key: str, default: bool, where: str) -> bool:
+    value = section.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
+    return value
+
+
 def _priors_from(section: dict, where: str) -> PriorSpec:
     _check_keys(
         section,
@@ -85,15 +92,15 @@ def _model_from(section: dict) -> ModelSpec:
     return ModelSpec(
         bias=_bias_from(section["bias"], "model"),
         priors=_priors_from(section.get("priors", {}), "model.priors"),
-        monotone_walk=bool(section.get("monotone_walk", False)),
-        center_time=bool(section.get("center_time", True)),
-        use_exact_nchg=bool(section.get("use_exact_nchg", False)),
+        monotone_walk=_flag(section, "monotone_walk", False, "model"),
+        center_time=_flag(section, "center_time", True, "model"),
+        use_exact_nchg=_flag(section, "use_exact_nchg", False, "model"),
     )
 
 
 _GENERATE_KEYS = (
     "n_plan", "population", "bias", "prior_regime", "priors",
-    "monotone_walk", "center_time", "labels", "truth_seed",
+    "monotone_walk", "center_time", "labels",
 )
 
 
@@ -110,10 +117,9 @@ def _generate_from(section: dict) -> GenDesign:
         bias=_bias_from(section["bias"], "generate"),
         prior_regime=section.get("prior_regime", "default"),
         priors=None if priors is None else _priors_from(priors, "generate.priors"),
-        monotone_walk=bool(section.get("monotone_walk", False)),
-        center_time=bool(section.get("center_time", True)),
+        monotone_walk=_flag(section, "monotone_walk", False, "generate"),
+        center_time=_flag(section, "center_time", True, "generate"),
         labels=None if labels is None else tuple(labels),
-        truth_seed=section.get("truth_seed"),
     )
 
 

@@ -136,6 +136,11 @@ class BiasModelSpec:
         """A survey trusted to sample the population without selection bias."""
         return cls(kind="known")
 
+    @classmethod
+    def random_walk(cls) -> "BiasModelSpec":
+        """A survey whose log bias odds follow a random walk over time."""
+        return cls(kind="walk")
+
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -189,9 +194,61 @@ class ModelSpec:
         return any(b.kind == "walk" for b in self.bias)
 
 
-def gamma_length(kind: str, n_times: int) -> int:
-    """Number of bias coefficients a survey of this kind carries."""
-    return {"known": 0, "constant": 1, "linear": 2, "walk": n_times + 1}[kind]
+def time_covariate(spec: ModelSpec, n_times: int) -> list[float]:
+    """Covariate of a linear bias at t = 0..T: t - T/2 when centred, else t."""
+    T = n_times
+    return [t - T / 2.0 if spec.center_time else float(t) for t in range(T + 1)]
+
+
+@dataclass(frozen=True)
+class BiasDesign:
+    """One survey's bias model: a linear map from coefficients gamma to log odds.
+
+    The log odds at t = 0..T are offset[t] plus c * gamma[j] over the sparse
+    row terms[t] of (j, c) pairs. var[j] is the Normal(0, var[j]) prior
+    variance of gamma[j], or None for a walk step Normal(gamma[j - 1], pi_sq);
+    len(var) is the coefficient count.
+    """
+
+    offset: tuple[float, ...]
+    terms: tuple[tuple[tuple[int, float], ...], ...]
+    var: tuple[float | None, ...]
+
+    def log_phi(self, gamma, t: int):
+        """Log odds at t; gamma is a coefficient vector or any stack of
+        draws indexed by coefficient first, e.g. np.moveaxis(g, -1, 0)."""
+        v = self.offset[t]
+        for j, c in self.terms[t]:
+            v = v + c * gamma[j]
+        return v
+
+
+def bias_designs(spec: ModelSpec, n_times: int) -> tuple[BiasDesign, ...]:
+    """Compile every survey's bias model over time-points 1..n_times."""
+    T = n_times
+    pr = spec.priors
+    zeros = (0.0,) * (T + 1)
+    out = []
+    for k, b in enumerate(spec.bias):
+        if b.kind == "known":
+            offset = zeros
+            if b.fixed_phi is not None:
+                if len(b.fixed_phi) < T:
+                    raise ValueError(
+                        f"survey {k} fixes {len(b.fixed_phi)} phi values for {T} time-points"
+                    )
+                offset = (0.0,) + tuple(math.log(v) for v in b.fixed_phi[:T])
+            design = BiasDesign(offset, ((),) * (T + 1), ())
+        elif b.kind == "constant":
+            design = BiasDesign(zeros, (((0, 1.0),),) * (T + 1), (pr.gamma0_var,))
+        elif b.kind == "linear":
+            terms = tuple(((0, 1.0), (1, c)) for c in time_covariate(spec, T))
+            design = BiasDesign(zeros, terms, (pr.gamma0_var, pr.gamma1_var))
+        else:  # walk
+            terms = tuple(((t, 1.0),) for t in range(T + 1))
+            design = BiasDesign(zeros, terms, (pr.gamma0_var,) + (None,) * T)
+        out.append(design)
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,33 +289,54 @@ class LatentState:
 
 
 def validate_state(state: LatentState, spec: ModelSpec) -> list[str]:
-    """Return human-readable descriptions of every broken state invariant."""
+    """Return human-readable descriptions of every broken state invariant;
+    of the shape mismatches against the spec, ``compile_model`` names the first."""
     problems: list[str] = []
-    T = state.n_times
-    if len(state.gamma) != len(spec.bias):
-        problems.append(
-            f"state carries {len(state.gamma)} gamma blocks for {len(spec.bias)} surveys"
-        )
-        return problems
+    try:
+        compile_model(spec, state=state)
+    except ValueError as e:
+        problems.append(str(e))
     if not np.all(np.isfinite(state.theta)):
         problems.append("theta contains non-finite values")
     if not (state.sigma_sq > 0.0) or not math.isfinite(state.sigma_sq):
         problems.append(f"sigma_sq must be positive and finite, got {state.sigma_sq!r}")
     if spec.monotone_walk and np.any(np.diff(state.theta) < 0.0):
         problems.append("monotone walk violated: theta must be non-decreasing")
-    for k, (b, g) in enumerate(zip(spec.bias, state.gamma)):
-        want = gamma_length(b.kind, T)
-        have = 0 if g is None else len(g)
-        if want != have:
-            problems.append(
-                f"gamma for survey {k} ({b.kind}) has {have} values, expected {want}"
-            )
-        elif g is not None and not np.all(np.isfinite(g)):
+    for k, g in enumerate(state.gamma):
+        if g is not None and not np.all(np.isfinite(g)):
             problems.append(f"gamma for survey {k} contains non-finite values")
     if spec.has_bias_walk:
         if state.pi_sq is None or not (state.pi_sq > 0.0) or not math.isfinite(state.pi_sq):
             problems.append(f"pi_sq must be positive and finite with a walk bias, got {state.pi_sq!r}")
     return problems
+
+
+def compile_model(
+    spec: ModelSpec, state: LatentState | None = None, panel: SurveyPanel | None = None
+) -> tuple[BiasDesign, ...]:
+    """The spec's bias designs, after checking that state and panel fit it.
+
+    At least one of state and panel must be given; the series length comes
+    from them. Raises ValueError on any mismatch in survey count, series
+    length, coefficient count or pinned-phi length.
+    """
+    K, T = len(spec.bias), state.n_times if state is not None else panel.n_times
+    if panel is not None and K != panel.n_surveys:
+        raise ValueError(f"spec covers {K} surveys but panel has {panel.n_surveys}")
+    if panel is not None and T != panel.n_times:
+        raise ValueError(f"state covers {T} time-points but panel has {panel.n_times}")
+    designs = bias_designs(spec, T)
+    if state is not None:
+        if len(state.gamma) != K:
+            raise ValueError(f"state has {len(state.gamma)} gamma blocks for {K} surveys")
+        for k, (d, g) in enumerate(zip(designs, state.gamma)):
+            have = 0 if g is None else len(g)
+            if have != len(d.var):
+                raise ValueError(
+                    f"survey {k} ({spec.bias[k].kind}) carries {have} gamma values, "
+                    f"expected {len(d.var)}"
+                )
+    return designs
 
 
 @dataclass(frozen=True)
@@ -325,13 +403,10 @@ def detect_saturated_cells(panel: SurveyPanel, spec: ModelSpec) -> list[tuple[in
     posterior there stays prior-driven; callers surface the flags alongside
     fit output.
     """
-    if len(spec.bias) != panel.n_surveys:
-        raise ValueError(
-            f"spec covers {len(spec.bias)} surveys but panel has {panel.n_surveys}"
-        )
+    designs = compile_model(spec, panel=panel)
     flagged = []
     for k, t, yv, nv in panel.observed_cells():
-        if spec.bias[k].kind == "known":
+        if not designs[k].var:
             continue
         if yv == 0 or yv == nv:
             flagged.append((k, t))

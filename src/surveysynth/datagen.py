@@ -16,7 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import likelihood as _lik
 from .core import (
     BiasModelSpec,
     LatentState,
@@ -24,6 +23,7 @@ from .core import (
     PriorSpec,
     SurveyPanel,
     _frozen_array,
+    bias_designs,
     validate_state,
 )
 from .dists import NchgParams, inv_logit, nchg_sample, truncnorm_sample
@@ -49,7 +49,6 @@ class GenDesign:
     monotone_walk: bool = False
     center_time: bool = True
     labels: tuple[str, ...] | None = None
-    truth_seed: int | None = None
 
     def __post_init__(self):
         plan = _frozen_array(self.n_plan)
@@ -71,8 +70,7 @@ class GenDesign:
         bias = tuple(self.bias)
         if len(bias) != K:
             raise ValueError(f"{len(bias)} bias models for {K} surveys")
-        if not any(b.kind == "known" for b in bias):
-            raise ValueError("at least one survey must have a known (unbiased) bias model")
+        ModelSpec(bias=bias)  # needs a known (unbiased) survey, like any model
         if self.prior_regime not in PRIOR_REGIMES:
             raise ValueError(
                 f"unknown prior regime {self.prior_regime!r}, expected one of {PRIOR_REGIMES}"
@@ -124,11 +122,12 @@ def draw_parameters(design: GenDesign, rng: np.random.Generator) -> LatentState:
     Draw order (jump variances, latent walk, bias coefficients) is fixed, so
     one seeded generator reproduces the same truth.
     """
-    pr = design.resolved_priors
+    spec = design.model_spec()
+    pr = spec.priors
     T = design.n_times
     sigma_sq = abs(math.sqrt(pr.sigma_sq_scale) * rng.standard_normal())
     pi_sq = None
-    if any(b.kind == "walk" for b in design.bias):
+    if spec.has_bias_walk:
         pi_sq = abs(math.sqrt(pr.pi_sq_scale) * rng.standard_normal())
     theta = np.empty(T + 1)
     theta[0] = pr.theta0_mean + math.sqrt(pr.theta0_var) * rng.standard_normal()
@@ -140,27 +139,15 @@ def draw_parameters(design: GenDesign, rng: np.random.Generator) -> LatentState:
             )
         else:
             theta[t] = theta[t - 1] + sigma * rng.standard_normal()
-    g0_sd = math.sqrt(pr.gamma0_var)
-    g1_sd = math.sqrt(pr.gamma1_var)
     gamma: list[np.ndarray | None] = []
-    for b in design.bias:
-        if b.kind == "known":
-            gamma.append(None)
-        elif b.kind == "constant":
-            gamma.append(np.array([g0_sd * rng.standard_normal()]))
-        elif b.kind == "linear":
-            gamma.append(
-                np.array(
-                    [g0_sd * rng.standard_normal(), g1_sd * rng.standard_normal()]
-                )
-            )
-        else:
-            walk = np.empty(T + 1)
-            walk[0] = g0_sd * rng.standard_normal()
-            pi = math.sqrt(pi_sq)
-            for t in range(1, T + 1):
-                walk[t] = walk[t - 1] + pi * rng.standard_normal()
-            gamma.append(walk)
+    for d in bias_designs(spec, T):
+        g = np.empty(len(d.var))
+        for j, var in enumerate(d.var):
+            if var is None:  # walk step
+                g[j] = g[j - 1] + math.sqrt(pi_sq) * rng.standard_normal()
+            else:
+                g[j] = math.sqrt(var) * rng.standard_normal()
+        gamma.append(g if d.var else None)
     return LatentState(theta=theta, sigma_sq=sigma_sq, gamma=tuple(gamma), pi_sq=pi_sq)
 
 
@@ -184,6 +171,7 @@ def generate_panel(
         raise ValueError("truth does not match design: " + "; ".join(problems))
 
     T, K = design.n_times, design.n_surveys
+    designs = bias_designs(spec, T)
     N = design.population
     positives = np.empty(T, dtype=np.int64)
     for t in range(1, T + 1):
@@ -202,7 +190,7 @@ def generate_panel(
                 m1=m1,
                 m2=N - m1,
                 n=int(size),
-                phi=_lik.phi_value(spec, truth, k, t),
+                phi=math.exp(designs[k].log_phi(truth.gamma[k], t)),
             )
             y[k, t - 1] = float(nchg_sample(params, rng))
             n[k, t - 1] = size
@@ -275,8 +263,8 @@ def vaccine_shaped_bundle() -> VaccineShapedBundle:
         population=10_000_000,
         bias=(
             BiasModelSpec.anchor(),
-            BiasModelSpec(kind="walk"),
-            BiasModelSpec(kind="walk"),
+            BiasModelSpec.random_walk(),
+            BiasModelSpec.random_walk(),
         ),
         priors=PriorSpec(
             theta0_mean=-2.0,
@@ -286,7 +274,6 @@ def vaccine_shaped_bundle() -> VaccineShapedBundle:
         ),
         monotone_walk=True,
         labels=("anchor", "weekly-online", "biweekly-panel"),
-        truth_seed=_VACCINE_TRUTH_SEED,
     )
     truth = draw_parameters(design, np.random.default_rng(_VACCINE_TRUTH_SEED))
     panel, positives = generate_panel(

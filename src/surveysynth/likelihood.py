@@ -1,8 +1,11 @@
 """Reference log-density evaluation: priors, observation likelihood, and the
 combined posterior with a per-block breakdown.
 
-This module is written for clarity over speed; the sampler keeps its own
-optimized local evaluators and is tested against the quantities here.
+This module is the oracle: it is written for clarity over speed, and reads
+every bias model through the compiled designs of ``core.bias_designs``, the
+same designs the sampler, ``summarize`` and the data generator use. The
+sampler keeps its own optimized local evaluators and is tested against the
+quantities here.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 from scipy.special import gammaln
 
-from .core import LatentState, ModelSpec, SurveyPanel, gamma_length
+from .core import BiasDesign, LatentState, ModelSpec, SurveyPanel, bias_designs, compile_model
 from .dists import NchgParams, inv_logit, nchg_logpmf, truncnorm_logpdf
 
 
@@ -20,44 +23,12 @@ def _softplus(x: float) -> float:
     return x if x > 35.0 else math.log1p(math.exp(x))
 
 
-def _check_structure(state: LatentState, spec: ModelSpec) -> None:
-    if len(state.gamma) != len(spec.bias):
-        raise ValueError(
-            f"state has {len(state.gamma)} gamma blocks for {len(spec.bias)} surveys"
-        )
-    T = state.n_times
-    for k, (b, g) in enumerate(zip(spec.bias, state.gamma)):
-        want = gamma_length(b.kind, T)
-        have = 0 if g is None else len(g)
-        if want != have:
-            raise ValueError(
-                f"survey {k} ({b.kind}) carries {have} gamma values, expected {want}"
-            )
-        if b.kind == "known" and b.fixed_phi is not None and len(b.fixed_phi) < T:
-            raise ValueError(
-                f"survey {k} fixes {len(b.fixed_phi)} phi values for {T} time-points"
-            )
-
-
 def log_phi(spec: ModelSpec, state: LatentState, k: int, t: int) -> float:
     """Log of the bias odds for survey k at time-point t (1-based)."""
     T = state.n_times
     if not 1 <= t <= T:
         raise ValueError(f"time-point must lie in 1..{T}, got {t}")
-    b = spec.bias[k]
-    if b.kind == "known":
-        if b.fixed_phi is None:
-            return 0.0
-        if len(b.fixed_phi) < t:
-            raise ValueError(f"fixed_phi has {len(b.fixed_phi)} entries, need {t}")
-        return math.log(b.fixed_phi[t - 1])
-    g = state.gamma[k]
-    if b.kind == "constant":
-        return float(g[0])
-    if b.kind == "linear":
-        tt = t - T / 2.0 if spec.center_time else float(t)
-        return float(g[0] + g[1] * tt)
-    return float(g[t])  # walk
+    return float(bias_designs(spec, T)[k].log_phi(state.gamma[k], t))
 
 
 def phi_value(spec: ModelSpec, state: LatentState, k: int, t: int) -> float:
@@ -65,7 +36,9 @@ def phi_value(spec: ModelSpec, state: LatentState, k: int, t: int) -> float:
     return math.exp(log_phi(spec, state, k, t))
 
 
-def _prior_blocks(state: LatentState, spec: ModelSpec) -> list[tuple[str, float]]:
+def _prior_blocks(
+    state: LatentState, spec: ModelSpec, designs: tuple[BiasDesign, ...]
+) -> list[tuple[str, float]]:
     pr = spec.priors
     T = state.n_times
     theta = state.theta
@@ -100,25 +73,21 @@ def _prior_blocks(state: LatentState, spec: ModelSpec) -> list[tuple[str, float]
         and state.pi_sq > 0.0
         and math.isfinite(state.pi_sq)
     )
-    for k, b in enumerate(spec.bias):
-        if b.kind == "known":
+    for k, design in enumerate(designs):
+        if not design.var:
             continue
         g = state.gamma[k]
-        if b.kind == "constant":
-            gv = truncnorm_logpdf(float(g[0]), 0.0, pr.gamma0_var)
-        elif b.kind == "linear":
-            gv = truncnorm_logpdf(float(g[0]), 0.0, pr.gamma0_var) + truncnorm_logpdf(
-                float(g[1]), 0.0, pr.gamma1_var
-            )
-        else:  # walk
-            if state.pi_sq is None:
+        gv = 0.0
+        for j, var in enumerate(design.var):
+            if var is not None:
+                gv += truncnorm_logpdf(float(g[j]), 0.0, var)
+            elif state.pi_sq is None:
                 raise ValueError(f"survey {k} uses a walk bias but pi_sq is unset")
-            if pi_ok:
-                gv = truncnorm_logpdf(float(g[0]), 0.0, pr.gamma0_var)
-                for t in range(1, T + 1):
-                    gv += truncnorm_logpdf(float(g[t]), float(g[t - 1]), state.pi_sq)
-            else:
+            elif not pi_ok:
                 gv = -math.inf
+                break
+            else:
+                gv += truncnorm_logpdf(float(g[j]), float(g[j - 1]), state.pi_sq)
         blocks.append((f"gamma[{k}]", gv))
 
     if spec.has_bias_walk:
@@ -134,16 +103,8 @@ def _prior_blocks(state: LatentState, spec: ModelSpec) -> list[tuple[str, float]
 
 
 def _cell_loglik(
-    state: LatentState,
-    spec: ModelSpec,
-    population: int,
-    k: int,
-    t: int,
-    y: int,
-    n: int,
+    spec: ModelSpec, population: int, th: float, g: float, y: int, n: int
 ) -> float:
-    th = float(state.theta[t])
-    g = log_phi(spec, state, k, t)
     if spec.use_exact_nchg:
         p = inv_logit(th)
         m1 = int(math.floor(p * population + 0.5))
@@ -155,11 +116,12 @@ def _cell_loglik(
 
 
 def _lik_blocks(
-    state: LatentState, panel: SurveyPanel, spec: ModelSpec
+    state: LatentState, panel: SurveyPanel, spec: ModelSpec, designs: tuple[BiasDesign, ...]
 ) -> list[tuple[str, float]]:
     totals = [0.0] * panel.n_surveys
     for k, t, y, n in panel.observed_cells():
-        totals[k] += _cell_loglik(state, spec, panel.population, k, t, y, n)
+        g = float(designs[k].log_phi(state.gamma[k], t))
+        totals[k] += _cell_loglik(spec, panel.population, float(state.theta[t]), g, y, n)
     return [(f"lik[{k}]", totals[k]) for k in range(panel.n_surveys)]
 
 
@@ -169,22 +131,14 @@ def log_prior(state: LatentState, spec: ModelSpec) -> float:
     Returns -inf for states outside the prior's support (non-monotone walk
     when monotonicity is on, or non-positive variances).
     """
-    _check_structure(state, spec)
-    return sum(v for _, v in _prior_blocks(state, spec))
+    designs = compile_model(spec, state=state)
+    return sum(v for _, v in _prior_blocks(state, spec, designs))
 
 
 def log_likelihood(state: LatentState, panel: SurveyPanel, spec: ModelSpec) -> float:
     """Observation log-density over all present cells."""
-    _check_structure(state, spec)
-    if len(spec.bias) != panel.n_surveys:
-        raise ValueError(
-            f"spec covers {len(spec.bias)} surveys but panel has {panel.n_surveys}"
-        )
-    if state.n_times != panel.n_times:
-        raise ValueError(
-            f"state covers {state.n_times} time-points but panel has {panel.n_times}"
-        )
-    return sum(v for _, v in _lik_blocks(state, panel, spec))
+    designs = compile_model(spec, state=state, panel=panel)
+    return sum(v for _, v in _lik_blocks(state, panel, spec, designs))
 
 
 @dataclass(frozen=True)
@@ -205,17 +159,9 @@ class LogDensityReport:
 def log_posterior(
     state: LatentState, panel: SurveyPanel, spec: ModelSpec
 ) -> LogDensityReport:
-    _check_structure(state, spec)
-    if len(spec.bias) != panel.n_surveys:
-        raise ValueError(
-            f"spec covers {len(spec.bias)} surveys but panel has {panel.n_surveys}"
-        )
-    if state.n_times != panel.n_times:
-        raise ValueError(
-            f"state covers {state.n_times} time-points but panel has {panel.n_times}"
-        )
-    prior_blocks = _prior_blocks(state, spec)
-    lik_blocks = _lik_blocks(state, panel, spec)
+    designs = compile_model(spec, state=state, panel=panel)
+    prior_blocks = _prior_blocks(state, spec, designs)
+    lik_blocks = _lik_blocks(state, panel, spec, designs)
     lp = sum(v for _, v in prior_blocks)
     ll = sum(v for _, v in lik_blocks)
     return LogDensityReport(

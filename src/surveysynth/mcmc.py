@@ -17,13 +17,17 @@ they are snapshotted at the freeze point and again at the end so callers
 can check that no post-burn-in adaptation happened.
 
 The hot loop works on plain Python floats and evaluates only the terms of
-the log posterior a block actually touches. A table holds every observed
-cell's log-likelihood under the current state: it is filled once at the
-start, each block evaluates the cells it touches at the proposal only and
-takes the difference against the table, and an accepted move writes its
-values back. The table therefore equals a fresh evaluation bit for bit, and
-each touched cell costs one kernel call per block. The likelihood module is
-kept as the reference density and is used to vet the starting point.
+the log posterior a block actually touches. Two tables describe the current
+state at every observed cell: lphi[k][t], survey k's log bias odds at time
+t, filled once from the compiled bias designs (``core.bias_designs``), and
+ll[k][t], the cell's log-likelihood. Each block evaluates the cells it
+touches at the proposal only and takes the difference against ll; an
+accepted move writes both tables back. The theta and ridge blocks read the
+odds from lphi whatever the bias kind; only the coefficient blocks of the
+constant, linear and walk kinds are written out per kind. The ll table
+therefore equals a fresh evaluation bit for bit, and each touched cell costs
+one kernel call per block. The likelihood module is kept as the reference
+density and is used to vet the starting point.
 """
 
 from __future__ import annotations
@@ -43,7 +47,9 @@ from .core import (
     SummaryRow,
     SummaryTable,
     SurveyPanel,
-    gamma_length,
+    bias_designs,
+    compile_model,
+    time_covariate,
     validate_panel,
 )
 from .dists import inv_logit, nchg_logpmf_unchecked
@@ -105,16 +111,7 @@ class SamplerSettings:
 
 
 def _validate_inputs(panel: SurveyPanel, spec: ModelSpec) -> None:
-    if len(spec.bias) != panel.n_surveys:
-        raise ValueError(
-            f"model covers {len(spec.bias)} surveys but panel has {panel.n_surveys}"
-        )
-    for k, b in enumerate(spec.bias):
-        if b.fixed_phi is not None and len(b.fixed_phi) < panel.n_times:
-            raise ValueError(
-                f"survey {k} pins {len(b.fixed_phi)} bias values for "
-                f"{panel.n_times} time-points"
-            )
+    compile_model(spec, panel=panel)
     problems = validate_panel(panel)
     if problems:
         head = "; ".join(v.message for v in problems[:5])
@@ -128,34 +125,31 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
     K = panel.n_surveys
     monotone = spec.monotone_walk
 
-    kind_code = {"known": 0, "constant": 1, "linear": 2, "walk": 3}
-    kinds = [kind_code[b.kind] for b in spec.bias]
+    designs = bias_designs(spec, T)
+    kinds = [b.kind for b in spec.bias]
+    walk_ks = [k for k in range(K) if kinds[k] == "walk"]
+    tcov = time_covariate(spec, T)
+    # under the logit-shift approximation a cell depends on theta[t] + g only,
+    # so a ridge move leaves walk cells unchanged; the exact kernel does not
+    ridge_skips_walk = not spec.use_exact_nchg
 
-    # time covariate for linear bias; panel column j holds time-point j + 1
-    tcov = [0.0] * (T + 1)
-    for t in range(1, T + 1):
-        tcov[t] = t - T / 2.0 if spec.center_time else float(t)
-
-    log_phi_known: list[list[float] | None] = [None] * K
-    for k, b in enumerate(spec.bias):
-        if b.kind == "known":
-            row = [0.0] * (T + 1)
-            if b.fixed_phi is not None:
-                for t in range(1, T + 1):
-                    row[t] = math.log(b.fixed_phi[t - 1])
-            log_phi_known[k] = row
-
+    # panel column j holds time-point j + 1; a ridge cell carries how many
+    # ridge steps its log odds move against theta: 1 in a bias walk, else 0
     obs = panel.observed
-    col_cells: list[list[tuple[int, int, float, float]]] = [[] for _ in range(T + 1)]
+    col_cells: list[list[tuple[int, float, float]]] = [[] for _ in range(T + 1)]
+    ridge_cells: list[list[tuple[int, float, float, float]]] = [[] for _ in range(T + 1)]
     row_cells: list[list[tuple[int, float, float]]] = [[] for _ in range(K)]
     cell_at: list[list[tuple[float, float] | None]] = [[None] * (T + 1) for _ in range(K)]
     for k in range(K):
         yk, nk = panel.y[k], panel.n[k]
+        shift = 1.0 if k in walk_ks else 0.0
         for j in range(T):
             if obs[k, j]:
                 t = j + 1
                 y, n = float(yk[j]), float(nk[j])
-                col_cells[t].append((kinds[k], k, y, n))
+                col_cells[t].append((k, y, n))
+                if not (shift and ridge_skips_walk):
+                    ridge_cells[t].append((k, y, n, shift))
                 row_cells[k].append((t, y, n))
                 cell_at[k][t] = (y, n)
 
@@ -186,7 +180,7 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
     ysum = [0.0] * (T + 1)
     nsum = [0.0] * (T + 1)
     for k in range(K):
-        if kinds[k] == 0:
+        if not designs[k].var:
             for t, y, n in row_cells[k]:
                 ysum[t] += y
                 nsum[t] += n
@@ -212,16 +206,15 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
         * math.exp(0.1 * rng.standard_normal())
     )
     pi_sq = None
-    if 3 in kinds:
+    if walk_ks:
         pi_sq = (
             math.sqrt(pr.pi_sq_scale)
             * _HALF_NORMAL_MEDIAN
             * math.exp(0.1 * rng.standard_normal())
         )
     gam: list[list[float]] = []
-    for k in range(K):
-        L = gamma_length(spec.bias[k].kind, T)
-        gam.append([0.01 * rng.standard_normal() for _ in range(L)])
+    for d in designs:
+        gam.append([0.01 * rng.standard_normal() for _ in d.var])
 
     start = LatentState(
         theta=np.array(theta),
@@ -237,24 +230,14 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
         )
         raise InitializationError(bad)
 
-    def bias_at(code: int, k: int, t: int) -> float:
-        if code == 0:
-            return log_phi_known[k][t]
-        if code == 1:
-            return gam[k][0]
-        if code == 2:
-            return gam[k][0] + gam[k][1] * tcov[t]
-        return gam[k][t]
-
-    # ll[k][t]: cell log-likelihood of survey k at time t under the current
-    # state; each block evaluates only its proposal and stores on accept
+    # lphi[k][t]: log bias odds of survey k at time t under the current
+    # state; ll[k][t]: its cell log-likelihood there. Each block evaluates
+    # only its proposal, and an accepted move stores the cells it touched.
+    lphi = [[d.log_phi(g, t) for t in range(T + 1)] for d, g in zip(designs, gam)]
     ll = [[0.0] * (T + 1) for _ in range(K)]
     for t in range(1, T + 1):
-        for code, k, y, n in col_cells[t]:
-            ll[k][t] = cell_ll(theta[t], bias_at(code, k, t), y, n)
-    # under the logit-shift approximation a cell depends on theta[t] + g only,
-    # so a ridge move leaves walk cells unchanged; the exact kernel does not
-    ridge_skips_walk = not spec.use_exact_nchg
+        for k, y, n in col_cells[t]:
+            ll[k][t] = cell_ll(theta[t], lphi[k][t], y, n)
 
     # ---- block bookkeeping
     names = [f"theta[{t}]" for t in range(T + 1)]
@@ -264,7 +247,6 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
             names.append(f"gamma[{k}][{j}]")
     if pi_sq is not None:
         names.append("pi_sq")
-    walk_ks = [k for k in range(K) if kinds[k] == 3]
     joint0 = len(names)
     if walk_ks:
         names.extend(f"joint[{t}]" for t in range(T + 1))
@@ -378,16 +360,8 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                 dc = nxt - cur
                 d += (dc * dc - dn * dn) / (2.0 * sigma_sq)
             news = []
-            for code, k, y, n in col_cells[t]:
-                if code == 0:
-                    g = log_phi_known[k][t]
-                elif code == 1:
-                    g = gam[k][0]
-                elif code == 2:
-                    g = gam[k][0] + gam[k][1] * tcov[t]
-                else:
-                    g = gam[k][t]
-                v = cell_ll(prop, g, y, n)
+            for k, y, n in col_cells[t]:
+                v = cell_ll(prop, lphi[k][t], y, n)
                 news.append((k, v))
                 d += v - ll[k][t]
             if d >= 0.0 or draw_u() < exp_(d):
@@ -422,12 +396,13 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
 
         # bias coefficients
         for k in range(K):
-            code = kinds[k]
-            if code == 0:
+            kind = kinds[k]
+            if kind == "known":
                 continue
             gk = gam[k]
             llk = ll[k]
-            if code == 1:
+            lphik = lphi[k]
+            if kind == "constant":
                 cur = gk[0]
                 prop = cur + scale[bid] * draw_z()
                 d = (cur * cur - prop * prop) / (2.0 * g0v)
@@ -440,42 +415,32 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                     gk[0] = prop
                     for t, v in news:
                         llk[t] = v
+                        lphik[t] = prop
                     record_decision(bid, True, adapting)
                 else:
                     record_decision(bid, False, adapting)
                 bid += 1
-            elif code == 2:
-                g0, g1 = gk[0], gk[1]
-                prop = g0 + scale[bid] * draw_z()
-                d = (g0 * g0 - prop * prop) / (2.0 * g0v)
-                news = []
-                for t, y, n in row_cells[k]:
-                    v = cell_ll(theta[t], prop + g1 * tcov[t], y, n)
-                    news.append((t, v))
-                    d += v - llk[t]
-                if d >= 0.0 or draw_u() < exp_(d):
-                    gk[0] = g0 = prop
-                    for t, v in news:
-                        llk[t] = v
-                    record_decision(bid, True, adapting)
-                else:
-                    record_decision(bid, False, adapting)
-                bid += 1
-                prop = g1 + scale[bid] * draw_z()
-                d = (g1 * g1 - prop * prop) / (2.0 * g1v)
-                news = []
-                for t, y, n in row_cells[k]:
-                    v = cell_ll(theta[t], g0 + prop * tcov[t], y, n)
-                    news.append((t, v))
-                    d += v - llk[t]
-                if d >= 0.0 or draw_u() < exp_(d):
-                    gk[1] = prop
-                    for t, v in news:
-                        llk[t] = v
-                    record_decision(bid, True, adapting)
-                else:
-                    record_decision(bid, False, adapting)
-                bid += 1
+            elif kind == "linear":
+                for j in (0, 1):  # intercept, then slope
+                    cur = gk[j]
+                    prop = cur + scale[bid] * draw_z()
+                    d = (cur * cur - prop * prop) / (2.0 * (g1v if j else g0v))
+                    c0, c1 = (gk[0], prop) if j else (prop, gk[1])
+                    news = []
+                    for t, y, n in row_cells[k]:
+                        g = c0 + c1 * tcov[t]
+                        v = cell_ll(theta[t], g, y, n)
+                        news.append((t, g, v))
+                        d += v - llk[t]
+                    if d >= 0.0 or draw_u() < exp_(d):
+                        gk[j] = prop
+                        for t, g, v in news:
+                            lphik[t] = g
+                            llk[t] = v
+                        record_decision(bid, True, adapting)
+                    else:
+                        record_decision(bid, False, adapting)
+                    bid += 1
             else:
                 for t in range(T + 1):
                     cur = gk[t]
@@ -498,7 +463,7 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                         v = cell_ll(theta[t], prop, y, n)
                         d += v - llk[t]
                     if d >= 0.0 or draw_u() < exp_(d):
-                        gk[t] = prop
+                        gk[t] = lphik[t] = prop
                         if cell is not None:
                             llk[t] = v
                         record_decision(bid, True, adapting)
@@ -513,13 +478,12 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
             pprop = exp_(lprop)
             sse = 0.0
             n_inc = 0
-            for k in range(K):
-                if kinds[k] == 3:
-                    gk = gam[k]
-                    for t in range(1, T + 1):
-                        dd = gk[t] - gk[t - 1]
-                        sse += dd * dd
-                    n_inc += T
+            for k in walk_ks:
+                gk = gam[k]
+                for t in range(1, T + 1):
+                    dd = gk[t] - gk[t - 1]
+                    sse += dd * dd
+                n_inc += T
             d = (
                 (pi_sq * pi_sq - pprop * pprop) / (2.0 * pi_prior_sq)
                 + 0.5 * n_inc * (lcur - lprop)
@@ -577,24 +541,15 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                         dc = gnxt - gcur
                         d += (dc * dc - dn * dn) / (2.0 * pi_sq)
                 news = []
-                for code, k, y, n in col_cells[t]:
-                    if code == 0:
-                        g = log_phi_known[k][t]
-                    elif code == 1:
-                        g = gam[k][0]
-                    elif code == 2:
-                        g = gam[k][0] + gam[k][1] * tcov[t]
-                    elif ridge_skips_walk:
-                        continue
-                    else:
-                        g = gam[k][t] - delta
-                    v = cell_ll(prop, g, y, n)
+                for k, y, n, shift in ridge_cells[t]:
+                    v = cell_ll(prop, lphi[k][t] - shift * delta, y, n)
                     news.append((k, v))
                     d += v - ll[k][t]
                 if d >= 0.0 or draw_u() < exp_(d):
                     theta[t] = prop
                     for k in walk_ks:
                         gam[k][t] -= delta
+                        lphi[k][t] -= delta
                     for k, v in news:
                         ll[k][t] = v
                     if ridge_skips_walk:
@@ -604,7 +559,7 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                             cell = cell_at[k][t]
                             if cell is not None:
                                 y, n = cell
-                                ll[k][t] = cell_ll(prop, gam[k][t], y, n)
+                                ll[k][t] = cell_ll(prop, lphi[k][t], y, n)
                     record_decision(bid, True, adapting)
                 else:
                     record_decision(bid, False, adapting)
@@ -639,15 +594,32 @@ def _chain_job(args):
     return _sample_chain(*args)
 
 
-def map_jobs(fn, jobs: list, workers: int | None = None) -> list:
-    """``[fn(job) for job in jobs]``, spread over up to ``workers`` processes.
+def resolve_workers(workers: int | None = None) -> int:
+    """The process count to use: ``workers``, else the SURVEYSYNTH_WORKERS
+    environment variable, else 1 (serial).
 
-    ``workers=None`` reads the SURVEYSYNTH_WORKERS environment variable
-    (default 1, serial). Results come back in job order, so they do not
-    depend on the worker count when every job seeds itself.
+    Raises ValueError naming the source unless the count is an integer >= 1.
     """
+    name, value = "workers", workers
     if workers is None:
-        workers = int(os.environ.get("SURVEYSYNTH_WORKERS", "1"))
+        name, value = "SURVEYSYNTH_WORKERS", os.environ.get("SURVEYSYNTH_WORKERS", "1")
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return count
+
+
+def map_jobs(fn, jobs: list, workers: int | None = None) -> list:
+    """``[fn(job) for job in jobs]``, spread over up to ``workers`` processes
+    (see ``resolve_workers``).
+
+    Results come back in job order, so they do not depend on the worker count
+    when every job seeds itself.
+    """
+    workers = resolve_workers(workers)
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             return list(pool.map(fn, jobs))
@@ -834,18 +806,12 @@ def summarize(draws: ChainDraws, alpha: float = 0.05, transform: str = "rate") -
         else:
             add("theta", None, t, series.ravel(), series, key)
 
-    tcov = [(t - T / 2.0) if spec.center_time else float(t) for t in range(T + 1)]
-    for k, b in enumerate(spec.bias):
-        if b.kind == "known":
+    for k, design in enumerate(bias_designs(spec, T)):
+        if not design.var:
             continue
-        g = draws.gamma[k]
+        g = np.moveaxis(draws.gamma[k], -1, 0)
         for t in range(1, T + 1):
-            if b.kind == "constant":
-                series = g[:, :, 0]
-            elif b.kind == "linear":
-                series = g[:, :, 0] + g[:, :, 1] * tcov[t]
-            else:
-                series = g[:, :, t]
+            series = design.log_phi(g, t)
             add("phi", k, t, np.exp(series.ravel()), series)
 
     add("sigma_sq", None, None, draws.sigma_sq.ravel(), draws.sigma_sq, "sigma_sq")

@@ -198,6 +198,33 @@ def test_bad_alpha_fails_before_sampling(tmp_path, demo_panel, capsys, monkeypat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "nowcast"])
+@pytest.mark.parametrize(
+    "env, flag, named",
+    [("abc", [], "SURVEYSYNTH_WORKERS"), ("0", [], "SURVEYSYNTH_WORKERS"),
+     (None, ["--workers", "0"], "workers")],
+)
+def test_bad_worker_count_fails_before_sampling(
+    tmp_path, demo_panel, capsys, monkeypatch, command, env, flag, named
+):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the sampler ran")
+
+    monkeypatch.setattr("surveysynth.cli.fit_full", must_not_run)
+    monkeypatch.setattr("surveysynth.cli.nowcast_series", must_not_run)
+    if env is None:
+        monkeypatch.delenv("SURVEYSYNTH_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("SURVEYSYNTH_WORKERS", env)
+    out = tmp_path / "out"
+    code = main([command, "--panel", demo_panel_file(tmp_path, demo_panel),
+                 "--config", fit_cfg(tmp_path), "--out", str(out), *flag])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"error: bad-config: {named} must be an integer >= 1" in err
+    assert not out.exists()
+
+
 def test_nowcast_cli(tmp_path, capsys):
     panel = SurveyPanel(
         y=np.array([[10.0, 20.0]]), n=np.array([[100.0, 100.0]]),

@@ -157,3 +157,24 @@ def test_from_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="JSON"):
         RunConfig.from_file(bad)
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [("model", "monotone_walk"), ("model", "center_time"), ("model", "use_exact_nchg"),
+     ("generate", "monotone_walk"), ("generate", "center_time")],
+)
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_flags_must_be_json_booleans(section, key, value):
+    body = {"bias": [{"kind": "known"}], key: value}
+    if section == "generate":
+        body.update(n_plan=[[100]], population=5000)
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be true or false"):
+        RunConfig.from_dict({section: body})
+
+
+def test_generate_truth_seed_is_an_unknown_key():
+    body = {"n_plan": [[100]], "population": 5000, "bias": [{"kind": "known"}]}
+    assert RunConfig.from_dict({"generate": body}).generate.n_times == 1
+    with pytest.raises(ConfigError, match="unknown key.*truth_seed"):
+        RunConfig.from_dict({"generate": {**body, "truth_seed": 7}})

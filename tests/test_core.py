@@ -11,7 +11,10 @@ from surveysynth.core import (
     SummaryRow,
     SummaryTable,
     SurveyPanel,
+    bias_designs,
+    compile_model,
     detect_saturated_cells,
+    time_covariate,
     validate_panel,
     validate_state,
 )
@@ -262,6 +265,12 @@ def test_validate_state_gamma_shapes():
     assert any("gamma" in p for p in validate_state(state, spec))
 
 
+def test_validate_state_reports_short_fixed_phi():
+    spec = ModelSpec(bias=(BiasModelSpec(kind="known", fixed_phi=(1.0, 2.0)),))
+    state = state_for(spec, T=3)
+    assert any("fixes 2 phi values for 3" in p for p in validate_state(state, spec))
+
+
 def test_validate_state_walk_needs_pi_sq():
     spec = ModelSpec(bias=(BiasModelSpec.anchor(), BiasModelSpec(kind="walk")))
     state = state_for(spec, T=3, pi_sq=None)
@@ -325,3 +334,79 @@ def test_summary_table_lookup():
 def test_summary_row_ordering_invariant():
     with pytest.raises(ValueError):
         SummaryRow(name="rate", survey=None, t=0, median=0.5, lower=0.6, upper=0.4)
+
+
+# ---------------------------------------------------------------------------
+# compiled bias designs
+
+
+def _all_kinds_spec(**kw):
+    return ModelSpec(
+        bias=(
+            BiasModelSpec(kind="known", fixed_phi=(2.0, 0.5, 4.0)),
+            BiasModelSpec(kind="constant"),
+            BiasModelSpec(kind="linear"),
+            BiasModelSpec.random_walk(),
+        ),
+        priors=PriorSpec(gamma0_var=0.7, gamma1_var=0.3),
+        **kw,
+    )
+
+
+def test_time_covariate_centred_and_raw():
+    spec = _all_kinds_spec()
+    assert time_covariate(spec, 4) == [-2.0, -1.0, 0.0, 1.0, 2.0]
+    raw = _all_kinds_spec(center_time=False)
+    assert time_covariate(raw, 4) == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+
+def test_bias_designs_rows_and_priors():
+    T = 3
+    known, const, lin, walk = bias_designs(_all_kinds_spec(), T)
+    assert known.var == () and known.terms[2] == ()
+    assert known.offset[1:] == (math.log(2.0), math.log(0.5), math.log(4.0))
+    assert const.var == (0.7,) and const.terms[3] == ((0, 1.0),)
+    assert lin.var == (0.7, 0.3) and lin.terms[1] == ((0, 1.0), (1, 1 - T / 2.0))
+    assert walk.var == (0.7, None, None, None) and walk.terms[2] == ((2, 1.0),)
+    assert all(v == 0.0 for d in (const, lin, walk) for v in d.offset)
+
+
+def test_design_log_phi_on_vectors_and_draw_stacks():
+    T = 3
+    designs = bias_designs(_all_kinds_spec(center_time=False), T)
+    rng = np.random.default_rng(0)
+    for d in designs[1:]:  # a known bias has no coefficients to stack
+        draws = rng.standard_normal((2, 5, len(d.var)))  # chains, kept, coefficients
+        stacked = np.moveaxis(draws, -1, 0)
+        for t in range(1, T + 1):
+            series = d.log_phi(stacked, t)
+            for c in range(2):
+                for i in range(5):
+                    assert series[c, i] == d.log_phi(draws[c, i], t)
+    const, lin = designs[1], designs[2]
+    assert const.log_phi([0.4], 2) == 0.4
+    assert lin.log_phi([0.4, 0.1], 3) == 0.4 + 0.1 * 3.0
+    assert designs[3].log_phi([0.0, 0.2, -0.3, 0.9], 2) == -0.3
+    assert designs[0].log_phi(None, 3) == math.log(4.0)
+
+
+def test_compile_model_rejects_every_shape_mismatch():
+    spec = _all_kinds_spec()
+    panel = make_panel(np.ones((4, 3)), np.full((4, 3), 10.0))
+    good = state_for(spec, T=3, pi_sq=0.1)
+    assert len(compile_model(spec, state=good, panel=panel)) == 4
+    assert compile_model(spec, panel=panel) == compile_model(spec, state=good)
+    with pytest.raises(ValueError, match="spec covers 4 surveys but panel has 2"):
+        compile_model(spec, panel=make_panel(np.ones((2, 3)), np.full((2, 3), 10.0)))
+    with pytest.raises(ValueError, match="state covers 2 time-points but panel has 3"):
+        compile_model(spec, state=state_for(spec, T=2, pi_sq=0.1), panel=panel)
+    with pytest.raises(ValueError, match="fixes 3 phi values for 4"):
+        compile_model(spec, state=state_for(spec, T=4, pi_sq=0.1))
+    short = LatentState(theta=np.zeros(4), sigma_sq=1.0, gamma=good.gamma[:3], pi_sq=0.1)
+    with pytest.raises(ValueError, match="3 gamma blocks for 4 surveys"):
+        compile_model(spec, state=short)
+    bad_walk = LatentState(
+        theta=np.zeros(4), sigma_sq=1.0, gamma=good.gamma[:3] + (np.zeros(3),), pi_sq=0.1
+    )
+    with pytest.raises(ValueError, match="survey 3 .* carries 3 gamma values, expected 4"):
+        compile_model(spec, state=bad_walk)

@@ -429,12 +429,22 @@ def _pinned_cases():
     return {
         "constant": (demo, _demo_spec("constant", "constant"), _SHORT),
         "linear": (demo, _demo_spec("linear", "linear"), _SHORT),
+        "linear-uncentered": (
+            demo,
+            dataclasses.replace(_demo_spec("linear", "linear"), center_time=False),
+            _SHORT,
+        ),
         "walk": (demo, _demo_spec("walk", "walk"), _SHORT),
         "known": (demo, _demo_spec(known, "linear"), _SHORT),
         "exact-linear": (
             demo,
             _demo_spec("linear", "linear", exact=True),
             dataclasses.replace(_EXACT_DEMO, seed=3),
+        ),
+        "exact-walk": (
+            demo,
+            _demo_spec("walk", "walk", exact=True),
+            dataclasses.replace(_EXACT_DEMO, seed=4),
         ),
         "vaccine": (
             vaccine.panel,
@@ -446,14 +456,19 @@ def _pinned_cases():
 
 # Digests of the draws as the sampler made them when it evaluated every cell
 # at both the current and the proposed state (numpy 2.4). Reading the current
-# value from the cell table must not change one bit. Exact + walk is absent:
-# its ridge moves now count the walk cells (see the quadrature test below).
+# value from the cell table must not change one bit. Linear with an uncentred
+# time covariate and exact + walk (whose ridge moves count the walk cells, see
+# the quadrature test below) were pinned later, before the bias models were
+# compiled into shared designs; the compiled form must not change one bit
+# either.
 _PINNED_DRAW_DIGESTS = {
     "constant": "241446f333737392",
     "linear": "980aeafa1da445e8",
+    "linear-uncentered": "7de2a1283e4d3d2c",
     "walk": "7ba8b5325efcf25d",
     "known": "ff78f77a524b40a3",
     "exact-linear": "6d6b53404c8aeb94",
+    "exact-walk": "3886f9e0c32ecb5d",
     "vaccine": "f063ae7df942d4fd",
 }
 
@@ -462,6 +477,34 @@ def test_draws_match_pinned_digests():
     for name, (panel, spec, settings) in _pinned_cases().items():
         draws = run_chains(panel, spec, settings, workers=1)
         assert _draws_digest(draws) == _PINNED_DRAW_DIGESTS[name], name
+
+
+def _summary_digest(table) -> str:
+    h = hashlib.sha256()
+    for r in table.rows:
+        fields = (r.name, r.survey, r.t, r.median, r.lower, r.upper, r.r_hat, r.ess)
+        h.update(repr(fields).encode())
+    return h.hexdigest()[:16]
+
+
+# Digests of the summarize rows (rates, bias odds, variances, with their
+# R-hat and ESS) before the bias models were compiled into shared designs.
+_PINNED_SUMMARY_DIGESTS = {
+    "constant": "8b4c8c83bf71f494",
+    "linear": "24097159874366ec",
+    "linear-uncentered": "b2a6104a0fdd7353",
+    "walk": "5392db09d4aff0ff",
+    "known": "02f3dd33612e01c7",
+    "exact-walk": "d1d39addfaaccca4",
+}
+
+
+def test_summary_rows_match_pinned_digests():
+    cases = _pinned_cases()
+    for name, want in _PINNED_SUMMARY_DIGESTS.items():
+        panel, spec, settings = cases[name]
+        table = summarize(run_chains(panel, spec, settings, workers=1))
+        assert _summary_digest(table) == want, name
 
 
 def test_exact_demo_chain_calls_kernel_once_per_touched_cell(monkeypatch):
