@@ -479,6 +479,35 @@ def test_draws_match_pinned_digests():
         assert _draws_digest(draws) == _PINNED_DRAW_DIGESTS[name], name
 
 
+def _bookkeeping_digest(draws) -> str:
+    h = hashlib.sha256()
+    for d in (draws.acceptance_rates, draws.scales_end_of_burnin, draws.scales_final):
+        h.update(repr(list(d.items())).encode())
+    return h.hexdigest()[:16]
+
+
+# Digests of the per-block acceptance rates and the proposal scales at the
+# freeze point and at the end, recorded while the sampler still adapted and
+# counted each block's decisions one call at a time. Closing every adaptation
+# window at the end of a sweep must not change one bit of them.
+_PINNED_BOOKKEEPING_DIGESTS = {
+    "constant": "74b5bcbb3861a8d2",
+    "linear": "093e0a72cfc1b1f2",
+    "linear-uncentered": "d8b23413a90a6150",
+    "walk": "483f51a21ad59f6e",
+    "known": "9c2e2a59d5b7267d",
+    "exact-linear": "6855056ff9db96a0",
+    "exact-walk": "900e1cf4cb0fed95",
+    "vaccine": "6eb6cd91bf297b8c",
+}
+
+
+def test_bookkeeping_matches_pinned_digests():
+    for name, (panel, spec, settings) in _pinned_cases().items():
+        draws = run_chains(panel, spec, settings, workers=1)
+        assert _bookkeeping_digest(draws) == _PINNED_BOOKKEEPING_DIGESTS[name], name
+
+
 def _summary_digest(table) -> str:
     h = hashlib.sha256()
     for r in table.rows:
