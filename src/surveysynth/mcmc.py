@@ -16,18 +16,35 @@ Proposal scales adapt toward a target acceptance rate during burn-in only;
 they are snapshotted at the freeze point and again at the end so callers
 can check that no post-burn-in adaptation happened.
 
+Every block makes exactly one accept/reject decision per sweep: a theta
+block whose monotone neighbours are tied, and a ridge move that would leave
+the monotone order, count as rejections. Adaptation relies on this. All
+windows therefore close on the same sweep, and the sweep only counts
+accepts per block; at the end of each window one pass moves every log scale
+by (accepts / window - target) / sqrt(windows closed so far). After burn-in
+the same counts give the acceptance rates over n_draws decisions each.
+
 The hot loop works on plain Python floats and evaluates only the terms of
-the log posterior a block actually touches. Two tables describe the current
-state at every observed cell: lphi[k][t], survey k's log bias odds at time
-t, filled once from the compiled bias designs (``core.bias_designs``), and
-ll[k][t], the cell's log-likelihood. Each block evaluates the cells it
-touches at the proposal only and takes the difference against ll; an
-accepted move writes both tables back. The theta and ridge blocks read the
-odds from lphi whatever the bias kind; only the coefficient blocks of the
-constant, linear and walk kinds are written out per kind. The ll table
-therefore equals a fresh evaluation bit for bit, and each touched cell costs
-one kernel call per block. The likelihood module is kept as the reference
-density and is used to vet the starting point.
+the log posterior a block actually touches. It reads the normal and uniform
+streams from buffers inline, refilling each when a draw finds it empty.
+Two tables describe the current state at every observed cell: lphi[k][t],
+survey k's log bias odds at time t, filled once from the compiled bias
+designs (``core.bias_designs``), and ll[k][t], the cell's log-likelihood.
+Each block evaluates the cells it touches at the proposal only and takes
+the difference against ll; an accepted move writes both tables back. Under
+the logit-shift approximation the cell term y*x - n*softplus(x), with
+x = theta + log odds, is written out inline at each place a cell is
+evaluated; ``cell_ll`` is the exact kernel's call. The theta and ridge
+blocks read the odds from lphi whatever the bias kind; only the coefficient
+blocks of the constant, linear and walk kinds are written out per kind. The
+ll table therefore equals a fresh evaluation bit for bit, and each touched
+cell costs one kernel call per block. The likelihood module is kept as the
+reference density and is used to vet the starting point.
+
+``split_stats`` scores split-chain R-hat and ESS for a whole stack of
+series at once, bit for bit as ``r_hat`` and ``ess`` score one. ``diagnose``
+scores every parameter in one call; ``summarize`` adds one call for the
+bias-odds rows that are not a coefficient's own series.
 """
 
 from __future__ import annotations
@@ -57,6 +74,7 @@ from .dists import inv_logit, nchg_logpmf_unchecked
 _HALF_NORMAL_MEDIAN = 0.6744897501960817  # Phi^{-1}(3/4)
 _INF = math.inf
 _RNG_BUF = 4096
+_STACK_FLOATS = 1 << 15  # per stacked array in split_stats
 
 
 class InitializationError(RuntimeError):
@@ -124,6 +142,7 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
     T = panel.n_times
     K = panel.n_surveys
     monotone = spec.monotone_walk
+    exact = spec.use_exact_nchg
 
     designs = bias_designs(spec, T)
     kinds = [b.kind for b in spec.bias]
@@ -131,7 +150,7 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
     tcov = time_covariate(spec, T)
     # under the logit-shift approximation a cell depends on theta[t] + g only,
     # so a ridge move leaves walk cells unchanged; the exact kernel does not
-    ridge_skips_walk = not spec.use_exact_nchg
+    ridge_skips_walk = not exact
 
     # panel column j holds time-point j + 1; a ridge cell carries how many
     # ridge steps its log odds move against theta: 1 in a bias walk, else 0
@@ -153,28 +172,22 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                 row_cells[k].append((t, y, n))
                 cell_at[k][t] = (y, n)
 
-    _exp = math.exp
-    if spec.use_exact_nchg:
-        population = panel.population
+    # the exact kernel is a call; the logit-shift cell term x = theta + g,
+    # y*x - n*softplus(x), is written out inline wherever a cell is evaluated
+    exp_ = math.exp
+    log1p_ = math.log1p
+    population = panel.population
 
-        def cell_ll(th: float, g: float, y: float, n: float) -> float:
-            if abs(g) > 690.0:  # odds outside float range: impossible cell
-                return -_INF
-            if th >= 0.0:  # inv_logit on one float, without numpy's per-call cost
-                p = 1.0 / (1.0 + _exp(-th))
-            else:
-                e = _exp(th)
-                p = e / (1.0 + e)
-            m1 = int(math.floor(p * population + 0.5))
-            return nchg_logpmf_unchecked(int(y), m1, population - m1, int(n), _exp(g))
-
-    else:
-        _log1p = math.log1p
-
-        def cell_ll(th: float, g: float, y: float, n: float) -> float:
-            x = th + g
-            sp = x if x > 35.0 else _log1p(_exp(x))
-            return y * x - n * sp
+    def cell_ll(th: float, g: float, y: float, n: float) -> float:
+        if abs(g) > 690.0:  # odds outside float range: impossible cell
+            return -_INF
+        if th >= 0.0:  # inv_logit on one float, without numpy's per-call cost
+            p = 1.0 / (1.0 + exp_(-th))
+        else:
+            e = exp_(th)
+            p = e / (1.0 + e)
+        m1 = int(math.floor(p * population + 0.5))
+        return nchg_logpmf_unchecked(int(y), m1, population - m1, int(n), exp_(g))
 
     # ---- starting point: pooled empirical level of the bias-known surveys
     ysum = [0.0] * (T + 1)
@@ -237,7 +250,11 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
     ll = [[0.0] * (T + 1) for _ in range(K)]
     for t in range(1, T + 1):
         for k, y, n in col_cells[t]:
-            ll[k][t] = cell_ll(theta[t], lphi[k][t], y, n)
+            if exact:
+                ll[k][t] = cell_ll(theta[t], lphi[k][t], y, n)
+            else:
+                x = theta[t] + lphi[k][t]
+                ll[k][t] = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
 
     # ---- block bookkeeping
     names = [f"theta[{t}]" for t in range(T + 1)]
@@ -253,11 +270,9 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
     B = len(names)
     log_scale = [math.log(0.5)] * B
     scale = [0.5] * B
-    win_acc = [0] * B
-    win_n = [0] * B
-    win_count = [0] * B
-    post_acc = [0] * B
-    post_n = [0] * B
+    # accepts per block in the open adaptation window, then after burn-in
+    acc = [0] * B
+    n_windows = 0
 
     target = settings.target_accept
     window = settings.adapt_window
@@ -271,7 +286,6 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
     g0v = pr.gamma0_var
     g1v = pr.gamma1_var
     pi_prior_sq = pr.pi_sq_scale
-    exp_ = math.exp
     log_ = math.log
     sqrt_ = math.sqrt
 
@@ -281,55 +295,26 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
     out_pi = np.empty(kept) if pi_sq is not None else None
     keep_i = 0
 
+    # normal and uniform streams, each refilled when a draw finds it empty
     norm_buf = rng.standard_normal(_RNG_BUF).tolist()
     unif_buf = rng.random(_RNG_BUF).tolist()
     nb_i = ub_i = 0
 
-    def draw_z() -> float:
-        nonlocal nb_i, norm_buf
-        i = nb_i
-        if i == _RNG_BUF:
-            norm_buf = rng.standard_normal(_RNG_BUF).tolist()
-            i = 0
-        nb_i = i + 1
-        return norm_buf[i]
-
-    def draw_u() -> float:
-        nonlocal ub_i, unif_buf
-        i = ub_i
-        if i == _RNG_BUF:
-            unif_buf = rng.random(_RNG_BUF).tolist()
-            i = 0
-        ub_i = i + 1
-        return unif_buf[i]
-
-    def record_decision(bid: int, accepted: bool, adapting: bool) -> None:
-        if adapting:
-            if accepted:
-                win_acc[bid] += 1
-            win_n[bid] += 1
-            if win_n[bid] == window:
-                win_count[bid] += 1
-                log_scale[bid] += (win_acc[bid] / window - target) / sqrt_(win_count[bid])
-                scale[bid] = exp_(log_scale[bid])
-                win_acc[bid] = 0
-                win_n[bid] = 0
-        else:
-            if accepted:
-                post_acc[bid] += 1
-            post_n[bid] += 1
-
-    scales_frozen: dict[str, float] | None = None
+    scales_frozen: dict[str, float] = {}
 
     for it in range(total):
-        adapting = it < burn
         if it == burn:
             scales_frozen = dict(zip(names, scale))
+            acc = [0] * B  # a partial window at the freeze point is dropped
 
         # latent logit levels
         for t in range(T + 1):
             cur = theta[t]
-            prop = cur + scale[t] * draw_z()
+            if nb_i == _RNG_BUF:
+                norm_buf = rng.standard_normal(_RNG_BUF).tolist()
+                nb_i = 0
+            prop = cur + scale[t] * norm_buf[nb_i]
+            nb_i += 1
             if monotone:
                 lo = theta[t - 1] if t >= 1 else -_INF
                 hi = theta[t + 1] if t < T else _INF
@@ -340,8 +325,7 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                         prop = 2.0 * lo - prop
                     else:
                         w = hi - lo
-                        if w <= 0.0:  # neighbours tied: nowhere to move
-                            record_decision(t, False, adapting)
+                        if w <= 0.0:  # neighbours tied: nowhere to move, a reject
                             continue
                         r = (prop - lo) % (2.0 * w)
                         prop = lo + (r if r <= w else 2.0 * w - r)
@@ -361,21 +345,34 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                 d += (dc * dc - dn * dn) / (2.0 * sigma_sq)
             news = []
             for k, y, n in col_cells[t]:
-                v = cell_ll(prop, lphi[k][t], y, n)
+                if exact:
+                    v = cell_ll(prop, lphi[k][t], y, n)
+                else:
+                    x = prop + lphi[k][t]
+                    v = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
                 news.append((k, v))
                 d += v - ll[k][t]
-            if d >= 0.0 or draw_u() < exp_(d):
+            ok = d >= 0.0
+            if not ok:
+                if ub_i == _RNG_BUF:
+                    unif_buf = rng.random(_RNG_BUF).tolist()
+                    ub_i = 0
+                ok = unif_buf[ub_i] < exp_(d)
+                ub_i += 1
+            if ok:
                 theta[t] = prop
                 for k, v in news:
                     ll[k][t] = v
-                record_decision(t, True, adapting)
-            else:
-                record_decision(t, False, adapting)
+                acc[t] += 1
 
         # latent-walk variance, proposed on the log scale
         bid = T + 1
         lcur = log_(sigma_sq)
-        lprop = lcur + scale[bid] * draw_z()
+        if nb_i == _RNG_BUF:
+            norm_buf = rng.standard_normal(_RNG_BUF).tolist()
+            nb_i = 0
+        lprop = lcur + scale[bid] * norm_buf[nb_i]
+        nb_i += 1
         sprop = exp_(lprop)
         sse = 0.0
         for t in range(1, T + 1):
@@ -387,11 +384,16 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
             + 0.5 * sse * (1.0 / sigma_sq - 1.0 / sprop)
             + (lprop - lcur)
         )
-        if d >= 0.0 or draw_u() < exp_(d):
+        ok = d >= 0.0
+        if not ok:
+            if ub_i == _RNG_BUF:
+                unif_buf = rng.random(_RNG_BUF).tolist()
+                ub_i = 0
+            ok = unif_buf[ub_i] < exp_(d)
+            ub_i += 1
+        if ok:
             sigma_sq = sprop
-            record_decision(bid, True, adapting)
-        else:
-            record_decision(bid, False, adapting)
+            acc[bid] += 1
         bid += 1
 
         # bias coefficients
@@ -404,47 +406,78 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
             lphik = lphi[k]
             if kind == "constant":
                 cur = gk[0]
-                prop = cur + scale[bid] * draw_z()
+                if nb_i == _RNG_BUF:
+                    norm_buf = rng.standard_normal(_RNG_BUF).tolist()
+                    nb_i = 0
+                prop = cur + scale[bid] * norm_buf[nb_i]
+                nb_i += 1
                 d = (cur * cur - prop * prop) / (2.0 * g0v)
                 news = []
                 for t, y, n in row_cells[k]:
-                    v = cell_ll(theta[t], prop, y, n)
+                    if exact:
+                        v = cell_ll(theta[t], prop, y, n)
+                    else:
+                        x = theta[t] + prop
+                        v = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
                     news.append((t, v))
                     d += v - llk[t]
-                if d >= 0.0 or draw_u() < exp_(d):
+                ok = d >= 0.0
+                if not ok:
+                    if ub_i == _RNG_BUF:
+                        unif_buf = rng.random(_RNG_BUF).tolist()
+                        ub_i = 0
+                    ok = unif_buf[ub_i] < exp_(d)
+                    ub_i += 1
+                if ok:
                     gk[0] = prop
                     for t, v in news:
                         llk[t] = v
                         lphik[t] = prop
-                    record_decision(bid, True, adapting)
-                else:
-                    record_decision(bid, False, adapting)
+                    acc[bid] += 1
                 bid += 1
             elif kind == "linear":
                 for j in (0, 1):  # intercept, then slope
                     cur = gk[j]
-                    prop = cur + scale[bid] * draw_z()
+                    if nb_i == _RNG_BUF:
+                        norm_buf = rng.standard_normal(_RNG_BUF).tolist()
+                        nb_i = 0
+                    prop = cur + scale[bid] * norm_buf[nb_i]
+                    nb_i += 1
                     d = (cur * cur - prop * prop) / (2.0 * (g1v if j else g0v))
                     c0, c1 = (gk[0], prop) if j else (prop, gk[1])
                     news = []
                     for t, y, n in row_cells[k]:
                         g = c0 + c1 * tcov[t]
-                        v = cell_ll(theta[t], g, y, n)
+                        if exact:
+                            v = cell_ll(theta[t], g, y, n)
+                        else:
+                            x = theta[t] + g
+                            v = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
                         news.append((t, g, v))
                         d += v - llk[t]
-                    if d >= 0.0 or draw_u() < exp_(d):
+                    ok = d >= 0.0
+                    if not ok:
+                        if ub_i == _RNG_BUF:
+                            unif_buf = rng.random(_RNG_BUF).tolist()
+                            ub_i = 0
+                        ok = unif_buf[ub_i] < exp_(d)
+                        ub_i += 1
+                    if ok:
                         gk[j] = prop
                         for t, g, v in news:
                             lphik[t] = g
                             llk[t] = v
-                        record_decision(bid, True, adapting)
-                    else:
-                        record_decision(bid, False, adapting)
+                        acc[bid] += 1
                     bid += 1
             else:
+                cells = cell_at[k]
                 for t in range(T + 1):
                     cur = gk[t]
-                    prop = cur + scale[bid] * draw_z()
+                    if nb_i == _RNG_BUF:
+                        norm_buf = rng.standard_normal(_RNG_BUF).tolist()
+                        nb_i = 0
+                    prop = cur + scale[bid] * norm_buf[nb_i]
+                    nb_i += 1
                     if t == 0:
                         d = (cur * cur - prop * prop) / (2.0 * g0v)
                     else:
@@ -457,24 +490,37 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                         dn = nxt - prop
                         dc = nxt - cur
                         d += (dc * dc - dn * dn) / (2.0 * pi_sq)
-                    cell = cell_at[k][t]
+                    cell = cells[t]
                     if cell is not None:
                         y, n = cell
-                        v = cell_ll(theta[t], prop, y, n)
+                        if exact:
+                            v = cell_ll(theta[t], prop, y, n)
+                        else:
+                            x = theta[t] + prop
+                            v = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
                         d += v - llk[t]
-                    if d >= 0.0 or draw_u() < exp_(d):
+                    ok = d >= 0.0
+                    if not ok:
+                        if ub_i == _RNG_BUF:
+                            unif_buf = rng.random(_RNG_BUF).tolist()
+                            ub_i = 0
+                        ok = unif_buf[ub_i] < exp_(d)
+                        ub_i += 1
+                    if ok:
                         gk[t] = lphik[t] = prop
                         if cell is not None:
                             llk[t] = v
-                        record_decision(bid, True, adapting)
-                    else:
-                        record_decision(bid, False, adapting)
+                        acc[bid] += 1
                     bid += 1
 
         # bias-walk variance
         if pi_sq is not None:
             lcur = log_(pi_sq)
-            lprop = lcur + scale[bid] * draw_z()
+            if nb_i == _RNG_BUF:
+                norm_buf = rng.standard_normal(_RNG_BUF).tolist()
+                nb_i = 0
+            lprop = lcur + scale[bid] * norm_buf[nb_i]
+            nb_i += 1
             pprop = exp_(lprop)
             sse = 0.0
             n_inc = 0
@@ -490,26 +536,34 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                 + 0.5 * sse * (1.0 / pi_sq - 1.0 / pprop)
                 + (lprop - lcur)
             )
-            if d >= 0.0 or draw_u() < exp_(d):
+            ok = d >= 0.0
+            if not ok:
+                if ub_i == _RNG_BUF:
+                    unif_buf = rng.random(_RNG_BUF).tolist()
+                    ub_i = 0
+                ok = unif_buf[ub_i] < exp_(d)
+                ub_i += 1
+            if ok:
                 pi_sq = pprop
-                record_decision(bid, True, adapting)
-            else:
-                record_decision(bid, False, adapting)
+                acc[bid] += 1
 
         # ridge moves: shift the level at one time-point and counter-shift
         # every bias walk there
         if walk_ks:
             for t in range(T + 1):
                 bid = joint0 + t
-                delta = scale[bid] * draw_z()
+                if nb_i == _RNG_BUF:
+                    norm_buf = rng.standard_normal(_RNG_BUF).tolist()
+                    nb_i = 0
+                delta = scale[bid] * norm_buf[nb_i]
+                nb_i += 1
                 cur = theta[t]
                 prop = cur + delta
                 if monotone and (
                     (t >= 1 and prop < theta[t - 1])
                     or (t < T and theta[t + 1] < prop)
                 ):
-                    record_decision(bid, False, adapting)
-                    continue
+                    continue  # outside the order: a reject
                 if t == 0:
                     dn = prop - theta0_mean
                     dc = cur - theta0_mean
@@ -542,10 +596,21 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                         d += (dc * dc - dn * dn) / (2.0 * pi_sq)
                 news = []
                 for k, y, n, shift in ridge_cells[t]:
-                    v = cell_ll(prop, lphi[k][t] - shift * delta, y, n)
+                    if exact:
+                        v = cell_ll(prop, lphi[k][t] - shift * delta, y, n)
+                    else:
+                        x = prop + (lphi[k][t] - shift * delta)
+                        v = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
                     news.append((k, v))
                     d += v - ll[k][t]
-                if d >= 0.0 or draw_u() < exp_(d):
+                ok = d >= 0.0
+                if not ok:
+                    if ub_i == _RNG_BUF:
+                        unif_buf = rng.random(_RNG_BUF).tolist()
+                        ub_i = 0
+                    ok = unif_buf[ub_i] < exp_(d)
+                    ub_i += 1
+                if ok:
                     theta[t] = prop
                     for k in walk_ks:
                         gam[k][t] -= delta
@@ -559,10 +624,19 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                             cell = cell_at[k][t]
                             if cell is not None:
                                 y, n = cell
-                                ll[k][t] = cell_ll(prop, lphi[k][t], y, n)
-                    record_decision(bid, True, adapting)
-                else:
-                    record_decision(bid, False, adapting)
+                                x = prop + lphi[k][t]
+                                ll[k][t] = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
+                    acc[bid] += 1
+
+        # every block made one decision this sweep, so all adaptation
+        # windows close together
+        if it < burn and (it + 1) % window == 0:
+            n_windows += 1
+            root = sqrt_(n_windows)
+            for b in range(B):
+                log_scale[b] += (acc[b] / window - target) / root
+                scale[b] = exp_(log_scale[b])
+                acc[b] = 0
 
         if it >= burn and (it - burn) % thin == thin - 1:
             out_theta[keep_i] = theta
@@ -581,10 +655,7 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
         pi_sq=None if out_pi is None else out_pi[None, :],
         spec=spec,
         settings=settings,
-        acceptance_rates={
-            name: (post_acc[b] / post_n[b] if post_n[b] else 0.0)
-            for b, name in enumerate(names)
-        },
+        acceptance_rates={name: acc[b] / settings.n_draws for b, name in enumerate(names)},
         scales_end_of_burnin=scales_frozen,
         scales_final=dict(zip(names, scale)),
     )
@@ -684,14 +755,63 @@ def run_chains(
 # convergence diagnostics
 
 
-def _split_halves(chains) -> np.ndarray:
+def split_stats(series) -> tuple[np.ndarray, np.ndarray]:
+    """Split-chain R-hat and ESS of every series in a stack, as two arrays.
+
+    ``series`` is a (P, chains, draws) array or a list of P equal-shaped
+    (chains, draws) arrays. Each series is split into half-chains and scored
+    exactly as ``r_hat`` and ``ess`` score it alone, bit for bit: every
+    reduction runs along the same axis in the same order, and the FFT is one
+    batched call over the half-chains. Series are taken in chunks of at most
+    about 2**15 floats per stacked array, which bounds the working memory.
+    """
+    P = len(series)
+    chains, draws = np.shape(series[0])
+    n = draws // 2
+    if n < 1:
+        raise ValueError("need at least 2 draws per chain")
+    m = 2 * chains
+    total = float(m * n)
+    coef = (n - 1) / n
+    nfft = 1 << (2 * n - 1).bit_length()
+    step = max(1, _STACK_FLOATS // (m * nfft))
+    rh = np.empty(P)
+    es = np.empty(P)
+    for lo in range(0, P, step):
+        x = np.asarray(series[lo : lo + step], dtype=float)
+        p = x.shape[0]
+        halves = np.concatenate([x[:, :, :n], x[:, :, n : 2 * n]], axis=1)
+        means = halves.mean(axis=2)
+        within = halves.var(axis=2, ddof=1).mean(axis=1)
+        between = means.var(axis=1, ddof=1)
+        var_plus = coef * within + between
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rh[lo : lo + p] = np.where(
+                within == 0.0,
+                np.where(between == 0.0, 1.0, _INF),
+                np.sqrt(var_plus / within),
+            )
+            f = np.fft.rfft(halves - means[:, :, None], nfft, axis=2)
+            acov = np.fft.irfft(f.real**2 + f.imag**2, nfft, axis=2)[:, :, :n] / n
+            rho = 1.0 - (within[:, None] - acov.mean(axis=1)) / var_plus[:, None]
+        # Geyer's initial monotone sequence: sum the lag pairs up to the first
+        # non-positive one, each clipped to the smallest pair before it
+        pairs = rho[:, 0 : 2 * (n // 2) : 2] + rho[:, 1 : 2 * (n // 2) : 2]
+        stop = np.concatenate([pairs <= 0.0, np.ones((p, 1), dtype=bool)], axis=1).argmax(axis=1)
+        running = np.zeros((p, pairs.shape[1] + 1))
+        np.cumsum(np.minimum.accumulate(pairs, axis=1), axis=1, out=running[:, 1:])
+        tau = np.maximum(2.0 * running[np.arange(p), stop] - 1.0, 1e-12)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fitted = np.minimum(np.maximum(total / tau, 1.0), total)
+        es[lo : lo + p] = np.where((var_plus > 0.0) & np.isfinite(var_plus), fitted, total)
+    return rh, es
+
+
+def _one_series(chains) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(chains, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"expected a (chains, draws) array, got shape {x.shape}")
-    half = x.shape[1] // 2
-    if half < 1:
-        raise ValueError("need at least 2 draws per chain")
-    return np.concatenate([x[:, :half], x[:, half : 2 * half]], axis=0)
+    return split_stats(x[None])
 
 
 def r_hat(chains) -> float:
@@ -700,14 +820,7 @@ def r_hat(chains) -> float:
     Exactly 1.0 when every split half is identical; infinite when halves are
     constant but disagree.
     """
-    halves = _split_halves(chains)
-    n = halves.shape[1]
-    within = float(halves.var(axis=1, ddof=1).mean())
-    between = float(halves.mean(axis=1).var(ddof=1))
-    if within == 0.0:
-        return 1.0 if between == 0.0 else _INF
-    var_plus = (n - 1) / n * within + between
-    return float(math.sqrt(var_plus / within))
+    return float(_one_series(chains)[0][0])
 
 
 def ess(chains) -> float:
@@ -716,31 +829,7 @@ def ess(chains) -> float:
     Lag correlations are summed over consecutive pairs while the pair sums
     stay positive and decreasing; the result is clipped to [1, total draws].
     """
-    halves = _split_halves(chains)
-    m, n = halves.shape
-    total = float(m * n)
-    means = halves.mean(axis=1)
-    within = float(halves.var(axis=1, ddof=1).mean())
-    between = float(means.var(ddof=1)) if m > 1 else 0.0
-    var_plus = (n - 1) / n * within + between
-    if var_plus <= 0.0 or not math.isfinite(var_plus):
-        return total
-    nfft = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(halves - means[:, None], nfft, axis=1)
-    acov = np.fft.irfft(f.real**2 + f.imag**2, nfft, axis=1)[:, :n] / n
-    rho = 1.0 - (within - acov.mean(axis=0)) / var_plus
-    running = 0.0
-    prev = _INF
-    for pair in range(n // 2):
-        p = float(rho[2 * pair] + rho[2 * pair + 1])
-        if p <= 0.0:
-            break
-        if p > prev:
-            p = prev
-        prev = p
-        running += p
-    tau = max(2.0 * running - 1.0, 1e-12)
-    return float(min(max(total / tau, 1.0), total))
+    return float(_one_series(chains)[1][0])
 
 
 @dataclass(frozen=True)
@@ -753,13 +842,11 @@ class Diagnostics:
 
 
 def diagnose(draws: ChainDraws, threshold: float = 1.1) -> Diagnostics:
-    rh: dict[str, float] = {}
-    es: dict[str, float] = {}
-    for name, series in draws.param_series().items():
-        rh[name] = r_hat(series)
-        es[name] = ess(series)
-    converged = all(math.isfinite(v) and v <= threshold for v in rh.values())
-    return Diagnostics(r_hat=rh, ess=es, converged=converged)
+    series = draws.param_series()
+    rh, es = split_stats(list(series.values()))
+    rh_map = dict(zip(series, rh.tolist()))
+    converged = all(math.isfinite(v) and v <= threshold for v in rh_map.values())
+    return Diagnostics(r_hat=rh_map, ess=dict(zip(series, es.tolist())), converged=converged)
 
 
 def summarize(draws: ChainDraws, alpha: float = 0.05, transform: str = "rate") -> SummaryTable:
@@ -774,17 +861,37 @@ def summarize(draws: ChainDraws, alpha: float = 0.05, transform: str = "rate") -
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     diag = diagnose(draws)
+    stats = {name: (diag.r_hat[name], diag.ess[name]) for name in diag.r_hat}
     qs = [alpha / 2.0, 0.5, 1.0 - alpha / 2.0]
-    spec = draws.spec
     T = draws.n_times
+    designs = bias_designs(draws.spec, T)
+    coefs = [np.moveaxis(g, -1, 0) for g in draws.gamma]
+
+    # a bias-odds row that is one coefficient's own series (a constant, a
+    # walk step) takes that coefficient's diagnostics; the other rows are
+    # scored together in one stacked pass
+    phi_keys: dict[tuple[int, int], object] = {}
+    fresh: dict[tuple[int, int], np.ndarray] = {}
+    for k, design in enumerate(designs):
+        if not design.var:
+            continue
+        for t in range(1, T + 1):
+            (j, c), *rest = design.terms[t]
+            if design.offset[t] == 0.0 and c == 1.0 and not rest:
+                phi_keys[k, t] = f"gamma[{k}][{j}]"
+            else:
+                phi_keys[k, t] = (k, t)
+                fresh[k, t] = design.log_phi(coefs[k], t)
+    if fresh:
+        rh, es = split_stats(list(fresh.values()))
+        stats.update(zip(fresh, zip(rh.tolist(), es.tolist())))
+        del fresh  # the rows below rebuild one series at a time
+
     rows: list[SummaryRow] = []
 
-    def add(name, survey, t, values, series_for_diag, key=None):
+    def add(name, survey, t, values, key):
         lo, med, hi = np.quantile(values, qs)
-        if key is not None:
-            rh, es = diag.r_hat.get(key), diag.ess.get(key)
-        else:
-            rh, es = r_hat(series_for_diag), ess(series_for_diag)
+        rh, es = stats[key]
         rows.append(
             SummaryRow(
                 name=name,
@@ -799,22 +906,14 @@ def summarize(draws: ChainDraws, alpha: float = 0.05, transform: str = "rate") -
         )
 
     for t in range(1, T + 1):
-        series = draws.theta[:, :, t]
-        key = f"theta[{t}]"
+        values = draws.theta[:, :, t].ravel()
         if transform == "rate":
-            add("rate", None, t, inv_logit(series.ravel()), series, key)
+            add("rate", None, t, inv_logit(values), f"theta[{t}]")
         else:
-            add("theta", None, t, series.ravel(), series, key)
-
-    for k, design in enumerate(bias_designs(spec, T)):
-        if not design.var:
-            continue
-        g = np.moveaxis(draws.gamma[k], -1, 0)
-        for t in range(1, T + 1):
-            series = design.log_phi(g, t)
-            add("phi", k, t, np.exp(series.ravel()), series)
-
-    add("sigma_sq", None, None, draws.sigma_sq.ravel(), draws.sigma_sq, "sigma_sq")
+            add("theta", None, t, values, f"theta[{t}]")
+    for (k, t), key in phi_keys.items():
+        add("phi", k, t, np.exp(designs[k].log_phi(coefs[k], t).ravel()), key)
+    add("sigma_sq", None, None, draws.sigma_sq.ravel(), "sigma_sq")
     if draws.pi_sq is not None:
-        add("pi_sq", None, None, draws.pi_sq.ravel(), draws.pi_sq, "pi_sq")
+        add("pi_sq", None, None, draws.pi_sq.ravel(), "pi_sq")
     return SummaryTable(alpha=alpha, rows=rows, converged=diag.converged)

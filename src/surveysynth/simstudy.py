@@ -17,7 +17,7 @@ import numpy as np
 from .core import BiasModelSpec, LatentState, ModelSpec, PriorSpec, SurveyPanel
 from .datagen import GenDesign, draw_parameters, generate_panel
 from .dists import inv_logit
-from .mcmc import SamplerSettings, diagnose, run_chains
+from .mcmc import InitializationError, SamplerSettings, diagnose, run_chains
 
 TRUTH_KINDS = ("constant", "linear", "walk")
 FIT_KINDS = ("constant", "linear", "walk", "unbiased-only")
@@ -88,7 +88,11 @@ def rep_dataset(
 
 @dataclass(frozen=True)
 class RepRecord:
-    """Score of one replication; failures keep their error for the record."""
+    """Score of one replication.
+
+    A fit whose chains cannot start (``InitializationError``) is kept as a
+    failed replication: ``sq_error`` is nan and ``converged`` is False.
+    """
 
     truth_kind: str
     fit_kind: str
@@ -169,17 +173,14 @@ def _run_rep(
     run_settings = replace(settings, seed=fit_seed)
     if fit_kind == "unbiased-only":
         panel = panel.subset_surveys([0])
-    draws = run_chains(panel, _fit_spec(fit_kind), run_settings)
+    cell = dict(truth_kind=truth_kind, fit_kind=fit_kind, n_times=n_times, rep=rep)
+    try:
+        draws = run_chains(panel, _fit_spec(fit_kind), run_settings)
+    except InitializationError:
+        return RepRecord(**cell, sq_error=math.nan, converged=False)
     est = float(np.quantile(inv_logit(draws.theta[:, :, n_times].ravel()), 0.5))
     true_rate = float(inv_logit(truth.theta[n_times]))
-    return RepRecord(
-        truth_kind=truth_kind,
-        fit_kind=fit_kind,
-        n_times=n_times,
-        rep=rep,
-        sq_error=(est - true_rate) ** 2,
-        converged=diagnose(draws).converged,
-    )
+    return RepRecord(**cell, sq_error=(est - true_rate) ** 2, converged=diagnose(draws).converged)
 
 
 def run_cell(

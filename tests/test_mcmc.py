@@ -1,9 +1,13 @@
 import dataclasses
 import hashlib
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from surveysynth import datagen, mcmc
@@ -126,6 +130,90 @@ def test_ess_autocorrelated_is_small():
 def test_ess_degenerate_series():
     chains = np.ones((2, 100))
     assert ess(chains) == 200
+
+
+def _reference_r_hat_ess(chains) -> tuple[float, float]:
+    """Split R-hat and ESS of one series, scored one lag pair at a time."""
+    x = np.asarray(chains, dtype=float)
+    half = x.shape[1] // 2
+    halves = np.concatenate([x[:, :half], x[:, half : 2 * half]], axis=0)
+    m, n = halves.shape
+    means = halves.mean(axis=1)
+    within = float(halves.var(axis=1, ddof=1).mean())
+    between = float(means.var(ddof=1))
+    var_plus = (n - 1) / n * within + between
+    if within == 0.0:
+        rh = 1.0 if between == 0.0 else math.inf
+    else:
+        rh = float(math.sqrt(var_plus / within))
+    total = float(m * n)
+    if var_plus <= 0.0 or not math.isfinite(var_plus):
+        return rh, total
+    nfft = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(halves - means[:, None], nfft, axis=1)
+    acov = np.fft.irfft(f.real**2 + f.imag**2, nfft, axis=1)[:, :n] / n
+    rho = 1.0 - (within - acov.mean(axis=0)) / var_plus
+    running, prev = 0.0, math.inf
+    for pair in range(n // 2):
+        p = float(rho[2 * pair] + rho[2 * pair + 1])
+        if p <= 0.0:
+            break
+        if p > prev:
+            p = prev
+        prev = p
+        running += p
+    tau = max(2.0 * running - 1.0, 1e-12)
+    return rh, float(min(max(total / tau, 1.0), total))
+
+
+def _series_of(kind, chains, draws, rng):
+    if kind == "ar1":  # autocorrelated, chains offset from one another
+        phi = rng.uniform(-0.5, 0.99)
+        x = np.empty((chains, draws))
+        x[:, 0] = rng.normal(size=chains)
+        eps = rng.normal(size=(chains, draws))
+        for i in range(1, draws):
+            x[:, i] = phi * x[:, i - 1] + eps[:, i]
+        return x + rng.normal(scale=0.3, size=(chains, 1))
+    if kind == "constant":  # every half identical: R-hat 1, var_plus 0
+        return np.full((chains, draws), 0.5 * rng.integers(-4, 5))  # sums exactly
+    if kind == "split-constant":  # constant halves that disagree: R-hat inf
+        x = np.empty((chains, draws))
+        x[:, : draws // 2] = 1.5
+        x[:, draws // 2 :] = -0.25
+        return x
+    return np.round(rng.normal(size=(chains, draws)), 1)  # many ties
+
+
+@given(
+    chains=st.integers(min_value=1, max_value=12),
+    draws=st.integers(min_value=2, max_value=70),
+    kinds=st.lists(
+        st.sampled_from(["ar1", "constant", "split-constant", "ties"]), min_size=1, max_size=7
+    ),
+    chunk_floats=st.sampled_from([1, 300, 2000, 1 << 15]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_split_stats_rows_match_one_series_bit_for_bit(chains, draws, kinds, chunk_floats, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_series_of(kind, chains, draws, rng) for kind in kinds])
+    # a small chunk bound puts each series at a different chunk position
+    with mock.patch.object(mcmc, "_STACK_FLOATS", chunk_floats), np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # one draw per half
+            rh, es = mcmc.split_stats(stack)
+            rows = [(r_hat(s), ess(s), _reference_r_hat_ess(s)) for s in stack]
+            listed = mcmc.split_stats(list(stack))
+    for i, (kind, (rh1, es1, ref)) in enumerate(zip(kinds, rows)):
+        got = (float(rh[i]), float(es[i]))
+        assert repr(got) == repr((rh1, es1)) == repr(ref), (kind, i)
+        assert repr((float(listed[0][i]), float(listed[1][i]))) == repr(ref)
+        if draws >= 4:  # two draws per half give a within-half variance
+            if kind == "constant":
+                assert got == (1.0, float(2 * chains * (draws // 2)))
+            if kind == "split-constant":
+                assert got[0] == math.inf
 
 
 # ---------------------------------------------------------------------------

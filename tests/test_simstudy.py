@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from surveysynth.mcmc import SamplerSettings
+from surveysynth import io, simstudy
+from surveysynth.mcmc import InitializationError, SamplerSettings
 from surveysynth.simstudy import (
     FIT_KINDS,
     TRUTH_KINDS,
@@ -137,6 +138,34 @@ def test_run_cell_validates_kinds():
         run_cell("constant", "anchor", n_times=2, n_reps=1, settings=TINY, seed=0)
     with pytest.raises(ValueError):
         run_cell("constant", "constant", n_times=2, n_reps=0, settings=TINY, seed=0)
+
+
+def test_run_cell_records_a_rep_whose_chains_cannot_start(monkeypatch, tmp_path):
+    fit = simstudy.run_chains
+    calls = []
+
+    def second_fails(panel, spec, settings, *args, **kw):
+        calls.append(settings.seed)
+        if len(calls) == 2:
+            raise InitializationError("lik[1]")
+        return fit(panel, spec, settings, *args, **kw)
+
+    monkeypatch.setattr(simstudy, "run_chains", second_fails)
+    cell, records = run_cell("constant", "constant", n_times=2, n_reps=3, settings=TINY, seed=3)
+    assert len(calls) == 3
+    assert [r.rep for r in records] == [0, 1, 2]
+    failed = records[1]
+    assert math.isnan(failed.sq_error) and failed.converged is False
+    assert all(math.isfinite(r.sq_error) for r in (records[0], records[2]))
+    assert cell.n_reps == 3
+    assert cell.failures == 1 + sum(not r.converged for r in (records[0], records[2]))
+
+    path = tmp_path / "rep_errors.csv"
+    io.write_rep_records(records, path)
+    back = io.read_rep_records(path)
+    assert math.isnan(back[1].sq_error) and back[1].converged is False
+    assert back[0] == records[0] and back[2] == records[2]
+    assert CellResult.from_records(back) == cell
 
 
 def test_run_grid_row_count():
