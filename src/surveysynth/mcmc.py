@@ -870,7 +870,7 @@ def summarize(draws: ChainDraws, alpha: float = 0.05, transform: str = "rate") -
     # a bias-odds row that is one coefficient's own series (a constant, a
     # walk step) takes that coefficient's diagnostics; the other rows are
     # scored together in one stacked pass
-    phi_keys: dict[tuple[int, int], object] = {}
+    phi_keys: dict[tuple[int, int], str | tuple[int, int]] = {}
     fresh: dict[tuple[int, int], np.ndarray] = {}
     for k, design in enumerate(designs):
         if not design.var:
