@@ -539,6 +539,20 @@ def _pinned_cases():
             vaccine.design.model_spec(),
             SamplerSettings(n_chains=2, burn_in=100, n_draws=100, thin=1, seed=2),
         ),
+        # one linear and one walk survey in one monotone model: their
+        # coefficient blocks sit side by side in the sweep
+        "mixed": (
+            vaccine.panel,
+            dataclasses.replace(
+                vaccine.design.model_spec(),
+                bias=(
+                    BiasModelSpec.anchor(),
+                    BiasModelSpec(kind="linear"),
+                    BiasModelSpec.random_walk(),
+                ),
+            ),
+            SamplerSettings(n_chains=2, burn_in=300, n_draws=200, thin=1, seed=6),
+        ),
     }
 
 
@@ -548,7 +562,8 @@ def _pinned_cases():
 # time covariate and exact + walk (whose ridge moves count the walk cells, see
 # the quadrature test below) were pinned later, before the bias models were
 # compiled into shared designs; the compiled form must not change one bit
-# either.
+# either. The mixed linear + walk case was pinned before the coefficient
+# blocks of all kinds became one block read from the compiled designs.
 _PINNED_DRAW_DIGESTS = {
     "constant": "241446f333737392",
     "linear": "980aeafa1da445e8",
@@ -558,6 +573,7 @@ _PINNED_DRAW_DIGESTS = {
     "exact-linear": "6d6b53404c8aeb94",
     "exact-walk": "3886f9e0c32ecb5d",
     "vaccine": "f063ae7df942d4fd",
+    "mixed": "f9cacf6527cb7e16",
 }
 
 
@@ -577,7 +593,8 @@ def _bookkeeping_digest(draws) -> str:
 # Digests of the per-block acceptance rates and the proposal scales at the
 # freeze point and at the end, recorded while the sampler still adapted and
 # counted each block's decisions one call at a time. Closing every adaptation
-# window at the end of a sweep must not change one bit of them.
+# window at the end of a sweep must not change one bit of them. The mixed
+# case was pinned before the coefficient blocks became one block.
 _PINNED_BOOKKEEPING_DIGESTS = {
     "constant": "74b5bcbb3861a8d2",
     "linear": "093e0a72cfc1b1f2",
@@ -587,6 +604,7 @@ _PINNED_BOOKKEEPING_DIGESTS = {
     "exact-linear": "6855056ff9db96a0",
     "exact-walk": "900e1cf4cb0fed95",
     "vaccine": "6eb6cd91bf297b8c",
+    "mixed": "31b095d3ecc1cb09",
 }
 
 
@@ -605,7 +623,8 @@ def _summary_digest(table) -> str:
 
 
 # Digests of the summarize rows (rates, bias odds, variances, with their
-# R-hat and ESS) before the bias models were compiled into shared designs.
+# R-hat and ESS) before the bias models were compiled into shared designs
+# (the mixed case: before the one coefficient block).
 _PINNED_SUMMARY_DIGESTS = {
     "constant": "8b4c8c83bf71f494",
     "linear": "24097159874366ec",
@@ -613,6 +632,7 @@ _PINNED_SUMMARY_DIGESTS = {
     "walk": "5392db09d4aff0ff",
     "known": "02f3dd33612e01c7",
     "exact-walk": "d1d39addfaaccca4",
+    "mixed": "20c80870fcef42da",
 }
 
 
