@@ -210,10 +210,15 @@ def fit_full(
 
 @dataclass(frozen=True)
 class NowcastResult:
-    """Rolling real-time estimates: the rate row at each t* uses data up to t* only."""
+    """Rolling real-time estimates: the rate row at each t* uses data up to t* only.
+
+    failures lists the t* whose chains could not start (no row), unconverged
+    the t* whose fit did not pass the R-hat check.
+    """
 
     table: SummaryTable
     failures: tuple[int, ...]
+    unconverged: tuple[int, ...]
 
 
 def _nowcast_job(args):
@@ -256,9 +261,9 @@ def nowcast_series(
     outcomes = map_jobs(_nowcast_job, jobs, workers)
     rows = [row for _, row, _ in outcomes if row is not None]
     failures = tuple(t for t, row, _ in outcomes if row is None)
-    converged = all(conv for _, _, conv in outcomes)
-    table = SummaryTable(alpha=alpha, rows=rows, converged=converged)
-    return NowcastResult(table=table, failures=failures)
+    unconverged = tuple(t for t, _, conv in outcomes if not conv)
+    table = SummaryTable(alpha=alpha, rows=rows, converged=not unconverged)
+    return NowcastResult(table=table, failures=failures, unconverged=unconverged)
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,14 @@ class BiasDesign:
             v = v + c * gamma[j]
         return v
 
+    def own(self, t: int) -> int | None:
+        """The coefficient j whose value is the log odds at t (offset 0 and
+        the one term (j, 1.0): a constant, a walk step), else None."""
+        terms = self.terms[t]
+        if self.offset[t] == 0.0 and len(terms) == 1 and terms[0][1] == 1.0:
+            return terms[0][0]
+        return None
+
 
 def bias_designs(spec: ModelSpec, n_times: int) -> tuple[BiasDesign, ...]:
     """Compile every survey's bias model over time-points 1..n_times."""
@@ -249,6 +257,45 @@ def bias_designs(spec: ModelSpec, n_times: int) -> tuple[BiasDesign, ...]:
             design = BiasDesign(zeros, terms, (pr.gamma0_var,) + (None,) * T)
         out.append(design)
     return tuple(out)
+
+
+@dataclass(frozen=True)
+class CoefficientColumn:
+    """Bias coefficient gamma[j] of survey k: its prior and the cells it moves.
+
+    The prior is Normal(0, var) when var is set, else a walk step
+    Normal(gamma[j - 1], pi_sq); link_next says gamma[j + 1] is a walk step
+    from gamma[j], so that step's term moves with gamma[j] too. rows holds
+    the observed cells whose log odds use gamma[j], in t order, as
+    (t, y, n, offset, terms): the log odds there are offset[t] plus c * gamma[i]
+    over the design row terms[t], in order. terms is None where the log odds
+    are gamma[j] itself (``BiasDesign.own``).
+    """
+
+    k: int
+    j: int
+    var: float | None
+    link_next: bool
+    rows: tuple[tuple, ...]
+
+
+def coefficient_columns(
+    designs: tuple[BiasDesign, ...], panel: SurveyPanel
+) -> tuple[CoefficientColumn, ...]:
+    """Every coefficient's column over the panel's observed cells, survey by
+    survey and, within a survey, in coefficient order."""
+    rows = [[[] for _ in d.var] for d in designs]
+    for k, t, y, n in panel.observed_cells():
+        d = designs[k]
+        own = d.own(t)
+        for j in {j for j, _ in d.terms[t]}:
+            terms = None if j == own else d.terms[t]
+            rows[k][j].append((t, float(y), float(n), d.offset[t], terms))
+    return tuple(
+        CoefficientColumn(k, j, var, j + 1 < len(d.var) and d.var[j + 1] is None, tuple(rows[k][j]))
+        for k, d in enumerate(designs)
+        for j, var in enumerate(d.var)
+    )
 
 
 @dataclass(frozen=True, eq=False)

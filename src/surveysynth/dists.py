@@ -229,7 +229,8 @@ def _nchg_window(
     log_phi = math.log(phi)
     x = min(max(_approx_mode(m1, m2, n, phi), float(lo)), float(hi))
     # large-sample variance of the Fisher law at its mode
-    inv_var = sum(1.0 / max(d, 1.0) for d in (x, m1 - x, n - x, x - n + m2))
+    inv_var = 1.0 / max(x, 1.0) + 1.0 / max(m1 - x, 1.0) + 1.0 / max(n - x, 1.0)
+    inv_var += 1.0 / max(x - n + m2, 1.0)
     half = int(_WINDOW_SD / math.sqrt(inv_var)) + 2
     centre = int(x)
     while True:
@@ -255,7 +256,8 @@ def _log_probs(ys, m1: int, m2: int, n: int, phi: float) -> list[float]:
 
     With phi = 1 the normalizer is lchoose(m1 + m2, n) (Vandermonde) and
     every point costs O(1). Otherwise counts inside the certified window read
-    their recurrence weight, and counts beyond it use the closed-form weight.
+    their recurrence weight, and counts beyond it use the closed-form weight
+    against log Z = log w(mode) + log s, computed only when one is asked for.
     """
     lo, hi = max(0, n - m2), min(n, m1)
     if phi == 1.0:
@@ -264,7 +266,7 @@ def _log_probs(ys, m1: int, m2: int, n: int, phi: float) -> list[float]:
     else:
         a, lw, log_s, mode = _nchg_window(m1, m2, n, phi)
         log_phi = math.log(phi)
-        log_z = _log_weight(m1, m2, n, log_phi, mode) + log_s
+        log_z = None
     out = []
     for y in ys:
         if y < lo or y > hi:
@@ -272,6 +274,8 @@ def _log_probs(ys, m1: int, m2: int, n: int, phi: float) -> list[float]:
         elif a <= y < a + len(lw):
             out.append(float(lw[y - a]) - log_s)
         else:
+            if log_z is None:
+                log_z = _log_weight(m1, m2, n, log_phi, mode) + log_s
             out.append(_log_weight(m1, m2, n, log_phi, y) - log_z)
     return out
 
@@ -279,9 +283,18 @@ def _log_probs(ys, m1: int, m2: int, n: int, phi: float) -> list[float]:
 def nchg_logpmf_unchecked(y: int, m1: int, m2: int, n: int, phi: float) -> float:
     """Log-pmf at one count, on plain numbers and without validating them.
 
-    For hot loops whose inputs are valid by construction; see nchg_logpmf.
+    For hot loops whose inputs are valid by construction; the value is the
+    one nchg_logpmf gives, by the same operations on one count.
     """
-    return _log_probs((y,), m1, m2, n, phi)[0]
+    if y < max(0, n - m2) or y > min(n, m1):
+        return -math.inf
+    if phi == 1.0:
+        return _log_weight(m1, m2, n, 0.0, y) - _lchoose(m1 + m2, n)
+    a, lw, log_s, mode = _nchg_window(m1, m2, n, phi)
+    if a <= y < a + len(lw):
+        return float(lw[y - a]) - log_s
+    log_phi = math.log(phi)
+    return _log_weight(m1, m2, n, log_phi, y) - (_log_weight(m1, m2, n, log_phi, mode) + log_s)
 
 
 def nchg_logpmf(y, params: NchgParams):

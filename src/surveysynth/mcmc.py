@@ -30,14 +30,20 @@ streams from buffers inline, refilling each when a draw finds it empty.
 Two tables describe the current state at every observed cell: lphi[k][t],
 survey k's log bias odds at time t, filled once from the compiled bias
 designs (``core.bias_designs``), and ll[k][t], the cell's log-likelihood.
-Each block evaluates the cells it touches at the proposal only and takes
-the difference against ll; an accepted move writes both tables back. Under
-the logit-shift approximation the cell term y*x - n*softplus(x), with
-x = theta + log odds, is written out inline at each place a cell is
-evaluated; ``cell_ll`` is the exact kernel's call. The theta and ridge
-blocks read the odds from lphi whatever the bias kind; only the coefficient
-blocks of the constant, linear and walk kinds are written out per kind. The
-ll table therefore equals a fresh evaluation bit for bit, and each touched
+Each block evaluates the cells it touches at the proposal only, takes the
+difference against ll and writes the proposal's values into two pending
+tables; an accepted move copies them over. Under the logit-shift
+approximation the cell term y*x - n*softplus(x), with x = theta + log odds,
+is written out inline at each place a cell is evaluated; ``cell_ll`` is the
+exact kernel's call. No block knows a bias kind. The theta and ridge blocks
+read the odds from lphi. Every bias coefficient has one block of one form,
+read from its compiled column (``core.coefficient_columns``): propose
+gamma[j], add its prior terms (Normal(0, var), or a walk step from
+gamma[j - 1], plus the step to gamma[j + 1] when that is a walk step), and
+recompute each cell in the column at offset + sum of c * gamma in the
+design's term order, the same operations as ``BiasDesign.log_phi``; a cell
+whose log odds are gamma[j] itself takes the proposal as it is. The ll
+table therefore equals a fresh evaluation bit for bit, and each touched
 cell costs one kernel call per block. The likelihood module is kept as the
 reference density and is used to vet the starting point.
 
@@ -65,8 +71,8 @@ from .core import (
     SummaryTable,
     SurveyPanel,
     bias_designs,
+    coefficient_columns,
     compile_model,
-    time_covariate,
     validate_panel,
 )
 from .dists import inv_logit, nchg_logpmf_unchecked
@@ -110,9 +116,10 @@ class SamplerSettings:
             raise ValueError(f"burn_in must be non-negative, got {self.burn_in}")
         if self.thin < 1:
             raise ValueError(f"thin must be at least 1, got {self.thin}")
-        if self.n_draws < self.thin:
+        if self.n_draws // self.thin < 4:  # split R-hat needs two draws per half-chain
             raise ValueError(
-                f"n_draws={self.n_draws} keeps nothing at thin={self.thin}"
+                f"n_draws={self.n_draws} keeps {self.n_draws // self.thin} draws at "
+                f"thin={self.thin}; at least 4 are needed"
             )
         if not 0.0 < self.target_accept < 1.0:
             raise ValueError(f"target_accept must lie in (0, 1), got {self.target_accept}")
@@ -145,32 +152,8 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
     exact = spec.use_exact_nchg
 
     designs = bias_designs(spec, T)
-    kinds = [b.kind for b in spec.bias]
-    walk_ks = [k for k in range(K) if kinds[k] == "walk"]
-    tcov = time_covariate(spec, T)
-    # under the logit-shift approximation a cell depends on theta[t] + g only,
-    # so a ridge move leaves walk cells unchanged; the exact kernel does not
-    ridge_skips_walk = not exact
-
-    # panel column j holds time-point j + 1; a ridge cell carries how many
-    # ridge steps its log odds move against theta: 1 in a bias walk, else 0
-    obs = panel.observed
-    col_cells: list[list[tuple[int, float, float]]] = [[] for _ in range(T + 1)]
-    ridge_cells: list[list[tuple[int, float, float, float]]] = [[] for _ in range(T + 1)]
-    row_cells: list[list[tuple[int, float, float]]] = [[] for _ in range(K)]
-    cell_at: list[list[tuple[float, float] | None]] = [[None] * (T + 1) for _ in range(K)]
-    for k in range(K):
-        yk, nk = panel.y[k], panel.n[k]
-        shift = 1.0 if k in walk_ks else 0.0
-        for j in range(T):
-            if obs[k, j]:
-                t = j + 1
-                y, n = float(yk[j]), float(nk[j])
-                col_cells[t].append((k, y, n))
-                if not (shift and ridge_skips_walk):
-                    ridge_cells[t].append((k, y, n, shift))
-                row_cells[k].append((t, y, n))
-                cell_at[k][t] = (y, n)
+    columns = coefficient_columns(designs, panel)
+    walk_ks = [k for k, d in enumerate(designs) if None in d.var]
 
     # the exact kernel is a call; the logit-shift cell term x = theta + g,
     # y*x - n*softplus(x), is written out inline wherever a cell is evaluated
@@ -192,11 +175,10 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
     # ---- starting point: pooled empirical level of the bias-known surveys
     ysum = [0.0] * (T + 1)
     nsum = [0.0] * (T + 1)
-    for k in range(K):
+    for k, t, y, n in panel.observed_cells():
         if not designs[k].var:
-            for t, y, n in row_cells[k]:
-                ysum[t] += y
-                nsum[t] += n
+            ysum[t] += y
+            nsum[t] += n
     level: list[float | None] = [None] * (T + 1)
     for t in range(1, T + 1):
         if nsum[t] > 0.0:
@@ -213,21 +195,16 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
         for t in range(1, T + 1):
             if theta[t] < theta[t - 1]:
                 theta[t] = theta[t - 1]
-    sigma_sq = (
-        math.sqrt(pr.sigma_sq_scale)
-        * _HALF_NORMAL_MEDIAN
-        * math.exp(0.1 * rng.standard_normal())
-    )
-    pi_sq = None
+
+    def near_prior_median(scale_sq: float) -> float:  # of a half-normal variance
+        return math.sqrt(scale_sq) * _HALF_NORMAL_MEDIAN * math.exp(0.1 * rng.standard_normal())
+
+    sigma_sq = near_prior_median(pr.sigma_sq_scale)
+    pi_sq = two_pi = None
     if walk_ks:
-        pi_sq = (
-            math.sqrt(pr.pi_sq_scale)
-            * _HALF_NORMAL_MEDIAN
-            * math.exp(0.1 * rng.standard_normal())
-        )
-    gam: list[list[float]] = []
-    for d in designs:
-        gam.append([0.01 * rng.standard_normal() for _ in d.var])
+        pi_sq = near_prior_median(pr.pi_sq_scale)
+        two_pi = 2.0 * pi_sq
+    gam = [[0.01 * rng.standard_normal() for _ in d.var] for d in designs]
 
     start = LatentState(
         theta=np.array(theta),
@@ -244,24 +221,58 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
         raise InitializationError(bad)
 
     # lphi[k][t]: log bias odds of survey k at time t under the current
-    # state; ll[k][t]: its cell log-likelihood there. Each block evaluates
-    # only its proposal, and an accepted move stores the cells it touched.
+    # state; ll[k][t]: its cell log-likelihood there. A block writes its
+    # proposal's values at the cells it touches into new_lphi and new_ll, and
+    # an accepted move copies them over.
     lphi = [[d.log_phi(g, t) for t in range(T + 1)] for d, g in zip(designs, gam)]
     ll = [[0.0] * (T + 1) for _ in range(K)]
+    new_lphi = [[0.0] * (T + 1) for _ in range(K)]
+    new_ll = [[0.0] * (T + 1) for _ in range(K)]
+
+    # the cells at each t, holding their survey's rows of lphi, ll and
+    # new_ll; a ridge cell also carries how many ridge steps its log odds
+    # move against theta: 1 in a bias walk, else 0. Under the logit-shift
+    # approximation a cell depends on theta[t] + g only, so a ridge move
+    # leaves the walk cells unchanged: its ratio skips them and an accept
+    # refreshes them. The exact kernel reads theta and the odds apart.
+    col_cells: list[list[tuple]] = [[] for _ in range(T + 1)]
+    ridge_cells: list[list[tuple]] = [[] for _ in range(T + 1)]
+    refresh_cells: list[list[tuple]] = [[] for _ in range(T + 1)]
+    for k, t, y, n in panel.observed_cells():
+        cell = (lphi[k], ll[k], new_ll[k], float(y), float(n))
+        col_cells[t].append(cell)
+        if k not in walk_ks:
+            ridge_cells[t].append(cell + (0.0,))
+        elif exact:
+            ridge_cells[t].append(cell + (1.0,))
+        else:
+            refresh_cells[t].append(cell)
     for t in range(1, T + 1):
-        for k, y, n in col_cells[t]:
+        for lphik, llk, _, y, n in col_cells[t]:
             if exact:
-                ll[k][t] = cell_ll(theta[t], lphi[k][t], y, n)
+                llk[t] = cell_ll(theta[t], lphik[t], y, n)
             else:
-                x = theta[t] + lphi[k][t]
-                ll[k][t] = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
+                x = theta[t] + lphik[t]
+                llk[t] = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
 
     # ---- block bookkeeping
     names = [f"theta[{t}]" for t in range(T + 1)]
     names.append("sigma_sq")
-    for k in range(K):
-        for j in range(len(gam[k])):
-            names.append(f"gamma[{k}][{j}]")
+    # one block per bias coefficient, with its prior (2 var, or None for a
+    # walk step), the cells it moves and its survey's table rows; a ridge
+    # move at t shifts every walk's coefficient t under the same prior
+    coef_blocks = []
+    ridge_priors: list[list[tuple[list[float], float | None, bool]]] = [[] for _ in range(T + 1)]
+    for c in columns:
+        two_var = None if c.var is None else 2.0 * c.var
+        tables = (lphi[c.k], ll[c.k], new_lphi[c.k], new_ll[c.k])
+        ts = tuple(row[0] for row in c.rows)
+        coef_blocks.append((len(names), gam[c.k], c.j, two_var, c.link_next, c.rows, ts) + tables)
+        names.append(f"gamma[{c.k}][{c.j}]")
+        if c.k in walk_ks:
+            ridge_priors[c.j].append((gam[c.k], two_var, c.link_next))
+    # the walk steps, gamma[j] - gamma[j - 1], for the bias-walk variance
+    steps = [(gam[c.k], c.j) for c in columns if c.var is None]
     if pi_sq is not None:
         names.append("pi_sq")
     joint0 = len(names)
@@ -283,8 +294,6 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
     theta0_mean = pr.theta0_mean
     theta0_var = pr.theta0_var
     sig_prior_sq = pr.sigma_sq_scale
-    g0v = pr.gamma0_var
-    g1v = pr.gamma1_var
     pi_prior_sq = pr.pi_sq_scale
     log_ = math.log
     sqrt_ = math.sqrt
@@ -343,15 +352,15 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                 dn = nxt - prop
                 dc = nxt - cur
                 d += (dc * dc - dn * dn) / (2.0 * sigma_sq)
-            news = []
-            for k, y, n in col_cells[t]:
+            cells = col_cells[t]
+            for lphik, llk, nllk, y, n in cells:
                 if exact:
-                    v = cell_ll(prop, lphi[k][t], y, n)
+                    v = cell_ll(prop, lphik[t], y, n)
                 else:
-                    x = prop + lphi[k][t]
+                    x = prop + lphik[t]
                     v = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
-                news.append((k, v))
-                d += v - ll[k][t]
+                nllk[t] = v
+                d += v - llk[t]
             ok = d >= 0.0
             if not ok:
                 if ub_i == _RNG_BUF:
@@ -361,8 +370,8 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                 ub_i += 1
             if ok:
                 theta[t] = prop
-                for k, v in news:
-                    ll[k][t] = v
+                for _, llk, nllk, _, _ in cells:
+                    llk[t] = nllk[t]
                 acc[t] += 1
 
         # latent-walk variance, proposed on the log scale
@@ -394,127 +403,61 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
         if ok:
             sigma_sq = sprop
             acc[bid] += 1
-        bid += 1
 
-        # bias coefficients
-        for k in range(K):
-            kind = kinds[k]
-            if kind == "known":
-                continue
-            gk = gam[k]
-            llk = ll[k]
-            lphik = lphi[k]
-            if kind == "constant":
-                cur = gk[0]
-                if nb_i == _RNG_BUF:
-                    norm_buf = rng.standard_normal(_RNG_BUF).tolist()
-                    nb_i = 0
-                prop = cur + scale[bid] * norm_buf[nb_i]
-                nb_i += 1
-                d = (cur * cur - prop * prop) / (2.0 * g0v)
-                news = []
-                for t, y, n in row_cells[k]:
-                    if exact:
-                        v = cell_ll(theta[t], prop, y, n)
-                    else:
-                        x = theta[t] + prop
-                        v = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
-                    news.append((t, v))
-                    d += v - llk[t]
-                ok = d >= 0.0
-                if not ok:
-                    if ub_i == _RNG_BUF:
-                        unif_buf = rng.random(_RNG_BUF).tolist()
-                        ub_i = 0
-                    ok = unif_buf[ub_i] < exp_(d)
-                    ub_i += 1
-                if ok:
-                    gk[0] = prop
-                    for t, v in news:
-                        llk[t] = v
-                        lphik[t] = prop
-                    acc[bid] += 1
-                bid += 1
-            elif kind == "linear":
-                for j in (0, 1):  # intercept, then slope
-                    cur = gk[j]
-                    if nb_i == _RNG_BUF:
-                        norm_buf = rng.standard_normal(_RNG_BUF).tolist()
-                        nb_i = 0
-                    prop = cur + scale[bid] * norm_buf[nb_i]
-                    nb_i += 1
-                    d = (cur * cur - prop * prop) / (2.0 * (g1v if j else g0v))
-                    c0, c1 = (gk[0], prop) if j else (prop, gk[1])
-                    news = []
-                    for t, y, n in row_cells[k]:
-                        g = c0 + c1 * tcov[t]
-                        if exact:
-                            v = cell_ll(theta[t], g, y, n)
-                        else:
-                            x = theta[t] + g
-                            v = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
-                        news.append((t, g, v))
-                        d += v - llk[t]
-                    ok = d >= 0.0
-                    if not ok:
-                        if ub_i == _RNG_BUF:
-                            unif_buf = rng.random(_RNG_BUF).tolist()
-                            ub_i = 0
-                        ok = unif_buf[ub_i] < exp_(d)
-                        ub_i += 1
-                    if ok:
-                        gk[j] = prop
-                        for t, g, v in news:
-                            lphik[t] = g
-                            llk[t] = v
-                        acc[bid] += 1
-                    bid += 1
+        # bias coefficients: propose gamma[j], add its prior terms, then
+        # re-evaluate each cell in its column at offset + sum of c * gamma
+        for bid, gk, j, two_var, link_next, rows, ts, lphik, llk, nphik, nllk in coef_blocks:
+            cur = gk[j]
+            if nb_i == _RNG_BUF:
+                norm_buf = rng.standard_normal(_RNG_BUF).tolist()
+                nb_i = 0
+            prop = cur + scale[bid] * norm_buf[nb_i]
+            nb_i += 1
+            if two_var is not None:
+                d = (cur * cur - prop * prop) / two_var
             else:
-                cells = cell_at[k]
-                for t in range(T + 1):
-                    cur = gk[t]
-                    if nb_i == _RNG_BUF:
-                        norm_buf = rng.standard_normal(_RNG_BUF).tolist()
-                        nb_i = 0
-                    prop = cur + scale[bid] * norm_buf[nb_i]
-                    nb_i += 1
-                    if t == 0:
-                        d = (cur * cur - prop * prop) / (2.0 * g0v)
-                    else:
-                        prev = gk[t - 1]
-                        dn = prop - prev
-                        dc = cur - prev
-                        d = (dc * dc - dn * dn) / (2.0 * pi_sq)
-                    if t < T:
-                        nxt = gk[t + 1]
-                        dn = nxt - prop
-                        dc = nxt - cur
-                        d += (dc * dc - dn * dn) / (2.0 * pi_sq)
-                    cell = cells[t]
-                    if cell is not None:
-                        y, n = cell
-                        if exact:
-                            v = cell_ll(theta[t], prop, y, n)
-                        else:
-                            x = theta[t] + prop
-                            v = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
-                        d += v - llk[t]
-                    ok = d >= 0.0
-                    if not ok:
-                        if ub_i == _RNG_BUF:
-                            unif_buf = rng.random(_RNG_BUF).tolist()
-                            ub_i = 0
-                        ok = unif_buf[ub_i] < exp_(d)
-                        ub_i += 1
-                    if ok:
-                        gk[t] = lphik[t] = prop
-                        if cell is not None:
-                            llk[t] = v
-                        acc[bid] += 1
-                    bid += 1
+                prev = gk[j - 1]
+                dn = prop - prev
+                dc = cur - prev
+                d = (dc * dc - dn * dn) / two_pi
+            if link_next:
+                nxt = gk[j + 1]
+                dn = nxt - prop
+                dc = nxt - cur
+                d += (dc * dc - dn * dn) / two_pi
+            gk[j] = prop
+            for t, y, n, g, terms in rows:  # g starts as the row's offset
+                if terms is None:
+                    g = prop
+                else:
+                    for i, c in terms:
+                        g = g + c * gk[i]
+                if exact:
+                    v = cell_ll(theta[t], g, y, n)
+                else:
+                    x = theta[t] + g
+                    v = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
+                nphik[t] = g
+                nllk[t] = v
+                d += v - llk[t]
+            ok = d >= 0.0
+            if not ok:
+                if ub_i == _RNG_BUF:
+                    unif_buf = rng.random(_RNG_BUF).tolist()
+                    ub_i = 0
+                ok = unif_buf[ub_i] < exp_(d)
+                ub_i += 1
+            if ok:
+                for t in ts:
+                    lphik[t] = nphik[t]
+                    llk[t] = nllk[t]
+                acc[bid] += 1
+            else:
+                gk[j] = cur
 
         # bias-walk variance
         if pi_sq is not None:
+            bid = joint0 - 1
             lcur = log_(pi_sq)
             if nb_i == _RNG_BUF:
                 norm_buf = rng.standard_normal(_RNG_BUF).tolist()
@@ -523,16 +466,12 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
             nb_i += 1
             pprop = exp_(lprop)
             sse = 0.0
-            n_inc = 0
-            for k in walk_ks:
-                gk = gam[k]
-                for t in range(1, T + 1):
-                    dd = gk[t] - gk[t - 1]
-                    sse += dd * dd
-                n_inc += T
+            for gk, j in steps:
+                dd = gk[j] - gk[j - 1]
+                sse += dd * dd
             d = (
                 (pi_sq * pi_sq - pprop * pprop) / (2.0 * pi_prior_sq)
-                + 0.5 * n_inc * (lcur - lprop)
+                + 0.5 * len(steps) * (lcur - lprop)
                 + 0.5 * sse * (1.0 / pi_sq - 1.0 / pprop)
                 + (lprop - lcur)
             )
@@ -545,6 +484,7 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                 ub_i += 1
             if ok:
                 pi_sq = pprop
+                two_pi = 2.0 * pi_sq
                 acc[bid] += 1
 
         # ridge moves: shift the level at one time-point and counter-shift
@@ -578,31 +518,30 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                     dn = nxt - prop
                     dc = nxt - cur
                     d += (dc * dc - dn * dn) / (2.0 * sigma_sq)
-                for k in walk_ks:
-                    gk = gam[k]
+                for gk, two_var, link_next in ridge_priors[t]:
                     gcur = gk[t]
                     gprop = gcur - delta
-                    if t == 0:
-                        d += (gcur * gcur - gprop * gprop) / (2.0 * g0v)
+                    if two_var is not None:
+                        d += (gcur * gcur - gprop * gprop) / two_var
                     else:
                         gprev = gk[t - 1]
                         dn = gprop - gprev
                         dc = gcur - gprev
-                        d += (dc * dc - dn * dn) / (2.0 * pi_sq)
-                    if t < T:
+                        d += (dc * dc - dn * dn) / two_pi
+                    if link_next:
                         gnxt = gk[t + 1]
                         dn = gnxt - gprop
                         dc = gnxt - gcur
-                        d += (dc * dc - dn * dn) / (2.0 * pi_sq)
-                news = []
-                for k, y, n, shift in ridge_cells[t]:
+                        d += (dc * dc - dn * dn) / two_pi
+                cells = ridge_cells[t]
+                for lphik, llk, nllk, y, n, shift in cells:
                     if exact:
-                        v = cell_ll(prop, lphi[k][t] - shift * delta, y, n)
+                        v = cell_ll(prop, lphik[t] - shift * delta, y, n)
                     else:
-                        x = prop + (lphi[k][t] - shift * delta)
+                        x = prop + (lphik[t] - shift * delta)
                         v = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
-                    news.append((k, v))
-                    d += v - ll[k][t]
+                    nllk[t] = v
+                    d += v - llk[t]
                 ok = d >= 0.0
                 if not ok:
                     if ub_i == _RNG_BUF:
@@ -615,17 +554,13 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                     for k in walk_ks:
                         gam[k][t] -= delta
                         lphi[k][t] -= delta
-                    for k, v in news:
-                        ll[k][t] = v
-                    if ridge_skips_walk:
-                        # equal up to rounding; refresh so the table stays
-                        # bit-equal to a fresh evaluation
-                        for k in walk_ks:
-                            cell = cell_at[k][t]
-                            if cell is not None:
-                                y, n = cell
-                                x = prop + lphi[k][t]
-                                ll[k][t] = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
+                    for _, llk, nllk, _, _, _ in cells:
+                        llk[t] = nllk[t]
+                    # equal up to rounding; refresh so the table stays
+                    # bit-equal to a fresh evaluation
+                    for lphik, llk, _, y, n in refresh_cells[t]:
+                        x = prop + lphik[t]
+                        llk[t] = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
                     acc[bid] += 1
 
         # every block made one decision this sweep, so all adaptation
@@ -876,8 +811,8 @@ def summarize(draws: ChainDraws, alpha: float = 0.05, transform: str = "rate") -
         if not design.var:
             continue
         for t in range(1, T + 1):
-            (j, c), *rest = design.terms[t]
-            if design.offset[t] == 0.0 and c == 1.0 and not rest:
+            j = design.own(t)
+            if j is not None:
                 phi_keys[k, t] = f"gamma[{k}][{j}]"
             else:
                 phi_keys[k, t] = (k, t)

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime
 import math
 
@@ -24,7 +25,7 @@ from surveysynth.core import (
     SurveyPanel,
 )
 from surveysynth.datagen import vaccine_shaped_bundle
-from surveysynth import mcmc
+from surveysynth import analysis, mcmc
 from surveysynth.mcmc import SamplerSettings
 
 QUICK = SamplerSettings(n_chains=2, burn_in=400, n_draws=600, thin=3, seed=19)
@@ -214,6 +215,22 @@ def test_nowcast_series_rows_and_missing_anchor_widens():
     assert rows[0].width > 2.0 * rows[2].width  # t=1 has no data yet
 
 
+def test_nowcast_lists_the_fits_that_did_not_converge(monkeypatch):
+    real = analysis.diagnose
+
+    def fails_at_two(draws):  # the fit at t* = 2 reads as unconverged
+        diag = real(draws)
+        return dataclasses.replace(diag, converged=diag.converged and draws.n_times != 2)
+
+    monkeypatch.setattr(analysis, "diagnose", fails_at_two)
+    panel = anchor_only_panel([10.0, 20.0, 30.0], [100.0] * 3)
+    out = nowcast_series(panel, ModelSpec(bias=(BiasModelSpec.anchor(),)), QUICK)
+    assert out.unconverged == (2,) and out.failures == ()
+    assert out.table.converged is False
+    monkeypatch.setattr(analysis, "diagnose", real)
+    assert nowcast_series(panel, ModelSpec(bias=(BiasModelSpec.anchor(),)), QUICK).unconverged == ()
+
+
 def test_nowcast_workers_do_not_change_results():
     panel = anchor_only_panel([10.0, 20.0], [100.0, 100.0])
     spec = ModelSpec(bias=(BiasModelSpec.anchor(),))
@@ -221,6 +238,7 @@ def test_nowcast_workers_do_not_change_results():
     parallel = nowcast_series(panel, spec, QUICK, workers=2)
     assert parallel.table.rows == serial.table.rows
     assert parallel.failures == serial.failures
+    assert parallel.unconverged == serial.unconverged
 
 
 def test_nowcast_honours_workers_variable(monkeypatch):

@@ -225,6 +225,21 @@ def test_bad_worker_count_fails_before_sampling(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sampler", [{"n_draws": 5, "thin": 5}, {"n_draws": 11, "thin": 3}])
+def test_too_few_kept_draws_fail_before_sampling(tmp_path, demo_panel, capsys, monkeypatch, sampler):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the sampler ran")
+
+    monkeypatch.setattr("surveysynth.cli.fit_full", must_not_run)
+    cfg = write_cfg(tmp_path, {"sampler": sampler, "model": {"bias": [{"kind": "known"}] * 3}})
+    out = tmp_path / "out"
+    code = main(["fit", "--panel", demo_panel_file(tmp_path, demo_panel), "--config", cfg,
+                 "--out", str(out)])
+    assert code == 3
+    assert "at least 4 are needed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nowcast_cli(tmp_path, capsys):
     panel = SurveyPanel(
         y=np.array([[10.0, 20.0]]), n=np.array([[100.0, 100.0]]),
@@ -238,7 +253,10 @@ def test_nowcast_cli(tmp_path, capsys):
     assert code == 0
     table = io.read_summary(out / "nowcast.csv")
     assert [r.t for r in table.rows_named("rate")] == [1, 2]
-    assert "failures: none" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "failures: none" in stdout
+    assert "unconverged: " in stdout
+    assert "unconverged" not in (out / "nowcast.csv").read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +314,26 @@ def test_sim_study_cli(tmp_path):
     out2 = tmp_path / "out2"
     main(["sim-study", "--config", cfg, "--out", str(out2)])
     assert (out / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+
+
+def test_sim_study_workers_flag(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        {
+            "seed": 4,
+            "sampler": {"n_chains": 2, "burn_in": 100, "n_draws": 100, "thin": 1},
+            "study": {"n_times": [2], "n_reps": 2},
+        },
+    )
+    serial, pooled, bad = tmp_path / "serial", tmp_path / "pooled", tmp_path / "bad"
+    assert main(["sim-study", "--config", cfg, "--out", str(serial), "--workers", "1"]) == 0
+    assert main(["sim-study", "--config", cfg, "--out", str(pooled), "--workers", "2"]) == 0
+    for name in ("results.csv", "rep_errors.csv"):
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes()
+    capsys.readouterr()
+    assert main(["sim-study", "--config", cfg, "--out", str(bad), "--workers", "0"]) == 3
+    assert "error: bad-config: workers must be an integer >= 1" in capsys.readouterr().err
+    assert not bad.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from surveysynth.core import BiasModelSpec, LatentState, ModelSpec, PriorSpec, SurveyPanel
+from surveysynth.core import (
+    BiasModelSpec,
+    LatentState,
+    ModelSpec,
+    PriorSpec,
+    SurveyPanel,
+    bias_designs,
+    coefficient_columns,
+)
 from surveysynth.dists import (
     NchgParams,
     biased_success_prob,
@@ -368,3 +376,97 @@ def test_log_posterior_theta_length_must_match_panel(demo_panel, demo_spec):
     state = state_of(np.zeros(7), gamma=(None, np.zeros(2), np.zeros(2)))
     with pytest.raises(ValueError):
         log_posterior(state, demo_panel, demo_spec)
+
+
+# ---------------------------------------------------------------------------
+# the sampler's compiled coefficient columns against the designs and the oracle
+
+
+def _fold(offset, terms, gamma):
+    """A row's log odds as the sampler's coefficient block computes them."""
+    g = offset
+    for i, c in terms:
+        g = g + c * gamma[i]
+    return g
+
+
+@given(
+    kinds=st.lists(
+        st.sampled_from(["known", "known-fixed", "constant", "linear", "walk"]),
+        min_size=1, max_size=3,
+    ),
+    n_times=st.integers(min_value=1, max_value=6),
+    centre=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_coefficient_columns_match_designs_and_prior_blocks(kinds, n_times, centre, seed):
+    rng = np.random.default_rng(seed)
+    T = n_times
+    bias = [BiasModelSpec.anchor()]
+    for kind in kinds:
+        if kind == "known-fixed":
+            bias.append(BiasModelSpec(kind="known", fixed_phi=tuple(rng.uniform(0.5, 2.0, T))))
+        else:
+            bias.append(BiasModelSpec(kind=kind))
+    spec = ModelSpec(
+        bias=tuple(bias),
+        center_time=centre,
+        priors=PriorSpec(gamma0_var=rng.uniform(0.3, 2.0), gamma1_var=rng.uniform(0.05, 0.5)),
+    )
+    K = len(bias)
+    n = rng.integers(20, 200, size=(K, T)).astype(float)
+    y = np.floor(n * rng.uniform(0.1, 0.9, size=(K, T)))
+    gaps = rng.random((K, T)) < 0.3
+    y[gaps] = np.nan
+    n[gaps] = np.nan
+    panel = panel_of(y, n)
+    designs = bias_designs(spec, T)
+    columns = coefficient_columns(designs, panel)
+    assert [(c.k, c.j) for c in columns] == [
+        (k, j) for k, d in enumerate(designs) for j in range(len(d.var))
+    ]
+
+    gamma = [rng.normal(size=len(d.var)).tolist() for d in designs]
+    pi_sq = float(rng.uniform(0.05, 2.0)) if spec.has_bias_walk else None
+    theta = rng.normal(size=T + 1)
+
+    def prior_blocks(gam):
+        state = state_of(theta, gamma=[g or None for g in gam], pi_sq=pi_sq)
+        return log_posterior(state, panel, spec).per_block
+
+    before = prior_blocks(gamma)
+    for col in columns:
+        d, g = designs[col.k], gamma[col.k]
+        assert [row[0] for row in col.rows] == [
+            t for t in range(1, T + 1)
+            if not gaps[col.k, t - 1] and any(i == col.j for i, _ in d.terms[t])
+        ]
+        assert col.var == d.var[col.j]
+        prop = g[col.j] + float(rng.normal())
+        moved = list(g)
+        moved[col.j] = prop
+        for t, yv, nv, offset, terms in col.rows:
+            assert (yv, nv) == (panel.y[col.k, t - 1], panel.n[col.k, t - 1])
+            if terms is None:  # the row's log odds are gamma[j] itself
+                assert d.own(t) == col.j
+                value = prop
+            else:
+                assert (offset, terms) == (d.offset[t], d.terms[t])
+                value = _fold(offset, terms, moved)
+            assert value == d.log_phi(moved, t)
+
+        cur = g[col.j]
+        if col.var is not None:
+            delta = (cur * cur - prop * prop) / (2.0 * col.var)
+        else:
+            prev = g[col.j - 1]
+            delta = ((cur - prev) ** 2 - (prop - prev) ** 2) / (2.0 * pi_sq)
+        if col.link_next:
+            nxt = g[col.j + 1]
+            delta += ((nxt - cur) ** 2 - (nxt - prop) ** 2) / (2.0 * pi_sq)
+        after = prior_blocks([moved if k == col.k else gk for k, gk in enumerate(gamma)])
+        key = f"gamma[{col.k}]"
+        assert delta == pytest.approx(after[key] - before[key], rel=1e-12, abs=1e-12)
+        for name in ("theta", "sigma_sq", "pi_sq"):
+            assert after.get(name) == before.get(name)

@@ -67,6 +67,8 @@ def test_settings_validation():
         SamplerSettings(n_chains=0)
     with pytest.raises(ValueError):
         SamplerSettings(n_draws=4, thin=5)
+    with pytest.raises(ValueError, match="keeps 3 draws"):  # R-hat needs 2 per half-chain
+        SamplerSettings(n_draws=11, thin=3)
     with pytest.raises(ValueError):
         SamplerSettings(thin=0)
     with pytest.raises(ValueError):
@@ -75,7 +77,7 @@ def test_settings_validation():
 
 
 def test_settings_n_kept():
-    assert SamplerSettings(n_draws=10, thin=3).n_kept == 3
+    assert SamplerSettings(n_draws=14, thin=3).n_kept == 4
     assert SamplerSettings(n_draws=12, thin=3).n_kept == 4
 
 

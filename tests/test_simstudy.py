@@ -123,6 +123,12 @@ def test_run_cell_smoke_and_deterministic():
     assert again == cell
 
 
+def test_run_cell_records_do_not_depend_on_worker_count():
+    serial = run_cell("linear", "walk", n_times=2, n_reps=3, settings=TINY, seed=6, workers=1)
+    pooled = run_cell("linear", "walk", n_times=2, n_reps=3, settings=TINY, seed=6, workers=2)
+    assert pooled == serial
+
+
 def test_run_cell_unbiased_only_ignores_biased_surveys():
     cell, records = run_cell(
         "walk", "unbiased-only", n_times=2, n_reps=1, settings=TINY, seed=4
