@@ -283,18 +283,9 @@ def _log_probs(ys, m1: int, m2: int, n: int, phi: float) -> list[float]:
 def nchg_logpmf_unchecked(y: int, m1: int, m2: int, n: int, phi: float) -> float:
     """Log-pmf at one count, on plain numbers and without validating them.
 
-    For hot loops whose inputs are valid by construction; the value is the
-    one nchg_logpmf gives, by the same operations on one count.
+    For hot loops whose inputs are valid by construction; see nchg_logpmf.
     """
-    if y < max(0, n - m2) or y > min(n, m1):
-        return -math.inf
-    if phi == 1.0:
-        return _log_weight(m1, m2, n, 0.0, y) - _lchoose(m1 + m2, n)
-    a, lw, log_s, mode = _nchg_window(m1, m2, n, phi)
-    if a <= y < a + len(lw):
-        return float(lw[y - a]) - log_s
-    log_phi = math.log(phi)
-    return _log_weight(m1, m2, n, log_phi, y) - (_log_weight(m1, m2, n, log_phi, mode) + log_s)
+    return _log_probs((y,), m1, m2, n, phi)[0]
 
 
 def nchg_logpmf(y, params: NchgParams):

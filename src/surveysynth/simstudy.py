@@ -221,11 +221,23 @@ def run_grid(
     workers: int | None = None,
 ) -> tuple[list[CellResult], list[RepRecord]]:
     """Every truth x fit combination at every panel length."""
-    sizes = dict(n_anchor=n_anchor, n_biased=n_biased, population=population)
-    cells = [
-        run_cell(truth_kind, fit_kind, n_times, n_reps, settings, seed, **sizes, workers=workers)
-        for n_times in n_times_list
-        for truth_kind in TRUTH_KINDS
-        for fit_kind in FIT_KINDS
-    ]
-    return [cell for cell, _ in cells], [r for _, recs in cells for r in recs]
+    results: list[CellResult] = []
+    records: list[RepRecord] = []
+    for n_times in n_times_list:
+        for truth_kind in TRUTH_KINDS:
+            for fit_kind in FIT_KINDS:
+                cell, recs = run_cell(
+                    truth_kind,
+                    fit_kind,
+                    n_times,
+                    n_reps,
+                    settings,
+                    seed,
+                    n_anchor=n_anchor,
+                    n_biased=n_biased,
+                    population=population,
+                    workers=workers,
+                )
+                results.append(cell)
+                records.extend(recs)
+    return results, records
