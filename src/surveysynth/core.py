@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
@@ -70,11 +70,11 @@ class SurveyPanel:
 
     def observed_cells(self) -> Iterator[tuple[int, int, int, int]]:
         """Yield (k, t, y, n) over present cells, t being 1-based."""
-        obs = self.observed
-        for k in range(self.n_surveys):
+        y, n = self.y.tolist(), self.n.tolist()  # plain floats index faster
+        for k, seen in enumerate(self.observed.tolist()):
             for j in range(self.n_times):
-                if obs[k, j]:
-                    yield k, j + 1, int(self.y[k, j]), int(self.n[k, j])
+                if seen[j]:
+                    yield k, j + 1, int(y[k][j]), int(n[k][j])
 
     def subset_surveys(self, indices) -> "SurveyPanel":
         idx = list(indices)
@@ -259,8 +259,7 @@ def bias_designs(spec: ModelSpec, n_times: int) -> tuple[BiasDesign, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CoefficientColumn:
+class CoefficientColumn(NamedTuple):
     """Bias coefficient gamma[j] of survey k: its prior and the cells it moves.
 
     The prior is Normal(0, var) when var is set, else a walk step

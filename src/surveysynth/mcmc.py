@@ -31,21 +31,20 @@ Two tables describe the current state at every observed cell: lphi[k][t],
 survey k's log bias odds at time t, filled once from the compiled bias
 designs (``core.bias_designs``), and ll[k][t], the cell's log-likelihood.
 Each block evaluates the cells it touches at the proposal only, takes the
-difference against ll and writes the proposal's values into two pending
-tables; an accepted move copies them over. Under the logit-shift
-approximation the cell term y*x - n*softplus(x), with x = theta + log odds,
-is written out inline at each place a cell is evaluated; ``cell_ll`` is the
-exact kernel's call. No block knows a bias kind. The theta and ridge blocks
-read the odds from lphi. Every bias coefficient has one block of one form,
-read from its compiled column (``core.coefficient_columns``): propose
-gamma[j], add its prior terms (Normal(0, var), or a walk step from
-gamma[j - 1], plus the step to gamma[j + 1] when that is a walk step), and
-recompute each cell in the column at offset + sum of c * gamma in the
-design's term order, the same operations as ``BiasDesign.log_phi``; a cell
-whose log odds are gamma[j] itself takes the proposal as it is. The ll
-table therefore equals a fresh evaluation bit for bit, and each touched
-cell costs one kernel call per block. The likelihood module is kept as the
-reference density and is used to vet the starting point.
+difference against ll and keeps the new values aside; an accepted move
+copies them over. Under the logit-shift approximation the cell term
+y*x - n*softplus(x), with x = theta + log odds, is written out inline at
+each place a cell is evaluated; ``cell_ll`` is the exact kernel's call.
+No block knows a bias kind. The theta and ridge blocks read the odds from
+lphi, and every bias coefficient has one block read from its compiled
+column (``core.coefficient_columns``): it proposes gamma[j], adds its prior
+terms (Normal(0, var) or a walk step from gamma[j - 1], plus the step to
+gamma[j + 1] when that is a walk step) and recomputes each cell in the
+column as offset + sum of c * gamma in the design's term order, the
+operations of ``BiasDesign.log_phi``. The ll table therefore equals a fresh
+evaluation bit for bit, and each touched cell costs one kernel call per
+block. The likelihood module is kept as the reference density and is used
+to vet the starting point.
 
 ``split_stats`` scores split-chain R-hat and ESS for a whole stack of
 series at once, bit for bit as ``r_hat`` and ``ess`` score one. ``diagnose``
@@ -221,9 +220,9 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
         raise InitializationError(bad)
 
     # lphi[k][t]: log bias odds of survey k at time t under the current
-    # state; ll[k][t]: its cell log-likelihood there. A block writes its
-    # proposal's values at the cells it touches into new_lphi and new_ll, and
-    # an accepted move copies them over.
+    # state; ll[k][t]: its cell log-likelihood there. A block keeps its
+    # proposal's values at the cells it touches in new_lphi and new_ll (a
+    # lone cell's in locals), and an accepted move copies them over.
     lphi = [[d.log_phi(g, t) for t in range(T + 1)] for d, g in zip(designs, gam)]
     ll = [[0.0] * (T + 1) for _ in range(K)]
     new_lphi = [[0.0] * (T + 1) for _ in range(K)]
@@ -258,16 +257,17 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
     # ---- block bookkeeping
     names = [f"theta[{t}]" for t in range(T + 1)]
     names.append("sigma_sq")
-    # one block per bias coefficient, with its prior (2 var, or None for a
-    # walk step), the cells it moves and its survey's table rows; a ridge
-    # move at t shifts every walk's coefficient t under the same prior
-    coef_blocks = []
+    # one block per bias coefficient, grouped by survey with the survey's
+    # coefficients and table rows: its id, its prior (2 var, or None for a
+    # walk step), the cells it moves and whether there is more than one. A
+    # ridge move at t shifts every walk's coefficient t under the same prior.
+    coef_surveys = [(gam[k], lphi[k], ll[k], new_lphi[k], new_ll[k], []) for k in range(K)]
     ridge_priors: list[list[tuple[list[float], float | None, bool]]] = [[] for _ in range(T + 1)]
     for c in columns:
         two_var = None if c.var is None else 2.0 * c.var
-        tables = (lphi[c.k], ll[c.k], new_lphi[c.k], new_ll[c.k])
         ts = tuple(row[0] for row in c.rows)
-        coef_blocks.append((len(names), gam[c.k], c.j, two_var, c.link_next, c.rows, ts) + tables)
+        block = (len(names), c.j, two_var, c.link_next, c.rows, ts, len(ts) > 1)
+        coef_surveys[c.k][-1].append(block)
         names.append(f"gamma[{c.k}][{c.j}]")
         if c.k in walk_ks:
             ridge_priors[c.j].append((gam[c.k], two_var, c.link_next))
@@ -406,54 +406,60 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
 
         # bias coefficients: propose gamma[j], add its prior terms, then
         # re-evaluate each cell in its column at offset + sum of c * gamma
-        for bid, gk, j, two_var, link_next, rows, ts, lphik, llk, nphik, nllk in coef_blocks:
-            cur = gk[j]
-            if nb_i == _RNG_BUF:
-                norm_buf = rng.standard_normal(_RNG_BUF).tolist()
-                nb_i = 0
-            prop = cur + scale[bid] * norm_buf[nb_i]
-            nb_i += 1
-            if two_var is not None:
-                d = (cur * cur - prop * prop) / two_var
-            else:
-                prev = gk[j - 1]
-                dn = prop - prev
-                dc = cur - prev
-                d = (dc * dc - dn * dn) / two_pi
-            if link_next:
-                nxt = gk[j + 1]
-                dn = nxt - prop
-                dc = nxt - cur
-                d += (dc * dc - dn * dn) / two_pi
-            gk[j] = prop
-            for t, y, n, g, terms in rows:  # g starts as the row's offset
-                if terms is None:
-                    g = prop
+        for gk, lphik, llk, nphik, nllk, blocks in coef_surveys:
+            for bid, j, two_var, link_next, rows, ts, many in blocks:
+                cur = gk[j]
+                if nb_i == _RNG_BUF:
+                    norm_buf = rng.standard_normal(_RNG_BUF).tolist()
+                    nb_i = 0
+                prop = cur + scale[bid] * norm_buf[nb_i]
+                nb_i += 1
+                if two_var is not None:
+                    d = (cur * cur - prop * prop) / two_var
                 else:
-                    for i, c in terms:
-                        g = g + c * gk[i]
-                if exact:
-                    v = cell_ll(theta[t], g, y, n)
+                    prev = gk[j - 1]
+                    dn = prop - prev
+                    dc = cur - prev
+                    d = (dc * dc - dn * dn) / two_pi
+                if link_next:
+                    nxt = gk[j + 1]
+                    dn = nxt - prop
+                    dc = nxt - cur
+                    d += (dc * dc - dn * dn) / two_pi
+                gk[j] = prop
+                for t, y, n, g, terms in rows:  # g starts as the row's offset
+                    if terms is None:
+                        g = prop
+                    else:
+                        for i, c in terms:
+                            g = g + c * gk[i]
+                    if exact:
+                        v = cell_ll(theta[t], g, y, n)
+                    else:
+                        x = theta[t] + g
+                        v = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
+                    if many:
+                        nphik[t] = g
+                        nllk[t] = v
+                    d += v - llk[t]
+                ok = d >= 0.0
+                if not ok:
+                    if ub_i == _RNG_BUF:
+                        unif_buf = rng.random(_RNG_BUF).tolist()
+                        ub_i = 0
+                    ok = unif_buf[ub_i] < exp_(d)
+                    ub_i += 1
+                if ok:
+                    if many:
+                        for t in ts:
+                            lphik[t] = nphik[t]
+                            llk[t] = nllk[t]
+                    elif ts:  # a lone cell's values are still in t, g and v
+                        lphik[t] = g
+                        llk[t] = v
+                    acc[bid] += 1
                 else:
-                    x = theta[t] + g
-                    v = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
-                nphik[t] = g
-                nllk[t] = v
-                d += v - llk[t]
-            ok = d >= 0.0
-            if not ok:
-                if ub_i == _RNG_BUF:
-                    unif_buf = rng.random(_RNG_BUF).tolist()
-                    ub_i = 0
-                ok = unif_buf[ub_i] < exp_(d)
-                ub_i += 1
-            if ok:
-                for t in ts:
-                    lphik[t] = nphik[t]
-                    llk[t] = nllk[t]
-                acc[bid] += 1
-            else:
-                gk[j] = cur
+                    gk[j] = cur
 
         # bias-walk variance
         if pi_sq is not None:

@@ -224,7 +224,7 @@ def test_nowcast_lists_the_fits_that_did_not_converge(monkeypatch):
 
     monkeypatch.setattr(analysis, "diagnose", fails_at_two)
     panel = anchor_only_panel([10.0, 20.0, 30.0], [100.0] * 3)
-    out = nowcast_series(panel, ModelSpec(bias=(BiasModelSpec.anchor(),)), QUICK)
+    out = nowcast_series(panel, ModelSpec(bias=(BiasModelSpec.anchor(),)), QUICK, workers=1)
     assert out.unconverged == (2,) and out.failures == ()
     assert out.table.converged is False
     monkeypatch.setattr(analysis, "diagnose", real)

@@ -157,7 +157,9 @@ def test_run_cell_records_a_rep_whose_chains_cannot_start(monkeypatch, tmp_path)
         return fit(panel, spec, settings, *args, **kw)
 
     monkeypatch.setattr(simstudy, "run_chains", second_fails)
-    cell, records = run_cell("constant", "constant", n_times=2, n_reps=3, settings=TINY, seed=3)
+    cell, records = run_cell(  # in this process, where the patch applies
+        "constant", "constant", n_times=2, n_reps=3, settings=TINY, seed=3, workers=1
+    )
     assert len(calls) == 3
     assert [r.rep for r in records] == [0, 1, 2]
     failed = records[1]
