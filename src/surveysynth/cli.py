@@ -252,7 +252,6 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_sim_study(args) -> int:
-    workers = _check_workers(args.workers)
     cfg = _load_config(args)
     study = cfg.study if cfg.study is not None else StudyConfig()
     settings = cfg.study_settings()
@@ -260,7 +259,6 @@ def _cmd_sim_study(args) -> int:
     results, records = run_grid(
         study.n_times, study.n_reps, settings, seed,
         n_anchor=study.n_anchor, n_biased=study.n_biased, population=study.population,
-        workers=workers,
     )
     out = _out_dir(args)
     io.write_sim_results(results, out / "results.csv")
@@ -351,7 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     study = sub.add_parser("sim-study", help="truth-by-fit simulation grid")
     common(study)
-    study.add_argument("--workers", type=int, help="parallel worker processes")
     study.set_defaults(func=_cmd_sim_study)
 
     rep = sub.add_parser("report", help="compare two stored summaries (ratios, coverage, n_iid)")

@@ -262,13 +262,11 @@ def bias_designs(spec: ModelSpec, n_times: int) -> tuple[BiasDesign, ...]:
 class CoefficientColumn(NamedTuple):
     """Bias coefficient gamma[j] of survey k: its prior and the cells it moves.
 
-    The prior is Normal(0, var) when var is set, else a walk step
-    Normal(gamma[j - 1], pi_sq); link_next says gamma[j + 1] is a walk step
-    from gamma[j], so that step's term moves with gamma[j] too. rows holds
-    the observed cells whose log odds use gamma[j], in t order, as
-    (t, y, n, offset, terms): the log odds there are offset[t] plus c * gamma[i]
-    over the design row terms[t], in order. terms is None where the log odds
-    are gamma[j] itself (``BiasDesign.own``).
+    The prior is Normal(0, var), or with var None a walk step from
+    gamma[j - 1]; link_next says gamma[j + 1] is a walk step from gamma[j].
+    rows holds the observed cells that use gamma[j], in t order, as
+    (t, y, n, offset, terms), with the design's offset and terms at t;
+    terms is None where the log odds are gamma[j] itself (``BiasDesign.own``).
     """
 
     k: int
@@ -282,7 +280,14 @@ def coefficient_columns(
     designs: tuple[BiasDesign, ...], panel: SurveyPanel
 ) -> tuple[CoefficientColumn, ...]:
     """Every coefficient's column over the panel's observed cells, survey by
-    survey and, within a survey, in coefficient order."""
+    survey and in coefficient order. A design with walk steps must be a walk
+    over t = 0..T (coefficient t is the log odds at t, gamma[0] has a
+    variance): that is the layout the sampler's ridge move shifts."""
+    T = panel.n_times
+    for k, d in enumerate(designs):
+        walk = [*map(d.own, range(T + 1))] == [*range(len(d.var))] and d.var[0] is not None
+        if None in d.var and not walk:
+            raise ValueError(f"survey {k} has walk steps but is not a walk over t = 0..{T}")
     rows = [[[] for _ in d.var] for d in designs]
     for k, t, y, n in panel.observed_cells():
         d = designs[k]

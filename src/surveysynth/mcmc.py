@@ -36,10 +36,11 @@ copies them over. Under the logit-shift approximation the cell term
 y*x - n*softplus(x), with x = theta + log odds, is written out inline at
 each place a cell is evaluated; ``cell_ll`` is the exact kernel's call.
 No block knows a bias kind. The theta and ridge blocks read the odds from
-lphi, and every bias coefficient has one block read from its compiled
-column (``core.coefficient_columns``): it proposes gamma[j], adds its prior
-terms (Normal(0, var) or a walk step from gamma[j - 1], plus the step to
-gamma[j + 1] when that is a walk step) and recomputes each cell in the
+lphi; the ridge move takes a bias walk's coefficient t to be its log odds
+at t, a layout ``core.coefficient_columns`` checks. Every bias coefficient
+has one block read from its compiled column: it proposes gamma[j], adds its
+prior terms (Normal(0, var) or a walk step from gamma[j - 1], plus the step
+to gamma[j + 1] when that is a walk step) and recomputes each cell in the
 column as offset + sum of c * gamma in the design's term order, the
 operations of ``BiasDesign.log_phi``. The ll table therefore equals a fresh
 evaluation bit for bit, and each touched cell costs one kernel call per
@@ -195,15 +196,22 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
             if theta[t] < theta[t - 1]:
                 theta[t] = theta[t - 1]
 
-    def near_prior_median(scale_sq: float) -> float:  # of a half-normal variance
-        return math.sqrt(scale_sq) * _HALF_NORMAL_MEDIAN * math.exp(0.1 * rng.standard_normal())
-
-    sigma_sq = near_prior_median(pr.sigma_sq_scale)
+    sigma_sq = (
+        math.sqrt(pr.sigma_sq_scale)
+        * _HALF_NORMAL_MEDIAN
+        * math.exp(0.1 * rng.standard_normal())
+    )
     pi_sq = two_pi = None
     if walk_ks:
-        pi_sq = near_prior_median(pr.pi_sq_scale)
+        pi_sq = (
+            math.sqrt(pr.pi_sq_scale)
+            * _HALF_NORMAL_MEDIAN
+            * math.exp(0.1 * rng.standard_normal())
+        )
         two_pi = 2.0 * pi_sq
-    gam = [[0.01 * rng.standard_normal() for _ in d.var] for d in designs]
+    gam: list[list[float]] = []
+    for d in designs:
+        gam.append([0.01 * rng.standard_normal() for _ in d.var])
 
     start = LatentState(
         theta=np.array(theta),
@@ -221,19 +229,17 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
 
     # lphi[k][t]: log bias odds of survey k at time t under the current
     # state; ll[k][t]: its cell log-likelihood there. A block keeps its
-    # proposal's values at the cells it touches in new_lphi and new_ll (a
-    # lone cell's in locals), and an accepted move copies them over.
+    # proposal's values at the cells it touches in new_lphi and new_ll, and
+    # an accepted move copies them over.
     lphi = [[d.log_phi(g, t) for t in range(T + 1)] for d, g in zip(designs, gam)]
     ll = [[0.0] * (T + 1) for _ in range(K)]
     new_lphi = [[0.0] * (T + 1) for _ in range(K)]
     new_ll = [[0.0] * (T + 1) for _ in range(K)]
 
-    # the cells at each t, holding their survey's rows of lphi, ll and
-    # new_ll; a ridge cell also carries how many ridge steps its log odds
-    # move against theta: 1 in a bias walk, else 0. Under the logit-shift
-    # approximation a cell depends on theta[t] + g only, so a ridge move
-    # leaves the walk cells unchanged: its ratio skips them and an accept
-    # refreshes them. The exact kernel reads theta and the odds apart.
+    # the cells at each t with their survey's rows of lphi, ll and new_ll; a
+    # ridge cell also carries its ridge steps against theta (1 in a bias walk,
+    # else 0). Under the logit-shift approximation a ridge move leaves walk
+    # cells unchanged, so its ratio skips them and an accept refreshes them.
     col_cells: list[list[tuple]] = [[] for _ in range(T + 1)]
     ridge_cells: list[list[tuple]] = [[] for _ in range(T + 1)]
     refresh_cells: list[list[tuple]] = [[] for _ in range(T + 1)]
@@ -257,16 +263,14 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
     # ---- block bookkeeping
     names = [f"theta[{t}]" for t in range(T + 1)]
     names.append("sigma_sq")
-    # one block per bias coefficient, grouped by survey with the survey's
-    # coefficients and table rows: its id, its prior (2 var, or None for a
-    # walk step), the cells it moves and whether there is more than one. A
-    # ridge move at t shifts every walk's coefficient t under the same prior.
+    # one block per bias coefficient, grouped by survey with its coefficients
+    # and table rows: id, prior (2 var, or None for a walk step), cells moved.
+    # A ridge move at t shifts every walk's coefficient t under the same prior.
     coef_surveys = [(gam[k], lphi[k], ll[k], new_lphi[k], new_ll[k], []) for k in range(K)]
     ridge_priors: list[list[tuple[list[float], float | None, bool]]] = [[] for _ in range(T + 1)]
     for c in columns:
         two_var = None if c.var is None else 2.0 * c.var
-        ts = tuple(row[0] for row in c.rows)
-        block = (len(names), c.j, two_var, c.link_next, c.rows, ts, len(ts) > 1)
+        block = (len(names), c.j, two_var, c.link_next, c.rows, tuple(r[0] for r in c.rows))
         coef_surveys[c.k][-1].append(block)
         names.append(f"gamma[{c.k}][{c.j}]")
         if c.k in walk_ks:
@@ -407,7 +411,7 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
         # bias coefficients: propose gamma[j], add its prior terms, then
         # re-evaluate each cell in its column at offset + sum of c * gamma
         for gk, lphik, llk, nphik, nllk, blocks in coef_surveys:
-            for bid, j, two_var, link_next, rows, ts, many in blocks:
+            for bid, j, two_var, link_next, rows, ts in blocks:
                 cur = gk[j]
                 if nb_i == _RNG_BUF:
                     norm_buf = rng.standard_normal(_RNG_BUF).tolist()
@@ -438,9 +442,8 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                     else:
                         x = theta[t] + g
                         v = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
-                    if many:
-                        nphik[t] = g
-                        nllk[t] = v
+                    nphik[t] = g
+                    nllk[t] = v
                     d += v - llk[t]
                 ok = d >= 0.0
                 if not ok:
@@ -450,13 +453,9 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                     ok = unif_buf[ub_i] < exp_(d)
                     ub_i += 1
                 if ok:
-                    if many:
-                        for t in ts:
-                            lphik[t] = nphik[t]
-                            llk[t] = nllk[t]
-                    elif ts:  # a lone cell's values are still in t, g and v
-                        lphik[t] = g
-                        llk[t] = v
+                    for t in ts:
+                        lphik[t] = nphik[t]
+                        llk[t] = nllk[t]
                     acc[bid] += 1
                 else:
                     gk[j] = cur
@@ -562,8 +561,7 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
                         lphi[k][t] -= delta
                     for _, llk, nllk, _, _, _ in cells:
                         llk[t] = nllk[t]
-                    # equal up to rounding; refresh so the table stays
-                    # bit-equal to a fresh evaluation
+                    # equal up to rounding; refreshed to stay bit-equal to a fresh evaluation
                     for lphik, llk, _, y, n in refresh_cells[t]:
                         x = prop + lphik[t]
                         llk[t] = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))

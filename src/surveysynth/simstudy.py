@@ -17,7 +17,7 @@ import numpy as np
 from .core import BiasModelSpec, LatentState, ModelSpec, PriorSpec, SurveyPanel
 from .datagen import GenDesign, draw_parameters, generate_panel
 from .dists import inv_logit
-from .mcmc import InitializationError, SamplerSettings, diagnose, map_jobs, run_chains
+from .mcmc import InitializationError, SamplerSettings, diagnose, run_chains
 
 TRUTH_KINDS = ("constant", "linear", "walk")
 FIT_KINDS = ("constant", "linear", "walk", "unbiased-only")
@@ -159,8 +159,15 @@ def _fit_spec(fit_kind: str) -> ModelSpec:
     return ModelSpec(bias=bias, priors=PriorSpec.narrowed())
 
 
-def _run_rep(args) -> RepRecord:
-    truth_kind, fit_kind, n_times, rep, settings, seed, sizes = args
+def _run_rep(
+    truth_kind: str,
+    fit_kind: str,
+    n_times: int,
+    rep: int,
+    settings: SamplerSettings,
+    seed: int,
+    sizes: dict,
+) -> RepRecord:
     truth, panel = rep_dataset(seed, truth_kind, n_times, rep, **sizes)
     _, _, fit_seed = _rep_seeds(seed, truth_kind, n_times, rep)
     run_settings = replace(settings, seed=fit_seed)
@@ -168,7 +175,7 @@ def _run_rep(args) -> RepRecord:
         panel = panel.subset_surveys([0])
     cell = dict(truth_kind=truth_kind, fit_kind=fit_kind, n_times=n_times, rep=rep)
     try:
-        draws = run_chains(panel, _fit_spec(fit_kind), run_settings, workers=1)
+        draws = run_chains(panel, _fit_spec(fit_kind), run_settings)
     except InitializationError:
         return RepRecord(**cell, sq_error=math.nan, converged=False)
     est = float(np.quantile(inv_logit(draws.theta[:, :, n_times].ravel()), 0.5))
@@ -187,14 +194,7 @@ def run_cell(
     n_anchor: int = 100,
     n_biased: int = 1000,
     population: int = 10_000_000,
-    workers: int | None = None,
 ) -> tuple[CellResult, list[RepRecord]]:
-    """Fit and score every replication of one grid cell.
-
-    The reps are spread over processes as ``mcmc.map_jobs`` spreads jobs
-    (each fit then runs its chains serially); every rep seeds itself, so the
-    records do not depend on the worker count.
-    """
     if truth_kind not in TRUTH_KINDS:
         raise ValueError(f"unknown truth kind {truth_kind!r}, expected one of {TRUTH_KINDS}")
     if fit_kind not in FIT_KINDS:
@@ -204,8 +204,10 @@ def run_cell(
     if settings is None:
         settings = DEFAULT_STUDY_SETTINGS
     sizes = dict(n_anchor=n_anchor, n_biased=n_biased, population=population)
-    jobs = [(truth_kind, fit_kind, n_times, rep, settings, seed, sizes) for rep in range(n_reps)]
-    records = map_jobs(_run_rep, jobs, workers)
+    records = [
+        _run_rep(truth_kind, fit_kind, n_times, rep, settings, seed, sizes)
+        for rep in range(n_reps)
+    ]
     return CellResult.from_records(records), records
 
 
@@ -218,7 +220,6 @@ def run_grid(
     n_anchor: int = 100,
     n_biased: int = 1000,
     population: int = 10_000_000,
-    workers: int | None = None,
 ) -> tuple[list[CellResult], list[RepRecord]]:
     """Every truth x fit combination at every panel length."""
     results: list[CellResult] = []
@@ -236,7 +237,6 @@ def run_grid(
                     n_anchor=n_anchor,
                     n_biased=n_biased,
                     population=population,
-                    workers=workers,
                 )
                 results.append(cell)
                 records.extend(recs)

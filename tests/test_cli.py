@@ -316,26 +316,6 @@ def test_sim_study_cli(tmp_path):
     assert (out / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
 
-def test_sim_study_workers_flag(tmp_path, capsys):
-    cfg = write_cfg(
-        tmp_path,
-        {
-            "seed": 4,
-            "sampler": {"n_chains": 2, "burn_in": 100, "n_draws": 100, "thin": 1},
-            "study": {"n_times": [2], "n_reps": 2},
-        },
-    )
-    serial, pooled, bad = tmp_path / "serial", tmp_path / "pooled", tmp_path / "bad"
-    assert main(["sim-study", "--config", cfg, "--out", str(serial), "--workers", "1"]) == 0
-    assert main(["sim-study", "--config", cfg, "--out", str(pooled), "--workers", "2"]) == 0
-    for name in ("results.csv", "rep_errors.csv"):
-        assert (serial / name).read_bytes() == (pooled / name).read_bytes()
-    capsys.readouterr()
-    assert main(["sim-study", "--config", cfg, "--out", str(bad), "--workers", "0"]) == 3
-    assert "error: bad-config: workers must be an integer >= 1" in capsys.readouterr().err
-    assert not bad.exists()
-
-
 # ---------------------------------------------------------------------------
 # report
 

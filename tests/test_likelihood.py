@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from surveysynth.core import (
+    BiasDesign,
     BiasModelSpec,
     LatentState,
     ModelSpec,
@@ -470,3 +471,21 @@ def test_coefficient_columns_match_designs_and_prior_blocks(kinds, n_times, cent
         assert delta == pytest.approx(after[key] - before[key], rel=1e-12, abs=1e-12)
         for name in ("theta", "sigma_sq", "pi_sq"):
             assert after.get(name) == before.get(name)
+
+
+@pytest.mark.parametrize(
+    "design",
+    [
+        # a piecewise walk: one step per two time-points
+        BiasDesign((0.0,) * 5, tuple(((t // 2, 1.0),) for t in range(5)), (1.0, None, None)),
+        # a walk whose first coefficient is itself a step
+        BiasDesign((0.0,) * 5, tuple(((t, 1.0),) for t in range(5)), (None,) * 5),
+        # a walk shifted by an offset
+        BiasDesign((0.5,) * 5, tuple(((t, 1.0),) for t in range(5)), (1.0,) + (None,) * 4),
+    ],
+)
+def test_coefficient_columns_reject_walks_the_ridge_move_cannot_shift(design):
+    panel = panel_of(np.full((2, 4), 10.0), np.full((2, 4), 50.0))
+    anchor = BiasDesign((0.0,) * 5, ((),) * 5, ())
+    with pytest.raises(ValueError, match="survey 1 has walk steps"):
+        coefficient_columns((anchor, design), panel)

@@ -123,12 +123,6 @@ def test_run_cell_smoke_and_deterministic():
     assert again == cell
 
 
-def test_run_cell_records_do_not_depend_on_worker_count():
-    serial = run_cell("linear", "walk", n_times=2, n_reps=3, settings=TINY, seed=6, workers=1)
-    pooled = run_cell("linear", "walk", n_times=2, n_reps=3, settings=TINY, seed=6, workers=2)
-    assert pooled == serial
-
-
 def test_run_cell_unbiased_only_ignores_biased_surveys():
     cell, records = run_cell(
         "walk", "unbiased-only", n_times=2, n_reps=1, settings=TINY, seed=4
@@ -157,9 +151,7 @@ def test_run_cell_records_a_rep_whose_chains_cannot_start(monkeypatch, tmp_path)
         return fit(panel, spec, settings, *args, **kw)
 
     monkeypatch.setattr(simstudy, "run_chains", second_fails)
-    cell, records = run_cell(  # in this process, where the patch applies
-        "constant", "constant", n_times=2, n_reps=3, settings=TINY, seed=3, workers=1
-    )
+    cell, records = run_cell("constant", "constant", n_times=2, n_reps=3, settings=TINY, seed=3)
     assert len(calls) == 3
     assert [r.rep for r in records] == [0, 1, 2]
     failed = records[1]
