@@ -536,6 +536,12 @@ def _pinned_cases():
             _demo_spec("walk", "walk", exact=True),
             dataclasses.replace(_EXACT_DEMO, seed=4),
         ),
+        # the monotone ridge reject with walk cells in the exact ratio
+        "exact-walk-monotone": (
+            demo,
+            dataclasses.replace(_demo_spec("walk", "walk", exact=True), monotone_walk=True),
+            dataclasses.replace(_EXACT_DEMO, seed=8),
+        ),
         "vaccine": (
             vaccine.panel,
             vaccine.design.model_spec(),
@@ -565,7 +571,9 @@ def _pinned_cases():
 # the quadrature test below) were pinned later, before the bias models were
 # compiled into shared designs; the compiled form must not change one bit
 # either. The mixed linear + walk case was pinned before the coefficient
-# blocks of all kinds became one block read from the compiled designs.
+# blocks of all kinds became one block read from the compiled designs, and
+# exact + monotone walk before the theta and ridge blocks became one level
+# move and the two variance blocks one variance move.
 _PINNED_DRAW_DIGESTS = {
     "constant": "241446f333737392",
     "linear": "980aeafa1da445e8",
@@ -576,6 +584,7 @@ _PINNED_DRAW_DIGESTS = {
     "exact-walk": "3886f9e0c32ecb5d",
     "vaccine": "f063ae7df942d4fd",
     "mixed": "f9cacf6527cb7e16",
+    "exact-walk-monotone": "7abb620ca4b5b226",
 }
 
 
@@ -596,7 +605,8 @@ def _bookkeeping_digest(draws) -> str:
 # freeze point and at the end, recorded while the sampler still adapted and
 # counted each block's decisions one call at a time. Closing every adaptation
 # window at the end of a sweep must not change one bit of them. The mixed
-# case was pinned before the coefficient blocks became one block.
+# case was pinned before the coefficient blocks became one block, and exact +
+# monotone walk before the level and variance moves.
 _PINNED_BOOKKEEPING_DIGESTS = {
     "constant": "74b5bcbb3861a8d2",
     "linear": "093e0a72cfc1b1f2",
@@ -607,6 +617,7 @@ _PINNED_BOOKKEEPING_DIGESTS = {
     "exact-walk": "900e1cf4cb0fed95",
     "vaccine": "6eb6cd91bf297b8c",
     "mixed": "31b095d3ecc1cb09",
+    "exact-walk-monotone": "9a2efb8696d24fcd",
 }
 
 
@@ -626,7 +637,8 @@ def _summary_digest(table) -> str:
 
 # Digests of the summarize rows (rates, bias odds, variances, with their
 # R-hat and ESS) before the bias models were compiled into shared designs
-# (the mixed case: before the one coefficient block).
+# (the mixed case: before the one coefficient block; exact + monotone walk:
+# before the level and variance moves).
 _PINNED_SUMMARY_DIGESTS = {
     "constant": "8b4c8c83bf71f494",
     "linear": "24097159874366ec",
@@ -635,6 +647,7 @@ _PINNED_SUMMARY_DIGESTS = {
     "known": "02f3dd33612e01c7",
     "exact-walk": "d1d39addfaaccca4",
     "mixed": "20c80870fcef42da",
+    "exact-walk-monotone": "6ebddeca98567046",
 }
 
 
