@@ -90,7 +90,10 @@ def _resolve_settings(cfg: RunConfig, args) -> SamplerSettings:
         settings = SamplerSettings.desk() if scale == "desk" else SamplerSettings()
         settings = dataclasses.replace(settings, seed=cfg.seed)
     if args.seed is not None:
-        settings = dataclasses.replace(settings, seed=args.seed)
+        try:
+            settings = dataclasses.replace(settings, seed=args.seed)
+        except ValueError as e:
+            raise CliError("bad-config", f"--seed: {e}") from e
     return settings
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BiasModelSpec, ModelSpec, PriorSpec
+from .core import BiasModelSpec, ModelSpec, PriorSpec, check_count
 from .datagen import PRIOR_REGIMES, GenDesign
 from .mcmc import SamplerSettings
 from .simstudy import DEFAULT_STUDY_SETTINGS
@@ -131,6 +131,12 @@ class StudyConfig:
     n_biased: int = 1000
     population: int = 10_000_000
 
+    def __post_init__(self):
+        for t in self.n_times:
+            check_count("study.n_times entry", t, 1)
+        for name in ("n_reps", "n_anchor", "n_biased", "population"):
+            check_count(f"study.{name}", getattr(self, name), 1)
+
 
 _STUDY_KEYS = tuple(f.name for f in dataclasses.fields(StudyConfig))
 
@@ -139,7 +145,7 @@ def _study_from(section: dict) -> StudyConfig:
     _check_keys(section, _STUDY_KEYS, "study")
     kwargs = dict(section)
     if "n_times" in kwargs:
-        kwargs["n_times"] = tuple(int(t) for t in kwargs["n_times"])
+        kwargs["n_times"] = tuple(kwargs["n_times"])
     return StudyConfig(**kwargs)
 
 
@@ -161,8 +167,9 @@ class RunConfig:
         version = int(doc.get("version", CONFIG_VERSION))
         if version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {version}, expected {CONFIG_VERSION}")
-        seed = int(doc.get("seed", 0))
+        seed = doc.get("seed", 0)
         try:
+            check_count("seed", seed, 0)
             return cls(
                 version=version,
                 seed=seed,

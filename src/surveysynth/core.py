@@ -9,6 +9,7 @@ observed time-point, and theta[t] aligned with panel time-point t.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
@@ -24,6 +25,14 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is an integer (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True, eq=False)

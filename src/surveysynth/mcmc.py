@@ -1,23 +1,31 @@
 """Adaptive random-walk Gibbs sampler for the survey-synthesis model.
 
-Every parameter is updated as its own scalar Metropolis block in a fixed
-sweep order: theta[0..T], the latent-walk variance, each survey's bias
-coefficients, then the bias-walk variance when one exists. When walk-bias
-surveys are present the sweep ends with one extra block per time-point that
-shifts theta[t] and counter-shifts every bias walk at t by the same amount,
-so the move travels along the level-versus-bias ridge that scalar updates
-cross only in tiny steps when a large biased survey has no unbiased
-companion. Under the logit-shift approximation a cell depends on theta[t]
-and the bias only through their sum, so the walk cells at t are invariant
-under the shift and the move leaves them out of its acceptance ratio. The
-exact kernel reads theta through the rounded positive count and the bias
-through the odds separately, so there the walk cells count like any other.
-Proposal scales adapt toward a target acceptance rate during burn-in only;
-they are snapshotted at the freeze point and again at the end so callers
-can check that no post-burn-in adaptation happened.
+Every parameter is updated by scalar Metropolis blocks of three families,
+run in a fixed schedule of five phases per sweep: level moves of
+theta[0..T], a variance move of the latent-walk variance, one coefficient
+block per bias coefficient, then, when walk-bias surveys are present, a
+variance move of the bias-walk variance and ridge moves. The sweep picks a
+phase's family once and runs its blocks inline.
+
+A level move proposes theta[t]. The theta moves reflect the proposal into
+the monotone order. A ridge move is the same move that also counter-shifts
+every bias walk at t by the same amount, so it travels along the
+level-versus-bias ridge that scalar updates cross only in tiny steps when a
+large biased survey has no unbiased companion; it rejects a proposal
+outside the monotone order. Under the logit-shift approximation a cell
+depends on theta[t] and the bias only through their sum, so the walk cells
+at t are invariant under the shift and the move leaves them out of its
+acceptance ratio. The exact kernel reads theta through the rounded positive
+count and the bias through the odds separately, so there the walk cells
+count like any other. A variance move proposes sigma_sq or pi_sq on the log
+scale against its list of walk steps, theta[t] - theta[t - 1] or
+gamma[j] - gamma[j - 1]. Proposal scales adapt toward a target acceptance
+rate during burn-in only; they are snapshotted at the freeze point and
+again at the end so callers can check that no post-burn-in adaptation
+happened.
 
 Every block makes exactly one accept/reject decision per sweep: a theta
-block whose monotone neighbours are tied, and a ridge move that would leave
+move whose monotone neighbours are tied, and a ridge move that would leave
 the monotone order, count as rejections. Adaptation relies on this. All
 windows therefore close on the same sweep, and the sweep only counts
 accepts per block; at the end of each window one pass moves every log scale
@@ -35,17 +43,18 @@ difference against ll and keeps the new values aside; an accepted move
 copies them over. Under the logit-shift approximation the cell term
 y*x - n*softplus(x), with x = theta + log odds, is written out inline at
 each place a cell is evaluated; ``cell_ll`` is the exact kernel's call.
-No block knows a bias kind. The theta and ridge blocks read the odds from
-lphi; the ridge move takes a bias walk's coefficient t to be its log odds
-at t, a layout ``core.coefficient_columns`` checks. Every bias coefficient
-has one block read from its compiled column: it proposes gamma[j], adds its
-prior terms (Normal(0, var) or a walk step from gamma[j - 1], plus the step
-to gamma[j + 1] when that is a walk step) and recomputes each cell in the
+No block knows a bias kind. The level moves read the odds from lphi; the
+ridge move takes a bias walk's coefficient t to be its log odds at t, a
+layout ``core.coefficient_columns`` checks. Every bias coefficient has one
+block read from its compiled column: it proposes gamma[j], adds its prior
+terms (Normal(0, var) or a walk step from gamma[j - 1], plus the step to
+gamma[j + 1] when that is a walk step) and recomputes each cell in the
 column as offset + sum of c * gamma in the design's term order, the
 operations of ``BiasDesign.log_phi``. The ll table therefore equals a fresh
 evaluation bit for bit, and each touched cell costs one kernel call per
-block. The likelihood module is kept as the reference density and is used
-to vet the starting point.
+block. ``run_chains`` compiles the designs and columns once per fit and
+hands them to every chain. The likelihood module is kept as the reference
+density and is used to vet each chain's starting point.
 
 ``split_stats`` scores split-chain R-hat and ESS for a whole stack of
 series at once, bit for bit as ``r_hat`` and ``ess`` score one. ``diagnose``
@@ -71,6 +80,7 @@ from .core import (
     SummaryTable,
     SurveyPanel,
     bias_designs,
+    check_count,
     coefficient_columns,
     compile_model,
     validate_panel,
@@ -110,12 +120,9 @@ class SamplerSettings:
     adapt_window: int = 50
 
     def __post_init__(self):
-        if self.n_chains < 1:
-            raise ValueError(f"n_chains must be at least 1, got {self.n_chains}")
-        if self.burn_in < 0:
-            raise ValueError(f"burn_in must be non-negative, got {self.burn_in}")
-        if self.thin < 1:
-            raise ValueError(f"thin must be at least 1, got {self.thin}")
+        for name, least in (("n_chains", 1), ("burn_in", 0), ("n_draws", 0), ("thin", 1),
+                            ("seed", 0), ("adapt_window", 1)):
+            check_count(name, getattr(self, name), least)
         if self.n_draws // self.thin < 4:  # split R-hat needs two draws per half-chain
             raise ValueError(
                 f"n_draws={self.n_draws} keeps {self.n_draws // self.thin} draws at "
@@ -123,8 +130,6 @@ class SamplerSettings:
             )
         if not 0.0 < self.target_accept < 1.0:
             raise ValueError(f"target_accept must lie in (0, 1), got {self.target_accept}")
-        if self.adapt_window < 1:
-            raise ValueError(f"adapt_window must be at least 1, got {self.adapt_window}")
 
     @classmethod
     def desk(cls, seed: int = 0, **kw) -> "SamplerSettings":
@@ -135,24 +140,25 @@ class SamplerSettings:
         return self.n_draws // self.thin
 
 
-def _validate_inputs(panel: SurveyPanel, spec: ModelSpec) -> None:
-    compile_model(spec, panel=panel)
+def _validate_inputs(panel: SurveyPanel, spec: ModelSpec):
+    """The compiled bias designs and coefficient columns of a valid fit."""
+    designs = compile_model(spec, panel=panel)
     problems = validate_panel(panel)
     if problems:
         head = "; ".join(v.message for v in problems[:5])
         raise ValueError(f"panel fails validation ({len(problems)} problem(s)): {head}")
+    return designs, coefficient_columns(designs, panel)
 
 
-def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings, seed) -> ChainDraws:
+def _sample_chain(
+    panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings, seed, designs, columns
+) -> ChainDraws:
     rng = np.random.default_rng(seed)
     pr = spec.priors
     T = panel.n_times
     K = panel.n_surveys
     monotone = spec.monotone_walk
     exact = spec.use_exact_nchg
-
-    designs = bias_designs(spec, T)
-    columns = coefficient_columns(designs, panel)
     walk_ks = [k for k, d in enumerate(designs) if None in d.var]
 
     # the exact kernel is a call; the logit-shift cell term x = theta + g,
@@ -236,51 +242,61 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
     new_lphi = [[0.0] * (T + 1) for _ in range(K)]
     new_ll = [[0.0] * (T + 1) for _ in range(K)]
 
-    # the cells at each t with their survey's rows of lphi, ll and new_ll; a
-    # ridge cell also carries its ridge steps against theta (1 in a bias walk,
-    # else 0). Under the logit-shift approximation a ridge move leaves walk
-    # cells unchanged, so its ratio skips them and an accept refreshes them.
-    col_cells: list[list[tuple]] = [[] for _ in range(T + 1)]
+    # the cells at each t with their survey's rows of lphi, ll and new_ll and
+    # their shift against a level move: 1 for a bias-walk cell in a ridge
+    # ratio, else 0. Under the logit-shift approximation a ridge move leaves
+    # walk cells unchanged, so its ratio skips them and an accept refreshes them.
+    theta_cells: list[list[tuple]] = [[] for _ in range(T + 1)]
     ridge_cells: list[list[tuple]] = [[] for _ in range(T + 1)]
     refresh_cells: list[list[tuple]] = [[] for _ in range(T + 1)]
     for k, t, y, n in panel.observed_cells():
-        cell = (lphi[k], ll[k], new_ll[k], float(y), float(n))
-        col_cells[t].append(cell)
+        cell = (lphi[k], ll[k], new_ll[k], float(y), float(n), 0.0)
+        theta_cells[t].append(cell)
         if k not in walk_ks:
-            ridge_cells[t].append(cell + (0.0,))
+            ridge_cells[t].append(cell)
         elif exact:
-            ridge_cells[t].append(cell + (1.0,))
+            ridge_cells[t].append(cell[:5] + (1.0,))
         else:
             refresh_cells[t].append(cell)
     for t in range(1, T + 1):
-        for lphik, llk, _, y, n in col_cells[t]:
+        for lphik, llk, _, y, n, _ in theta_cells[t]:
             if exact:
                 llk[t] = cell_ll(theta[t], lphik[t], y, n)
             else:
                 x = theta[t] + lphik[t]
                 llk[t] = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
 
-    # ---- block bookkeeping
+    # ---- the sweep: five phases, each a list of blocks of one family.
+    # Level move (id, t, reflect, walks, cells, refresh): proposes theta[t];
+    # a ridge move's walks hold, per bias walk, (gamma, lphi row, 2 var or
+    # None for a walk step, link to the next step) of the coefficient t it
+    # counter-shifts. Variance move (id, is_pi, steps, prior scale): the
+    # (values, j) pairs of its walk steps. Coefficient block (id, j, 2 var or
+    # None, link_next, rows, ts), grouped by survey with its gamma and rows
+    # of lphi, ll, new_lphi and new_ll.
     names = [f"theta[{t}]" for t in range(T + 1)]
     names.append("sigma_sq")
-    # one block per bias coefficient, grouped by survey with its coefficients
-    # and table rows: id, prior (2 var, or None for a walk step), cells moved.
-    # A ridge move at t shifts every walk's coefficient t under the same prior.
     coef_surveys = [(gam[k], lphi[k], ll[k], new_lphi[k], new_ll[k], []) for k in range(K)]
-    ridge_priors: list[list[tuple[list[float], float | None, bool]]] = [[] for _ in range(T + 1)]
+    ridge_walks: list[list[tuple]] = [[] for _ in range(T + 1)]
     for c in columns:
         two_var = None if c.var is None else 2.0 * c.var
         block = (len(names), c.j, two_var, c.link_next, c.rows, tuple(r[0] for r in c.rows))
         coef_surveys[c.k][-1].append(block)
         names.append(f"gamma[{c.k}][{c.j}]")
         if c.k in walk_ks:
-            ridge_priors[c.j].append((gam[c.k], two_var, c.link_next))
-    # the walk steps, gamma[j] - gamma[j - 1], for the bias-walk variance
-    steps = [(gam[c.k], c.j) for c in columns if c.var is None]
-    if pi_sq is not None:
-        names.append("pi_sq")
-    joint0 = len(names)
+            ridge_walks[c.j].append((gam[c.k], lphi[c.k], two_var, c.link_next))
+    schedule = [
+        ("level", [(t, t, True, (), theta_cells[t], ()) for t in range(T + 1)]),
+        ("variance", [(T + 1, False, [(theta, t) for t in range(1, T + 1)], pr.sigma_sq_scale)]),
+        ("coefficient", coef_surveys),
+    ]
     if walk_ks:
+        steps = [(gam[c.k], c.j) for c in columns if c.var is None]
+        schedule.append(("variance", [(len(names), True, steps, pr.pi_sq_scale)]))
+        names.append("pi_sq")
+        ridge = [(len(names) + t, t, False, ridge_walks[t], ridge_cells[t], refresh_cells[t])
+                 for t in range(T + 1)]
+        schedule.append(("level", ridge))
         names.extend(f"joint[{t}]" for t in range(T + 1))
     B = len(names)
     log_scale = [math.log(0.5)] * B
@@ -296,9 +312,8 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
     total = burn + settings.n_draws
     kept = settings.n_kept
     theta0_mean = pr.theta0_mean
-    theta0_var = pr.theta0_var
-    sig_prior_sq = pr.sigma_sq_scale
-    pi_prior_sq = pr.pi_sq_scale
+    two_theta0_var = 2.0 * pr.theta0_var
+    two_sig = 2.0 * sigma_sq
     log_ = math.log
     sqrt_ = math.sqrt
 
@@ -320,252 +335,180 @@ def _sample_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings
             scales_frozen = dict(zip(names, scale))
             acc = [0] * B  # a partial window at the freeze point is dropped
 
-        # latent logit levels
-        for t in range(T + 1):
-            cur = theta[t]
-            if nb_i == _RNG_BUF:
-                norm_buf = rng.standard_normal(_RNG_BUF).tolist()
-                nb_i = 0
-            prop = cur + scale[t] * norm_buf[nb_i]
-            nb_i += 1
-            if monotone:
-                lo = theta[t - 1] if t >= 1 else -_INF
-                hi = theta[t + 1] if t < T else _INF
-                if prop < lo or prop > hi:
-                    if lo == -_INF:
-                        prop = 2.0 * hi - prop
-                    elif hi == _INF:
-                        prop = 2.0 * lo - prop
+        for kind, blocks in schedule:
+            if kind == "level":
+                for bid, t, reflect, walks, cells, refresh in blocks:
+                    cur = theta[t]
+                    if nb_i == _RNG_BUF:
+                        norm_buf = rng.standard_normal(_RNG_BUF).tolist()
+                        nb_i = 0
+                    delta = scale[bid] * norm_buf[nb_i]
+                    nb_i += 1
+                    prop = cur + delta
+                    if monotone and (t and prop < theta[t - 1] or t < T and prop > theta[t + 1]):
+                        if not reflect:
+                            continue  # a ridge move outside the order: a reject
+                        lo = theta[t - 1] if t else -_INF
+                        hi = theta[t + 1] if t < T else _INF
+                        if lo == -_INF:
+                            prop = 2.0 * hi - prop
+                        elif hi == _INF:
+                            prop = 2.0 * lo - prop
+                        else:
+                            w = hi - lo
+                            if w <= 0.0:  # neighbours tied: nowhere to move, a reject
+                                continue
+                            r = (prop - lo) % (2.0 * w)
+                            prop = lo + (r if r <= w else 2.0 * w - r)
+                    if t == 0:
+                        dn = prop - theta0_mean
+                        dc = cur - theta0_mean
+                        d = (dc * dc - dn * dn) / two_theta0_var
                     else:
-                        w = hi - lo
-                        if w <= 0.0:  # neighbours tied: nowhere to move, a reject
-                            continue
-                        r = (prop - lo) % (2.0 * w)
-                        prop = lo + (r if r <= w else 2.0 * w - r)
-            if t == 0:
-                dn = prop - theta0_mean
-                dc = cur - theta0_mean
-                d = (dc * dc - dn * dn) / (2.0 * theta0_var)
-            else:
-                prev = theta[t - 1]
-                dn = prop - prev
-                dc = cur - prev
-                d = (dc * dc - dn * dn) / (2.0 * sigma_sq)
-            if t < T:
-                nxt = theta[t + 1]
-                dn = nxt - prop
-                dc = nxt - cur
-                d += (dc * dc - dn * dn) / (2.0 * sigma_sq)
-            cells = col_cells[t]
-            for lphik, llk, nllk, y, n in cells:
-                if exact:
-                    v = cell_ll(prop, lphik[t], y, n)
-                else:
-                    x = prop + lphik[t]
-                    v = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
-                nllk[t] = v
-                d += v - llk[t]
-            ok = d >= 0.0
-            if not ok:
-                if ub_i == _RNG_BUF:
-                    unif_buf = rng.random(_RNG_BUF).tolist()
-                    ub_i = 0
-                ok = unif_buf[ub_i] < exp_(d)
-                ub_i += 1
-            if ok:
-                theta[t] = prop
-                for _, llk, nllk, _, _ in cells:
-                    llk[t] = nllk[t]
-                acc[t] += 1
-
-        # latent-walk variance, proposed on the log scale
-        bid = T + 1
-        lcur = log_(sigma_sq)
-        if nb_i == _RNG_BUF:
-            norm_buf = rng.standard_normal(_RNG_BUF).tolist()
-            nb_i = 0
-        lprop = lcur + scale[bid] * norm_buf[nb_i]
-        nb_i += 1
-        sprop = exp_(lprop)
-        sse = 0.0
-        for t in range(1, T + 1):
-            dd = theta[t] - theta[t - 1]
-            sse += dd * dd
-        d = (
-            (sigma_sq * sigma_sq - sprop * sprop) / (2.0 * sig_prior_sq)
-            + 0.5 * T * (lcur - lprop)
-            + 0.5 * sse * (1.0 / sigma_sq - 1.0 / sprop)
-            + (lprop - lcur)
-        )
-        ok = d >= 0.0
-        if not ok:
-            if ub_i == _RNG_BUF:
-                unif_buf = rng.random(_RNG_BUF).tolist()
-                ub_i = 0
-            ok = unif_buf[ub_i] < exp_(d)
-            ub_i += 1
-        if ok:
-            sigma_sq = sprop
-            acc[bid] += 1
-
-        # bias coefficients: propose gamma[j], add its prior terms, then
-        # re-evaluate each cell in its column at offset + sum of c * gamma
-        for gk, lphik, llk, nphik, nllk, blocks in coef_surveys:
-            for bid, j, two_var, link_next, rows, ts in blocks:
-                cur = gk[j]
-                if nb_i == _RNG_BUF:
-                    norm_buf = rng.standard_normal(_RNG_BUF).tolist()
-                    nb_i = 0
-                prop = cur + scale[bid] * norm_buf[nb_i]
-                nb_i += 1
-                if two_var is not None:
-                    d = (cur * cur - prop * prop) / two_var
-                else:
-                    prev = gk[j - 1]
-                    dn = prop - prev
-                    dc = cur - prev
-                    d = (dc * dc - dn * dn) / two_pi
-                if link_next:
-                    nxt = gk[j + 1]
-                    dn = nxt - prop
-                    dc = nxt - cur
-                    d += (dc * dc - dn * dn) / two_pi
-                gk[j] = prop
-                for t, y, n, g, terms in rows:  # g starts as the row's offset
-                    if terms is None:
-                        g = prop
-                    else:
-                        for i, c in terms:
-                            g = g + c * gk[i]
+                        prev = theta[t - 1]
+                        dn = prop - prev
+                        dc = cur - prev
+                        d = (dc * dc - dn * dn) / two_sig
+                    if t < T:
+                        nxt = theta[t + 1]
+                        dn = nxt - prop
+                        dc = nxt - cur
+                        d += (dc * dc - dn * dn) / two_sig
+                    if walks:
+                        for gk, _, two_var, link_next in walks:
+                            gcur = gk[t]
+                            gprop = gcur - delta
+                            if two_var is not None:
+                                d += (gcur * gcur - gprop * gprop) / two_var
+                            else:
+                                gprev = gk[t - 1]
+                                dn = gprop - gprev
+                                dc = gcur - gprev
+                                d += (dc * dc - dn * dn) / two_pi
+                            if link_next:
+                                gnxt = gk[t + 1]
+                                dn = gnxt - gprop
+                                dc = gnxt - gcur
+                                d += (dc * dc - dn * dn) / two_pi
                     if exact:
-                        v = cell_ll(theta[t], g, y, n)
-                    else:
-                        x = theta[t] + g
-                        v = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
-                    nphik[t] = g
-                    nllk[t] = v
-                    d += v - llk[t]
-                ok = d >= 0.0
-                if not ok:
-                    if ub_i == _RNG_BUF:
-                        unif_buf = rng.random(_RNG_BUF).tolist()
-                        ub_i = 0
-                    ok = unif_buf[ub_i] < exp_(d)
-                    ub_i += 1
-                if ok:
-                    for t in ts:
-                        lphik[t] = nphik[t]
-                        llk[t] = nllk[t]
-                    acc[bid] += 1
-                else:
-                    gk[j] = cur
+                        for lphik, llk, nllk, y, n, shift in cells:
+                            v = cell_ll(prop, lphik[t] - shift * delta, y, n)
+                            nllk[t] = v
+                            d += v - llk[t]
+                    else:  # no cell with a shift is in an approximate ratio
+                        for lphik, llk, nllk, y, n, _ in cells:
+                            x = prop + lphik[t]
+                            v = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
+                            nllk[t] = v
+                            d += v - llk[t]
+                    ok = d >= 0.0
+                    if not ok:
+                        if ub_i == _RNG_BUF:
+                            unif_buf = rng.random(_RNG_BUF).tolist()
+                            ub_i = 0
+                        ok = unif_buf[ub_i] < exp_(d)
+                        ub_i += 1
+                    if ok:
+                        theta[t] = prop
+                        for _, llk, nllk, _, _, _ in cells:
+                            llk[t] = nllk[t]
+                        if walks:
+                            for gk, lphik, _, _ in walks:
+                                gk[t] -= delta
+                                lphik[t] -= delta
+                            # equal up to rounding; refreshed to stay bit-equal to a fresh evaluation
+                            for lphik, llk, _, y, n, _ in refresh:
+                                x = prop + lphik[t]
+                                llk[t] = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
+                        acc[bid] += 1
 
-        # bias-walk variance
-        if pi_sq is not None:
-            bid = joint0 - 1
-            lcur = log_(pi_sq)
-            if nb_i == _RNG_BUF:
-                norm_buf = rng.standard_normal(_RNG_BUF).tolist()
-                nb_i = 0
-            lprop = lcur + scale[bid] * norm_buf[nb_i]
-            nb_i += 1
-            pprop = exp_(lprop)
-            sse = 0.0
-            for gk, j in steps:
-                dd = gk[j] - gk[j - 1]
-                sse += dd * dd
-            d = (
-                (pi_sq * pi_sq - pprop * pprop) / (2.0 * pi_prior_sq)
-                + 0.5 * len(steps) * (lcur - lprop)
-                + 0.5 * sse * (1.0 / pi_sq - 1.0 / pprop)
-                + (lprop - lcur)
-            )
-            ok = d >= 0.0
-            if not ok:
-                if ub_i == _RNG_BUF:
-                    unif_buf = rng.random(_RNG_BUF).tolist()
-                    ub_i = 0
-                ok = unif_buf[ub_i] < exp_(d)
-                ub_i += 1
-            if ok:
-                pi_sq = pprop
-                two_pi = 2.0 * pi_sq
-                acc[bid] += 1
+            elif kind == "variance":
+                for bid, is_pi, steps, prior_sq in blocks:
+                    vcur = pi_sq if is_pi else sigma_sq
+                    lcur = log_(vcur)
+                    if nb_i == _RNG_BUF:
+                        norm_buf = rng.standard_normal(_RNG_BUF).tolist()
+                        nb_i = 0
+                    lprop = lcur + scale[bid] * norm_buf[nb_i]
+                    nb_i += 1
+                    vprop = exp_(lprop)
+                    sse = 0.0
+                    for xs, j in steps:
+                        dd = xs[j] - xs[j - 1]
+                        sse += dd * dd
+                    d = (
+                        (vcur * vcur - vprop * vprop) / (2.0 * prior_sq)
+                        + 0.5 * len(steps) * (lcur - lprop)
+                        + 0.5 * sse * (1.0 / vcur - 1.0 / vprop)
+                        + (lprop - lcur)
+                    )
+                    ok = d >= 0.0
+                    if not ok:
+                        if ub_i == _RNG_BUF:
+                            unif_buf = rng.random(_RNG_BUF).tolist()
+                            ub_i = 0
+                        ok = unif_buf[ub_i] < exp_(d)
+                        ub_i += 1
+                    if ok:
+                        if is_pi:
+                            pi_sq = vprop
+                            two_pi = 2.0 * pi_sq
+                        else:
+                            sigma_sq = vprop
+                            two_sig = 2.0 * sigma_sq
+                        acc[bid] += 1
 
-        # ridge moves: shift the level at one time-point and counter-shift
-        # every bias walk there
-        if walk_ks:
-            for t in range(T + 1):
-                bid = joint0 + t
-                if nb_i == _RNG_BUF:
-                    norm_buf = rng.standard_normal(_RNG_BUF).tolist()
-                    nb_i = 0
-                delta = scale[bid] * norm_buf[nb_i]
-                nb_i += 1
-                cur = theta[t]
-                prop = cur + delta
-                if monotone and (
-                    (t >= 1 and prop < theta[t - 1])
-                    or (t < T and theta[t + 1] < prop)
-                ):
-                    continue  # outside the order: a reject
-                if t == 0:
-                    dn = prop - theta0_mean
-                    dc = cur - theta0_mean
-                    d = (dc * dc - dn * dn) / (2.0 * theta0_var)
-                else:
-                    prev = theta[t - 1]
-                    dn = prop - prev
-                    dc = cur - prev
-                    d = (dc * dc - dn * dn) / (2.0 * sigma_sq)
-                if t < T:
-                    nxt = theta[t + 1]
-                    dn = nxt - prop
-                    dc = nxt - cur
-                    d += (dc * dc - dn * dn) / (2.0 * sigma_sq)
-                for gk, two_var, link_next in ridge_priors[t]:
-                    gcur = gk[t]
-                    gprop = gcur - delta
-                    if two_var is not None:
-                        d += (gcur * gcur - gprop * gprop) / two_var
-                    else:
-                        gprev = gk[t - 1]
-                        dn = gprop - gprev
-                        dc = gcur - gprev
-                        d += (dc * dc - dn * dn) / two_pi
-                    if link_next:
-                        gnxt = gk[t + 1]
-                        dn = gnxt - gprop
-                        dc = gnxt - gcur
-                        d += (dc * dc - dn * dn) / two_pi
-                cells = ridge_cells[t]
-                for lphik, llk, nllk, y, n, shift in cells:
-                    if exact:
-                        v = cell_ll(prop, lphik[t] - shift * delta, y, n)
-                    else:
-                        x = prop + (lphik[t] - shift * delta)
-                        v = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
-                    nllk[t] = v
-                    d += v - llk[t]
-                ok = d >= 0.0
-                if not ok:
-                    if ub_i == _RNG_BUF:
-                        unif_buf = rng.random(_RNG_BUF).tolist()
-                        ub_i = 0
-                    ok = unif_buf[ub_i] < exp_(d)
-                    ub_i += 1
-                if ok:
-                    theta[t] = prop
-                    for k in walk_ks:
-                        gam[k][t] -= delta
-                        lphi[k][t] -= delta
-                    for _, llk, nllk, _, _, _ in cells:
-                        llk[t] = nllk[t]
-                    # equal up to rounding; refreshed to stay bit-equal to a fresh evaluation
-                    for lphik, llk, _, y, n in refresh_cells[t]:
-                        x = prop + lphik[t]
-                        llk[t] = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
-                    acc[bid] += 1
+            else:  # bias coefficients: propose gamma[j], add its prior terms,
+                # then re-evaluate each cell in its column at offset + sum of c * gamma
+                for gk, lphik, llk, nphik, nllk, coefs in blocks:
+                    for bid, j, two_var, link_next, rows, ts in coefs:
+                        cur = gk[j]
+                        if nb_i == _RNG_BUF:
+                            norm_buf = rng.standard_normal(_RNG_BUF).tolist()
+                            nb_i = 0
+                        prop = cur + scale[bid] * norm_buf[nb_i]
+                        nb_i += 1
+                        if two_var is not None:
+                            d = (cur * cur - prop * prop) / two_var
+                        else:
+                            prev = gk[j - 1]
+                            dn = prop - prev
+                            dc = cur - prev
+                            d = (dc * dc - dn * dn) / two_pi
+                        if link_next:
+                            nxt = gk[j + 1]
+                            dn = nxt - prop
+                            dc = nxt - cur
+                            d += (dc * dc - dn * dn) / two_pi
+                        gk[j] = prop
+                        for t, y, n, g, terms in rows:  # g starts as the row's offset
+                            if terms is None:
+                                g = prop
+                            else:
+                                for i, c in terms:
+                                    g = g + c * gk[i]
+                            if exact:
+                                v = cell_ll(theta[t], g, y, n)
+                            else:
+                                x = theta[t] + g
+                                v = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
+                            nphik[t] = g
+                            nllk[t] = v
+                            d += v - llk[t]
+                        ok = d >= 0.0
+                        if not ok:
+                            if ub_i == _RNG_BUF:
+                                unif_buf = rng.random(_RNG_BUF).tolist()
+                                ub_i = 0
+                            ok = unif_buf[ub_i] < exp_(d)
+                            ub_i += 1
+                        if ok:
+                            for t in ts:
+                                lphik[t] = nphik[t]
+                                llk[t] = nllk[t]
+                            acc[bid] += 1
+                        else:
+                            gk[j] = cur
 
         # every block made one decision this sweep, so all adaptation
         # windows close together
@@ -638,8 +581,7 @@ def map_jobs(fn, jobs: list, workers: int | None = None) -> list:
 
 def run_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings, chain_seed) -> ChainDraws:
     """Run one chain seeded independently of ``settings.seed``."""
-    _validate_inputs(panel, spec)
-    return _sample_chain(panel, spec, settings, chain_seed)
+    return _sample_chain(panel, spec, settings, chain_seed, *_validate_inputs(panel, spec))
 
 
 def run_chains(
@@ -652,12 +594,14 @@ def run_chains(
 
     Chain seeds are spawned from ``settings.seed``, so results are
     reproducible bit-for-bit regardless of ``workers`` (see ``map_jobs``).
+    The model is compiled once and shared by every chain.
     """
     if settings is None:
         settings = SamplerSettings()
-    _validate_inputs(panel, spec)
+    designs, columns = _validate_inputs(panel, spec)
     seeds = np.random.SeedSequence(settings.seed).spawn(settings.n_chains)
-    chains = map_jobs(_chain_job, [(panel, spec, settings, s) for s in seeds], workers)
+    jobs = [(panel, spec, settings, s, designs, columns) for s in seeds]
+    chains = map_jobs(_chain_job, jobs, workers)
 
     acceptance = {
         name: float(np.mean([c.acceptance_rates[name] for c in chains]))

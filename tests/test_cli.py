@@ -240,6 +240,40 @@ def test_too_few_kept_draws_fail_before_sampling(tmp_path, demo_panel, capsys, m
     assert not out.exists()
 
 
+_FIT_MODEL = {"bias": [{"kind": "known"}] * 3}
+
+
+@pytest.mark.parametrize(
+    "command, doc, flag",
+    [
+        ("fit", {"sampler": {**QUICK_SAMPLER, "burn_in": 10.5}, "model": _FIT_MODEL}, []),
+        ("fit", {"sampler": {**QUICK_SAMPLER, "seed": 1.5}, "model": _FIT_MODEL}, []),
+        ("fit", {"seed": 1.5, "sampler": QUICK_SAMPLER, "model": _FIT_MODEL}, []),
+        ("fit", {"sampler": QUICK_SAMPLER, "model": _FIT_MODEL}, ["--seed", "-1"]),
+        ("nowcast", {"sampler": {**QUICK_SAMPLER, "n_chains": True}, "model": _FIT_MODEL}, []),
+        ("nowcast", {"sampler": {**QUICK_SAMPLER, "thin": 3.0}, "model": _FIT_MODEL}, []),
+        ("sim-study", {"study": {"n_times": [2], "n_reps": 1.5}}, []),
+        ("sim-study", {"study": {"n_times": [2.5], "n_reps": 1}}, []),
+        ("sim-study", {"seed": 1.5, "study": {"n_times": [2], "n_reps": 1}}, []),
+    ],
+)
+def test_non_integer_counts_fail_before_any_work(
+    tmp_path, demo_panel, capsys, monkeypatch, command, doc, flag
+):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the sampler ran")
+
+    for name in ("fit_full", "nowcast_series", "run_grid"):
+        monkeypatch.setattr(f"surveysynth.cli.{name}", must_not_run)
+    out = tmp_path / "out"
+    args = [command, "--config", write_cfg(tmp_path, doc), "--out", str(out), *flag]
+    if command != "sim-study":
+        args += ["--panel", demo_panel_file(tmp_path, demo_panel)]
+    assert main(args) == 3
+    assert "error: bad-config:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nowcast_cli(tmp_path, capsys):
     panel = SurveyPanel(
         y=np.array([[10.0, 20.0]]), n=np.array([[100.0, 100.0]]),
