@@ -267,10 +267,11 @@ def _sample_chain(
                 llk[t] = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
 
     # ---- the sweep: five phases, each a list of blocks of one family.
-    # Level move (id, t, reflect, walks, cells, refresh): proposes theta[t];
+    # Level move (id, t, ridge, walks, cells, refresh): proposes theta[t];
     # a ridge move's walks hold, per bias walk, (gamma, lphi row, 2 var or
     # None for a walk step, link to the next step) of the coefficient t it
-    # counter-shifts. Variance move (id, is_pi, steps, prior scale): the
+    # counter-shifts. Each block accepts with probability min(1, exp(d)) and
+    # goes on to the next block on a reject. Variance move (id, is_pi, steps, prior scale): the
     # (values, j) pairs of its walk steps. Coefficient block (id, j, 2 var or
     # None, link_next, rows, ts), grouped by survey with its gamma and rows
     # of lphi, ll, new_lphi and new_ll.
@@ -286,7 +287,7 @@ def _sample_chain(
         if c.k in walk_ks:
             ridge_walks[c.j].append((gam[c.k], lphi[c.k], two_var, c.link_next))
     schedule = [
-        ("level", [(t, t, True, (), theta_cells[t], ()) for t in range(T + 1)]),
+        ("level", [(t, t, False, (), theta_cells[t], ()) for t in range(T + 1)]),
         ("variance", [(T + 1, False, [(theta, t) for t in range(1, T + 1)], pr.sigma_sq_scale)]),
         ("coefficient", coef_surveys),
     ]
@@ -294,7 +295,7 @@ def _sample_chain(
         steps = [(gam[c.k], c.j) for c in columns if c.var is None]
         schedule.append(("variance", [(len(names), True, steps, pr.pi_sq_scale)]))
         names.append("pi_sq")
-        ridge = [(len(names) + t, t, False, ridge_walks[t], ridge_cells[t], refresh_cells[t])
+        ridge = [(len(names) + t, t, True, ridge_walks[t], ridge_cells[t], refresh_cells[t])
                  for t in range(T + 1)]
         schedule.append(("level", ridge))
         names.extend(f"joint[{t}]" for t in range(T + 1))
@@ -337,7 +338,7 @@ def _sample_chain(
 
         for kind, blocks in schedule:
             if kind == "level":
-                for bid, t, reflect, walks, cells, refresh in blocks:
+                for bid, t, ridge, walks, cells, refresh in blocks:
                     cur = theta[t]
                     if nb_i == _RNG_BUF:
                         norm_buf = rng.standard_normal(_RNG_BUF).tolist()
@@ -346,7 +347,7 @@ def _sample_chain(
                     nb_i += 1
                     prop = cur + delta
                     if monotone and (t and prop < theta[t - 1] or t < T and prop > theta[t + 1]):
-                        if not reflect:
+                        if ridge:
                             continue  # a ridge move outside the order: a reject
                         lo = theta[t - 1] if t else -_INF
                         hi = theta[t + 1] if t < T else _INF
@@ -374,7 +375,7 @@ def _sample_chain(
                         dn = nxt - prop
                         dc = nxt - cur
                         d += (dc * dc - dn * dn) / two_sig
-                    if walks:
+                    if ridge:
                         for gk, _, two_var, link_next in walks:
                             gcur = gk[t]
                             gprop = gcur - delta
@@ -401,26 +402,25 @@ def _sample_chain(
                             v = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
                             nllk[t] = v
                             d += v - llk[t]
-                    ok = d >= 0.0
-                    if not ok:
+                    if not d >= 0.0:
                         if ub_i == _RNG_BUF:
                             unif_buf = rng.random(_RNG_BUF).tolist()
                             ub_i = 0
-                        ok = unif_buf[ub_i] < exp_(d)
                         ub_i += 1
-                    if ok:
-                        theta[t] = prop
-                        for _, llk, nllk, _, _, _ in cells:
-                            llk[t] = nllk[t]
-                        if walks:
-                            for gk, lphik, _, _ in walks:
-                                gk[t] -= delta
-                                lphik[t] -= delta
-                            # equal up to rounding; refreshed to stay bit-equal to a fresh evaluation
-                            for lphik, llk, _, y, n, _ in refresh:
-                                x = prop + lphik[t]
-                                llk[t] = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
-                        acc[bid] += 1
+                        if not unif_buf[ub_i - 1] < exp_(d):
+                            continue
+                    theta[t] = prop
+                    for _, llk, nllk, _, _, _ in cells:
+                        llk[t] = nllk[t]
+                    if ridge:
+                        for gk, lphik, _, _ in walks:
+                            gk[t] -= delta
+                            lphik[t] -= delta
+                        # equal up to rounding; refreshed to stay bit-equal to a fresh evaluation
+                        for lphik, llk, _, y, n, _ in refresh:
+                            x = prop + lphik[t]
+                            llk[t] = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
+                    acc[bid] += 1
 
             elif kind == "variance":
                 for bid, is_pi, steps, prior_sq in blocks:
@@ -442,21 +442,20 @@ def _sample_chain(
                         + 0.5 * sse * (1.0 / vcur - 1.0 / vprop)
                         + (lprop - lcur)
                     )
-                    ok = d >= 0.0
-                    if not ok:
+                    if not d >= 0.0:
                         if ub_i == _RNG_BUF:
                             unif_buf = rng.random(_RNG_BUF).tolist()
                             ub_i = 0
-                        ok = unif_buf[ub_i] < exp_(d)
                         ub_i += 1
-                    if ok:
-                        if is_pi:
-                            pi_sq = vprop
-                            two_pi = 2.0 * pi_sq
-                        else:
-                            sigma_sq = vprop
-                            two_sig = 2.0 * sigma_sq
-                        acc[bid] += 1
+                        if not unif_buf[ub_i - 1] < exp_(d):
+                            continue
+                    if is_pi:
+                        pi_sq = vprop
+                        two_pi = 2.0 * pi_sq
+                    else:
+                        sigma_sq = vprop
+                        two_sig = 2.0 * sigma_sq
+                    acc[bid] += 1
 
             else:  # bias coefficients: propose gamma[j], add its prior terms,
                 # then re-evaluate each cell in its column at offset + sum of c * gamma
@@ -495,20 +494,18 @@ def _sample_chain(
                             nphik[t] = g
                             nllk[t] = v
                             d += v - llk[t]
-                        ok = d >= 0.0
-                        if not ok:
+                        if not d >= 0.0:
                             if ub_i == _RNG_BUF:
                                 unif_buf = rng.random(_RNG_BUF).tolist()
                                 ub_i = 0
-                            ok = unif_buf[ub_i] < exp_(d)
                             ub_i += 1
-                        if ok:
-                            for t in ts:
-                                lphik[t] = nphik[t]
-                                llk[t] = nllk[t]
-                            acc[bid] += 1
-                        else:
-                            gk[j] = cur
+                            if not unif_buf[ub_i - 1] < exp_(d):
+                                gk[j] = cur
+                                continue
+                        for t in ts:
+                            lphik[t] = nphik[t]
+                            llk[t] = nllk[t]
+                        acc[bid] += 1
 
         # every block made one decision this sweep, so all adaptation
         # windows close together
