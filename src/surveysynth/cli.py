@@ -83,6 +83,15 @@ def _check_workers(workers: int | None) -> int:
         raise CliError("bad-config", str(e)) from e
 
 
+def _seed(cfg: RunConfig, args) -> int:
+    """--seed when given, else the configured seed."""
+    if args.seed is None:
+        return cfg.seed
+    if args.seed < 0:
+        raise CliError("bad-config", f"--seed must be non-negative, got {args.seed}")
+    return args.seed
+
+
 def _resolve_settings(cfg: RunConfig, args) -> SamplerSettings:
     settings = cfg.sampler
     scale = getattr(args, "scale", None)
@@ -90,10 +99,7 @@ def _resolve_settings(cfg: RunConfig, args) -> SamplerSettings:
         settings = SamplerSettings.desk() if scale == "desk" else SamplerSettings()
         settings = dataclasses.replace(settings, seed=cfg.seed)
     if args.seed is not None:
-        try:
-            settings = dataclasses.replace(settings, seed=args.seed)
-        except ValueError as e:
-            raise CliError("bad-config", f"--seed: {e}") from e
+        settings = dataclasses.replace(settings, seed=_seed(cfg, args))
     return settings
 
 
@@ -154,8 +160,8 @@ def _cmd_simulate(args) -> int:
     if cfg.generate is None:
         raise CliError("bad-config", "simulate needs a 'generate' section in the config")
     design = cfg.generate
+    seed = _seed(cfg, args)
     out = _out_dir(args)
-    seed = args.seed if args.seed is not None else cfg.seed
     truth_seq, panel_seq = np.random.SeedSequence(seed).spawn(2)
     truth = draw_parameters(design, np.random.default_rng(truth_seq))
     panel, positives = generate_panel(truth, design, np.random.default_rng(panel_seq))
@@ -258,7 +264,7 @@ def _cmd_sim_study(args) -> int:
     cfg = _load_config(args)
     study = cfg.study if cfg.study is not None else StudyConfig()
     settings = cfg.study_settings()
-    seed = args.seed if args.seed is not None else cfg.seed
+    seed = _seed(cfg, args)
     results, records = run_grid(
         study.n_times, study.n_reps, settings, seed,
         n_anchor=study.n_anchor, n_biased=study.n_biased, population=study.population,

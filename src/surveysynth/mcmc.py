@@ -270,11 +270,11 @@ def _sample_chain(
     # Level move (id, t, ridge, walks, cells, refresh): proposes theta[t];
     # a ridge move's walks hold, per bias walk, (gamma, lphi row, 2 var or
     # None for a walk step, link to the next step) of the coefficient t it
-    # counter-shifts. Each block accepts with probability min(1, exp(d)) and
-    # goes on to the next block on a reject. Variance move (id, is_pi, steps, prior scale): the
+    # counter-shifts. Variance move (id, is_pi, steps, prior scale): the
     # (values, j) pairs of its walk steps. Coefficient block (id, j, 2 var or
     # None, link_next, rows, ts), grouped by survey with its gamma and rows
-    # of lphi, ll, new_lphi and new_ll.
+    # of lphi, ll, new_lphi and new_ll. Each block accepts with probability
+    # min(1, exp(d)) and goes on to the next block on a reject.
     names = [f"theta[{t}]" for t in range(T + 1)]
     names.append("sigma_sq")
     coef_surveys = [(gam[k], lphi[k], ll[k], new_lphi[k], new_ll[k], []) for k in range(K)]

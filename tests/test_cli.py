@@ -255,19 +255,22 @@ _FIT_MODEL = {"bias": [{"kind": "known"}] * 3}
         ("sim-study", {"study": {"n_times": [2], "n_reps": 1.5}}, []),
         ("sim-study", {"study": {"n_times": [2.5], "n_reps": 1}}, []),
         ("sim-study", {"seed": 1.5, "study": {"n_times": [2], "n_reps": 1}}, []),
+        ("sim-study", {"study": {"n_times": [2], "n_reps": 1}}, ["--seed", "-1"]),
+        ("simulate", {"generate": {"n_plan": [[100]], "population": 1000,
+                                   "bias": [{"kind": "known"}]}}, ["--seed", "-1"]),
     ],
 )
-def test_non_integer_counts_fail_before_any_work(
+def test_bad_counts_and_seeds_fail_before_any_work(
     tmp_path, demo_panel, capsys, monkeypatch, command, doc, flag
 ):
     def must_not_run(*args, **kwargs):
         raise AssertionError("the sampler ran")
 
-    for name in ("fit_full", "nowcast_series", "run_grid"):
+    for name in ("fit_full", "nowcast_series", "run_grid", "draw_parameters"):
         monkeypatch.setattr(f"surveysynth.cli.{name}", must_not_run)
     out = tmp_path / "out"
     args = [command, "--config", write_cfg(tmp_path, doc), "--out", str(out), *flag]
-    if command != "sim-study":
+    if command in ("fit", "nowcast"):
         args += ["--panel", demo_panel_file(tmp_path, demo_panel)]
     assert main(args) == 3
     assert "error: bad-config:" in capsys.readouterr().err
