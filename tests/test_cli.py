@@ -258,6 +258,9 @@ _FIT_MODEL = {"bias": [{"kind": "known"}] * 3}
         ("sim-study", {"study": {"n_times": [2], "n_reps": 1}}, ["--seed", "-1"]),
         ("simulate", {"generate": {"n_plan": [[100]], "population": 1000,
                                    "bias": [{"kind": "known"}]}}, ["--seed", "-1"]),
+        ("simulate", {"generate": {"n_plan": [[100]], "population": 50_000.7,
+                                   "bias": [{"kind": "known"}]}}, []),
+        ("fit", {"version": 1.5, "sampler": QUICK_SAMPLER, "model": _FIT_MODEL}, []),
     ],
 )
 def test_bad_counts_and_seeds_fail_before_any_work(
@@ -274,6 +277,25 @@ def test_bad_counts_and_seeds_fail_before_any_work(
         args += ["--panel", demo_panel_file(tmp_path, demo_panel)]
     assert main(args) == 3
     assert "error: bad-config:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_with_impossible_start_cell_is_a_run_failure(tmp_path, capsys):
+    # log phi = 690.8 puts the known survey's exact cells outside the odds
+    # the kernel can represent: the chain cannot start
+    panel = SurveyPanel(
+        y=np.array([[9.0, 18.0], [66.0, 48.0]]), n=np.array([[100.0, 100.0], [1000.0, 1000.0]]),
+        population=10_000, labels=("anchor", "known"),
+    )
+    path = tmp_path / "p.csv"
+    io.write_panel(panel, path)
+    cfg = write_cfg(tmp_path, {"sampler": {**QUICK_SAMPLER, "n_chains": 1}, "model": {
+        "bias": [{"kind": "known"}, {"kind": "known", "fixed_phi": [1e300, 1e300]}]}})
+    out = tmp_path / "out"
+    code = main(["fit", "--panel", str(path), "--config", cfg, "--out", str(out), "--exact-nchg"])
+    assert code == 6
+    err = capsys.readouterr().err
+    assert "error: run-failure:" in err and "lik[1]" in err
     assert not out.exists()
 
 

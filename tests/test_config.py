@@ -45,7 +45,10 @@ def test_bad_field_values_become_config_errors():
                        ({"study": {"n_times": [5, 7.5]}}, "n_times"),
                        ({"study": {"n_anchor": 100.0}}, "n_anchor"),
                        ({"study": {"population": True}}, "population"),
-                       ({"sampler": {"burn_in": 10.5}}, "burn_in")]:
+                       ({"sampler": {"burn_in": 10.5}}, "burn_in"),
+                       ({"version": 1.5}, "version"), ({"version": True}, "version"),
+                       ({"generate": {"n_plan": [[100]], "population": 50_000.7,
+                                      "bias": [{"kind": "known"}]}}, "population")]:
         with pytest.raises(ConfigError, match=named):
             RunConfig.from_dict(doc)
     assert StudyConfig(n_times=(np.int64(3),), n_reps=2).n_times == (3,)

@@ -56,6 +56,9 @@ def test_panel_structural_errors():
         make_panel([[1, 2]], [[10, 10]], population=0)
     with pytest.raises(ValueError):
         make_panel([[1, 2]], [[10, 10]], population=-3)
+    with pytest.raises(ValueError, match="population"):
+        make_panel([[1, 2]], [[10, 10]], population=1000.5)  # no silent truncation
+    assert make_panel([[1, 2]], [[10, 10]], population=np.int64(1000)).population == 1000
 
 
 def test_panel_missingness_mask():

@@ -58,6 +58,8 @@ def test_design_validation():
         )
     with pytest.raises(ValueError):
         design_of(["known"], n=-3)
+    with pytest.raises(ValueError, match="population"):
+        design_of(["known"], population=1000.5)  # no silent truncation
 
 
 def test_design_shape_properties():

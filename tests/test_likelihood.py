@@ -16,6 +16,7 @@ from surveysynth.core import (
     bias_designs,
     coefficient_columns,
 )
+from surveysynth import dists
 from surveysynth.dists import (
     NchgParams,
     biased_success_prob,
@@ -279,6 +280,19 @@ def test_log_likelihood_exact_mode_matches_nchg():
     m1 = int(math.floor(p * 500 + 0.5))
     expect = nchg_logpmf(12, NchgParams(m1, 500 - m1, 40, 1.5))
     assert log_likelihood(state, panel, spec) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("g", [700.0, 800.0, -800.0])
+def test_exact_cell_beyond_max_log_odds_is_impossible(g):
+    # the sampler's cell term reads the same bound: |log phi| above it is an
+    # impossible cell, not a finite value (700) or an OverflowError (800)
+    spec = ModelSpec(
+        bias=(BiasModelSpec.anchor(), BiasModelSpec(kind="constant")), use_exact_nchg=True
+    )
+    panel = panel_of([[np.nan], [12.0]], [[np.nan], [40.0]], population=500)
+    state = state_of([0.0, logit(0.3)], gamma=(None, [g]))
+    assert log_posterior(state, panel, spec).per_block["lik[1]"] == -math.inf
+    assert dists.MAX_LOG_ODDS < abs(g)
 
 
 def test_exact_and_binomial_agree_for_large_population():

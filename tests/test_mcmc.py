@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+import surveysynth
 from surveysynth import datagen, mcmc
 from surveysynth.core import (
     BiasModelSpec,
@@ -26,7 +31,6 @@ from surveysynth.mcmc import (
     diagnose,
     ess,
     r_hat,
-    run_chain,
     run_chains,
     summarize,
 )
@@ -312,7 +316,7 @@ def test_run_chains_shapes_and_validity():
 
 def test_run_chain_single_chain():
     panel = panel_of([[9.0, 18.0]], [[100.0, 100.0]])
-    draws = run_chain(panel, anchor_spec(), QUICK, chain_seed=123)
+    draws = run_chains(panel, anchor_spec(), dataclasses.replace(QUICK, n_chains=1))
     assert draws.theta.shape[0] == 1
     assert draws.n_kept == QUICK.n_kept
 
@@ -360,6 +364,46 @@ def test_initialization_error_names_block():
     with pytest.raises(InitializationError) as err:
         run_chains(panel, spec, QUICK)
     assert "lik[1]" in str(err.value)
+
+
+def _impossible_known_case(phi):
+    """Two demo columns, anchor + known survey with odds phi, exact kernel."""
+    panel = panel_of([[9.0, 18.0], [66.0, 48.0]], [[100.0, 100.0], [1000.0, 1000.0]])
+    spec = ModelSpec(
+        bias=(BiasModelSpec.anchor(), BiasModelSpec(kind="known", fixed_phi=(phi, phi))),
+        use_exact_nchg=True,
+    )
+    return panel, spec
+
+
+@pytest.mark.parametrize("phi", [1e300, math.exp(700.0)], ids=["log-phi-690.8", "log-phi-700"])
+def test_impossible_start_cell_fails_before_sampling(monkeypatch, phi):
+    # log phi = 690.8 and 700 lie beyond dists.MAX_LOG_ODDS, where the exact
+    # cell is impossible; the chain used to run with theta[1] and theta[2]
+    # never moving (acceptance 0.0)
+    calls = [0]
+    kernel = mcmc.nchg_logpmf_unchecked
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(mcmc, "nchg_logpmf_unchecked", counted)
+    panel, spec = _impossible_known_case(phi)
+    with pytest.raises(InitializationError) as err:
+        run_chains(panel, spec, _EXACT_DEMO)
+    assert err.value.block == "lik[1]"
+    assert calls[0] <= 4  # at most the start's own cells: no sweep ran
+
+
+def test_runtime_modules_do_not_load_the_oracle():
+    # the cli imports every runtime module; none of them needs likelihood
+    code = "import sys, surveysynth.cli; print('surveysynth.likelihood' in sys.modules)"
+    src = str(Path(surveysynth.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_prior_only_run_recovers_sigma_sq_marginal():
