@@ -109,11 +109,12 @@ def _generate_from(section: dict) -> GenDesign:
     for key in ("n_plan", "population", "bias"):
         if key not in section:
             raise ConfigError(f"generate: missing '{key}'")
+    check_count("generate.population", section["population"], 1)
     priors = section.get("priors")
     labels = section.get("labels")
     return GenDesign(
         n_plan=np.asarray(section["n_plan"], dtype=float),
-        population=int(section["population"]),
+        population=section["population"],
         bias=_bias_from(section["bias"], "generate"),
         prior_regime=section.get("prior_regime", "default"),
         priors=None if priors is None else _priors_from(priors, "generate.priors"),
@@ -164,11 +165,12 @@ class RunConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         _check_keys(doc, ("version", "seed", "sampler", "model", "generate", "study"), "config")
-        version = int(doc.get("version", CONFIG_VERSION))
-        if version != CONFIG_VERSION:
-            raise ConfigError(f"unsupported config version {version}, expected {CONFIG_VERSION}")
+        version = doc.get("version", CONFIG_VERSION)
         seed = doc.get("seed", 0)
         try:
+            check_count("version", version, 1)
+            if version != CONFIG_VERSION:
+                raise ConfigError(f"unsupported config version {version}, expected {CONFIG_VERSION}")
             check_count("seed", seed, 0)
             return cls(
                 version=version,

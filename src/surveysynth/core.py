@@ -56,9 +56,8 @@ class SurveyPanel:
         labels = tuple(str(s) for s in self.labels)
         if len(labels) != y.shape[0]:
             raise ValueError(f"{len(labels)} labels for {y.shape[0]} surveys")
+        check_count("population", self.population, 1)
         population = int(self.population)
-        if population < 1:
-            raise ValueError(f"population must be at least 1, got {self.population}")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "labels", labels)

@@ -24,6 +24,7 @@ from .core import (
     SurveyPanel,
     _frozen_array,
     bias_designs,
+    check_count,
     validate_state,
 )
 from .dists import NchgParams, inv_logit, nchg_sample, truncnorm_sample
@@ -57,9 +58,8 @@ class GenDesign:
         K, T = plan.shape
         if K < 1 or T < 1:
             raise ValueError(f"n_plan needs at least one survey and time-point, got {plan.shape}")
+        check_count("population", self.population, 1)
         population = int(self.population)
-        if population < 1:
-            raise ValueError(f"population must be at least 1, got {self.population}")
         filled = plan[~np.isnan(plan)]
         if np.any(filled != np.floor(filled)) or np.any(filled < 0):
             raise ValueError("planned sample sizes must be non-negative integers")

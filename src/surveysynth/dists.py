@@ -28,6 +28,9 @@ import numpy as np
 from scipy import special
 
 LOG2PI = math.log(2.0 * math.pi)
+# Largest |log phi| the exact kernel takes: beyond it the odds leave the
+# float range, and the sampler and the oracle both score the cell as impossible.
+MAX_LOG_ODDS = 690.0
 
 
 def logit(p):

@@ -4,8 +4,8 @@ combined posterior with a per-block breakdown.
 This module is the oracle: it is written for clarity over speed, and reads
 every bias model through the compiled designs of ``core.bias_designs``, the
 same designs the sampler, ``summarize`` and the data generator use. The
-sampler keeps its own optimized local evaluators and is tested against the
-quantities here.
+sampler keeps its own optimized local evaluators, does not import this
+module, and is tested against the quantities here.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from scipy.special import gammaln
 
 from .core import BiasDesign, LatentState, ModelSpec, SurveyPanel, bias_designs, compile_model
-from .dists import NchgParams, inv_logit, nchg_logpmf, truncnorm_logpdf
+from .dists import MAX_LOG_ODDS, NchgParams, inv_logit, nchg_logpmf, truncnorm_logpdf
 
 
 def _softplus(x: float) -> float:
@@ -106,6 +106,8 @@ def _cell_loglik(
     spec: ModelSpec, population: int, th: float, g: float, y: int, n: int
 ) -> float:
     if spec.use_exact_nchg:
+        if abs(g) > MAX_LOG_ODDS:
+            return -math.inf
         p = inv_logit(th)
         m1 = int(math.floor(p * population + 0.5))
         return float(nchg_logpmf(y, NchgParams(m1, population - m1, n, math.exp(g))))

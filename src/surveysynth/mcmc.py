@@ -53,8 +53,11 @@ column as offset + sum of c * gamma in the design's term order, the
 operations of ``BiasDesign.log_phi``. The ll table therefore equals a fresh
 evaluation bit for bit, and each touched cell costs one kernel call per
 block. ``run_chains`` compiles the designs and columns once per fit and
-hands them to every chain. The likelihood module is kept as the reference
-density and is used to vet each chain's starting point.
+hands them to every chain. A chain checks its start from the ll table it
+fills: a non-finite cell raises ``InitializationError`` naming its survey's
+block, lik[k], before the first sweep. The start's prior terms are finite by
+construction, so no other block can fail there. The likelihood module is the
+reference density the sampler is tested against; the sampler does not use it.
 
 ``split_stats`` scores split-chain R-hat and ESS for a whole stack of
 series at once, bit for bit as ``r_hat`` and ``ess`` score one. ``diagnose``
@@ -71,10 +74,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import likelihood as _lik
 from .core import (
     ChainDraws,
-    LatentState,
     ModelSpec,
     SummaryRow,
     SummaryTable,
@@ -85,7 +86,7 @@ from .core import (
     compile_model,
     validate_panel,
 )
-from .dists import inv_logit, nchg_logpmf_unchecked
+from .dists import MAX_LOG_ODDS, inv_logit, nchg_logpmf_unchecked
 
 _HALF_NORMAL_MEDIAN = 0.6744897501960817  # Phi^{-1}(3/4)
 _INF = math.inf
@@ -168,7 +169,7 @@ def _sample_chain(
     population = panel.population
 
     def cell_ll(th: float, g: float, y: float, n: float) -> float:
-        if abs(g) > 690.0:  # odds outside float range: impossible cell
+        if abs(g) > MAX_LOG_ODDS:  # odds outside float range: impossible cell
             return -_INF
         if th >= 0.0:  # inv_logit on one float, without numpy's per-call cost
             p = 1.0 / (1.0 + exp_(-th))
@@ -219,20 +220,6 @@ def _sample_chain(
     for d in designs:
         gam.append([0.01 * rng.standard_normal() for _ in d.var])
 
-    start = LatentState(
-        theta=np.array(theta),
-        sigma_sq=sigma_sq,
-        gamma=tuple(np.array(g) if g else None for g in gam),
-        pi_sq=pi_sq,
-    )
-    report = _lik.log_posterior(start, panel, spec)
-    if not math.isfinite(report.log_post):
-        bad = next(
-            (name for name, v in report.per_block.items() if not math.isfinite(v)),
-            "log_post",
-        )
-        raise InitializationError(bad)
-
     # lphi[k][t]: log bias odds of survey k at time t under the current
     # state; ll[k][t]: its cell log-likelihood there. A block keeps its
     # proposal's values at the cells it touches in new_lphi and new_ll, and
@@ -265,6 +252,10 @@ def _sample_chain(
             else:
                 x = theta[t] + lphik[t]
                 llk[t] = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
+    # the start's prior terms are finite by construction; only a cell can fail
+    for k in range(K):
+        if not all(math.isfinite(v) for v in ll[k]):
+            raise InitializationError(f"lik[{k}]")
 
     # ---- the sweep: five phases, each a list of blocks of one family.
     # Level move (id, t, ridge, walks, cells, refresh): proposes theta[t];
@@ -574,11 +565,6 @@ def map_jobs(fn, jobs: list, workers: int | None = None) -> list:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             return list(pool.map(fn, jobs))
     return [fn(job) for job in jobs]
-
-
-def run_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings, chain_seed) -> ChainDraws:
-    """Run one chain seeded independently of ``settings.seed``."""
-    return _sample_chain(panel, spec, settings, chain_seed, *_validate_inputs(panel, spec))
 
 
 def run_chains(
