@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from surveysynth import dists
 from surveysynth.core import (
     BiasDesign,
     BiasModelSpec,
@@ -16,7 +17,6 @@ from surveysynth.core import (
     bias_designs,
     coefficient_columns,
 )
-from surveysynth import dists
 from surveysynth.dists import (
     NchgParams,
     biased_success_prob,

@@ -366,16 +366,6 @@ def test_initialization_error_names_block():
     assert "lik[1]" in str(err.value)
 
 
-def _impossible_known_case(phi):
-    """Two demo columns, anchor + known survey with odds phi, exact kernel."""
-    panel = panel_of([[9.0, 18.0], [66.0, 48.0]], [[100.0, 100.0], [1000.0, 1000.0]])
-    spec = ModelSpec(
-        bias=(BiasModelSpec.anchor(), BiasModelSpec(kind="known", fixed_phi=(phi, phi))),
-        use_exact_nchg=True,
-    )
-    return panel, spec
-
-
 @pytest.mark.parametrize("phi", [1e300, math.exp(700.0)], ids=["log-phi-690.8", "log-phi-700"])
 def test_impossible_start_cell_fails_before_sampling(monkeypatch, phi):
     # log phi = 690.8 and 700 lie beyond dists.MAX_LOG_ODDS, where the exact
@@ -389,7 +379,12 @@ def test_impossible_start_cell_fails_before_sampling(monkeypatch, phi):
         return kernel(*args)
 
     monkeypatch.setattr(mcmc, "nchg_logpmf_unchecked", counted)
-    panel, spec = _impossible_known_case(phi)
+    # two demo columns: anchor + a known survey with odds phi
+    panel = panel_of([[9.0, 18.0], [66.0, 48.0]], [[100.0, 100.0], [1000.0, 1000.0]])
+    spec = ModelSpec(
+        bias=(BiasModelSpec.anchor(), BiasModelSpec(kind="known", fixed_phi=(phi, phi))),
+        use_exact_nchg=True,
+    )
     with pytest.raises(InitializationError) as err:
         run_chains(panel, spec, _EXACT_DEMO)
     assert err.value.block == "lik[1]"
