@@ -32,32 +32,59 @@ accepts per block; at the end of each window one pass moves every log scale
 by (accepts / window - target) / sqrt(windows closed so far). After burn-in
 the same counts give the acceptance rates over n_draws decisions each.
 
-The hot loop works on plain Python floats and evaluates only the terms of
-the log posterior a block actually touches. It reads the normal and uniform
-streams from buffers inline, refilling each when a draw finds it empty.
-Two tables describe the current state at every observed cell: lphi[k][t],
-survey k's log bias odds at time t, filled once from the compiled bias
-designs (``core.bias_designs``), and ll[k][t], the cell's log-likelihood.
-Each block evaluates the cells it touches at the proposal only, takes the
-difference against ll and keeps the new values aside; an accepted move
-copies them over. Under the logit-shift approximation the cell term
-y*x - n*softplus(x), with x = theta + log odds, is written out inline at
-each place a cell is evaluated; ``cell_ll`` is the exact kernel's call.
-No block knows a bias kind. The level moves read the odds from lphi; the
-ridge move takes a bias walk's coefficient t to be its log odds at t, a
-layout ``core.coefficient_columns`` checks. Every bias coefficient has one
-block read from its compiled column: it proposes gamma[j], adds its prior
-terms (Normal(0, var) or a walk step from gamma[j - 1], plus the step to
-gamma[j + 1] when that is a walk step) and recomputes each cell in the
-column as offset + sum of c * gamma in the design's term order, the
-operations of ``BiasDesign.log_phi``. The ll table therefore equals a fresh
-evaluation bit for bit, and each touched cell costs one kernel call per
-block. ``run_chains`` compiles the designs and columns once per fit and
-hands them to every chain. A chain checks its start from the ll table it
+Two engines run this schedule, and both share the start (``_start``), the
+block names, the adaptation rule (``_close_window``) and the per-chain
+draws. ``run_chains`` compiles the designs and columns once per fit and
+hands them to the engine. A chain checks its start from the ll table it
 fills: a non-finite cell raises ``InitializationError`` naming its survey's
 block, lik[k], before the first sweep. The start's prior terms are finite by
 construction, so no other block can fail there. The likelihood module is the
 reference density the sampler is tested against; the sampler does not use it.
+
+``_sample_chain`` runs one chain. Its hot loop works on plain Python floats
+and evaluates only the terms of the log posterior a block actually touches.
+It reads the normal and uniform streams from buffers inline, refilling each
+when a draw finds it empty. Two tables describe the current state at every
+observed cell: lphi[k][t], survey k's log bias odds at time t, filled once
+from the compiled bias designs (``core.bias_designs``), and ll[k][t], the
+cell's log-likelihood. Each block evaluates the cells it touches at the
+proposal only, takes the difference against ll and keeps the new values
+aside; an accepted move copies them over. Under the logit-shift
+approximation the cell term y*x - n*softplus(x), with x = theta + log odds,
+is written out inline at each place a cell is evaluated; ``_exact_cell`` is
+the exact kernel's call. No block knows a bias kind. The level moves read
+the odds from lphi; the ridge move takes a bias walk's coefficient t to be
+its log odds at t, a layout ``core.coefficient_columns`` checks. Every bias
+coefficient has one block read from its compiled column: it proposes
+gamma[j], adds its prior terms (Normal(0, var) or a walk step from
+gamma[j - 1], plus the step to gamma[j + 1] when that is a walk step) and
+recomputes each cell in the column as offset + sum of c * gamma in the
+design's term order, the operations of ``BiasDesign.log_phi``. The ll table
+therefore equals a fresh evaluation bit for bit, and each touched cell costs
+one kernel call per block.
+
+``_sample_batch`` runs a batch of chains under the logit-shift approximation
+as numpy arrays over chains x time-points (``_Batch``). The theta moves, the
+bias-walk coefficient moves and the ridge moves update every odd t, then
+every even t: given the other colour and the bias terms, the nodes of one
+colour are conditionally independent, because each block reads only its
+neighbours in t and the cells at its own t. Every other coefficient is one
+block over all chains and the cells of its column, and each variance move
+one block over all chains. Every block draws one normal and one uniform per
+chain and sweep, each chain from its own generator, so the chains consume
+their streams in lockstep and a chain's draws do not depend on which chains
+share its batch.
+
+``run_chains`` picks the engine from the fit alone: the batch when the
+kernel is the approximation and the fit has at least ``BATCH_MIN_LANES``
+lanes (chains x (T + 1)), else the scalar chain, one job per chain. A numpy
+call costs about a microsecond however few lanes it serves, so the batch
+pays only once a sweep has enough lanes: on the vaccine panel (T = 48) four
+chains sweep in about 0.6 of the scalar time, two in about 1.1. The
+scalar chain therefore stays below that width (the now-cast's two-chain
+fits, the simulation study's fits at T = 5) and under the exact kernel,
+whose cells are one kernel call each over windows of differing lengths,
+which a numpy batch cannot share.
 
 ``split_stats`` scores split-chain R-hat and ESS for a whole stack of
 series at once, bit for bit as ``r_hat`` and ``ess`` score one. ``diagnose``
@@ -134,7 +161,9 @@ class SamplerSettings:
 
     @classmethod
     def desk(cls, seed: int = 0, **kw) -> "SamplerSettings":
-        return cls(n_chains=4, burn_in=5_000, n_draws=10_000, thin=5, seed=seed, **kw)
+        """The desk preset; keyword arguments override any of its fields."""
+        preset = {"n_chains": 4, "burn_in": 5_000, "n_draws": 10_000, "thin": 5}
+        return cls(seed=seed, **{**preset, **kw})
 
     @property
     def n_kept(self) -> int:
@@ -151,22 +180,9 @@ def _validate_inputs(panel: SurveyPanel, spec: ModelSpec):
     return designs, coefficient_columns(designs, panel)
 
 
-def _sample_chain(
-    panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings, seed, designs, columns
-) -> ChainDraws:
-    rng = np.random.default_rng(seed)
-    pr = spec.priors
-    T = panel.n_times
-    K = panel.n_surveys
-    monotone = spec.monotone_walk
-    exact = spec.use_exact_nchg
-    walk_ks = [k for k, d in enumerate(designs) if None in d.var]
-
-    # the exact kernel is a call; the logit-shift cell term x = theta + g,
-    # y*x - n*softplus(x), is written out inline wherever a cell is evaluated
+def _exact_cell(population: int):
+    """The exact kernel's cell log-likelihood at level th and log odds g."""
     exp_ = math.exp
-    log1p_ = math.log1p
-    population = panel.population
 
     def cell_ll(th: float, g: float, y: float, n: float) -> float:
         if abs(g) > MAX_LOG_ODDS:  # odds outside float range: impossible cell
@@ -179,7 +195,22 @@ def _sample_chain(
         m1 = int(math.floor(p * population + 0.5))
         return nchg_logpmf_unchecked(int(y), m1, population - m1, int(n), exp_(g))
 
-    # ---- starting point: pooled empirical level of the bias-known surveys
+    return cell_ll
+
+
+def _start(panel: SurveyPanel, spec: ModelSpec, designs, rng, cell_ll):
+    """A chain's starting state and cell tables, drawn from ``rng``.
+
+    Returns (theta, sigma_sq, pi_sq, gam, lphi, ll) as plain floats and lists:
+    lphi[k][t] is survey k's log bias odds at t, ll[k][t] its cell
+    log-likelihood (0 where unobserved), and pi_sq is None without a bias walk.
+    ``cell_ll`` is the exact kernel's cell, or None for the logit-shift
+    approximation. A non-finite cell raises InitializationError naming its
+    survey's block, lik[k].
+    """
+    pr = spec.priors
+    T = panel.n_times
+    # theta: the pooled empirical level of the bias-known surveys
     ysum = [0.0] * (T + 1)
     nsum = [0.0] * (T + 1)
     for k, t, y, n in panel.observed_cells():
@@ -198,7 +229,7 @@ def _sample_chain(
     theta = [head if v is None else v for v in level]
     theta[0] = head
     theta = [v + 0.01 * rng.standard_normal() for v in theta]
-    if monotone:
+    if spec.monotone_walk:
         for t in range(1, T + 1):
             if theta[t] < theta[t - 1]:
                 theta[t] = theta[t - 1]
@@ -208,24 +239,93 @@ def _sample_chain(
         * _HALF_NORMAL_MEDIAN
         * math.exp(0.1 * rng.standard_normal())
     )
-    pi_sq = two_pi = None
-    if walk_ks:
+    pi_sq = None
+    if any(None in d.var for d in designs):
         pi_sq = (
             math.sqrt(pr.pi_sq_scale)
             * _HALF_NORMAL_MEDIAN
             * math.exp(0.1 * rng.standard_normal())
         )
-        two_pi = 2.0 * pi_sq
-    gam: list[list[float]] = []
-    for d in designs:
-        gam.append([0.01 * rng.standard_normal() for _ in d.var])
+    gam = [[0.01 * rng.standard_normal() for _ in d.var] for d in designs]
 
-    # lphi[k][t]: log bias odds of survey k at time t under the current
-    # state; ll[k][t]: its cell log-likelihood there. A block keeps its
-    # proposal's values at the cells it touches in new_lphi and new_ll, and
-    # an accepted move copies them over.
     lphi = [[d.log_phi(g, t) for t in range(T + 1)] for d, g in zip(designs, gam)]
-    ll = [[0.0] * (T + 1) for _ in range(K)]
+    ll = [[0.0] * (T + 1) for _ in designs]
+    for k, t, y, n in panel.observed_cells():
+        y, n = float(y), float(n)
+        if cell_ll is not None:
+            ll[k][t] = cell_ll(theta[t], lphi[k][t], y, n)
+        else:
+            x = theta[t] + lphi[k][t]
+            ll[k][t] = y * x - n * (x if x > 35.0 else math.log1p(math.exp(x)))
+    # the start's prior terms are finite by construction; only a cell can fail
+    for k, row in enumerate(ll):
+        if not all(math.isfinite(v) for v in row):
+            raise InitializationError(f"lik[{k}]")
+    return theta, sigma_sq, pi_sq, gam, lphi, ll
+
+
+def _block_names(n_times: int, columns, walk: bool) -> list[str]:
+    """Block names in id order: theta[t] is block t, sigma_sq T + 1, column i
+    of ``columns`` T + 2 + i, then with a bias walk pi_sq and joint[t]."""
+    T = n_times
+    names = [f"theta[{t}]" for t in range(T + 1)]
+    names.append("sigma_sq")
+    names.extend(f"gamma[{c.k}][{c.j}]" for c in columns)
+    if walk:
+        names.append("pi_sq")
+        names.extend(f"joint[{t}]" for t in range(T + 1))
+    return names
+
+
+def _close_window(log_scale: list, scale: list, acc: list, settings: SamplerSettings,
+                  n_windows: int) -> None:
+    """Close an adaptation window: move every log scale by (accepts / window
+    - target) / sqrt(windows closed so far) and reset the counts, in place."""
+    window = settings.adapt_window
+    target = settings.target_accept
+    root = math.sqrt(n_windows)
+    for b in range(len(acc)):
+        log_scale[b] += (acc[b] / window - target) / root
+        scale[b] = math.exp(log_scale[b])
+        acc[b] = 0
+
+
+def _chain_draws(spec, settings, names, theta, sigma_sq, gam, pi_sq, acc, frozen, scale):
+    """One chain's ChainDraws from its kept draws and its block bookkeeping."""
+    return ChainDraws(
+        theta=theta[None, :, :],
+        sigma_sq=sigma_sq[None, :],
+        gamma=tuple(g[None, :, :] for g in gam),
+        pi_sq=None if pi_sq is None else pi_sq[None, :],
+        spec=spec,
+        settings=settings,
+        acceptance_rates={name: acc[b] / settings.n_draws for b, name in enumerate(names)},
+        scales_end_of_burnin=frozen,
+        scales_final=dict(zip(names, scale)),
+    )
+
+
+def _sample_chain(
+    panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings, seed, designs, columns
+) -> ChainDraws:
+    rng = np.random.default_rng(seed)
+    pr = spec.priors
+    T = panel.n_times
+    K = panel.n_surveys
+    monotone = spec.monotone_walk
+    exact = spec.use_exact_nchg
+    walk_ks = [k for k, d in enumerate(designs) if None in d.var]
+
+    # the exact kernel is a call; the logit-shift cell term x = theta + g,
+    # y*x - n*softplus(x), is written out inline wherever a cell is evaluated
+    exp_ = math.exp
+    log1p_ = math.log1p
+    cell_ll = _exact_cell(panel.population) if exact else None
+    theta, sigma_sq, pi_sq, gam, lphi, ll = _start(panel, spec, designs, rng, cell_ll)
+    two_pi = None if pi_sq is None else 2.0 * pi_sq
+
+    # A block keeps its proposal's values at the cells it touches in new_lphi
+    # and new_ll, and an accepted move copies them over lphi and ll.
     new_lphi = [[0.0] * (T + 1) for _ in range(K)]
     new_ll = [[0.0] * (T + 1) for _ in range(K)]
 
@@ -245,17 +345,6 @@ def _sample_chain(
             ridge_cells[t].append(cell[:5] + (1.0,))
         else:
             refresh_cells[t].append(cell)
-    for t in range(1, T + 1):
-        for lphik, llk, _, y, n, _ in theta_cells[t]:
-            if exact:
-                llk[t] = cell_ll(theta[t], lphik[t], y, n)
-            else:
-                x = theta[t] + lphik[t]
-                llk[t] = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
-    # the start's prior terms are finite by construction; only a cell can fail
-    for k in range(K):
-        if not all(math.isfinite(v) for v in ll[k]):
-            raise InitializationError(f"lik[{k}]")
 
     # ---- the sweep: five phases, each a list of blocks of one family.
     # Level move (id, t, ridge, walks, cells, refresh): proposes theta[t];
@@ -266,15 +355,13 @@ def _sample_chain(
     # None, link_next, rows, ts), grouped by survey with its gamma and rows
     # of lphi, ll, new_lphi and new_ll. Each block accepts with probability
     # min(1, exp(d)) and goes on to the next block on a reject.
-    names = [f"theta[{t}]" for t in range(T + 1)]
-    names.append("sigma_sq")
+    names = _block_names(T, columns, bool(walk_ks))
     coef_surveys = [(gam[k], lphi[k], ll[k], new_lphi[k], new_ll[k], []) for k in range(K)]
     ridge_walks: list[list[tuple]] = [[] for _ in range(T + 1)]
-    for c in columns:
+    for i, c in enumerate(columns):
         two_var = None if c.var is None else 2.0 * c.var
-        block = (len(names), c.j, two_var, c.link_next, c.rows, tuple(r[0] for r in c.rows))
+        block = (T + 2 + i, c.j, two_var, c.link_next, c.rows, tuple(r[0] for r in c.rows))
         coef_surveys[c.k][-1].append(block)
-        names.append(f"gamma[{c.k}][{c.j}]")
         if c.k in walk_ks:
             ridge_walks[c.j].append((gam[c.k], lphi[c.k], two_var, c.link_next))
     schedule = [
@@ -283,13 +370,12 @@ def _sample_chain(
         ("coefficient", coef_surveys),
     ]
     if walk_ks:
+        pi_id = T + 2 + len(columns)
         steps = [(gam[c.k], c.j) for c in columns if c.var is None]
-        schedule.append(("variance", [(len(names), True, steps, pr.pi_sq_scale)]))
-        names.append("pi_sq")
-        ridge = [(len(names) + t, t, True, ridge_walks[t], ridge_cells[t], refresh_cells[t])
+        schedule.append(("variance", [(pi_id, True, steps, pr.pi_sq_scale)]))
+        ridge = [(pi_id + 1 + t, t, True, ridge_walks[t], ridge_cells[t], refresh_cells[t])
                  for t in range(T + 1)]
         schedule.append(("level", ridge))
-        names.extend(f"joint[{t}]" for t in range(T + 1))
     B = len(names)
     log_scale = [math.log(0.5)] * B
     scale = [0.5] * B
@@ -297,7 +383,6 @@ def _sample_chain(
     acc = [0] * B
     n_windows = 0
 
-    target = settings.target_accept
     window = settings.adapt_window
     burn = settings.burn_in
     thin = settings.thin
@@ -307,7 +392,6 @@ def _sample_chain(
     two_theta0_var = 2.0 * pr.theta0_var
     two_sig = 2.0 * sigma_sq
     log_ = math.log
-    sqrt_ = math.sqrt
 
     out_theta = np.empty((kept, T + 1))
     out_sig = np.empty(kept)
@@ -502,11 +586,7 @@ def _sample_chain(
         # windows close together
         if it < burn and (it + 1) % window == 0:
             n_windows += 1
-            root = sqrt_(n_windows)
-            for b in range(B):
-                log_scale[b] += (acc[b] / window - target) / root
-                scale[b] = exp_(log_scale[b])
-                acc[b] = 0
+            _close_window(log_scale, scale, acc, settings, n_windows)
 
         if it >= burn and (it - burn) % thin == thin - 1:
             out_theta[keep_i] = theta
@@ -518,21 +598,347 @@ def _sample_chain(
                 out_pi[keep_i] = pi_sq
             keep_i += 1
 
-    return ChainDraws(
-        theta=out_theta[None, :, :],
-        sigma_sq=out_sig[None, :],
-        gamma=tuple(g[None, :, :] for g in out_gam),
-        pi_sq=None if out_pi is None else out_pi[None, :],
-        spec=spec,
-        settings=settings,
-        acceptance_rates={name: acc[b] / settings.n_draws for b, name in enumerate(names)},
-        scales_end_of_burnin=scales_frozen,
-        scales_final=dict(zip(names, scale)),
-    )
+    return _chain_draws(spec, settings, names, out_theta, out_sig, out_gam, out_pi, acc,
+                        scales_frozen, scale)
 
 
 def _chain_job(args):
     return _sample_chain(*args)
+
+
+# Lanes (chains x time-points) from which run_chains samples a fit's chains as
+# one batch. Measured against the scalar chain (median time ratios): 1.08 at
+# 98 lanes (2 vaccine chains, T = 48) and 1.01 at 99 (9 demo chains, T = 10),
+# 0.81 at 147 (3 vaccine chains) and 0.68 at 143 (13 demo chains), 0.62 at 196.
+BATCH_MIN_LANES = 147
+
+
+def _pair_prior(cur, prop, prev, nxt, wp, wn):
+    """Change in the two Gaussian step terms around a node moved from cur to
+    prop: ((cur - prev)^2 - (prop - prev)^2) wp + ((nxt - cur)^2 - (nxt - prop)^2) wn,
+    with wp and wn the steps' 1 / (2 var)."""
+    s = cur + prop
+    return (cur - prop) * ((s - 2.0 * prev) * wp - (2.0 * nxt - s) * wn)
+
+
+class _Batch:
+    """The state of a batch of chains under the logit-shift approximation.
+
+    Node t of a walk sits at column t + 1 of a (chains, ..., T + 3) array. The
+    first pad column holds the prior mean of node 0 (theta0_mean, or 0 for a
+    bias walk), the last a 0 whose step weight is 0. Surveys lie along axis 1
+    of ``lp`` (log bias odds) and ``ll`` (cell log-likelihoods), bias walks
+    first, so that a bias walk's row of ``lp`` is its coefficient vector; the
+    other coefficients are in ``gam``. An unobserved cell has y = n = 0, so
+    its term is 0. wp and wn hold the 1 / (2 var) of the step before and after
+    each node (0 after node T). Each move reads a proposal step per lane from
+    D and a log-uniform from log_u, both (chains, blocks), and counts accepts
+    in ``acc``.
+    """
+
+    def __init__(self, panel: SurveyPanel, spec: ModelSpec, designs, columns, starts):
+        T = panel.n_times
+        C = len(starts)
+        pr = spec.priors
+        walk_ks = [k for k, d in enumerate(designs) if None in d.var]
+        W = len(walk_ks)
+        order = walk_ks + [k for k in range(len(designs)) if k not in walk_ks]
+        row = {k: r for r, k in enumerate(order)}
+        self.T, self.W, self.order = T, W, order
+        self.monotone = spec.monotone_walk
+        self.th = np.zeros((C, T + 3))
+        self.th[:, 0] = pr.theta0_mean
+        self.lp = np.zeros((C, len(order), T + 3))
+        self.ll = np.zeros_like(self.lp)
+        self.Y = np.zeros((len(order), T + 3))
+        self.N = np.zeros_like(self.Y)
+        for k, t, y, n in panel.observed_cells():
+            self.Y[row[k], t + 1] = y
+            self.N[row[k], t + 1] = n
+        self.sig = np.array([s[1] for s in starts])
+        self.pi = np.array([s[2] for s in starts]) if W else None
+        self.gam = {k: np.array([s[3][k] for s in starts]) for k in order[W:] if designs[k].var}
+        for c, (theta, _, _, _, lphi, ll) in enumerate(starts):
+            self.th[c, 1 : T + 2] = theta
+            for k, r in row.items():
+                self.lp[c, r, 1 : T + 2] = lphi[k]
+                self.ll[c, r, 1 : T + 2] = ll[k]
+        self.sig_prior, self.pi_prior = pr.sigma_sq_scale, pr.pi_sq_scale
+        self.wp = np.empty((C, T + 1))
+        self.wp[:, 0] = 0.5 / pr.theta0_var
+        self.wn = np.zeros((C, T + 1))
+        self.wgp = np.empty((C, W, T + 1))
+        self.wgp[:, :, 0] = [0.5 / designs[k].var[0] for k in walk_ks]
+        self.wgn = np.zeros((C, W, T + 1))
+        self._set_weights(False)
+        if W:
+            self._set_weights(True)
+        self.walk_rows = np.array([1.0] * W + [0.0] * (len(order) - W))[:, None]
+
+        # block ids as in _block_names
+        first: dict[int, int] = {}
+        for i, c in enumerate(columns):
+            first.setdefault(c.k, T + 2 + i)
+        self.pi_id = T + 2 + len(columns)
+        joint = self.pi_id + 1
+        wid = np.array([[first[k] + t for t in range(T + 1)] for k in walk_ks], dtype=np.intp)
+        # a colour's nodes t = s, s + 2, ...: as a slice of (chains, T + 1)
+        # arrays, which is also the padded column of each node's predecessor,
+        # then the padded columns of the nodes and of their successors
+        self.colours = {s: (slice(s, T + 1, 2), slice(s + 1, T + 2, 2), slice(s + 2, T + 3, 2))
+                        for s in (0, 1)}
+        self.joint_ids = {s: slice(joint + s, joint + T + 1, 2) for s in (0, 1)}
+        self.walk_ids = {s: wid.reshape(W, T + 1)[:, s::2] for s in (0, 1)}
+        # a coefficient block per non-walk column: its cells' log odds are
+        # offset + coef @ gamma, the design's map written out densely
+        self.coefs = []
+        for i, c in enumerate(columns):
+            if c.k in walk_ks:
+                continue
+            coef = np.zeros((len(designs[c.k].var), len(c.rows)))
+            for r, (_, _, _, _, terms) in enumerate(c.rows):
+                for j, v in ((c.j, 1.0),) if terms is None else terms:
+                    coef[j, r] = v
+            cols = np.array([r[0] + 1 for r in c.rows], dtype=np.intp)
+            ys, ns, offset = (np.array([r[i] for r in c.rows], dtype=float) for i in (1, 2, 3))
+            self.coefs.append(
+                (T + 2 + i, row[c.k], c.k, c.j, 2.0 * c.var, cols, ys, ns, offset, coef)
+            )
+        self.acc = np.zeros((C, joint + T + 1 if W else self.pi_id), dtype=np.int64)
+
+    def _set_weights(self, is_pi: bool) -> None:
+        T = self.T
+        if is_pi:
+            inv = (0.5 / self.pi)[:, None, None]
+            self.wgp[:, :, 1:] = inv
+            self.wgn[:, :, :T] = inv
+        else:
+            inv = (0.5 / self.sig)[:, None]
+            self.wp[:, 1:] = inv
+            self.wn[:, :T] = inv
+
+    def _bounds(self, s, prev, nxt):
+        """The monotone bounds of colour s's theta nodes: their neighbours,
+        with none below node 0 and none above node T."""
+        lo, hi = prev, nxt
+        if s == 0:
+            lo = prev.copy()
+            lo[:, 0] = -_INF
+        if (self.T - s) % 2 == 0:
+            hi = nxt.copy()
+            hi[:, -1] = _INF
+        return lo, hi
+
+    def sweep(self, D, log_u) -> None:
+        """One sweep: the scalar schedule's five phases, with theta, the bias
+        walks and the ridge updated odd nodes first, then even ones."""
+        for s in (1, 0):
+            self.level(s, D, log_u)
+        self.variance(False, D, log_u)
+        for block in self.coefs:
+            self.coefficient(block, D, log_u)
+        if self.W:
+            for s in (1, 0):
+                self.walk(s, D, log_u)
+            self.variance(True, D, log_u)
+            for s in (1, 0):
+                self.ridge(s, D, log_u)
+
+    def level(self, s, D, log_u) -> None:
+        """theta moves at colour s, reflected into the monotone order."""
+        node, col, nxt_col = self.colours[s]
+        th = self.th
+        cur, prev, nxt = th[:, col], th[:, node], th[:, nxt_col]
+        prop = cur + D[:, node]
+        if self.monotone:
+            lo, hi = self._bounds(s, prev, nxt)
+            w = hi - lo
+            out = (prop < lo) | (prop > hi)
+            stuck = out & (w <= 0.0)  # neighbours tied: nowhere to move
+            if out.any():
+                r = np.mod(prop - lo, 2.0 * w)
+                inside = lo + np.where(r <= w, r, 2.0 * w - r)
+                edge = np.where(lo == -_INF, 2.0 * hi - prop, 2.0 * lo - prop)
+                prop = np.where(out, np.where(np.isinf(w), edge, inside), prop)
+        d = _pair_prior(cur, prop, prev, nxt, self.wp[:, node], self.wn[:, node])
+        x = prop[:, None, :] + self.lp[:, :, col]
+        v = self.Y[:, col] * x - self.N[:, col] * np.logaddexp(0.0, x)
+        lls = self.ll[:, :, col]
+        d += (v - lls).sum(axis=1)
+        a = log_u[:, node] < d
+        if self.monotone:
+            a &= ~stuck
+        np.copyto(cur, prop, where=a)
+        np.copyto(lls, v, where=a[:, None, :])
+        self.acc[:, node] += a
+
+    def variance(self, is_pi: bool, D, log_u) -> None:
+        """The sigma_sq or pi_sq move on the log scale."""
+        T = self.T
+        if is_pi:
+            bid, v, prior_sq, count = self.pi_id, self.pi, self.pi_prior, self.W * T
+            steps = self.lp[:, : self.W, 2 : T + 2] - self.lp[:, : self.W, 1 : T + 1]
+        else:
+            bid, v, prior_sq, count = T + 1, self.sig, self.sig_prior, T
+            steps = self.th[:, 2 : T + 2] - self.th[:, 1 : T + 1]
+        sse = (steps * steps).reshape(len(v), -1).sum(axis=1)
+        # math.log and math.exp, as in the scalar sweep: numpy's SIMD loops
+        # may round differently on another CPU, and these values are kept
+        lcur = np.fromiter(map(math.log, v), float, len(v))
+        lprop = lcur + D[:, bid]
+        vprop = np.fromiter(map(math.exp, lprop), float, len(v))
+        d = (
+            (v * v - vprop * vprop) / (2.0 * prior_sq)
+            + 0.5 * count * (lcur - lprop)
+            + 0.5 * sse * (1.0 / v - 1.0 / vprop)
+            + (lprop - lcur)
+        )
+        a = log_u[:, bid] < d
+        np.copyto(v, vprop, where=a)
+        self._set_weights(is_pi)
+        self.acc[:, bid] += a
+
+    def coefficient(self, block, D, log_u) -> None:
+        """One non-walk coefficient on every chain, with all the cells of its column."""
+        bid, r, k, j, two_var, cols, ys, ns, offset, coef = block
+        gk = self.gam[k]
+        cur = gk[:, j].copy()
+        prop = cur + D[:, bid]
+        d = (cur * cur - prop * prop) / two_var
+        gk[:, j] = prop
+        g = offset
+        for i in range(len(coef)):
+            g = g + coef[i] * gk[:, i, None]
+        x = self.th[:, cols] + g
+        v = ys * x - ns * np.logaddexp(0.0, x)
+        d += (v - self.ll[:, r, cols]).sum(axis=1)
+        a = log_u[:, bid] < d
+        gk[:, j] = np.where(a, prop, cur)
+        a = a[:, None]
+        self.lp[:, r, cols] = np.where(a, g, self.lp[:, r, cols])
+        self.ll[:, r, cols] = np.where(a, v, self.ll[:, r, cols])
+        self.acc[:, bid] += a[:, 0]
+
+    def walk(self, s, D, log_u) -> None:
+        """Bias-walk coefficient moves at colour s, every walk survey at once."""
+        node, col, nxt_col = self.colours[s]
+        ids, W = self.walk_ids[s], self.W
+        g = self.lp[:, :W]
+        cur = g[:, :, col]
+        prop = cur + D[:, ids]
+        d = _pair_prior(cur, prop, g[:, :, node], g[:, :, nxt_col],
+                        self.wgp[:, :, node], self.wgn[:, :, node])
+        x = self.th[:, None, col] + prop
+        v = self.Y[:W, col] * x - self.N[:W, col] * np.logaddexp(0.0, x)
+        lls = self.ll[:, :W, col]
+        d += v - lls
+        a = log_u[:, ids] < d
+        np.copyto(cur, prop, where=a)
+        np.copyto(lls, v, where=a)
+        self.acc[:, ids] += a
+
+    def ridge(self, s, D, log_u) -> None:
+        """Ridge moves at colour s: theta[t] and, against it, every bias walk at t.
+        The walk cells are invariant, so the ratio skips them and an accept
+        refreshes them; a proposal outside the monotone order is rejected."""
+        node, col, nxt_col = self.colours[s]
+        ids, W = self.joint_ids[s], self.W
+        th = self.th
+        cur, prev, nxt = th[:, col], th[:, node], th[:, nxt_col]
+        delta = D[:, ids]
+        prop = cur + delta
+        d = _pair_prior(cur, prop, prev, nxt, self.wp[:, node], self.wn[:, node])
+        lps = self.lp[:, :, col]
+        lnew = lps - delta[:, None, :] * self.walk_rows
+        g = self.lp[:, :W]
+        d += _pair_prior(lps[:, :W], lnew[:, :W], g[:, :, node], g[:, :, nxt_col],
+                         self.wgp[:, :, node], self.wgn[:, :, node]).sum(axis=1)
+        x = prop[:, None, :] + lnew
+        v = self.Y[:, col] * x - self.N[:, col] * np.logaddexp(0.0, x)
+        lls = self.ll[:, :, col]
+        d += (v[:, W:] - lls[:, W:]).sum(axis=1)
+        a = log_u[:, ids] < d
+        if self.monotone:
+            lo, hi = self._bounds(s, prev, nxt)
+            a &= (prop >= lo) & (prop <= hi)
+        np.copyto(cur, prop, where=a)
+        a3 = a[:, None, :]
+        np.copyto(lps, lnew, where=a3)
+        np.copyto(lls, v, where=a3)
+        self.acc[:, ids] += a
+
+
+def _sample_batch(
+    panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings, seeds, designs, columns
+) -> list[ChainDraws]:
+    """The chains of ``seeds``, swept together as one ``_Batch``; the
+    logit-shift approximation only. Each chain draws its start and then one
+    normal and one uniform per block and sweep from its own generator, so its
+    draws do not depend on which chains share the batch."""
+    T = panel.n_times
+    rngs = [np.random.default_rng(s) for s in seeds]
+    batch = _Batch(panel, spec, designs, columns,
+                   [_start(panel, spec, designs, rng, None) for rng in rngs])
+    names = _block_names(T, columns, batch.W > 0)
+    C, B = len(rngs), len(names)
+    log_scale = [[math.log(0.5)] * B for _ in rngs]
+    scale_rows = [[0.5] * B for _ in rngs]
+    scale = np.array(scale_rows)
+    acc = batch.acc
+    n_windows = 0
+
+    window = settings.adapt_window
+    burn = settings.burn_in
+    thin = settings.thin
+    total = burn + settings.n_draws
+    kept = settings.n_kept
+    out_theta = np.empty((C, kept, T + 1))
+    out_sig = np.empty((C, kept))
+    out_gam = [np.empty((C, kept, len(d.var))) for d in designs]
+    out_pi = np.empty((C, kept)) if batch.W else None
+    keep_i = 0
+    frozen: list[dict[str, float]] = []
+    chunk = max(1, _RNG_BUF // B)  # sweeps per refill of the random streams
+
+    with np.errstate(all="ignore"):  # inf and nan arise only in rejected lanes
+        for it in range(total):
+            if it == burn:
+                frozen = [dict(zip(names, row)) for row in scale_rows]
+                acc[:] = 0  # a partial window at the freeze point is dropped
+            i = it % chunk
+            if i == 0:
+                z = np.stack([rng.standard_normal((chunk, B)) for rng in rngs])
+                log_u = np.log(np.stack([rng.random((chunk, B)) for rng in rngs]))
+            batch.sweep(scale * z[:, i], log_u[:, i])
+
+            if it < burn and (it + 1) % window == 0:
+                n_windows += 1
+                for c, counts in enumerate(acc.tolist()):
+                    _close_window(log_scale[c], scale_rows[c], counts, settings, n_windows)
+                scale = np.array(scale_rows)
+                acc[:] = 0
+
+            if it >= burn and (it - burn) % thin == thin - 1:
+                out_theta[:, keep_i] = batch.th[:, 1 : T + 2]
+                out_sig[:, keep_i] = batch.sig
+                for r, k in enumerate(batch.order):
+                    if r < batch.W:
+                        out_gam[k][:, keep_i] = batch.lp[:, r, 1 : T + 2]
+                    elif k in batch.gam:
+                        out_gam[k][:, keep_i] = batch.gam[k]
+                if out_pi is not None:
+                    out_pi[:, keep_i] = batch.pi
+                keep_i += 1
+
+    return [
+        _chain_draws(spec, settings, names, out_theta[c], out_sig[c], [g[c] for g in out_gam],
+                     None if out_pi is None else out_pi[c], counts, frozen[c], scale_rows[c])
+        for c, counts in enumerate(acc.tolist())
+    ]
+
+
+def _batch_job(args):
+    return _sample_batch(*args)
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -567,25 +973,9 @@ def map_jobs(fn, jobs: list, workers: int | None = None) -> list:
     return [fn(job) for job in jobs]
 
 
-def run_chains(
-    panel: SurveyPanel,
-    spec: ModelSpec,
-    settings: SamplerSettings | None = None,
-    workers: int | None = None,
-) -> ChainDraws:
-    """Run ``settings.n_chains`` independent chains and stack their draws.
-
-    Chain seeds are spawned from ``settings.seed``, so results are
-    reproducible bit-for-bit regardless of ``workers`` (see ``map_jobs``).
-    The model is compiled once and shared by every chain.
-    """
-    if settings is None:
-        settings = SamplerSettings()
-    designs, columns = _validate_inputs(panel, spec)
-    seeds = np.random.SeedSequence(settings.seed).spawn(settings.n_chains)
-    jobs = [(panel, spec, settings, s, designs, columns) for s in seeds]
-    chains = map_jobs(_chain_job, jobs, workers)
-
+def _stack_chains(chains: list[ChainDraws], spec: ModelSpec, settings: SamplerSettings) -> ChainDraws:
+    """One ChainDraws from per-chain ones: draws stacked along the chain axis,
+    acceptance rates averaged, and scales keyed chain<i>:<block>."""
     acceptance = {
         name: float(np.mean([c.acceptance_rates[name] for c in chains]))
         for name in chains[0].acceptance_rates
@@ -602,7 +992,7 @@ def run_chains(
         sigma_sq=np.concatenate([c.sigma_sq for c in chains], axis=0),
         gamma=tuple(
             np.concatenate([c.gamma[k] for c in chains], axis=0)
-            for k in range(panel.n_surveys)
+            for k in range(len(spec.bias))
         ),
         pi_sq=(
             None
@@ -615,6 +1005,41 @@ def run_chains(
         scales_end_of_burnin=scales_burn,
         scales_final=scales_final,
     )
+
+
+def run_chains(
+    panel: SurveyPanel,
+    spec: ModelSpec,
+    settings: SamplerSettings | None = None,
+    workers: int | None = None,
+) -> ChainDraws:
+    """Run ``settings.n_chains`` independent chains and stack their draws.
+
+    Under the logit-shift approximation, a fit of at least BATCH_MIN_LANES
+    lanes (chains x (T + 1)) is sampled as one batch (``_sample_batch``), split
+    into as many contiguous chain groups as ``workers`` allows while each
+    group keeps that many lanes; any other fit runs chain by chain
+    (``_sample_chain``). Chain seeds are spawned from ``settings.seed``, so
+    results are reproducible bit-for-bit regardless of ``workers`` (see
+    ``map_jobs``). The model is compiled once and shared by every chain.
+    """
+    if settings is None:
+        settings = SamplerSettings()
+    designs, columns = _validate_inputs(panel, spec)
+    n = settings.n_chains
+    seeds = np.random.SeedSequence(settings.seed).spawn(n)
+    lanes = panel.n_times + 1
+    if spec.use_exact_nchg or n * lanes < BATCH_MIN_LANES:
+        jobs = [(panel, spec, settings, s, designs, columns) for s in seeds]
+        chains = map_jobs(_chain_job, jobs, workers)
+    else:
+        groups = max(1, min(resolve_workers(workers), n // -(-BATCH_MIN_LANES // lanes)))
+        cuts = [n * g // groups for g in range(groups + 1)]
+        jobs = [(panel, spec, settings, seeds[a:b], designs, columns)
+                for a, b in zip(cuts, cuts[1:])]
+        chains = [c for part in map_jobs(_batch_job, jobs, workers) for c in part]
+
+    return _stack_chains(chains, spec, settings)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import math
@@ -19,12 +20,14 @@ from surveysynth import datagen, mcmc
 from surveysynth.core import (
     BiasModelSpec,
     ChainDraws,
+    LatentState,
     ModelSpec,
     PriorSpec,
     SurveyPanel,
     validate_state,
 )
 from surveysynth.dists import inv_logit
+from surveysynth.likelihood import log_posterior
 from surveysynth.mcmc import (
     InitializationError,
     SamplerSettings,
@@ -64,6 +67,10 @@ def test_settings_desk_preset():
     s = SamplerSettings.desk(seed=3)
     assert (s.n_chains, s.burn_in, s.n_draws, s.thin) == (4, 5_000, 10_000, 5)
     assert s.seed == 3
+    # keyword arguments override the preset's fields as well as the others
+    overrides = {"n_chains": 2, "burn_in": 7, "n_draws": 40, "thin": 2, "target_accept": 0.3,
+                 "adapt_window": 9}
+    assert SamplerSettings.desk(seed=1, **overrides) == SamplerSettings(seed=1, **overrides)
 
 
 def test_settings_validation():
@@ -401,21 +408,21 @@ def test_runtime_modules_do_not_load_the_oracle():
     assert out.stdout.strip() == "False"
 
 
-def test_prior_only_run_recovers_sigma_sq_marginal():
+def _prior_only_sigma_sq_marginal(sample):
     # with no observations the sampler must reproduce the half-normal prior
     panel = panel_of([[np.nan] * 3], [[np.nan] * 3])
     settings = SamplerSettings(n_chains=4, burn_in=2000, n_draws=80_000, thin=4, seed=7)
-    draws = run_chains(panel, anchor_spec(), settings)
+    draws = sample(panel, anchor_spec(), settings)
     pooled = draws.sigma_sq.ravel()
     for q in (0.05, 0.5, 0.95):
         expect = special.ndtri((1 + q) / 2)  # half-normal quantile, scale 1
         assert np.quantile(pooled, q) == pytest.approx(expect, abs=0.02)
 
 
-def test_prior_only_run_recovers_rate_at_origin():
+def _prior_only_rate_at_origin(sample):
     panel = panel_of([[np.nan] * 3], [[np.nan] * 3])
     settings = SamplerSettings(n_chains=4, burn_in=2000, n_draws=20_000, thin=2, seed=8)
-    draws = run_chains(panel, anchor_spec(), settings)
+    draws = sample(panel, anchor_spec(), settings)
     pooled = inv_logit(draws.theta[:, :, 0].ravel())
     ref = inv_logit(np.sqrt(2.0) * special.ndtri([0.05, 0.5, 0.95]))
     for q, expect in zip((0.05, 0.5, 0.95), ref):
@@ -440,10 +447,10 @@ def quadrature_rate_posterior(y, n, prior_mean, prior_var, qs):
     return [float(inv_logit(np.interp(q, cdf, grid))) for q in qs]
 
 
-def test_single_point_posterior_matches_quadrature():
+def _single_point_quadrature(sample):
     panel = panel_of([[50.0]], [[100.0]])
     settings = SamplerSettings(n_chains=4, burn_in=3000, n_draws=9000, thin=3, seed=21)
-    draws = run_chains(panel, anchor_spec(), settings)
+    draws = sample(panel, anchor_spec(), settings)
     table = summarize(draws, alpha=0.05)
     row = table.row("rate", t=1)
     expect = quadrature_rate_posterior(50, 100, 0.0, 2.0, [0.025, 0.5, 0.975])
@@ -468,8 +475,7 @@ def _simulate_walk_prior(n, monotone, seed):
     return theta, gamma
 
 
-@pytest.mark.parametrize("monotone", [False, True])
-def test_prior_only_walk_panel_matches_direct_simulation(monotone):
+def _prior_only_walk_panel(sample, monotone):
     # an idle walk survey switches on the joint ridge blocks; with no data
     # the sampler must still reproduce the prior over levels and bias walks
     panel = panel_of([[np.nan] * 3, [np.nan] * 3], [[np.nan] * 3, [np.nan] * 3])
@@ -478,7 +484,7 @@ def test_prior_only_walk_panel_matches_direct_simulation(monotone):
         monotone_walk=monotone,
     )
     settings = SamplerSettings(n_chains=4, burn_in=2000, n_draws=40_000, thin=4, seed=14)
-    draws = run_chains(panel, spec, settings)
+    draws = sample(panel, spec, settings)
     ref_theta, ref_gamma = _simulate_walk_prior(400_000, monotone, seed=99)
     for t in (1, 3):
         got = inv_logit(draws.theta[:, :, t].ravel())
@@ -493,18 +499,66 @@ def test_prior_only_walk_panel_matches_direct_simulation(monotone):
     assert abs(corr) < 0.1  # level and bias walk are independent a priori
 
 
-def test_single_point_with_idle_walk_survey_matches_quadrature():
+def _idle_walk_survey_quadrature(sample):
     # joint ridge moves must leave the anchor-driven posterior untouched
     panel = panel_of([[50.0], [np.nan]], [[100.0], [np.nan]])
     spec = ModelSpec(bias=(BiasModelSpec.anchor(), BiasModelSpec(kind="walk")))
     settings = SamplerSettings(n_chains=4, burn_in=3000, n_draws=9000, thin=3, seed=21)
-    draws = run_chains(panel, spec, settings)
+    draws = sample(panel, spec, settings)
     table = summarize(draws, alpha=0.05)
     row = table.row("rate", t=1)
     expect = quadrature_rate_posterior(50, 100, 0.0, 2.0, [0.025, 0.5, 0.975])
     assert row.lower == pytest.approx(expect[0], abs=0.005)
     assert row.median == pytest.approx(expect[1], abs=0.005)
     assert row.upper == pytest.approx(expect[2], abs=0.005)
+
+
+def test_prior_only_run_recovers_sigma_sq_marginal():
+    _prior_only_sigma_sq_marginal(run_chains)
+
+
+def test_prior_only_run_recovers_rate_at_origin():
+    _prior_only_rate_at_origin(run_chains)
+
+
+def test_single_point_posterior_matches_quadrature():
+    _single_point_quadrature(run_chains)
+
+
+@pytest.mark.parametrize("monotone", [False, True])
+def test_prior_only_walk_panel_matches_direct_simulation(monotone):
+    _prior_only_walk_panel(run_chains, monotone)
+
+
+def test_single_point_with_idle_walk_survey_matches_quadrature():
+    _idle_walk_survey_quadrature(run_chains)
+
+
+def run_batched(panel, spec, settings):
+    """``run_chains`` with every chain in one ``_sample_batch`` call, however
+    narrow the fit."""
+    designs, columns = mcmc._validate_inputs(panel, spec)
+    seeds = np.random.SeedSequence(settings.seed).spawn(settings.n_chains)
+    chains = mcmc._sample_batch(panel, spec, settings, seeds, designs, columns)
+    return mcmc._stack_chains(chains, spec, settings)
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [
+        _single_point_quadrature,
+        _idle_walk_survey_quadrature,
+        _prior_only_sigma_sq_marginal,
+        _prior_only_rate_at_origin,
+        lambda sample: _prior_only_walk_panel(sample, False),
+        lambda sample: _prior_only_walk_panel(sample, True),
+    ],
+    ids=["single-point", "idle-walk", "sigma-sq-prior", "rate-at-origin", "walk-prior",
+         "walk-prior-monotone"],
+)
+def test_statistical_gates_hold_through_the_batch(gate):
+    # the same gates, tolerances, seeds and lengths with every chain in one batch
+    gate(run_batched)
 
 
 def test_diagnose_flags_convergence():
@@ -766,3 +820,315 @@ def test_exact_walk_ridge_posterior_matches_quadrature():
         want = float(grid @ marg / marg.sum())
         se = float(x.std()) / math.sqrt(ess(x))
         assert abs(float(x.mean()) - want) < 4.0 * se, (float(x.mean()), want, se)
+
+
+# ---------------------------------------------------------------------------
+# the batch engine: choice, invariance, pinned draws
+
+
+def _vaccine_settings(n_chains, seed=2):
+    return SamplerSettings(n_chains=n_chains, burn_in=100, n_draws=100, thin=1, seed=seed)
+
+
+class _Picked(Exception):
+    pass
+
+
+def test_run_chains_picks_the_engine_from_the_fit():
+    vaccine = datagen.vaccine_shaped_bundle()
+    spec = vaccine.design.model_spec()
+    demo = datagen.demo_panel()
+    cases = [
+        (vaccine.panel, spec, 4, "batch"),  # 196 lanes
+        (vaccine.panel, spec, 3, "batch"),  # 147 lanes
+        (vaccine.panel, spec, 2, "scalar"),  # 98 lanes
+        (vaccine.panel, dataclasses.replace(spec, use_exact_nchg=True), 4, "scalar"),
+        (demo, _demo_spec("linear", "walk"), 13, "scalar"),  # 143 lanes
+        (demo, _demo_spec("linear", "walk"), 14, "batch"),  # 154 lanes
+    ]
+    for panel, spec, n_chains, engine in cases:
+        with mock.patch.object(mcmc, "_sample_chain", side_effect=_Picked("scalar")), \
+                mock.patch.object(mcmc, "_sample_batch", side_effect=_Picked("batch")):
+            with pytest.raises(_Picked, match=engine):
+                run_chains(panel, spec, _vaccine_settings(n_chains), workers=1)
+
+
+def test_batch_splits_into_groups_the_workers_allow():
+    vaccine = datagen.vaccine_shaped_bundle()
+    spec = vaccine.design.model_spec()
+    groups = []
+
+    def serial(fn, jobs, workers=None):
+        groups.append([len(job[3]) for job in jobs])
+        return []
+
+    with mock.patch.object(mcmc, "map_jobs", serial), \
+            mock.patch.object(mcmc, "_stack_chains", lambda *a: None):
+        for n_chains, workers in [(4, 1), (4, 2), (6, 2), (8, 3), (7, 4), (12, 8)]:
+            run_chains(vaccine.panel, spec, _vaccine_settings(n_chains), workers=workers)
+    # each group keeps at least BATCH_MIN_LANES lanes: 3 chains at T = 48
+    assert groups == [[4], [4], [3, 3], [4, 4], [3, 4], [3, 3, 3, 3]]
+
+
+def test_batched_draws_do_not_depend_on_workers_or_groups():
+    vaccine = datagen.vaccine_shaped_bundle()
+    panel, spec = vaccine.panel, vaccine.design.model_spec()
+    settings = SamplerSettings(n_chains=6, burn_in=40, n_draws=40, thin=1, seed=9)
+    one = run_chains(panel, spec, settings, workers=1)
+    two = run_chains(panel, spec, settings, workers=2)  # two groups of 3 chains
+    assert _draws_digest(one) == _draws_digest(two)
+    assert _bookkeeping_digest(one) == _bookkeeping_digest(two)
+
+    designs, columns = mcmc._validate_inputs(panel, spec)
+    seeds = np.random.SeedSequence(3).spawn(4)
+    four = mcmc._sample_batch(panel, spec, settings, seeds, designs, columns)
+    pairs = [c for part in (seeds[:2], seeds[2:])
+             for c in mcmc._sample_batch(panel, spec, settings, part, designs, columns)]
+    for a, b in zip(four, pairs):
+        assert _draws_digest(a) == _draws_digest(b)
+        assert _bookkeeping_digest(a) == _bookkeeping_digest(b)
+
+
+# Digests of the vaccine case's draws and bookkeeping with its four chains
+# in one batch, as first recorded (numpy 2.4); any change to the batched
+# sweep or its random streams shows here.
+_PINNED_BATCH_DIGESTS = ("86cff9407e149d29", "0eafa6dc5642a219")
+
+
+def test_batched_vaccine_draws_match_pinned_digests():
+    vaccine = datagen.vaccine_shaped_bundle()
+    with mock.patch.object(mcmc, "_sample_chain", side_effect=_Picked("scalar")):
+        draws = run_chains(vaccine.panel, vaccine.design.model_spec(), _vaccine_settings(4),
+                           workers=1)
+    assert (_draws_digest(draws), _bookkeeping_digest(draws)) == _PINNED_BATCH_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# every theta, ridge and variance move's log ratio against the oracle
+
+
+def _oracle_log_post(panel, spec, state):
+    theta, sigma_sq, gam, pi_sq = state
+    latent = LatentState(theta=np.array(theta), sigma_sq=sigma_sq,
+                         gamma=tuple(np.array(g) for g in gam), pi_sq=pi_sq)
+    return log_posterior(latent, panel, spec).log_post
+
+
+def _random_fit(kinds, n_times, seed, population=10_000, **spec_kw):
+    rng = np.random.default_rng(seed)
+    T = n_times
+    bias = [BiasModelSpec.anchor()]
+    for kind in kinds:
+        if kind == "known-fixed":
+            bias.append(BiasModelSpec(kind="known", fixed_phi=tuple(rng.uniform(0.5, 2.0, T))))
+        else:
+            bias.append(BiasModelSpec(kind=kind))
+    K = len(bias)
+    n = rng.integers(10, 60, size=(K, T)).astype(float)
+    y = np.floor(n * rng.uniform(0.3, 0.7, size=(K, T)))
+    gaps = rng.random((K, T)) < 0.3
+    y[gaps] = np.nan
+    n[gaps] = np.nan
+    return panel_of(y, n, population), ModelSpec(bias=tuple(bias), **spec_kw), rng
+
+
+_KINDS = st.lists(st.sampled_from(["known", "known-fixed", "constant", "linear", "walk"]),
+                  min_size=0, max_size=2)
+_EPS = 1e-6  # log ratios must agree with the oracle's to this
+
+
+class _ScriptedRng(np.random.Generator):
+    """Single draws (the start) from a real stream; the buffered normal and
+    uniform streams as scripted."""
+
+    def __init__(self, seed, normals, uniforms):
+        super().__init__(np.random.PCG64(seed))
+        self.normals, self.uniforms = normals, uniforms
+
+    @staticmethod
+    def _padded(values, size):
+        return np.concatenate([values, np.full(size, 0.5)])[:size]
+
+    def standard_normal(self, size=None):
+        return super().standard_normal() if size is None else self._padded(self.normals, size)
+
+    def random(self, size=None):
+        return self._padded(self.uniforms, size)
+
+
+@given(kinds=_KINDS, n_times=st.integers(1, 4), monotone=st.booleans(), exact=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_scalar_sweep_log_ratios_match_the_oracle(kinds, n_times, monotone, exact, seed):
+    # Walk the scalar schedule with the oracle: each block's proposal, its
+    # log-posterior difference d (plus the log Jacobian of a variance move)
+    # and an intended decision, met by a uniform of exp(d - eps) (accept) or
+    # exp(d + eps) (reject). The chain makes the same decisions, so reaches
+    # the same states, only if its own d is within eps of the oracle's.
+    # a small population makes the exact cell tell theta and the odds apart
+    panel, spec, rng = _random_fit(kinds, n_times, seed, 400 if exact else 10_000,
+                                   monotone_walk=monotone, use_exact_nchg=exact)
+    T = n_times
+    designs, columns = mcmc._validate_inputs(panel, spec)
+    cell = mcmc._exact_cell(panel.population) if exact else None
+    theta, sig, pi, gam, _, _ = mcmc._start(panel, spec, designs,
+                                            np.random.Generator(np.random.PCG64(seed)), cell)
+    walk_ks = [k for k, d in enumerate(designs) if None in d.var]
+    names = mcmc._block_names(T, columns, bool(walk_ks))
+    n_sweeps = 4
+    normals = rng.standard_normal(n_sweeps * len(names))
+    uniforms, states = [], []
+    counts = dict.fromkeys(names, 0)
+    steps = iter(0.5 * normals)  # every scale starts at 0.5 and burn_in is 0
+    for _ in range(n_sweeps):
+        for name in names:
+            step = next(steps)
+            before = (list(theta), sig, [list(g) for g in gam], pi)
+            kind, _, index = name.partition("[")
+            jac = 0.0
+            if kind in ("theta", "joint"):
+                t = int(index[:-1])
+                prop = theta[t] + step
+                lo = theta[t - 1] if t else -math.inf
+                hi = theta[t + 1] if t < T else math.inf
+                if monotone and not lo <= prop <= hi:
+                    if kind == "joint" or hi - lo <= 0.0:
+                        continue  # rejected without a uniform
+                    if lo == -math.inf:
+                        prop = 2.0 * hi - prop
+                    elif hi == math.inf:
+                        prop = 2.0 * lo - prop
+                    else:
+                        r = (prop - lo) % (2.0 * (hi - lo))
+                        prop = lo + (r if r <= hi - lo else 2.0 * (hi - lo) - r)
+                theta[t] = prop
+                if kind == "joint":
+                    for k in walk_ks:
+                        gam[k][t] -= step
+            elif kind in ("sigma_sq", "pi_sq"):
+                cur = sig if kind == "sigma_sq" else pi
+                lprop = math.log(cur) + step
+                jac = lprop - math.log(cur)
+                if kind == "sigma_sq":
+                    sig = math.exp(lprop)
+                else:
+                    pi = math.exp(lprop)
+            else:
+                k, j = (int(v) for v in index[:-1].split("]["))
+                gam[k][j] += step
+            d = (_oracle_log_post(panel, spec, (theta, sig, gam, pi))
+                 - _oracle_log_post(panel, spec, before) + jac)
+            accept = d >= 0.0 or (d > -700.0 and rng.random() < 0.5)
+            if d < 0.0:
+                uniforms.append(math.exp(d - _EPS) if accept else math.exp(d + _EPS))
+            if accept:
+                counts[name] += 1
+            else:
+                theta, sig, gam, pi = before
+        states.append((list(theta), sig, [list(g) for g in gam], pi))
+
+    settings_ = SamplerSettings(n_chains=1, burn_in=0, n_draws=n_sweeps, thin=1)
+    draws = mcmc._sample_chain(panel, spec, settings_, _ScriptedRng(seed, normals, uniforms),
+                               designs, columns)
+    assert draws.theta[0].tolist() == [s[0] for s in states]
+    assert draws.sigma_sq[0].tolist() == [s[1] for s in states]
+    for k in range(len(designs)):
+        assert draws.gamma[k][0].tolist() == [s[2][k] for s in states]
+    if walk_ks:
+        assert draws.pi_sq[0].tolist() == [s[3] for s in states]
+    assert {name: rate * n_sweeps for name, rate in draws.acceptance_rates.items()} == counts
+
+
+def _lane_states(batch, designs):
+    """Each chain's (theta, sigma_sq, gam, pi_sq) in a batch."""
+    T = batch.T
+    states = []
+    for c in range(len(batch.sig)):
+        gam = []
+        for k in range(len(designs)):
+            r = batch.order.index(k)
+            if r < batch.W:
+                gam.append(batch.lp[c, r, 1 : T + 2].tolist())
+            else:
+                gam.append(batch.gam[k][c].tolist() if k in batch.gam else [])
+        pi = None if batch.pi is None else float(batch.pi[c])
+        states.append((batch.th[c, 1 : T + 2].tolist(), float(batch.sig[c]), gam, pi))
+    return states
+
+
+def _with_block(name, before, after, walk_ks):
+    """``before`` with the values of block ``name`` taken from ``after``, and
+    the log Jacobian of the move."""
+    theta, sig, gam, pi = list(before[0]), before[1], [list(g) for g in before[2]], before[3]
+    kind, _, index = name.partition("[")
+    jac = 0.0
+    if kind in ("theta", "joint"):
+        t = int(index[:-1])
+        theta[t] = after[0][t]
+        if kind == "joint":
+            for k in walk_ks:
+                gam[k][t] = after[2][k][t]
+    elif kind == "sigma_sq":
+        sig, jac = after[1], math.log(after[1] / before[1])
+    elif kind == "pi_sq":
+        pi, jac = after[3], math.log(after[3] / before[3])
+    else:
+        k, j = (int(v) for v in index[:-1].split("]["))
+        gam[k][j] = after[2][k][j]
+    return (theta, sig, gam, pi), jac
+
+
+def _batch_arrays(batch):
+    arrays = [batch.th, batch.lp, batch.ll, batch.sig, batch.acc]
+    return arrays + [batch.gam[k] for k in sorted(batch.gam)] + (
+        [] if batch.pi is None else [batch.pi])
+
+
+@given(kinds=_KINDS, n_times=st.integers(1, 5), monotone=st.booleans(),
+       n_chains=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_batched_phase_log_ratios_match_the_oracle(kinds, n_times, monotone, n_chains, seed):
+    # Each phase runs three times from one state: with every log-uniform at
+    # -inf, which accepts every lane that can move; then with each moved
+    # lane's log-uniform at the oracle's log ratio for that lane alone - eps,
+    # which must accept the same lanes, and + eps, which must reject them all.
+    # A lane's ratio thus matches the oracle's, and reads nothing that another
+    # lane of its phase moves.
+    panel, spec, rng = _random_fit(kinds, n_times, seed, monotone_walk=monotone)
+    designs, columns = mcmc._validate_inputs(panel, spec)
+    starts = [mcmc._start(panel, spec, designs, np.random.default_rng([seed, c]), None)
+              for c in range(n_chains)]
+    batch = mcmc._Batch(panel, spec, designs, columns, starts)
+    walk_ks = [k for k, d in enumerate(designs) if None in d.var]
+    names = mcmc._block_names(n_times, columns, bool(walk_ks))
+    shape = (n_chains, len(names))
+    phases = [("level", 1), ("level", 0), ("variance", False)]
+    phases += [("coefficient", block) for block in batch.coefs]
+    if walk_ks:
+        phases += [("walk", 1), ("walk", 0), ("variance", True), ("ridge", 1), ("ridge", 0)]
+    with np.errstate(all="ignore"):
+        for _ in range(3):  # away from the start
+            batch.sweep(0.3 * rng.standard_normal(shape), np.log(rng.random(shape)))
+        for kind, arg in phases:
+            D = 0.5 * rng.standard_normal(shape)
+            runs = []
+            for log_u in ("all", "below", "above"):
+                b = copy.deepcopy(batch)
+                if log_u == "all":
+                    getattr(b, kind)(arg, D, np.full(shape, -np.inf))
+                    moved = np.argwhere(b.acc > batch.acc)
+                    before = _lane_states(batch, designs)
+                    after = _lane_states(b, designs)
+                    ratios = np.full(shape, -np.inf)
+                    for c, bid in moved:
+                        state, jac = _with_block(names[bid], before[c], after[c], walk_ks)
+                        ratios[c, bid] = (_oracle_log_post(panel, spec, state)
+                                          - _oracle_log_post(panel, spec, before[c]) + jac)
+                else:
+                    getattr(b, kind)(arg, D, ratios + (_EPS if log_u == "above" else -_EPS))
+                runs.append(b)
+            for got, want in zip(_batch_arrays(runs[1]), _batch_arrays(runs[0])):
+                np.testing.assert_array_equal(got, want, err_msg=f"{kind} {arg}: accepts")
+            for got, want in zip(_batch_arrays(runs[2]), _batch_arrays(batch)):
+                np.testing.assert_array_equal(got, want, err_msg=f"{kind} {arg}: rejects")
+            batch = runs[0]
