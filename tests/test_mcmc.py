@@ -826,7 +826,7 @@ def test_exact_walk_ridge_posterior_matches_quadrature():
 # the batch engine: choice, invariance, pinned draws
 
 
-def _vaccine_settings(n_chains, seed=2):
+def _short_settings(n_chains, seed=2):
     return SamplerSettings(n_chains=n_chains, burn_in=100, n_draws=100, thin=1, seed=seed)
 
 
@@ -850,7 +850,7 @@ def test_run_chains_picks_the_engine_from_the_fit():
         with mock.patch.object(mcmc, "_sample_chain", side_effect=_Picked("scalar")), \
                 mock.patch.object(mcmc, "_sample_batch", side_effect=_Picked("batch")):
             with pytest.raises(_Picked, match=engine):
-                run_chains(panel, spec, _vaccine_settings(n_chains), workers=1)
+                run_chains(panel, spec, _short_settings(n_chains), workers=1)
 
 
 def test_batch_splits_into_groups_the_workers_allow():
@@ -865,7 +865,7 @@ def test_batch_splits_into_groups_the_workers_allow():
     with mock.patch.object(mcmc, "map_jobs", serial), \
             mock.patch.object(mcmc, "_stack_chains", lambda *a: None):
         for n_chains, workers in [(4, 1), (4, 2), (6, 2), (8, 3), (7, 4), (12, 8)]:
-            run_chains(vaccine.panel, spec, _vaccine_settings(n_chains), workers=workers)
+            run_chains(vaccine.panel, spec, _short_settings(n_chains), workers=workers)
     # each group keeps at least BATCH_MIN_LANES lanes: 3 chains at T = 48
     assert groups == [[4], [4], [3, 3], [4, 4], [3, 4], [3, 3, 3, 3]]
 
@@ -898,7 +898,7 @@ _PINNED_BATCH_DIGESTS = ("86cff9407e149d29", "0eafa6dc5642a219")
 def test_batched_vaccine_draws_match_pinned_digests():
     vaccine = datagen.vaccine_shaped_bundle()
     with mock.patch.object(mcmc, "_sample_chain", side_effect=_Picked("scalar")):
-        draws = run_chains(vaccine.panel, vaccine.design.model_spec(), _vaccine_settings(4),
+        draws = run_chains(vaccine.panel, vaccine.design.model_spec(), _short_settings(4),
                            workers=1)
     assert (_draws_digest(draws), _bookkeeping_digest(draws)) == _PINNED_BATCH_DIGESTS
 
