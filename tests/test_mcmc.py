@@ -826,8 +826,8 @@ def test_exact_walk_ridge_posterior_matches_quadrature():
 # the batch engine: choice, invariance, pinned draws
 
 
-def _short_settings(n_chains, seed=2):
-    return SamplerSettings(n_chains=n_chains, burn_in=100, n_draws=100, thin=1, seed=seed)
+def _short_settings(n_chains):
+    return SamplerSettings(n_chains=n_chains, burn_in=100, n_draws=100, thin=1, seed=2)
 
 
 class _Picked(Exception):
