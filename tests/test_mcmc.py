@@ -903,6 +903,42 @@ def test_batched_vaccine_draws_match_pinned_digests():
     assert (_draws_digest(draws), _bookkeeping_digest(draws)) == _PINNED_BATCH_DIGESTS
 
 
+def _batch_pin_cases():
+    demo = datagen.demo_panel()
+    vaccine = datagen.vaccine_shaped_bundle()
+    ridge = dataclasses.replace(_demo_spec("constant", "walk"), monotone_walk=True)
+    return {
+        # 154 lanes, with a linear survey's coefficient blocks beside the walk
+        "demo-linear-walk": (demo, _demo_spec("linear", "walk"), _short_settings(14)),
+        "vaccine-free": (
+            vaccine.panel,
+            dataclasses.replace(vaccine.design.model_spec(), monotone_walk=False),
+            _short_settings(4),
+        ),
+        # monotone bounds at both ends: T = 10 puts nodes 0 and T in one
+        # colour, T = 9 in different colours
+        "even-monotone": (demo, ridge, dataclasses.replace(_short_settings(3), seed=4, thin=3)),
+        "odd-monotone": (demo.up_to(9), ridge, dataclasses.replace(_short_settings(3), seed=7)),
+    }
+
+
+# Digests of batched draws and bookkeeping, first recorded (numpy 2.4) while
+# the batch state was stored chains-major; the layout must not change a bit.
+_PINNED_BATCH_CASE_DIGESTS = {
+    "demo-linear-walk": ("b0f66434d5a66347", "fbd9a25c9857e7f3"),
+    "vaccine-free": ("23da6c7f1dbd6d5b", "34f63348ba4201de"),
+    "even-monotone": ("473aca14ca14d01a", "e9d950654d55f5bf"),
+    "odd-monotone": ("e1cf4571b46b5f51", "a745812234b8038d"),
+}
+
+
+def test_batched_draws_match_pinned_digests():
+    for name, (panel, spec, settings_) in _batch_pin_cases().items():
+        draws = run_batched(panel, spec, settings_)
+        got = (_draws_digest(draws), _bookkeeping_digest(draws))
+        assert got == _PINNED_BATCH_CASE_DIGESTS[name], name
+
+
 # ---------------------------------------------------------------------------
 # every theta, ridge and variance move's log ratio against the oracle
 
