@@ -29,10 +29,8 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
 
 def check_count(name: str, value, least: int) -> None:
     """Raise ValueError unless value is an integer (not a bool) >= least."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -98,6 +98,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -290,24 +291,27 @@ def _close_window(log_scale: list, scale: list, acc: list, settings: SamplerSett
         acc[b] = 0
 
 
-def _chain_draws(spec, settings, names, theta, sigma_sq, gam, pi_sq, acc, frozen, scale):
-    """One chain's ChainDraws from its kept draws and its block bookkeeping."""
-    return ChainDraws(
-        theta=theta[None, :, :],
-        sigma_sq=sigma_sq[None, :],
-        gamma=tuple(g[None, :, :] for g in gam),
-        pi_sq=None if pi_sq is None else pi_sq[None, :],
-        spec=spec,
-        settings=settings,
-        acceptance_rates={name: acc[b] / settings.n_draws for b, name in enumerate(names)},
-        scales_end_of_burnin=frozen,
-        scales_final=dict(zip(names, scale)),
-    )
+class _Part(NamedTuple):
+    """An engine's draws for its chains, each (chains, kept, ...), and per
+    chain its bookkeeping (``_books``)."""
+
+    theta: np.ndarray
+    sigma_sq: np.ndarray
+    gamma: list
+    pi_sq: np.ndarray | None
+    books: list
+
+
+def _books(settings, names, acc, frozen, scale):
+    """One chain's acceptance rates, its scales at the freeze point and its
+    final scales, from its block bookkeeping."""
+    rates = {name: acc[b] / settings.n_draws for b, name in enumerate(names)}
+    return rates, frozen, dict(zip(names, scale))
 
 
 def _sample_chain(
     panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings, seed, designs, columns
-) -> ChainDraws:
+) -> _Part:
     rng = np.random.default_rng(seed)
     pr = spec.priors
     T = panel.n_times
@@ -598,8 +602,9 @@ def _sample_chain(
                 out_pi[keep_i] = pi_sq
             keep_i += 1
 
-    return _chain_draws(spec, settings, names, out_theta, out_sig, out_gam, out_pi, acc,
-                        scales_frozen, scale)
+    return _Part(out_theta[None], out_sig[None], [g[None] for g in out_gam],
+                 None if out_pi is None else out_pi[None],
+                 [_books(settings, names, acc, scales_frozen, scale)])
 
 
 def _chain_job(args):
@@ -624,16 +629,29 @@ def _pair_prior(cur, prop, prev, nxt, wp, wn):
 class _Batch:
     """The state of a batch of chains under the logit-shift approximation.
 
-    Node t of a walk sits at column t + 1 of a (chains, ..., T + 3) array. The
-    first pad column holds the prior mean of node 0 (theta0_mean, or 0 for a
-    bias walk), the last a 0 whose step weight is 0. Surveys lie along axis 1
-    of ``lp`` (log bias odds) and ``ll`` (cell log-likelihoods), bias walks
-    first, so that a bias walk's row of ``lp`` is its coefficient vector; the
-    other coefficients are in ``gam``. An unobserved cell has y = n = 0, so
-    its term is 0. wp and wn hold the 1 / (2 var) of the step before and after
-    each node (0 after node T). Each move reads a proposal step per lane from
-    D and a log-uniform from log_u, both (chains, blocks), and counts accepts
-    in ``acc``.
+    Node t of a walk sits at padded column t + 1 of T + 3. Column 0 holds the
+    prior mean of node 0 (theta0_mean, or 0 for a bias walk), column T + 2 a
+    0 whose step weight is 0. The arrays are nodes-major with the chains last,
+    and split by the parity of the padded column: column p is row p // 2 of
+    its parity's block, the even block first (``nodes`` lists the rows of
+    nodes 0..T). ``th`` is (rows, chains); ``lp`` (log bias odds), ``ll``
+    (cell log-likelihoods), ``Y`` and ``N`` are (rows, surveys, chains),
+    bias walks first, so that a bias walk's rows of ``lp`` are its
+    coefficient vector; the other coefficients are in ``gam``, (chains,
+    coefficients) per survey. An unobserved cell has y = n = 0, so its term
+    is 0. The nodes of colour s, t = s, s + 2, ..., are then one contiguous
+    row block, and so are their predecessors and their successors
+    (``colours``).
+
+    Blocks are kept in phase order, the order the sweep reaches them: theta
+    at odd then even t, sigma_sq, the other coefficients, the bias walks at
+    odd then even t (every walk at one t together), pi_sq, the ridge moves
+    at odd then even t. ``perm`` maps phase order to block ids, and each
+    phase reads its steps from D and its log-uniforms from log_u, both
+    (blocks, chains) in phase order, and counts its accepts in ``acc`` as
+    contiguous row blocks. ``wt`` holds theta's step weights 1 / (2 var)
+    before and after each node, in the order of the theta blocks (0 after
+    node T), and ``wg`` the bias walks'.
     """
 
     def __init__(self, panel: SurveyPanel, spec: ModelSpec, designs, columns, starts):
@@ -644,51 +662,62 @@ class _Batch:
         W = len(walk_ks)
         order = walk_ks + [k for k in range(len(designs)) if k not in walk_ks]
         row = {k: r for r, k in enumerate(order)}
+        S = len(order)
         self.T, self.W, self.order = T, W, order
         self.monotone = spec.monotone_walk
-        self.th = np.zeros((C, T + 3))
-        self.th[:, 0] = pr.theta0_mean
-        self.lp = np.zeros((C, len(order), T + 3))
+
+        even = (T + 4) // 2  # rows of the even block: padded columns 0, 2, ..., T + 2
+        pos = [p // 2 if p % 2 == 0 else even + p // 2 for p in range(T + 3)]
+        self.nodes = np.array(pos[1 : T + 2], dtype=np.intp)
+        self.th = np.zeros((T + 3, C))
+        self.th[0] = pr.theta0_mean
+        self.lp = np.zeros((T + 3, S, C))
         self.ll = np.zeros_like(self.lp)
-        self.Y = np.zeros((len(order), T + 3))
-        self.N = np.zeros_like(self.Y)
+        self.Y = np.zeros_like(self.lp)
+        self.N = np.zeros_like(self.lp)
         for k, t, y, n in panel.observed_cells():
-            self.Y[row[k], t + 1] = y
-            self.N[row[k], t + 1] = n
+            self.Y[pos[t + 1], row[k]] = y
+            self.N[pos[t + 1], row[k]] = n
         self.sig = np.array([s[1] for s in starts])
         self.pi = np.array([s[2] for s in starts]) if W else None
         self.gam = {k: np.array([s[3][k] for s in starts]) for k in order[W:] if designs[k].var}
         for c, (theta, _, _, _, lphi, ll) in enumerate(starts):
-            self.th[c, 1 : T + 2] = theta
+            self.th[self.nodes, c] = theta
             for k, r in row.items():
-                self.lp[c, r, 1 : T + 2] = lphi[k]
-                self.ll[c, r, 1 : T + 2] = ll[k]
+                self.lp[self.nodes, r, c] = lphi[k]
+                self.ll[self.nodes, r, c] = ll[k]
         self.sig_prior, self.pi_prior = pr.sigma_sq_scale, pr.pi_sq_scale
-        self.wp = np.empty((C, T + 1))
-        self.wp[:, 0] = 0.5 / pr.theta0_var
-        self.wn = np.zeros((C, T + 1))
-        self.wgp = np.empty((C, W, T + 1))
-        self.wgp[:, :, 0] = [0.5 / designs[k].var[0] for k in walk_ks]
-        self.wgn = np.zeros((C, W, T + 1))
+        self.walk_rows = np.array([1.0] * W + [0.0] * (S - W))[:, None]
+
+        # colour s: the rows of its nodes, of their predecessors and of their
+        # successors, its theta blocks in phase order, and the rows of node 0
+        # and node T within it, whose monotone bounds are one-sided
+        n1, n0 = T // 2 + (T % 2), T // 2 + 1
+        sizes = {1: n1, 0: n0}
+        self.colours = {}
+        self.edges = {}
+        for s, start in ((1, 0), (0, n1)):
+            n, a, b = sizes[s], pos[s + 1], pos[s]
+            self.colours[s] = (slice(a, a + n), slice(b, b + n), slice(b + 1, b + n + 1),
+                               slice(start, start + n))
+            self.edges[s] = (s == 0, T % 2 == s)
+        i0, iT = n1, (n1 - 1 if T % 2 else T)  # node 0's and node T's theta blocks
+        self.wt = np.empty((2, T + 1, C))  # 1 / (2 var) of the step before and after
+        self.wt_ends = (i0, 0.5 / pr.theta0_var), (iT, 0.0)
+        self.wg = np.empty((2, T + 1, W, C))
+        self.wg_ends = (i0, np.array([0.5 / designs[k].var[0] for k in walk_ks])[:, None]), (iT, 0.0)
         self._set_weights(False)
         if W:
             self._set_weights(True)
-        self.walk_rows = np.array([1.0] * W + [0.0] * (len(order) - W))[:, None]
 
-        # block ids as in _block_names
+        # block ids as in _block_names, listed in phase order
         first: dict[int, int] = {}
         for i, c in enumerate(columns):
             first.setdefault(c.k, T + 2 + i)
         self.pi_id = T + 2 + len(columns)
         joint = self.pi_id + 1
-        wid = np.array([[first[k] + t for t in range(T + 1)] for k in walk_ks], dtype=np.intp)
-        # a colour's nodes t = s, s + 2, ...: as a slice of (chains, T + 1)
-        # arrays, which is also the padded column of each node's predecessor,
-        # then the padded columns of the nodes and of their successors
-        self.colours = {s: (slice(s, T + 1, 2), slice(s + 1, T + 2, 2), slice(s + 2, T + 3, 2))
-                        for s in (0, 1)}
-        self.joint_ids = {s: slice(joint + s, joint + T + 1, 2) for s in (0, 1)}
-        self.walk_ids = {s: wid.reshape(W, T + 1)[:, s::2] for s in (0, 1)}
+        by_colour = [t for s in (1, 0) for t in range(s, T + 1, 2)]
+        perm = by_colour + [T + 1]
         # a coefficient block per non-walk column: its cells' log odds are
         # offset + coef @ gamma, the design's map written out densely
         self.coefs = []
@@ -699,35 +728,43 @@ class _Batch:
             for r, (_, _, _, _, terms) in enumerate(c.rows):
                 for j, v in ((c.j, 1.0),) if terms is None else terms:
                     coef[j, r] = v
-            cols = np.array([r[0] + 1 for r in c.rows], dtype=np.intp)
+            cells = np.array([pos[r[0] + 1] for r in c.rows], dtype=np.intp)
             ys, ns, offset = (np.array([r[i] for r in c.rows], dtype=float) for i in (1, 2, 3))
             self.coefs.append(
-                (T + 2 + i, row[c.k], c.k, c.j, 2.0 * c.var, cols, ys, ns, offset, coef)
+                (len(perm), row[c.k], c.k, c.j, 2.0 * c.var, cells, ys, ns, offset, coef)
             )
-        self.acc = np.zeros((C, joint + T + 1 if W else self.pi_id), dtype=np.int64)
+            perm.append(T + 2 + i)
+        self.walk_ph, self.ridge_ph = {}, {}
+        if W:
+            for s in (1, 0):
+                self.walk_ph[s] = slice(len(perm), len(perm) + sizes[s] * W)
+                perm += [first[k] + t for t in range(s, T + 1, 2) for k in walk_ks]
+            self.pi_ph = len(perm)
+            perm.append(self.pi_id)
+            for s in (1, 0):
+                self.ridge_ph[s] = slice(len(perm), len(perm) + sizes[s])
+                perm += [joint + t for t in range(s, T + 1, 2)]
+        self.perm = np.array(perm, dtype=np.intp)
+        self.ids = np.argsort(self.perm)
+        self.accepted = np.zeros((len(perm), C), dtype=bool)
+        self.acc = np.zeros((len(perm), C), dtype=np.int64)
 
     def _set_weights(self, is_pi: bool) -> None:
-        T = self.T
         if is_pi:
-            inv = (0.5 / self.pi)[:, None, None]
-            self.wgp[:, :, 1:] = inv
-            self.wgn[:, :, :T] = inv
+            w, ends, v = self.wg, self.wg_ends, self.pi
         else:
-            inv = (0.5 / self.sig)[:, None]
-            self.wp[:, 1:] = inv
-            self.wn[:, :T] = inv
+            w, ends, v = self.wt, self.wt_ends, self.sig
+        w[...] = 0.5 / v
+        for side, (i, value) in enumerate(ends):
+            w[side, i] = value
 
-    def _bounds(self, s, prev, nxt):
-        """The monotone bounds of colour s's theta nodes: their neighbours,
-        with none below node 0 and none above node T."""
-        lo, hi = prev, nxt
-        if s == 0:
-            lo = prev.copy()
-            lo[:, 0] = -_INF
-        if (self.T - s) % 2 == 0:
-            hi = nxt.copy()
-            hi[:, -1] = _INF
-        return lo, hi
+    def phase_major(self, a):
+        """A (chains, ..., blocks) array as (..., blocks in phase order, chains)."""
+        return np.ascontiguousarray(np.moveaxis(np.take(a, self.perm, axis=-1), 0, -1))
+
+    def counts(self):
+        """Accepts as (chains, blocks) in block-id order."""
+        return self.acc[self.ids].T
 
     def sweep(self, D, log_u) -> None:
         """One sweep: the scalar schedule's five phases, with theta, the bias
@@ -743,49 +780,77 @@ class _Batch:
             self.variance(True, D, log_u)
             for s in (1, 0):
                 self.ridge(s, D, log_u)
+        self.acc += self.accepted
+
+    def _reflect(self, s, prop, lo, hi) -> None:
+        """Reflect colour s's theta proposals into the monotone order, in
+        place: into [lo, hi], and off the one bound of node 0 and of node T.
+        A node whose neighbours are tied has nowhere to move: its reflection
+        divides by 0 and leaves nan, whose ratio rejects."""
+        first, last = self.edges[s]
+        out = (prop < lo) | (prop > hi)
+        if first:  # node 0: nothing below
+            out[0] = prop[0] > hi[0]
+        if last:  # node T: nothing above
+            out[-1] = prop[-1] < lo[-1]
+        if np.count_nonzero(out):
+            w = hi - lo
+            w2 = 2.0 * w
+            r = np.mod(prop - lo, w2)
+            into = lo + np.where(r <= w, r, w2 - r)
+            if first:
+                into[0] = 2.0 * hi[0] - prop[0]
+            if last:
+                into[-1] = 2.0 * lo[-1] - prop[-1]
+            np.copyto(prop, into, where=out)
+
+    def _in_order(self, s, a, prop, lo, hi) -> None:
+        """Reject, in place, colour s's lanes of ``a`` whose proposal leaves
+        the monotone order."""
+        first, last = self.edges[s]
+        ok = prop >= lo
+        if first:
+            ok[0] = True
+        a &= ok
+        ok = np.less_equal(prop, hi, out=ok)
+        if last:
+            ok[-1] = True
+        a &= ok
 
     def level(self, s, D, log_u) -> None:
         """theta moves at colour s, reflected into the monotone order."""
-        node, col, nxt_col = self.colours[s]
+        nodes, prev_, nxt_, ph = self.colours[s]
         th = self.th
-        cur, prev, nxt = th[:, col], th[:, node], th[:, nxt_col]
-        prop = cur + D[:, node]
+        cur, prev, nxt = th[nodes], th[prev_], th[nxt_]
+        prop = cur + D[ph]
         if self.monotone:
-            lo, hi = self._bounds(s, prev, nxt)
-            w = hi - lo
-            out = (prop < lo) | (prop > hi)
-            stuck = out & (w <= 0.0)  # neighbours tied: nowhere to move
-            if out.any():
-                r = np.mod(prop - lo, 2.0 * w)
-                inside = lo + np.where(r <= w, r, 2.0 * w - r)
-                edge = np.where(lo == -_INF, 2.0 * hi - prop, 2.0 * lo - prop)
-                prop = np.where(out, np.where(np.isinf(w), edge, inside), prop)
-        d = _pair_prior(cur, prop, prev, nxt, self.wp[:, node], self.wn[:, node])
-        x = prop[:, None, :] + self.lp[:, :, col]
-        v = self.Y[:, col] * x - self.N[:, col] * np.logaddexp(0.0, x)
-        lls = self.ll[:, :, col]
+            self._reflect(s, prop, prev, nxt)
+        d = _pair_prior(cur, prop, prev, nxt, self.wt[0, ph], self.wt[1, ph])
+        x = prop[:, None] + self.lp[nodes]
+        v = self.Y[nodes] * x - self.N[nodes] * np.logaddexp(0.0, x)
+        lls = self.ll[nodes]
         d += (v - lls).sum(axis=1)
-        a = log_u[:, node] < d
-        if self.monotone:
-            a &= ~stuck
+        a = np.less(log_u[ph], d, out=self.accepted[ph])
         np.copyto(cur, prop, where=a)
-        np.copyto(lls, v, where=a[:, None, :])
-        self.acc[:, node] += a
+        np.copyto(lls, v, where=a[:, None])
 
     def variance(self, is_pi: bool, D, log_u) -> None:
         """The sigma_sq or pi_sq move on the log scale."""
         T = self.T
+        lo, hi = self.nodes[:-1], self.nodes[1:]
         if is_pi:
-            bid, v, prior_sq, count = self.pi_id, self.pi, self.pi_prior, self.W * T
-            steps = self.lp[:, : self.W, 2 : T + 2] - self.lp[:, : self.W, 1 : T + 1]
+            bid, v, prior_sq, count = self.pi_ph, self.pi, self.pi_prior, self.W * T
+            g = self.lp[:, : self.W].T  # (chains, walks, rows)
+            steps = np.take(g, hi, axis=2) - np.take(g, lo, axis=2)
         else:
             bid, v, prior_sq, count = T + 1, self.sig, self.sig_prior, T
-            steps = self.th[:, 2 : T + 2] - self.th[:, 1 : T + 1]
+            steps = np.take(self.th.T, hi, axis=1) - np.take(self.th.T, lo, axis=1)
+        # summed per chain along t, in the order of the scalar sweep's steps
         sse = (steps * steps).reshape(len(v), -1).sum(axis=1)
         # math.log and math.exp, as in the scalar sweep: numpy's SIMD loops
         # may round differently on another CPU, and these values are kept
         lcur = np.fromiter(map(math.log, v), float, len(v))
-        lprop = lcur + D[:, bid]
+        lprop = lcur + D[bid]
         vprop = np.fromiter(map(math.exp, lprop), float, len(v))
         d = (
             (v * v - vprop * vprop) / (2.0 * prior_sq)
@@ -793,84 +858,84 @@ class _Batch:
             + 0.5 * sse * (1.0 / v - 1.0 / vprop)
             + (lprop - lcur)
         )
-        a = log_u[:, bid] < d
+        a = np.less(log_u[bid], d, out=self.accepted[bid])
         np.copyto(v, vprop, where=a)
         self._set_weights(is_pi)
-        self.acc[:, bid] += a
 
     def coefficient(self, block, D, log_u) -> None:
-        """One non-walk coefficient on every chain, with all the cells of its column."""
-        bid, r, k, j, two_var, cols, ys, ns, offset, coef = block
+        """One non-walk coefficient on every chain, with all the cells of its
+        column, as (chains, cells) so that each chain sums its cells in order."""
+        bid, r, k, j, two_var, cells, ys, ns, offset, coef = block
         gk = self.gam[k]
         cur = gk[:, j].copy()
-        prop = cur + D[:, bid]
+        prop = cur + D[bid]
         d = (cur * cur - prop * prop) / two_var
         gk[:, j] = prop
         g = offset
         for i in range(len(coef)):
             g = g + coef[i] * gk[:, i, None]
-        x = self.th[:, cols] + g
+        x = np.take(self.th.T, cells, axis=1) + g
         v = ys * x - ns * np.logaddexp(0.0, x)
-        d += (v - self.ll[:, r, cols]).sum(axis=1)
-        a = log_u[:, bid] < d
+        lps, lls = self.lp[:, r].T, self.ll[:, r].T  # (chains, rows)
+        old = np.take(lls, cells, axis=1)
+        d += (v - old).sum(axis=1)
+        a = np.less(log_u[bid], d, out=self.accepted[bid])
         gk[:, j] = np.where(a, prop, cur)
         a = a[:, None]
-        self.lp[:, r, cols] = np.where(a, g, self.lp[:, r, cols])
-        self.ll[:, r, cols] = np.where(a, v, self.ll[:, r, cols])
-        self.acc[:, bid] += a[:, 0]
+        lps[:, cells] = np.where(a, g, np.take(lps, cells, axis=1))
+        lls[:, cells] = np.where(a, v, old)
 
     def walk(self, s, D, log_u) -> None:
         """Bias-walk coefficient moves at colour s, every walk survey at once."""
-        node, col, nxt_col = self.colours[s]
-        ids, W = self.walk_ids[s], self.W
-        g = self.lp[:, :W]
-        cur = g[:, :, col]
-        prop = cur + D[:, ids]
-        d = _pair_prior(cur, prop, g[:, :, node], g[:, :, nxt_col],
-                        self.wgp[:, :, node], self.wgn[:, :, node])
-        x = self.th[:, None, col] + prop
-        v = self.Y[:W, col] * x - self.N[:W, col] * np.logaddexp(0.0, x)
-        lls = self.ll[:, :W, col]
+        nodes, prev_, nxt_, ph = self.colours[s]
+        W = self.W
+        rows = self.walk_ph[s]
+        shape = (nodes.stop - nodes.start, W, -1)
+        lp = self.lp
+        cur = lp[nodes, :W]
+        prop = cur + D[rows].reshape(shape)
+        d = _pair_prior(cur, prop, lp[prev_, :W], lp[nxt_, :W], self.wg[0, ph], self.wg[1, ph])
+        x = self.th[nodes, None] + prop
+        v = self.Y[nodes, :W] * x - self.N[nodes, :W] * np.logaddexp(0.0, x)
+        lls = self.ll[nodes, :W]
         d += v - lls
-        a = log_u[:, ids] < d
+        a = np.less(log_u[rows].reshape(shape), d, out=self.accepted[rows].reshape(shape))
         np.copyto(cur, prop, where=a)
         np.copyto(lls, v, where=a)
-        self.acc[:, ids] += a
 
     def ridge(self, s, D, log_u) -> None:
         """Ridge moves at colour s: theta[t] and, against it, every bias walk at t.
         The walk cells are invariant, so the ratio skips them and an accept
         refreshes them; a proposal outside the monotone order is rejected."""
-        node, col, nxt_col = self.colours[s]
-        ids, W = self.joint_ids[s], self.W
+        nodes, prev_, nxt_, ph = self.colours[s]
+        W = self.W
+        rows = self.ridge_ph[s]
         th = self.th
-        cur, prev, nxt = th[:, col], th[:, node], th[:, nxt_col]
-        delta = D[:, ids]
+        cur, prev, nxt = th[nodes], th[prev_], th[nxt_]
+        delta = D[rows]
         prop = cur + delta
-        d = _pair_prior(cur, prop, prev, nxt, self.wp[:, node], self.wn[:, node])
-        lps = self.lp[:, :, col]
-        lnew = lps - delta[:, None, :] * self.walk_rows
-        g = self.lp[:, :W]
-        d += _pair_prior(lps[:, :W], lnew[:, :W], g[:, :, node], g[:, :, nxt_col],
-                         self.wgp[:, :, node], self.wgn[:, :, node]).sum(axis=1)
-        x = prop[:, None, :] + lnew
-        v = self.Y[:, col] * x - self.N[:, col] * np.logaddexp(0.0, x)
-        lls = self.ll[:, :, col]
+        d = _pair_prior(cur, prop, prev, nxt, self.wt[0, ph], self.wt[1, ph])
+        lp = self.lp
+        lps = lp[nodes]
+        lnew = lps - delta[:, None] * self.walk_rows
+        d += _pair_prior(lps[:, :W], lnew[:, :W], lp[prev_, :W], lp[nxt_, :W],
+                         self.wg[0, ph], self.wg[1, ph]).sum(axis=1)
+        x = prop[:, None] + lnew
+        v = self.Y[nodes] * x - self.N[nodes] * np.logaddexp(0.0, x)
+        lls = self.ll[nodes]
         d += (v[:, W:] - lls[:, W:]).sum(axis=1)
-        a = log_u[:, ids] < d
+        a = np.less(log_u[rows], d, out=self.accepted[rows])
         if self.monotone:
-            lo, hi = self._bounds(s, prev, nxt)
-            a &= (prop >= lo) & (prop <= hi)
+            self._in_order(s, a, prop, prev, nxt)
         np.copyto(cur, prop, where=a)
-        a3 = a[:, None, :]
+        a3 = a[:, None]
         np.copyto(lps, lnew, where=a3)
         np.copyto(lls, v, where=a3)
-        self.acc[:, ids] += a
 
 
 def _sample_batch(
     panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings, seeds, designs, columns
-) -> list[ChainDraws]:
+) -> _Part:
     """The chains of ``seeds``, swept together as one ``_Batch``; the
     logit-shift approximation only. Each chain draws its start and then one
     normal and one uniform per block and sweep from its own generator, so its
@@ -883,7 +948,7 @@ def _sample_batch(
     C, B = len(rngs), len(names)
     log_scale = [[math.log(0.5)] * B for _ in rngs]
     scale_rows = [[0.5] * B for _ in rngs]
-    scale = np.array(scale_rows)
+    scale = batch.phase_major(np.array(scale_rows))
     acc = batch.acc
     n_windows = 0
 
@@ -892,6 +957,7 @@ def _sample_batch(
     thin = settings.thin
     total = burn + settings.n_draws
     kept = settings.n_kept
+    nodes = batch.nodes
     out_theta = np.empty((C, kept, T + 1))
     out_sig = np.empty((C, kept))
     out_gam = [np.empty((C, kept, len(d.var))) for d in designs]
@@ -907,34 +973,33 @@ def _sample_batch(
                 acc[:] = 0  # a partial window at the freeze point is dropped
             i = it % chunk
             if i == 0:
-                z = np.stack([rng.standard_normal((chunk, B)) for rng in rngs])
-                log_u = np.log(np.stack([rng.random((chunk, B)) for rng in rngs]))
-            batch.sweep(scale * z[:, i], log_u[:, i])
+                z = batch.phase_major(np.stack([rng.standard_normal((chunk, B)) for rng in rngs]))
+                log_u = batch.phase_major(
+                    np.log(np.stack([rng.random((chunk, B)) for rng in rngs])))
+            batch.sweep(scale * z[i], log_u[i])
 
             if it < burn and (it + 1) % window == 0:
                 n_windows += 1
-                for c, counts in enumerate(acc.tolist()):
+                for c, counts in enumerate(batch.counts().tolist()):
                     _close_window(log_scale[c], scale_rows[c], counts, settings, n_windows)
-                scale = np.array(scale_rows)
+                scale = batch.phase_major(np.array(scale_rows))
                 acc[:] = 0
 
             if it >= burn and (it - burn) % thin == thin - 1:
-                out_theta[:, keep_i] = batch.th[:, 1 : T + 2]
+                out_theta[:, keep_i] = batch.th[nodes].T
                 out_sig[:, keep_i] = batch.sig
                 for r, k in enumerate(batch.order):
                     if r < batch.W:
-                        out_gam[k][:, keep_i] = batch.lp[:, r, 1 : T + 2]
+                        out_gam[k][:, keep_i] = batch.lp[nodes, r].T
                     elif k in batch.gam:
                         out_gam[k][:, keep_i] = batch.gam[k]
                 if out_pi is not None:
                     out_pi[:, keep_i] = batch.pi
                 keep_i += 1
 
-    return [
-        _chain_draws(spec, settings, names, out_theta[c], out_sig[c], [g[c] for g in out_gam],
-                     None if out_pi is None else out_pi[c], counts, frozen[c], scale_rows[c])
-        for c, counts in enumerate(acc.tolist())
-    ]
+    books = [_books(settings, names, counts, frozen[c], scale_rows[c])
+             for c, counts in enumerate(batch.counts().tolist())]
+    return _Part(out_theta, out_sig, out_gam, out_pi, books)
 
 
 def _batch_job(args):
@@ -945,17 +1010,19 @@ def resolve_workers(workers: int | None = None) -> int:
     """The process count to use: ``workers``, else the SURVEYSYNTH_WORKERS
     environment variable, else 1 (serial).
 
-    Raises ValueError naming the source unless the count is an integer >= 1.
+    Raises ValueError naming the source unless the count is an integer >= 1;
+    a passed bool or float is not one.
     """
-    name, value = "workers", workers
-    if workers is None:
-        name, value = "SURVEYSYNTH_WORKERS", os.environ.get("SURVEYSYNTH_WORKERS", "1")
+    if workers is not None:
+        check_count("workers", workers, 1)
+        return int(workers)
+    value = os.environ.get("SURVEYSYNTH_WORKERS", "1")
     try:
         count = int(value)
     except ValueError:
         count = 0
     if count < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        raise ValueError(f"SURVEYSYNTH_WORKERS must be an integer >= 1, got {value!r}")
     return count
 
 
@@ -973,32 +1040,31 @@ def map_jobs(fn, jobs: list, workers: int | None = None) -> list:
     return [fn(job) for job in jobs]
 
 
-def _stack_chains(chains: list[ChainDraws], spec: ModelSpec, settings: SamplerSettings) -> ChainDraws:
-    """One ChainDraws from per-chain ones: draws stacked along the chain axis,
-    acceptance rates averaged, and scales keyed chain<i>:<block>."""
-    acceptance = {
-        name: float(np.mean([c.acceptance_rates[name] for c in chains]))
-        for name in chains[0].acceptance_rates
-    }
+def _stack_chains(parts: list[_Part], spec: ModelSpec, settings: SamplerSettings) -> ChainDraws:
+    """One ChainDraws from the engines' parts: draws concatenated along the
+    chain axis (a single part's arrays are used as they are), acceptance
+    rates averaged over chains, and scales keyed chain<i>:<block>."""
+    books = [b for part in parts for b in part.books]
+    if len(parts) == 1:
+        theta, sigma_sq, gamma, pi_sq, _ = parts[0]
+    else:
+        theta = np.concatenate([p.theta for p in parts])
+        sigma_sq = np.concatenate([p.sigma_sq for p in parts])
+        gamma = [np.concatenate(g) for g in zip(*(p.gamma for p in parts))]
+        pi_sq = None if parts[0].pi_sq is None else np.concatenate([p.pi_sq for p in parts])
+    acceptance = {name: float(np.mean([b[0][name] for b in books])) for name in books[0][0]}
     scales_burn: dict[str, float] = {}
     scales_final: dict[str, float] = {}
-    for ci, c in enumerate(chains):
-        for name, v in c.scales_end_of_burnin.items():
+    for ci, (_, frozen, final) in enumerate(books):
+        for name, v in frozen.items():
             scales_burn[f"chain{ci}:{name}"] = v
-        for name, v in c.scales_final.items():
+        for name, v in final.items():
             scales_final[f"chain{ci}:{name}"] = v
     return ChainDraws(
-        theta=np.concatenate([c.theta for c in chains], axis=0),
-        sigma_sq=np.concatenate([c.sigma_sq for c in chains], axis=0),
-        gamma=tuple(
-            np.concatenate([c.gamma[k] for c in chains], axis=0)
-            for k in range(len(spec.bias))
-        ),
-        pi_sq=(
-            None
-            if chains[0].pi_sq is None
-            else np.concatenate([c.pi_sq for c in chains], axis=0)
-        ),
+        theta=theta,
+        sigma_sq=sigma_sq,
+        gamma=tuple(gamma),
+        pi_sq=pi_sq,
         spec=spec,
         settings=settings,
         acceptance_rates=acceptance,
@@ -1031,15 +1097,15 @@ def run_chains(
     lanes = panel.n_times + 1
     if spec.use_exact_nchg or n * lanes < BATCH_MIN_LANES:
         jobs = [(panel, spec, settings, s, designs, columns) for s in seeds]
-        chains = map_jobs(_chain_job, jobs, workers)
+        parts = map_jobs(_chain_job, jobs, workers)
     else:
         groups = max(1, min(resolve_workers(workers), n // -(-BATCH_MIN_LANES // lanes)))
         cuts = [n * g // groups for g in range(groups + 1)]
         jobs = [(panel, spec, settings, seeds[a:b], designs, columns)
                 for a, b in zip(cuts, cuts[1:])]
-        chains = [c for part in map_jobs(_batch_job, jobs, workers) for c in part]
+        parts = map_jobs(_batch_job, jobs, workers)
 
-    return _stack_chains(chains, spec, settings)
+    return _stack_chains(parts, spec, settings)
 
 
 # ---------------------------------------------------------------------------

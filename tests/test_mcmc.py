@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -539,8 +540,8 @@ def run_batched(panel, spec, settings):
     narrow the fit."""
     designs, columns = mcmc._validate_inputs(panel, spec)
     seeds = np.random.SeedSequence(settings.seed).spawn(settings.n_chains)
-    chains = mcmc._sample_batch(panel, spec, settings, seeds, designs, columns)
-    return mcmc._stack_chains(chains, spec, settings)
+    part = mcmc._sample_batch(panel, spec, settings, seeds, designs, columns)
+    return mcmc._stack_chains([part], spec, settings)
 
 
 @pytest.mark.parametrize(
@@ -870,6 +871,25 @@ def test_batch_splits_into_groups_the_workers_allow():
     assert groups == [[4], [4], [3, 3], [4, 4], [3, 4], [3, 3, 3, 3]]
 
 
+def test_one_group_fit_keeps_one_copy_of_its_draws():
+    vaccine = datagen.vaccine_shaped_bundle()
+    settings_ = SamplerSettings(n_chains=4, burn_in=50, n_draws=1000, thin=1, seed=3)
+    tracemalloc.start()
+    try:
+        draws = run_chains(vaccine.panel, vaccine.design.model_spec(), settings_, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(a.nbytes for a in (draws.theta, draws.sigma_sq, *draws.gamma, draws.pi_sq))
+    assert peak < 1.5 * size, (peak, size)
+
+
+@pytest.mark.parametrize("workers", [2.7, True, 0.5])
+def test_resolve_workers_takes_only_a_count(workers):
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        mcmc.resolve_workers(workers)
+
+
 def test_batched_draws_do_not_depend_on_workers_or_groups():
     vaccine = datagen.vaccine_shaped_bundle()
     panel, spec = vaccine.panel, vaccine.design.model_spec()
@@ -882,11 +902,10 @@ def test_batched_draws_do_not_depend_on_workers_or_groups():
     designs, columns = mcmc._validate_inputs(panel, spec)
     seeds = np.random.SeedSequence(3).spawn(4)
     four = mcmc._sample_batch(panel, spec, settings, seeds, designs, columns)
-    pairs = [c for part in (seeds[:2], seeds[2:])
-             for c in mcmc._sample_batch(panel, spec, settings, part, designs, columns)]
-    for a, b in zip(four, pairs):
-        assert _draws_digest(a) == _draws_digest(b)
-        assert _bookkeeping_digest(a) == _bookkeeping_digest(b)
+    pairs = [mcmc._sample_batch(panel, spec, settings, part, designs, columns)
+             for part in (seeds[:2], seeds[2:])]
+    assert _draws_digest(four) == _draws_digest(mcmc._stack_chains(pairs, spec, settings))
+    assert four.books == [b for part in pairs for b in part.books]
 
 
 # Digests of the vaccine case's draws and bookkeeping with its four chains
@@ -903,6 +922,15 @@ def test_batched_vaccine_draws_match_pinned_digests():
     assert (_draws_digest(draws), _bookkeeping_digest(draws)) == _PINNED_BATCH_DIGESTS
 
 
+def _rising_panel(n_times):
+    """Rates rising through 1/2: theta starts below the prior mean that pads
+    node 0 and ends above the 0 that pads node T, so that a bound read from
+    either pad shows."""
+    rate = np.linspace(0.2, 0.8, n_times)
+    n = np.array([[100.0] * n_times, [400.0] * n_times, [400.0] * n_times])
+    return panel_of(np.round(n * [rate, 0.8 * rate, np.sqrt(rate)]), n)
+
+
 def _batch_pin_cases():
     demo = datagen.demo_panel()
     vaccine = datagen.vaccine_shaped_bundle()
@@ -917,8 +945,9 @@ def _batch_pin_cases():
         ),
         # monotone bounds at both ends: T = 10 puts nodes 0 and T in one
         # colour, T = 9 in different colours
-        "even-monotone": (demo, ridge, dataclasses.replace(_short_settings(3), seed=4, thin=3)),
-        "odd-monotone": (demo.up_to(9), ridge, dataclasses.replace(_short_settings(3), seed=7)),
+        "even-monotone": (_rising_panel(10), ridge,
+                          dataclasses.replace(_short_settings(3), seed=4, thin=3)),
+        "odd-monotone": (_rising_panel(9), ridge, dataclasses.replace(_short_settings(3), seed=7)),
     }
 
 
@@ -927,8 +956,8 @@ def _batch_pin_cases():
 _PINNED_BATCH_CASE_DIGESTS = {
     "demo-linear-walk": ("b0f66434d5a66347", "fbd9a25c9857e7f3"),
     "vaccine-free": ("23da6c7f1dbd6d5b", "34f63348ba4201de"),
-    "even-monotone": ("473aca14ca14d01a", "e9d950654d55f5bf"),
-    "odd-monotone": ("e1cf4571b46b5f51", "a745812234b8038d"),
+    "even-monotone": ("979141d9b8e51e77", "77f728b70431d503"),
+    "odd-monotone": ("19e00fc590d11999", "2b7da23e08aa4c5e"),
 }
 
 
@@ -1064,8 +1093,9 @@ def test_scalar_sweep_log_ratios_match_the_oracle(kinds, n_times, monotone, exac
         states.append((list(theta), sig, [list(g) for g in gam], pi))
 
     settings_ = SamplerSettings(n_chains=1, burn_in=0, n_draws=n_sweeps, thin=1)
-    draws = mcmc._sample_chain(panel, spec, settings_, _ScriptedRng(seed, normals, uniforms),
-                               designs, columns)
+    part = mcmc._sample_chain(panel, spec, settings_, _ScriptedRng(seed, normals, uniforms),
+                              designs, columns)
+    draws = mcmc._stack_chains([part], spec, settings_)
     assert draws.theta[0].tolist() == [s[0] for s in states]
     assert draws.sigma_sq[0].tolist() == [s[1] for s in states]
     for k in range(len(designs)):
@@ -1077,18 +1107,18 @@ def test_scalar_sweep_log_ratios_match_the_oracle(kinds, n_times, monotone, exac
 
 def _lane_states(batch, designs):
     """Each chain's (theta, sigma_sq, gam, pi_sq) in a batch."""
-    T = batch.T
+    nodes = batch.nodes
     states = []
     for c in range(len(batch.sig)):
         gam = []
         for k in range(len(designs)):
             r = batch.order.index(k)
             if r < batch.W:
-                gam.append(batch.lp[c, r, 1 : T + 2].tolist())
+                gam.append(batch.lp[nodes, r, c].tolist())
             else:
                 gam.append(batch.gam[k][c].tolist() if k in batch.gam else [])
         pi = None if batch.pi is None else float(batch.pi[c])
-        states.append((batch.th[c, 1 : T + 2].tolist(), float(batch.sig[c]), gam, pi))
+        states.append((batch.th[nodes, c].tolist(), float(batch.sig[c]), gam, pi))
     return states
 
 
@@ -1115,7 +1145,7 @@ def _with_block(name, before, after, walk_ks):
 
 
 def _batch_arrays(batch):
-    arrays = [batch.th, batch.lp, batch.ll, batch.sig, batch.acc]
+    arrays = [batch.th, batch.lp, batch.ll, batch.sig, batch.accepted]
     return arrays + [batch.gam[k] for k in sorted(batch.gam)] + (
         [] if batch.pi is None else [batch.pi])
 
@@ -1142,17 +1172,21 @@ def test_batched_phase_log_ratios_match_the_oracle(kinds, n_times, monotone, n_c
     phases += [("coefficient", block) for block in batch.coefs]
     if walk_ks:
         phases += [("walk", 1), ("walk", 0), ("variance", True), ("ridge", 1), ("ridge", 0)]
+    # a phase takes its steps and log-uniforms in phase order, (blocks, chains)
+    ordered = batch.phase_major
     with np.errstate(all="ignore"):
         for _ in range(3):  # away from the start
-            batch.sweep(0.3 * rng.standard_normal(shape), np.log(rng.random(shape)))
+            batch.sweep(ordered(0.3 * rng.standard_normal(shape)),
+                        ordered(np.log(rng.random(shape))))
         for kind, arg in phases:
-            D = 0.5 * rng.standard_normal(shape)
+            D = ordered(0.5 * rng.standard_normal(shape))
+            batch.accepted[:] = False
             runs = []
             for log_u in ("all", "below", "above"):
                 b = copy.deepcopy(batch)
                 if log_u == "all":
-                    getattr(b, kind)(arg, D, np.full(shape, -np.inf))
-                    moved = np.argwhere(b.acc > batch.acc)
+                    getattr(b, kind)(arg, D, ordered(np.full(shape, -np.inf)))
+                    moved = [(c, b.perm[r]) for r, c in np.argwhere(b.accepted)]
                     before = _lane_states(batch, designs)
                     after = _lane_states(b, designs)
                     ratios = np.full(shape, -np.inf)
@@ -1161,7 +1195,7 @@ def test_batched_phase_log_ratios_match_the_oracle(kinds, n_times, monotone, n_c
                         ratios[c, bid] = (_oracle_log_post(panel, spec, state)
                                           - _oracle_log_post(panel, spec, before[c]) + jac)
                 else:
-                    getattr(b, kind)(arg, D, ratios + (_EPS if log_u == "above" else -_EPS))
+                    getattr(b, kind)(arg, D, ordered(ratios + (_EPS if log_u == "above" else -_EPS)))
                 runs.append(b)
             for got, want in zip(_batch_arrays(runs[1]), _batch_arrays(runs[0])):
                 np.testing.assert_array_equal(got, want, err_msg=f"{kind} {arg}: accepts")
