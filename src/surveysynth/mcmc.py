@@ -34,8 +34,9 @@ the same counts give the acceptance rates over n_draws decisions each.
 
 Two engines run this schedule, and both share the start (``_start``), the
 block names, the adaptation rule (``_close_window``) and the per-chain
-draws. ``run_chains`` compiles the designs and columns once per fit and
-hands them to the engine. A chain checks its start from the ll table it
+bookkeeping (``_books``). Each returns its chains' draws with a leading
+chain axis (``_Part``). ``run_chains`` compiles the designs and columns once
+per fit and hands them to the engine. A chain checks its start from the ll table it
 fills: a non-finite cell raises ``InitializationError`` naming its survey's
 block, lik[k], before the first sweep. The start's prior terms are finite by
 construction, so no other block can fail there. The likelihood module is the
@@ -64,27 +65,35 @@ therefore equals a fresh evaluation bit for bit, and each touched cell costs
 one kernel call per block.
 
 ``_sample_batch`` runs a batch of chains under the logit-shift approximation
-as numpy arrays over chains x time-points (``_Batch``). The theta moves, the
-bias-walk coefficient moves and the ridge moves update every odd t, then
-every even t: given the other colour and the bias terms, the nodes of one
-colour are conditionally independent, because each block reads only its
-neighbours in t and the cells at its own t. Every other coefficient is one
-block over all chains and the cells of its column, and each variance move
-one block over all chains. Every block draws one normal and one uniform per
-chain and sweep, each chain from its own generator, so the chains consume
-their streams in lockstep and a chain's draws do not depend on which chains
-share its batch.
+as numpy arrays (``_Batch``). The theta moves, the bias-walk coefficient
+moves and the ridge moves update every odd t, then every even t: given the
+other colour and the bias terms, the nodes of one colour are conditionally
+independent, because each block reads only its neighbours in t and the
+cells at its own t. Every other coefficient is one block over all chains
+and the cells of its column, and each variance move one block over all
+chains. Every block draws one normal and one uniform per chain and sweep,
+each chain from its own generator, so the chains consume their streams in
+lockstep and a chain's draws do not depend on which chains share its batch.
+A numpy call costs about a microsecond however few lanes it serves, and a
+strided operand costs several times what a contiguous one does, so the
+batch keeps its state nodes-major with the chains last and split by the
+parity of the padded time column: a colour's nodes and both its
+neighbours are then contiguous row blocks, and so are a phase's steps,
+log-uniforms and accept flags once each refill of the streams is permuted
+into phase order. The layout fixes no lane's arithmetic: each lane does the
+same floating-point operations in the same order in any layout.
 
 ``run_chains`` picks the engine from the fit alone: the batch when the
 kernel is the approximation and the fit has at least ``BATCH_MIN_LANES``
-lanes (chains x (T + 1)), else the scalar chain, one job per chain. A numpy
-call costs about a microsecond however few lanes it serves, so the batch
-pays only once a sweep has enough lanes: on the vaccine panel (T = 48) four
-chains sweep in about 0.6 of the scalar time, two in about 1.1. The
-scalar chain therefore stays below that width (the now-cast's two-chain
-fits, the simulation study's fits at T = 5) and under the exact kernel,
-whose cells are one kernel call each over windows of differing lengths,
-which a numpy batch cannot share.
+lanes (chains x (T + 1)), else the scalar chain, one job per chain. The
+batch pays only once a sweep has enough lanes: on the vaccine panel
+(T = 48) four chains sweep in about half the scalar time, two in about 0.8
+of it. The scalar chain runs the fits below that width (the now-cast's
+two-chain fits, the simulation study's fits at T = 5) and those under the
+exact kernel, whose cells are one kernel call each over windows of
+differing lengths, which a numpy batch cannot share. When one batch group
+holds every chain, its arrays are the fit's draws; only several parts are
+concatenated.
 
 ``split_stats`` scores split-chain R-hat and ESS for a whole stack of
 series at once, bit for bit as ``r_hat`` and ``ess`` score one. ``diagnose``
@@ -612,46 +621,53 @@ def _chain_job(args):
 
 
 # Lanes (chains x time-points) from which run_chains samples a fit's chains as
-# one batch. Measured against the scalar chain (median time ratios): 1.08 at
-# 98 lanes (2 vaccine chains, T = 48) and 1.01 at 99 (9 demo chains, T = 10),
-# 0.81 at 147 (3 vaccine chains) and 0.68 at 143 (13 demo chains), 0.62 at 196.
+# one batch. Measured against the scalar chain (median time ratios of 8
+# interleaved reps of 1500 sweeps in one process): 0.81 at 98 lanes (2 vaccine
+# chains, T = 48) and 0.73 at 99 (9 demo chains, T = 10), 0.64 at 147 (3
+# vaccine chains) and 0.57 at 143 (13 demo chains), 0.50 at 196. The batch now
+# pays from 98 lanes as well; the constant stays at the narrowest width where it
+# first paid, so that no fit changes engine and with it its draws.
 BATCH_MIN_LANES = 147
 
 
-def _pair_prior(cur, prop, prev, nxt, wp, wn):
-    """Change in the two Gaussian step terms around a node moved from cur to
+def _pair_prior(cur, prop, two, wp, wn):
+    """Change in the two Gaussian step terms around nodes moved from cur to
     prop: ((cur - prev)^2 - (prop - prev)^2) wp + ((nxt - cur)^2 - (nxt - prop)^2) wn,
-    with wp and wn the steps' 1 / (2 var)."""
+    with wp and wn the steps' 1 / (2 var) and ``two`` twice the neighbours,
+    rows 0..n of a colour's neighbour block: 2 prev = two[:-1], 2 nxt = two[1:]."""
     s = cur + prop
-    return (cur - prop) * ((s - 2.0 * prev) * wp - (2.0 * nxt - s) * wn)
+    return (cur - prop) * ((s - two[:-1]) * wp - (two[1:] - s) * wn)
 
 
 class _Batch:
-    """The state of a batch of chains under the logit-shift approximation.
+    """The state of a batch of chains under the logit-shift approximation,
+    laid out so that each phase of the sweep reads and writes contiguous
+    row blocks.
 
-    Node t of a walk sits at padded column t + 1 of T + 3. Column 0 holds the
+    Node t of a walk sits at padded column t + 1 of T + 3: column 0 holds the
     prior mean of node 0 (theta0_mean, or 0 for a bias walk), column T + 2 a
-    0 whose step weight is 0. The arrays are nodes-major with the chains last,
-    and split by the parity of the padded column: column p is row p // 2 of
-    its parity's block, the even block first (``nodes`` lists the rows of
-    nodes 0..T). ``th`` is (rows, chains); ``lp`` (log bias odds), ``ll``
-    (cell log-likelihoods), ``Y`` and ``N`` are (rows, surveys, chains),
-    bias walks first, so that a bias walk's rows of ``lp`` are its
+    0 whose step weight is 0. Every array is nodes-major with the chains
+    last, and split by the parity of the padded column: column p is row
+    p // 2 of its parity's block, the even block first, and ``nodes`` lists
+    the rows of nodes 0..T. ``th`` is (rows, chains). ``lp`` (log bias odds),
+    ``ll`` (cell log-likelihoods), ``Y`` and ``N`` are (rows, surveys,
+    chains), bias walks first, so that a bias walk's rows of ``lp`` are its
     coefficient vector; the other coefficients are in ``gam``, (chains,
     coefficients) per survey. An unobserved cell has y = n = 0, so its term
-    is 0. The nodes of colour s, t = s, s + 2, ..., are then one contiguous
-    row block, and so are their predecessors and their successors
-    (``colours``).
+    is 0. The nodes of colour s, t = s, s + 2, ..., are then one row block of
+    the other parity, and their predecessors and successors rows 0..n - 1
+    and 1..n of one block of s's parity (``colours``).
 
     Blocks are kept in phase order, the order the sweep reaches them: theta
-    at odd then even t, sigma_sq, the other coefficients, the bias walks at
-    odd then even t (every walk at one t together), pi_sq, the ridge moves
-    at odd then even t. ``perm`` maps phase order to block ids, and each
-    phase reads its steps from D and its log-uniforms from log_u, both
-    (blocks, chains) in phase order, and counts its accepts in ``acc`` as
-    contiguous row blocks. ``wt`` holds theta's step weights 1 / (2 var)
-    before and after each node, in the order of the theta blocks (0 after
-    node T), and ``wg`` the bias walks'.
+    at odd t then at even t, sigma_sq, the other coefficients, the bias
+    walks at odd t then at even t (every walk at one t side by side), pi_sq,
+    the ridge moves at odd t then at even t. ``perm`` lists the block ids in
+    that order. A phase reads its steps from D and its log-uniforms from
+    log_u, both (blocks, chains) in phase order, and writes its decisions
+    into its rows of ``accepted``; the sweep adds them to ``acc``. ``wt``
+    holds theta's step weights 1 / (2 var) before and after each node (0
+    after node T) in the order of the theta blocks, and ``wg`` the bias
+    walks'. Node 0 and node T have one monotone bound each (``edges``).
     """
 
     def __init__(self, panel: SurveyPanel, spec: ModelSpec, designs, columns, starts):
@@ -689,23 +705,21 @@ class _Batch:
         self.sig_prior, self.pi_prior = pr.sigma_sq_scale, pr.pi_sq_scale
         self.walk_rows = np.array([1.0] * W + [0.0] * (S - W))[:, None]
 
-        # colour s: the rows of its nodes, of their predecessors and of their
-        # successors, its theta blocks in phase order, and the rows of node 0
-        # and node T within it, whose monotone bounds are one-sided
-        n1, n0 = T // 2 + (T % 2), T // 2 + 1
-        sizes = {1: n1, 0: n0}
-        self.colours = {}
-        self.edges = {}
-        for s, start in ((1, 0), (0, n1)):
+        # colour s: the rows of its nodes, the rows of their neighbours (the
+        # predecessors and one more, the last successor), and its theta
+        # blocks in phase order; whether it holds node 0 (first) and node T (last)
+        sizes = {1: (T + 1) // 2, 0: T // 2 + 1}
+        self.colours, self.edges = {}, {}
+        for s, start in ((1, 0), (0, sizes[1])):
             n, a, b = sizes[s], pos[s + 1], pos[s]
-            self.colours[s] = (slice(a, a + n), slice(b, b + n), slice(b + 1, b + n + 1),
-                               slice(start, start + n))
+            self.colours[s] = (slice(a, a + n), slice(b, b + n + 1), slice(start, start + n))
             self.edges[s] = (s == 0, T % 2 == s)
-        i0, iT = n1, (n1 - 1 if T % 2 else T)  # node 0's and node T's theta blocks
-        self.wt = np.empty((2, T + 1, C))  # 1 / (2 var) of the step before and after
-        self.wt_ends = (i0, 0.5 / pr.theta0_var), (iT, 0.0)
+        ends = (sizes[1], T if T % 2 == 0 else sizes[1] - 1)  # node 0's and node T's blocks
+        self.wt = np.empty((2, T + 1, C))
+        self.wt_ends = (ends[0], 0.5 / pr.theta0_var), (ends[1], 0.0)
         self.wg = np.empty((2, T + 1, W, C))
-        self.wg_ends = (i0, np.array([0.5 / designs[k].var[0] for k in walk_ks])[:, None]), (iT, 0.0)
+        var0 = np.array([0.5 / designs[k].var[0] for k in walk_ks])[:, None]
+        self.wg_ends = (ends[0], var0), (ends[1], 0.0)
         self._set_weights(False)
         if W:
             self._set_weights(True)
@@ -714,10 +728,8 @@ class _Batch:
         first: dict[int, int] = {}
         for i, c in enumerate(columns):
             first.setdefault(c.k, T + 2 + i)
-        self.pi_id = T + 2 + len(columns)
-        joint = self.pi_id + 1
-        by_colour = [t for s in (1, 0) for t in range(s, T + 1, 2)]
-        perm = by_colour + [T + 1]
+        pi_id = T + 2 + len(columns)
+        perm = [t for s in (1, 0) for t in range(s, T + 1, 2)] + [T + 1]
         # a coefficient block per non-walk column: its cells' log odds are
         # offset + coef @ gamma, the design's map written out densely
         self.coefs = []
@@ -740,16 +752,17 @@ class _Batch:
                 self.walk_ph[s] = slice(len(perm), len(perm) + sizes[s] * W)
                 perm += [first[k] + t for t in range(s, T + 1, 2) for k in walk_ks]
             self.pi_ph = len(perm)
-            perm.append(self.pi_id)
+            perm.append(pi_id)
             for s in (1, 0):
                 self.ridge_ph[s] = slice(len(perm), len(perm) + sizes[s])
-                perm += [joint + t for t in range(s, T + 1, 2)]
+                perm += [pi_id + 1 + t for t in range(s, T + 1, 2)]
         self.perm = np.array(perm, dtype=np.intp)
         self.ids = np.argsort(self.perm)
         self.accepted = np.zeros((len(perm), C), dtype=bool)
         self.acc = np.zeros((len(perm), C), dtype=np.int64)
 
     def _set_weights(self, is_pi: bool) -> None:
+        """Refill theta's or the bias walks' step weights from the variance."""
         if is_pi:
             w, ends, v = self.wg, self.wg_ends, self.pi
         else:
@@ -819,13 +832,13 @@ class _Batch:
 
     def level(self, s, D, log_u) -> None:
         """theta moves at colour s, reflected into the monotone order."""
-        nodes, prev_, nxt_, ph = self.colours[s]
+        nodes, around, ph = self.colours[s]
         th = self.th
-        cur, prev, nxt = th[nodes], th[prev_], th[nxt_]
+        cur, near = th[nodes], th[around]
         prop = cur + D[ph]
         if self.monotone:
-            self._reflect(s, prop, prev, nxt)
-        d = _pair_prior(cur, prop, prev, nxt, self.wt[0, ph], self.wt[1, ph])
+            self._reflect(s, prop, near[:-1], near[1:])
+        d = _pair_prior(cur, prop, 2.0 * near, self.wt[0, ph], self.wt[1, ph])
         x = prop[:, None] + self.lp[nodes]
         v = self.Y[nodes] * x - self.N[nodes] * np.logaddexp(0.0, x)
         lls = self.ll[nodes]
@@ -837,16 +850,16 @@ class _Batch:
     def variance(self, is_pi: bool, D, log_u) -> None:
         """The sigma_sq or pi_sq move on the log scale."""
         T = self.T
-        lo, hi = self.nodes[:-1], self.nodes[1:]
         if is_pi:
             bid, v, prior_sq, count = self.pi_ph, self.pi, self.pi_prior, self.W * T
-            g = self.lp[:, : self.W].T  # (chains, walks, rows)
-            steps = np.take(g, hi, axis=2) - np.take(g, lo, axis=2)
+            g = self.lp[self.nodes, : self.W]
         else:
             bid, v, prior_sq, count = T + 1, self.sig, self.sig_prior, T
-            steps = np.take(self.th.T, hi, axis=1) - np.take(self.th.T, lo, axis=1)
-        # summed per chain along t, in the order of the scalar sweep's steps
-        sse = (steps * steps).reshape(len(v), -1).sum(axis=1)
+            g = self.th[self.nodes]
+        steps = g[1:] - g[:-1]
+        # each chain's squared steps, walk by walk and then by t, as one
+        # contiguous row, so that numpy sums them in one fixed order
+        sse = np.ascontiguousarray((steps * steps).T).reshape(len(v), -1).sum(axis=1)
         # math.log and math.exp, as in the scalar sweep: numpy's SIMD loops
         # may round differently on another CPU, and these values are kept
         lcur = np.fromiter(map(math.log, v), float, len(v))
@@ -887,14 +900,14 @@ class _Batch:
 
     def walk(self, s, D, log_u) -> None:
         """Bias-walk coefficient moves at colour s, every walk survey at once."""
-        nodes, prev_, nxt_, ph = self.colours[s]
+        nodes, around, ph = self.colours[s]
         W = self.W
         rows = self.walk_ph[s]
         shape = (nodes.stop - nodes.start, W, -1)
         lp = self.lp
         cur = lp[nodes, :W]
         prop = cur + D[rows].reshape(shape)
-        d = _pair_prior(cur, prop, lp[prev_, :W], lp[nxt_, :W], self.wg[0, ph], self.wg[1, ph])
+        d = _pair_prior(cur, prop, 2.0 * lp[around, :W], self.wg[0, ph], self.wg[1, ph])
         x = self.th[nodes, None] + prop
         v = self.Y[nodes, :W] * x - self.N[nodes, :W] * np.logaddexp(0.0, x)
         lls = self.ll[nodes, :W]
@@ -907,18 +920,18 @@ class _Batch:
         """Ridge moves at colour s: theta[t] and, against it, every bias walk at t.
         The walk cells are invariant, so the ratio skips them and an accept
         refreshes them; a proposal outside the monotone order is rejected."""
-        nodes, prev_, nxt_, ph = self.colours[s]
+        nodes, around, ph = self.colours[s]
         W = self.W
         rows = self.ridge_ph[s]
         th = self.th
-        cur, prev, nxt = th[nodes], th[prev_], th[nxt_]
+        cur, near = th[nodes], th[around]
         delta = D[rows]
         prop = cur + delta
-        d = _pair_prior(cur, prop, prev, nxt, self.wt[0, ph], self.wt[1, ph])
+        d = _pair_prior(cur, prop, 2.0 * near, self.wt[0, ph], self.wt[1, ph])
         lp = self.lp
         lps = lp[nodes]
         lnew = lps - delta[:, None] * self.walk_rows
-        d += _pair_prior(lps[:, :W], lnew[:, :W], lp[prev_, :W], lp[nxt_, :W],
+        d += _pair_prior(lps[:, :W], lnew[:, :W], 2.0 * lp[around, :W],
                          self.wg[0, ph], self.wg[1, ph]).sum(axis=1)
         x = prop[:, None] + lnew
         v = self.Y[nodes] * x - self.N[nodes] * np.logaddexp(0.0, x)
@@ -926,7 +939,7 @@ class _Batch:
         d += (v[:, W:] - lls[:, W:]).sum(axis=1)
         a = np.less(log_u[rows], d, out=self.accepted[rows])
         if self.monotone:
-            self._in_order(s, a, prop, prev, nxt)
+            self._in_order(s, a, prop, near[:-1], near[1:])
         np.copyto(cur, prop, where=a)
         a3 = a[:, None]
         np.copyto(lps, lnew, where=a3)
