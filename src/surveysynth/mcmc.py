@@ -36,11 +36,12 @@ Two engines run this schedule, and both share the start (``_start``), the
 block names, the adaptation rule (``_close_window``) and the per-chain
 bookkeeping (``_books``). Each returns its chains' draws with a leading
 chain axis (``_Part``). ``run_chains`` compiles the designs and columns once
-per fit and hands them to the engine. A chain checks its start from the ll table it
-fills: a non-finite cell raises ``InitializationError`` naming its survey's
-block, lik[k], before the first sweep. The start's prior terms are finite by
-construction, so no other block can fail there. The likelihood module is the
-reference density the sampler is tested against; the sampler does not use it.
+per fit and hands them to the engine. A chain checks its start from the ll
+table it fills: a non-finite cell raises ``InitializationError`` naming its
+survey's block, lik[k], before the first sweep. The start's prior terms are
+finite by construction, so no other block can fail there. The likelihood
+module is the reference density the sampler is tested against; the sampler
+does not use it.
 
 ``_sample_chain`` runs one chain. Its hot loop works on plain Python floats
 and evaluates only the terms of the log posterior a block actually touches.

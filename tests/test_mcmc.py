@@ -1195,7 +1195,8 @@ def test_batched_phase_log_ratios_match_the_oracle(kinds, n_times, monotone, n_c
                         ratios[c, bid] = (_oracle_log_post(panel, spec, state)
                                           - _oracle_log_post(panel, spec, before[c]) + jac)
                 else:
-                    getattr(b, kind)(arg, D, ordered(ratios + (_EPS if log_u == "above" else -_EPS)))
+                    shift = _EPS if log_u == "above" else -_EPS
+                    getattr(b, kind)(arg, D, ordered(ratios + shift))
                 runs.append(b)
             for got, want in zip(_batch_arrays(runs[1]), _batch_arrays(runs[0])):
                 np.testing.assert_array_equal(got, want, err_msg=f"{kind} {arg}: accepts")
