@@ -894,10 +894,12 @@ def test_batched_draws_do_not_depend_on_workers_or_groups():
     vaccine = datagen.vaccine_shaped_bundle()
     panel, spec = vaccine.panel, vaccine.design.model_spec()
     settings = SamplerSettings(n_chains=6, burn_in=40, n_draws=40, thin=1, seed=9)
-    one = run_chains(panel, spec, settings, workers=1)
-    two = run_chains(panel, spec, settings, workers=2)  # two groups of 3 chains
-    assert _draws_digest(one) == _draws_digest(two)
-    assert _bookkeeping_digest(one) == _bookkeeping_digest(two)
+    # 294 lanes, wide enough for a batch; the demo fit's 2 x 11 lanes are not
+    fits = [(panel, spec, settings), (datagen.demo_panel(), _demo_spec("linear", "walk"), _SHORT)]
+    for fit in fits:
+        runs = [run_chains(*fit, workers=w) for w in (1, 2, 3)]
+        assert len({_draws_digest(r) for r in runs}) == 1
+        assert len({_bookkeeping_digest(r) for r in runs}) == 1
 
     designs, columns = mcmc._validate_inputs(panel, spec)
     seeds = np.random.SeedSequence(3).spawn(4)
@@ -906,6 +908,29 @@ def test_batched_draws_do_not_depend_on_workers_or_groups():
              for part in (seeds[:2], seeds[2:])]
     assert _draws_digest(four) == _draws_digest(mcmc._stack_chains(pairs, spec, settings))
     assert four.books == [b for part in pairs for b in part.books]
+
+
+def run_chain_by_chain(panel, spec, settings):
+    """``run_chains`` with every chain in its own ``_sample_chain`` call,
+    however wide the fit."""
+    designs, columns = mcmc._validate_inputs(panel, spec)
+    seeds = np.random.SeedSequence(settings.seed).spawn(settings.n_chains)
+    parts = [mcmc._sample_chain(panel, spec, settings, s, designs, columns) for s in seeds]
+    return mcmc._stack_chains(parts, spec, settings), [b for p in parts for b in p.books]
+
+
+def test_both_engines_give_the_same_draws():
+    cases = {**_pinned_cases(), **_batch_pin_cases()}
+    for name, (panel, spec, settings_) in cases.items():
+        if spec.use_exact_nchg:
+            continue
+        chains, books = run_chain_by_chain(panel, spec, settings_)
+        designs, columns = mcmc._validate_inputs(panel, spec)
+        seeds = np.random.SeedSequence(settings_.seed).spawn(settings_.n_chains)
+        part = mcmc._sample_batch(panel, spec, settings_, seeds, designs, columns)
+        batch = mcmc._stack_chains([part], spec, settings_)
+        assert _draws_digest(chains) == _draws_digest(batch), name
+        assert books == part.books, name
 
 
 # Digests of the vaccine case's draws and bookkeeping with its four chains
