@@ -33,6 +33,12 @@ def check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def check_number(name: str, value) -> None:
+    """Raise ValueError unless value is a real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class SurveyPanel:
     """Aligned counts for K surveys over a shared time grid.
@@ -132,6 +138,8 @@ class BiasModelSpec:
         if self.fixed_phi is not None:
             if self.kind != "known":
                 raise ValueError("fixed_phi only applies to kind='known'")
+            for v in self.fixed_phi:
+                check_number("fixed_phi value", v)
             phi = tuple(float(v) for v in self.fixed_phi)
             if any(not (v > 0.0) or not math.isfinite(v) for v in phi):
                 raise ValueError(f"fixed_phi values must be positive and finite: {phi}")
@@ -164,6 +172,9 @@ class PriorSpec:
     pi_sq_scale: float = 1.0
 
     def __post_init__(self):
+        for name in ("theta0_mean", "theta0_var", "sigma_sq_scale", "gamma0_var", "gamma1_var",
+                     "pi_sq_scale"):
+            check_number(name, getattr(self, name))
         for name in ("theta0_var", "sigma_sq_scale", "gamma0_var", "gamma1_var", "pi_sq_scale"):
             v = getattr(self, name)
             if not (v > 0.0) or not math.isfinite(v):

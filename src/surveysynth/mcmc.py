@@ -1,100 +1,75 @@
 """Adaptive random-walk Gibbs sampler for the survey-synthesis model.
 
-Every parameter is updated by scalar Metropolis blocks of three families,
-run in a fixed schedule of five phases per sweep: level moves of
-theta[0..T], a variance move of the latent-walk variance, one coefficient
-block per bias coefficient, then, when walk-bias surveys are present, a
-variance move of the bias-walk variance and ridge moves. The sweep picks a
-phase's family once and runs its blocks inline.
+Every parameter is updated by scalar Metropolis blocks of three families:
+level moves of theta[0..T], variance moves of sigma_sq and pi_sq, and one
+coefficient block per bias coefficient. A sweep runs them in one phase
+order (``_phase_order``): theta at odd t, then at even t; sigma_sq; the
+non-walk coefficients; then, with walk-bias surveys, the bias walks at odd
+t, then at even t, every walk at one t side by side; pi_sq; the ridge at
+odd t, then at even t. Given the other colour and the bias terms, the nodes
+of one colour are conditionally independent, because each block reads only
+its neighbours in t and the cells at its own t.
 
-A level move proposes theta[t]. The theta moves reflect the proposal into
-the monotone order. A ridge move is the same move that also counter-shifts
-every bias walk at t by the same amount, so it travels along the
-level-versus-bias ridge that scalar updates cross only in tiny steps when a
-large biased survey has no unbiased companion; it rejects a proposal
-outside the monotone order. Under the logit-shift approximation a cell
-depends on theta[t] and the bias only through their sum, so the walk cells
-at t are invariant under the shift and the move leaves them out of its
-acceptance ratio. The exact kernel reads theta through the rounded positive
-count and the bias through the odds separately, so there the walk cells
-count like any other. A variance move proposes sigma_sq or pi_sq on the log
-scale against its list of walk steps, theta[t] - theta[t - 1] or
-gamma[j] - gamma[j - 1]. Proposal scales adapt toward a target acceptance
-rate during burn-in only; they are snapshotted at the freeze point and
-again at the end so callers can check that no post-burn-in adaptation
-happened.
+A level move proposes theta[t] and reflects it into the monotone order. A
+ridge move is the same move that also counter-shifts every bias walk at t
+by the same amount, so it travels along the level-versus-bias ridge that
+scalar updates cross only in tiny steps when a large biased survey has no
+unbiased companion; it rejects a proposal outside the monotone order. Under
+the logit-shift approximation a cell depends on theta[t] and the bias only
+through their sum, so the walk cells at t are invariant under the shift and
+the move leaves them out of its ratio. The exact kernel reads theta through
+the rounded positive count and the bias through the odds separately, so
+there the walk cells count like any other. A variance move proposes on the
+log scale against its walk steps, theta[t] - theta[t - 1] or gamma[j] -
+gamma[j - 1]. A coefficient block proposes gamma[j], adds its prior terms
+and recomputes each cell of its compiled column (``core.coefficient_columns``)
+as offset + sum of c * gamma; no block knows a bias kind. A bias walk's
+coefficient t is its log odds at t, the layout the ridge move shifts.
 
-Every block makes exactly one accept/reject decision per sweep: a theta
-move whose monotone neighbours are tied, and a ridge move that would leave
-the monotone order, count as rejections. Adaptation relies on this. All
-windows therefore close on the same sweep, and the sweep only counts
-accepts per block; at the end of each window one pass moves every log scale
-by (accepts / window - target) / sqrt(windows closed so far). After burn-in
-the same counts give the acceptance rates over n_draws decisions each.
+After its start (``_start``) each chain reads its own generator's streams:
+at each refill (``_refill``) a (sweeps, blocks) array of normals, then one of
+uniforms through ``np.log``, read by block id, so each block takes one
+normal and one log-uniform per sweep whatever the others do. A block steps
+by its scale times its normal and accepts when its log-uniform is below its
+log ratio d. Every block makes one decision per sweep (a theta move between
+tied monotone neighbours and a ridge move out of the order reject), so all
+adaptation windows close on the same sweep: one pass moves every log scale
+by (accepts / window - target) / sqrt(windows closed so far)
+(``_close_window``). After burn-in the same counts give the acceptance
+rates. Scales are snapshotted at the freeze point and at the end so callers
+can check that no post-burn-in adaptation happened.
 
-Two engines run this schedule, and both share the start (``_start``), the
-block names, the adaptation rule (``_close_window``) and the per-chain
-bookkeeping (``_books``). Each returns its chains' draws with a leading
-chain axis (``_Part``). ``run_chains`` compiles the designs and columns once
-per fit and hands them to the engine. A chain checks its start from the ll
-table it fills: a non-finite cell raises ``InitializationError`` naming its
-survey's block, lik[k], before the first sweep. The start's prior terms are
-finite by construction, so no other block can fail there. The likelihood
-module is the reference density the sampler is tested against; the sampler
-does not use it.
+Two engines run this one sweep, and a chain gets the same draws from both,
+bit for bit. ``_sample_batch`` sweeps chains under the logit-shift
+approximation as numpy arrays (``_Batch``), a colour of every chain per
+move. A numpy call costs about a microsecond however few lanes it serves,
+and a strided operand several times a contiguous one, so the batch keeps
+its state nodes-major with the chains last and split by the parity of the
+padded time column: a colour's nodes, both its neighbours, and a phase's
+steps, log-uniforms and accept flags are then contiguous row blocks.
+``_sample_chain`` sweeps one chain on plain Python floats with the
+floating-point operations of one lane of the batch, in its order: the same
+padded walk ends and prior terms, softplus as ``np.logaddexp(0, x)``
+computes it, and numpy's summation order (``_row_sum``). It also runs the
+exact kernel, whose cells are one call each over windows of differing
+lengths, which a batch cannot share (``_exact_cell``). The chain keeps each
+observed cell's log bias odds (lp) and log-likelihood (ll); a block
+evaluates the cells it touches at the proposal only, and an accepted move
+copies the new values over, so ll equals a fresh evaluation and a touched
+cell costs one kernel call per block. Both engines share the start, the
+block names, the adaptation rule and the bookkeeping (``_books``), and
+return draws with a leading chain axis (``_Part``). A chain checks its start
+from its ll table: a non-finite cell raises ``InitializationError`` naming
+its survey's block, lik[k], before the first sweep; the start's prior terms
+are finite by construction. The likelihood module is the reference density
+the sampler is tested against; the sampler does not use it.
 
-``_sample_chain`` runs one chain. Its hot loop works on plain Python floats
-and evaluates only the terms of the log posterior a block actually touches.
-It reads the normal and uniform streams from buffers inline, refilling each
-when a draw finds it empty. Two tables describe the current state at every
-observed cell: lphi[k][t], survey k's log bias odds at time t, filled once
-from the compiled bias designs (``core.bias_designs``), and ll[k][t], the
-cell's log-likelihood. Each block evaluates the cells it touches at the
-proposal only, takes the difference against ll and keeps the new values
-aside; an accepted move copies them over. Under the logit-shift
-approximation the cell term y*x - n*softplus(x), with x = theta + log odds,
-is written out inline at each place a cell is evaluated; ``_exact_cell`` is
-the exact kernel's call. No block knows a bias kind. The level moves read
-the odds from lphi; the ridge move takes a bias walk's coefficient t to be
-its log odds at t, a layout ``core.coefficient_columns`` checks. Every bias
-coefficient has one block read from its compiled column: it proposes
-gamma[j], adds its prior terms (Normal(0, var) or a walk step from
-gamma[j - 1], plus the step to gamma[j + 1] when that is a walk step) and
-recomputes each cell in the column as offset + sum of c * gamma in the
-design's term order, the operations of ``BiasDesign.log_phi``. The ll table
-therefore equals a fresh evaluation bit for bit, and each touched cell costs
-one kernel call per block.
-
-``_sample_batch`` runs a batch of chains under the logit-shift approximation
-as numpy arrays (``_Batch``). The theta moves, the bias-walk coefficient
-moves and the ridge moves update every odd t, then every even t: given the
-other colour and the bias terms, the nodes of one colour are conditionally
-independent, because each block reads only its neighbours in t and the
-cells at its own t. Every other coefficient is one block over all chains
-and the cells of its column, and each variance move one block over all
-chains. Every block draws one normal and one uniform per chain and sweep,
-each chain from its own generator, so the chains consume their streams in
-lockstep and a chain's draws do not depend on which chains share its batch.
-A numpy call costs about a microsecond however few lanes it serves, and a
-strided operand costs several times what a contiguous one does, so the
-batch keeps its state nodes-major with the chains last and split by the
-parity of the padded time column: a colour's nodes and both its
-neighbours are then contiguous row blocks, and so are a phase's steps,
-log-uniforms and accept flags once each refill of the streams is permuted
-into phase order. The layout fixes no lane's arithmetic: each lane does the
-same floating-point operations in the same order in any layout.
-
-``run_chains`` picks the engine from the fit alone: the batch when the
-kernel is the approximation and the fit has at least ``BATCH_MIN_LANES``
-lanes (chains x (T + 1)), else the scalar chain, one job per chain. The
-batch pays only once a sweep has enough lanes: on the vaccine panel
-(T = 48) four chains sweep in about half the scalar time, two in about 0.8
-of it. The scalar chain runs the fits below that width (the now-cast's
-two-chain fits, the simulation study's fits at T = 5) and those under the
-exact kernel, whose cells are one kernel call each over windows of
-differing lengths, which a numpy batch cannot share. When one batch group
-holds every chain, its arrays are the fit's draws; only several parts are
-concatenated.
+``run_chains`` splits a fit's chains into min(workers, n_chains) contiguous
+groups, one job each (``_group_job``). A group sweeps as one batch when the
+kernel is the approximation and the group has at least ``BATCH_MIN_LANES``
+lanes (chains x (T + 1)), else chain by chain. No draw depends on the
+engine or the grouping, so that width is a speed choice only. When one
+batch group holds every chain, its arrays are the fit's draws.
 
 ``split_stats`` scores split-chain R-hat and ESS for a whole stack of
 series at once, bit for bit as ``r_hat`` and ``ess`` score one. ``diagnose``
@@ -319,9 +294,72 @@ def _books(settings, names, acc, frozen, scale):
     return rates, frozen, dict(zip(names, scale))
 
 
+def _phase_order(n_times: int, columns, walk_ks) -> list[tuple[str, list[int]]]:
+    """The sweep's phases as (name, block ids in the order the phase runs
+    them): theta at odd t then at even t, sigma_sq, the non-walk coefficients
+    in column order, then with a bias walk the walks at odd t then at even t
+    (every walk at one t side by side), pi_sq, and the ridge at odd t then at
+    even t. Block ids are as in ``_block_names``."""
+    T = n_times
+    odd_even = [t for s in (1, 0) for t in range(s, T + 1, 2)]
+    coefficients = [T + 2 + i for i, c in enumerate(columns) if c.k not in walk_ks]
+    phases = [("theta", odd_even), ("sigma_sq", [T + 1]), ("coefficient", coefficients)]
+    if walk_ks:
+        first: dict[int, int] = {}
+        for i, c in enumerate(columns):
+            first.setdefault(c.k, T + 2 + i)
+        pi_id = T + 2 + len(columns)
+        phases += [("walk", [first[k] + t for t in odd_even for k in walk_ks]),
+                   ("pi_sq", [pi_id]), ("ridge", [pi_id + 1 + t for t in odd_even])]
+    return phases
+
+
+def _refill(rng, blocks: int):
+    """The next stretch of one chain's random streams: (sweeps, blocks)
+    standard normals, then (sweeps, blocks) uniforms through ``np.log``, with
+    sweeps = max(1, _RNG_BUF // blocks). Block b of the i-th sweep of the
+    stretch steps by its scale times normal [i, b] and accepts when
+    log-uniform [i, b] is below its log ratio."""
+    sweeps = max(1, _RNG_BUF // blocks)
+    return rng.standard_normal((sweeps, blocks)), np.log(rng.random((sweeps, blocks)))
+
+
+def _row_sum(values) -> float:
+    """The sum of ``values`` in numpy's order for a contiguous row, the
+    batch's order for a chain's squared steps and a coefficient's cells: in
+    turn below 8 terms; up to 128, eight running sums over blocks of 8,
+    added pairwise, then the rest in turn; longer rows halved at a multiple
+    of 8 (numpy's pairwise summation)."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sum(values[:half]) + _row_sum(values[half:])
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+    end = n - n % 8
+    for i in range(8, end, 8):
+        r0 += values[i]
+        r1 += values[i + 1]
+        r2 += values[i + 2]
+        r3 += values[i + 3]
+        r4 += values[i + 4]
+        r5 += values[i + 5]
+        r6 += values[i + 6]
+        r7 += values[i + 7]
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for v in values[end:]:
+        total += v
+    return total
+
+
 def _sample_chain(
     panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings, seed, designs, columns
 ) -> _Part:
+    """One chain, swept as the batch sweeps one lane, or under the exact kernel."""
     rng = np.random.default_rng(seed)
     pr = spec.priors
     T = panel.n_times
@@ -331,66 +369,66 @@ def _sample_chain(
     walk_ks = [k for k, d in enumerate(designs) if None in d.var]
 
     # the exact kernel is a call; the logit-shift cell term x = theta + g,
-    # y*x - n*softplus(x), is written out inline wherever a cell is evaluated
+    # y*x - n*softplus(x), is written out inline wherever a cell is
+    # evaluated, softplus as np.logaddexp(0, x) computes it
     exp_ = math.exp
     log1p_ = math.log1p
     cell_ll = _exact_cell(panel.population) if exact else None
-    theta, sigma_sq, pi_sq, gam, lphi, ll = _start(panel, spec, designs, rng, cell_ll)
-    two_pi = None if pi_sq is None else 2.0 * pi_sq
+    theta, sigma_sq, pi_sq, gam, lphi, ll0 = _start(panel, spec, designs, rng, cell_ll)
+    # padded as in the batch: node t at t + 1, before node 0 its prior mean
+    # (theta0_mean, 0 for a bias walk), after node T a 0 of step weight 0. A
+    # bias walk's row of lp is its coefficient vector. A block keeps its
+    # proposal's values at the cells it touches in new_lp and new_ll, and an
+    # accepted move copies them over lp and ll.
+    th = [pr.theta0_mean, *theta, 0.0]
+    lp = [[0.0, *row, 0.0] for row in lphi]
+    ll = [[0.0, *row, 0.0] for row in ll0]
+    new_lp = [[0.0] * (T + 3) for _ in range(K)]
+    new_ll = [[0.0] * (T + 3) for _ in range(K)]
+    seen = {(k, t): (float(y), float(n)) for k, t, y, n in panel.observed_cells()}
+    w0 = {k: 0.5 / designs[k].var[0] for k in walk_ks}  # step weight before a walk's node 0
+    # each node's cells, bias walks first, as (lp row, ll row, new_ll row, y,
+    # n, shift): 1 for a walk cell that a ridge move counts at shifted odds
+    # (the exact kernel's), else 0. Under the logit-shift approximation a
+    # ridge move leaves the walk cells unchanged, so its ratio skips them
+    # and an accept refreshes them.
+    cells = [[(k, lp[k], ll[k], new_ll[k], *seen[k, p - 1], 1.0 if k in w0 else 0.0)
+              for k in walk_ks + [k for k in range(K) if k not in w0] if (k, p - 1) in seen]
+             for p in range(T + 2)]
 
-    # A block keeps its proposal's values at the cells it touches in new_lphi
-    # and new_ll, and an accepted move copies them over lphi and ll.
-    new_lphi = [[0.0] * (T + 1) for _ in range(K)]
-    new_ll = [[0.0] * (T + 1) for _ in range(K)]
-
-    # the cells at each t with their survey's rows of lphi, ll and new_ll and
-    # their shift against a level move: 1 for a bias-walk cell in a ridge
-    # ratio, else 0. Under the logit-shift approximation a ridge move leaves
-    # walk cells unchanged, so its ratio skips them and an accept refreshes them.
-    theta_cells: list[list[tuple]] = [[] for _ in range(T + 1)]
-    ridge_cells: list[list[tuple]] = [[] for _ in range(T + 1)]
-    refresh_cells: list[list[tuple]] = [[] for _ in range(T + 1)]
-    for k, t, y, n in panel.observed_cells():
-        cell = (lphi[k], ll[k], new_ll[k], float(y), float(n), 0.0)
-        theta_cells[t].append(cell)
-        if k not in walk_ks:
-            ridge_cells[t].append(cell)
-        elif exact:
-            ridge_cells[t].append(cell[:5] + (1.0,))
-        else:
-            refresh_cells[t].append(cell)
-
-    # ---- the sweep: five phases, each a list of blocks of one family.
-    # Level move (id, t, ridge, walks, cells, refresh): proposes theta[t];
-    # a ridge move's walks hold, per bias walk, (gamma, lphi row, 2 var or
-    # None for a walk step, link to the next step) of the coefficient t it
-    # counter-shifts. Variance move (id, is_pi, steps, prior scale): the
-    # (values, j) pairs of its walk steps. Coefficient block (id, j, 2 var or
-    # None, link_next, rows, ts), grouped by survey with its gamma and rows
-    # of lphi, ll, new_lphi and new_ll. Each block accepts with probability
-    # min(1, exp(d)) and goes on to the next block on a reject.
+    # a block per id, phase by phase: level, a theta or a ridge move (id, p,
+    # walks as (lp row, weight before node 0) for a ridge move, cells in the
+    # ratio, cells refreshed); variance (id, is_pi, steps counted, prior
+    # scale); coefficient (id, gamma, j, 2 var, rows, their nodes, and the
+    # survey's lp, ll, new_lp and new_ll rows); walk (id, lp row, ll row, p,
+    # weight before node 0, y and n, or None).
     names = _block_names(T, columns, bool(walk_ks))
-    coef_surveys = [(gam[k], lphi[k], ll[k], new_lphi[k], new_ll[k], []) for k in range(K)]
-    ridge_walks: list[list[tuple]] = [[] for _ in range(T + 1)]
-    for i, c in enumerate(columns):
-        two_var = None if c.var is None else 2.0 * c.var
-        block = (T + 2 + i, c.j, two_var, c.link_next, c.rows, tuple(r[0] for r in c.rows))
-        coef_surveys[c.k][-1].append(block)
-        if c.k in walk_ks:
-            ridge_walks[c.j].append((gam[c.k], lphi[c.k], two_var, c.link_next))
-    schedule = [
-        ("level", [(t, t, False, (), theta_cells[t], ()) for t in range(T + 1)]),
-        ("variance", [(T + 1, False, [(theta, t) for t in range(1, T + 1)], pr.sigma_sq_scale)]),
-        ("coefficient", coef_surveys),
-    ]
-    if walk_ks:
-        pi_id = T + 2 + len(columns)
-        steps = [(gam[c.k], c.j) for c in columns if c.var is None]
-        schedule.append(("variance", [(pi_id, True, steps, pr.pi_sq_scale)]))
-        ridge = [(pi_id + 1 + t, t, True, ridge_walks[t], ridge_cells[t], refresh_cells[t])
-                 for t in range(T + 1)]
-        schedule.append(("level", ridge))
     B = len(names)
+    schedule = []
+    for name, ids in _phase_order(T, columns, walk_ks):
+        if name == "theta":
+            blocks = [(b, b + 1, (), [(*c[1:6], 0.0) for c in cells[b + 1]], ()) for b in ids]
+        elif name == "ridge":  # id T + 3 + len(columns) + t
+            blocks = [(b, p, [(lp[k], w0[k]) for k in walk_ks],
+                       [c[1:] for c in cells[p] if exact or c[0] not in w0],
+                       [] if exact else [c[1:] for c in cells[p] if c[0] in w0])
+                      for b in ids for p in [b - T - 2 - len(columns)]]
+        elif name == "coefficient":
+            blocks = []
+            for b in ids:
+                c = columns[b - T - 2]
+                rows = tuple((t + 1, *rest) for t, *rest in c.rows)
+                blocks.append((b, gam[c.k], c.j, 2.0 * c.var, rows, [r[0] for r in rows],
+                               lp[c.k], ll[c.k], new_lp[c.k], new_ll[c.k]))
+        elif name == "walk":
+            blocks = [(b, lp[c.k], ll[c.k], c.j + 1, w0[c.k], *seen.get((c.k, c.j), (None, None)))
+                      for b in ids for c in [columns[b - T - 2]]]
+        else:
+            is_pi = name == "pi_sq"
+            blocks = (ids[0], is_pi, *((len(walk_ks) * T, pr.pi_sq_scale) if is_pi
+                                       else (T, pr.sigma_sq_scale)))
+        schedule.append(("level" if name in ("theta", "ridge") else name, blocks))
+    walk_rows = [lp[k] for k in walk_ks]
     log_scale = [math.log(0.5)] * B
     scale = [0.5] * B
     # accepts per block in the open adaptation window, then after burn-in
@@ -402,199 +440,165 @@ def _sample_chain(
     thin = settings.thin
     total = burn + settings.n_draws
     kept = settings.n_kept
-    theta0_mean = pr.theta0_mean
-    two_theta0_var = 2.0 * pr.theta0_var
-    two_sig = 2.0 * sigma_sq
+    # step weights 1 / (2 var): before node 0, and of sigma_sq's and pi_sq's steps
+    wt0 = 0.5 / pr.theta0_var
+    wsig = 0.5 / sigma_sq
+    wpi = None if pi_sq is None else 0.5 / pi_sq
     log_ = math.log
+    nodes = slice(1, T + 2)
 
     out_theta = np.empty((kept, T + 1))
     out_sig = np.empty(kept)
-    out_gam = [np.empty((kept, len(gam[k]))) for k in range(K)]
+    out_gam = [np.empty((kept, len(d.var))) for d in designs]
     out_pi = np.empty(kept) if pi_sq is not None else None
     keep_i = 0
-
-    # normal and uniform streams, each refilled when a draw finds it empty
-    norm_buf = rng.standard_normal(_RNG_BUF).tolist()
-    unif_buf = rng.random(_RNG_BUF).tolist()
-    nb_i = ub_i = 0
-
     scales_frozen: dict[str, float] = {}
+    sweep = chunk = 0
 
     for it in range(total):
         if it == burn:
             scales_frozen = dict(zip(names, scale))
             acc = [0] * B  # a partial window at the freeze point is dropped
+        if sweep == chunk:
+            normals, log_us = _refill(rng, B)
+            chunk, sweep = len(normals), 0
+            normals, log_us = normals.tolist(), log_us.tolist()
+        z, lu = normals[sweep], log_us[sweep]
+        sweep += 1
 
-        for kind, blocks in schedule:
-            if kind == "level":
-                for bid, t, ridge, walks, cells, refresh in blocks:
-                    cur = theta[t]
-                    if nb_i == _RNG_BUF:
-                        norm_buf = rng.standard_normal(_RNG_BUF).tolist()
-                        nb_i = 0
-                    delta = scale[bid] * norm_buf[nb_i]
-                    nb_i += 1
+        for name, blocks in schedule:
+            if name == "level":
+                for bid, p, walks, tcells, refresh in blocks:
+                    cur, prev, nxt = th[p], th[p - 1], th[p + 1]
+                    delta = scale[bid] * z[bid]
                     prop = cur + delta
-                    if monotone and (t and prop < theta[t - 1] or t < T and prop > theta[t + 1]):
-                        if ridge:
+                    if monotone and (p > 1 and prop < prev or p <= T and prop > nxt):
+                        if walks:
                             continue  # a ridge move outside the order: a reject
-                        lo = theta[t - 1] if t else -_INF
-                        hi = theta[t + 1] if t < T else _INF
-                        if lo == -_INF:
-                            prop = 2.0 * hi - prop
-                        elif hi == _INF:
-                            prop = 2.0 * lo - prop
+                        if p == 1:  # node 0: nothing below
+                            prop = 2.0 * nxt - prop
+                        elif p > T:  # node T: nothing above
+                            prop = 2.0 * prev - prop
                         else:
-                            w = hi - lo
+                            w = nxt - prev
                             if w <= 0.0:  # neighbours tied: nowhere to move, a reject
                                 continue
-                            r = (prop - lo) % (2.0 * w)
-                            prop = lo + (r if r <= w else 2.0 * w - r)
-                    if t == 0:
-                        dn = prop - theta0_mean
-                        dc = cur - theta0_mean
-                        d = (dc * dc - dn * dn) / two_theta0_var
-                    else:
-                        prev = theta[t - 1]
-                        dn = prop - prev
-                        dc = cur - prev
-                        d = (dc * dc - dn * dn) / two_sig
-                    if t < T:
-                        nxt = theta[t + 1]
-                        dn = nxt - prop
-                        dc = nxt - cur
-                        d += (dc * dc - dn * dn) / two_sig
-                    if ridge:
-                        for gk, _, two_var, link_next in walks:
-                            gcur = gk[t]
-                            gprop = gcur - delta
-                            if two_var is not None:
-                                d += (gcur * gcur - gprop * gprop) / two_var
-                            else:
-                                gprev = gk[t - 1]
-                                dn = gprop - gprev
-                                dc = gcur - gprev
-                                d += (dc * dc - dn * dn) / two_pi
-                            if link_next:
-                                gnxt = gk[t + 1]
-                                dn = gnxt - gprop
-                                dc = gnxt - gcur
-                                d += (dc * dc - dn * dn) / two_pi
+                            w2 = 2.0 * w
+                            r = (prop - prev) % w2
+                            prop = prev + (r if r <= w else w2 - r)
+                    s = cur + prop
+                    d = (cur - prop) * ((s - 2.0 * prev) * (wsig if p > 1 else wt0)
+                                        - (2.0 * nxt - s) * (wsig if p <= T else 0.0))
+                    if walks:  # the ridge's counter-shift of every bias walk at t
+                        ws = 0.0
+                        for g, wfirst in walks:
+                            gc = g[p]
+                            gn = gc - delta
+                            sg = gc + gn
+                            ws += (gc - gn) * ((sg - 2.0 * g[p - 1]) * (wpi if p > 1 else wfirst)
+                                               - (2.0 * g[p + 1] - sg) * (wpi if p <= T else 0.0))
+                        d += ws
+                    cs = 0.0
                     if exact:
-                        for lphik, llk, nllk, y, n, shift in cells:
-                            v = cell_ll(prop, lphik[t] - shift * delta, y, n)
-                            nllk[t] = v
-                            d += v - llk[t]
-                    else:  # no cell with a shift is in an approximate ratio
-                        for lphik, llk, nllk, y, n, _ in cells:
-                            x = prop + lphik[t]
-                            v = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
-                            nllk[t] = v
-                            d += v - llk[t]
-                    if not d >= 0.0:
-                        if ub_i == _RNG_BUF:
-                            unif_buf = rng.random(_RNG_BUF).tolist()
-                            ub_i = 0
-                        ub_i += 1
-                        if not unif_buf[ub_i - 1] < exp_(d):
-                            continue
-                    theta[t] = prop
-                    for _, llk, nllk, _, _, _ in cells:
-                        llk[t] = nllk[t]
-                    if ridge:
-                        for gk, lphik, _, _ in walks:
-                            gk[t] -= delta
-                            lphik[t] -= delta
-                        # equal up to rounding; refreshed to stay bit-equal to a fresh evaluation
-                        for lphik, llk, _, y, n, _ in refresh:
-                            x = prop + lphik[t]
-                            llk[t] = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
-                    acc[bid] += 1
+                        for lpk, llk, nllk, y, n, shift in tcells:
+                            v = nllk[p] = cell_ll(prop, lpk[p] - shift * delta, y, n)
+                            cs += v - llk[p]
+                    else:
+                        for lpk, llk, nllk, y, n, _ in tcells:
+                            x = prop + lpk[p]
+                            v = y * x - n * (x + log1p_(exp_(-x)) if x > 0.0 else log1p_(exp_(x)))
+                            nllk[p] = v
+                            cs += v - llk[p]
+                    d += cs
+                    if lu[bid] < d:
+                        th[p] = prop
+                        for _, llk, nllk, _, _, _ in tcells:
+                            llk[p] = nllk[p]
+                        for g, _ in walks:
+                            g[p] -= delta
+                        for lpk, llk, _, y, n, _ in refresh:
+                            x = prop + lpk[p]
+                            llk[p] = y * x - n * (x + log1p_(exp_(-x)) if x > 0.0
+                                                  else log1p_(exp_(x)))
+                        acc[bid] += 1
 
-            elif kind == "variance":
-                for bid, is_pi, steps, prior_sq in blocks:
-                    vcur = pi_sq if is_pi else sigma_sq
-                    lcur = log_(vcur)
-                    if nb_i == _RNG_BUF:
-                        norm_buf = rng.standard_normal(_RNG_BUF).tolist()
-                        nb_i = 0
-                    lprop = lcur + scale[bid] * norm_buf[nb_i]
-                    nb_i += 1
-                    vprop = exp_(lprop)
-                    sse = 0.0
-                    for xs, j in steps:
-                        dd = xs[j] - xs[j - 1]
-                        sse += dd * dd
-                    d = (
-                        (vcur * vcur - vprop * vprop) / (2.0 * prior_sq)
-                        + 0.5 * len(steps) * (lcur - lprop)
-                        + 0.5 * sse * (1.0 / vcur - 1.0 / vprop)
-                        + (lprop - lcur)
-                    )
-                    if not d >= 0.0:
-                        if ub_i == _RNG_BUF:
-                            unif_buf = rng.random(_RNG_BUF).tolist()
-                            ub_i = 0
-                        ub_i += 1
-                        if not unif_buf[ub_i - 1] < exp_(d):
-                            continue
+            elif name == "coefficient":  # propose gamma[j], add its prior term,
+                # then re-evaluate each cell in its column at offset + sum of c * gamma
+                for bid, gk, j, two_var, rows, ps, lpk, llk, nlpk, nllk in blocks:
+                    cur = gk[j]
+                    prop = cur + scale[bid] * z[bid]
+                    d = (cur * cur - prop * prop) / two_var
+                    gk[j] = prop
+                    cs = 0.0  # in turn, as _row_sum adds a short column
+                    diffs = None if len(ps) < 8 else []
+                    for p, y, n, g, terms in rows:  # g starts as the row's offset
+                        if terms is None:
+                            g = prop
+                        else:
+                            for i, c in terms:
+                                g = g + c * gk[i]
+                        if exact:
+                            v = cell_ll(th[p], g, y, n)
+                        else:
+                            x = th[p] + g
+                            v = y * x - n * (x + log1p_(exp_(-x)) if x > 0.0 else log1p_(exp_(x)))
+                        nlpk[p] = g
+                        nllk[p] = v
+                        if diffs is None:
+                            cs += v - llk[p]
+                        else:
+                            diffs.append(v - llk[p])
+                    d += cs if diffs is None else _row_sum(diffs)
+                    if lu[bid] < d:
+                        for p in ps:
+                            lpk[p] = nlpk[p]
+                            llk[p] = nllk[p]
+                        acc[bid] += 1
+                    else:
+                        gk[j] = cur
+
+            elif name == "walk":
+                for bid, g, llk, p, wfirst, y, n in blocks:
+                    cur = g[p]
+                    prop = cur + scale[bid] * z[bid]
+                    s = cur + prop
+                    d = (cur - prop) * ((s - 2.0 * g[p - 1]) * (wpi if p > 1 else wfirst)
+                                        - (2.0 * g[p + 1] - s) * (wpi if p <= T else 0.0))
+                    if y is not None:
+                        if exact:
+                            v = cell_ll(th[p], prop, y, n)
+                        else:
+                            x = th[p] + prop
+                            v = y * x - n * (x + log1p_(exp_(-x)) if x > 0.0 else log1p_(exp_(x)))
+                        d += v - llk[p]
+                    if lu[bid] < d:
+                        g[p] = prop
+                        if y is not None:
+                            llk[p] = v
+                        acc[bid] += 1
+
+            else:  # sigma_sq or pi_sq, on the log scale against its walk steps
+                bid, is_pi, count, prior_sq = blocks
+                v = pi_sq if is_pi else sigma_sq
+                sse = _row_sum([(dd := b - a) * dd for g in (walk_rows if is_pi else (th,))
+                                for a, b in zip(g[1 : T + 1], g[2 : T + 2])])
+                lcur = log_(v)
+                lprop = lcur + scale[bid] * z[bid]
+                vprop = exp_(lprop)
+                d = (
+                    (v * v - vprop * vprop) / (2.0 * prior_sq)
+                    + 0.5 * count * (lcur - lprop)
+                    + 0.5 * sse * (1.0 / v - 1.0 / vprop)
+                    + (lprop - lcur)
+                )
+                if lu[bid] < d:
                     if is_pi:
                         pi_sq = vprop
-                        two_pi = 2.0 * pi_sq
+                        wpi = 0.5 / vprop
                     else:
                         sigma_sq = vprop
-                        two_sig = 2.0 * sigma_sq
+                        wsig = 0.5 / vprop
                     acc[bid] += 1
-
-            else:  # bias coefficients: propose gamma[j], add its prior terms,
-                # then re-evaluate each cell in its column at offset + sum of c * gamma
-                for gk, lphik, llk, nphik, nllk, coefs in blocks:
-                    for bid, j, two_var, link_next, rows, ts in coefs:
-                        cur = gk[j]
-                        if nb_i == _RNG_BUF:
-                            norm_buf = rng.standard_normal(_RNG_BUF).tolist()
-                            nb_i = 0
-                        prop = cur + scale[bid] * norm_buf[nb_i]
-                        nb_i += 1
-                        if two_var is not None:
-                            d = (cur * cur - prop * prop) / two_var
-                        else:
-                            prev = gk[j - 1]
-                            dn = prop - prev
-                            dc = cur - prev
-                            d = (dc * dc - dn * dn) / two_pi
-                        if link_next:
-                            nxt = gk[j + 1]
-                            dn = nxt - prop
-                            dc = nxt - cur
-                            d += (dc * dc - dn * dn) / two_pi
-                        gk[j] = prop
-                        for t, y, n, g, terms in rows:  # g starts as the row's offset
-                            if terms is None:
-                                g = prop
-                            else:
-                                for i, c in terms:
-                                    g = g + c * gk[i]
-                            if exact:
-                                v = cell_ll(theta[t], g, y, n)
-                            else:
-                                x = theta[t] + g
-                                v = y * x - n * (x if x > 35.0 else log1p_(exp_(x)))
-                            nphik[t] = g
-                            nllk[t] = v
-                            d += v - llk[t]
-                        if not d >= 0.0:
-                            if ub_i == _RNG_BUF:
-                                unif_buf = rng.random(_RNG_BUF).tolist()
-                                ub_i = 0
-                            ub_i += 1
-                            if not unif_buf[ub_i - 1] < exp_(d):
-                                gk[j] = cur
-                                continue
-                        for t in ts:
-                            lphik[t] = nphik[t]
-                            llk[t] = nllk[t]
-                        acc[bid] += 1
 
         # every block made one decision this sweep, so all adaptation
         # windows close together
@@ -603,10 +607,12 @@ def _sample_chain(
             _close_window(log_scale, scale, acc, settings, n_windows)
 
         if it >= burn and (it - burn) % thin == thin - 1:
-            out_theta[keep_i] = theta
+            out_theta[keep_i] = th[nodes]
             out_sig[keep_i] = sigma_sq
-            for k in range(K):
-                if gam[k]:
+            for k, design in enumerate(designs):
+                if k in w0:
+                    out_gam[k][keep_i] = lp[k][nodes]
+                elif design.var:
                     out_gam[k][keep_i] = gam[k]
             if out_pi is not None:
                 out_pi[keep_i] = pi_sq
@@ -615,20 +621,6 @@ def _sample_chain(
     return _Part(out_theta[None], out_sig[None], [g[None] for g in out_gam],
                  None if out_pi is None else out_pi[None],
                  [_books(settings, names, acc, scales_frozen, scale)])
-
-
-def _chain_job(args):
-    return _sample_chain(*args)
-
-
-# Lanes (chains x time-points) from which run_chains samples a fit's chains as
-# one batch. Measured against the scalar chain (median time ratios of 8
-# interleaved reps of 1500 sweeps in one process): 0.81 at 98 lanes (2 vaccine
-# chains, T = 48) and 0.73 at 99 (9 demo chains, T = 10), 0.64 at 147 (3
-# vaccine chains) and 0.57 at 143 (13 demo chains), 0.50 at 196. The batch now
-# pays from 98 lanes as well; the constant stays at the narrowest width where it
-# first paid, so that no fit changes engine and with it its draws.
-BATCH_MIN_LANES = 147
 
 
 def _pair_prior(cur, prop, two, wp, wn):
@@ -659,16 +651,14 @@ class _Batch:
     the other parity, and their predecessors and successors rows 0..n - 1
     and 1..n of one block of s's parity (``colours``).
 
-    Blocks are kept in phase order, the order the sweep reaches them: theta
-    at odd t then at even t, sigma_sq, the other coefficients, the bias
-    walks at odd t then at even t (every walk at one t side by side), pi_sq,
-    the ridge moves at odd t then at even t. ``perm`` lists the block ids in
-    that order. A phase reads its steps from D and its log-uniforms from
-    log_u, both (blocks, chains) in phase order, and writes its decisions
-    into its rows of ``accepted``; the sweep adds them to ``acc``. ``wt``
-    holds theta's step weights 1 / (2 var) before and after each node (0
-    after node T) in the order of the theta blocks, and ``wg`` the bias
-    walks'. Node 0 and node T have one monotone bound each (``edges``).
+    Blocks are kept in phase order (``_phase_order``), the order the sweep
+    reaches them; ``perm`` lists the block ids in that order. A phase reads
+    its steps from D and its log-uniforms from log_u, both (blocks, chains)
+    in phase order, and writes its decisions into its rows of ``accepted``;
+    the sweep adds them to ``acc``. ``wt`` holds theta's step weights
+    1 / (2 var) before and after each node (0 after node T) in the order of
+    the theta blocks, and ``wg`` the bias walks'. Node 0 and node T have one
+    monotone bound each (``edges``).
     """
 
     def __init__(self, panel: SurveyPanel, spec: ModelSpec, designs, columns, starts):
@@ -725,38 +715,34 @@ class _Batch:
         if W:
             self._set_weights(True)
 
-        # block ids as in _block_names, listed in phase order
-        first: dict[int, int] = {}
-        for i, c in enumerate(columns):
-            first.setdefault(c.k, T + 2 + i)
-        pi_id = T + 2 + len(columns)
-        perm = [t for s in (1, 0) for t in range(s, T + 1, 2)] + [T + 1]
+        # block ids in phase order, and where each phase starts among them
+        phases = _phase_order(T, columns, walk_ks)
+        perm: list[int] = []
+        at = {}
+        for name, ids in phases:
+            at[name] = len(perm)
+            perm += ids
         # a coefficient block per non-walk column: its cells' log odds are
         # offset + coef @ gamma, the design's map written out densely
         self.coefs = []
-        for i, c in enumerate(columns):
-            if c.k in walk_ks:
-                continue
+        for i, b in enumerate(dict(phases)["coefficient"]):
+            c = columns[b - T - 2]
             coef = np.zeros((len(designs[c.k].var), len(c.rows)))
             for r, (_, _, _, _, terms) in enumerate(c.rows):
                 for j, v in ((c.j, 1.0),) if terms is None else terms:
                     coef[j, r] = v
             cells = np.array([pos[r[0] + 1] for r in c.rows], dtype=np.intp)
             ys, ns, offset = (np.array([r[i] for r in c.rows], dtype=float) for i in (1, 2, 3))
-            self.coefs.append(
-                (len(perm), row[c.k], c.k, c.j, 2.0 * c.var, cells, ys, ns, offset, coef)
-            )
-            perm.append(T + 2 + i)
+            self.coefs.append((at["coefficient"] + i, row[c.k], c.k, c.j, 2.0 * c.var, cells, ys,
+                               ns, offset, coef))
         self.walk_ph, self.ridge_ph = {}, {}
         if W:
-            for s in (1, 0):
-                self.walk_ph[s] = slice(len(perm), len(perm) + sizes[s] * W)
-                perm += [first[k] + t for t in range(s, T + 1, 2) for k in walk_ks]
-            self.pi_ph = len(perm)
-            perm.append(pi_id)
-            for s in (1, 0):
-                self.ridge_ph[s] = slice(len(perm), len(perm) + sizes[s])
-                perm += [pi_id + 1 + t for t in range(s, T + 1, 2)]
+            odd = sizes[1]
+            self.walk_ph = {1: slice(at["walk"], at["walk"] + odd * W),
+                            0: slice(at["walk"] + odd * W, at["pi_sq"])}
+            self.pi_ph = at["pi_sq"]
+            self.ridge_ph = {1: slice(at["ridge"], at["ridge"] + odd),
+                             0: slice(at["ridge"] + odd, len(perm))}
         self.perm = np.array(perm, dtype=np.intp)
         self.ids = np.argsort(self.perm)
         self.accepted = np.zeros((len(perm), C), dtype=bool)
@@ -781,8 +767,7 @@ class _Batch:
         return self.acc[self.ids].T
 
     def sweep(self, D, log_u) -> None:
-        """One sweep: the scalar schedule's five phases, with theta, the bias
-        walks and the ridge updated odd nodes first, then even ones."""
+        """One sweep, phase by phase in ``_phase_order``."""
         for s in (1, 0):
             self.level(s, D, log_u)
         self.variance(False, D, log_u)
@@ -951,9 +936,9 @@ def _sample_batch(
     panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings, seeds, designs, columns
 ) -> _Part:
     """The chains of ``seeds``, swept together as one ``_Batch``; the
-    logit-shift approximation only. Each chain draws its start and then one
-    normal and one uniform per block and sweep from its own generator, so its
-    draws do not depend on which chains share the batch."""
+    logit-shift approximation only. Each chain draws its start and then its
+    streams (``_refill``) from its own generator, so its draws do not depend
+    on which chains share the batch."""
     T = panel.n_times
     rngs = [np.random.default_rng(s) for s in seeds]
     batch = _Batch(panel, spec, designs, columns,
@@ -978,19 +963,19 @@ def _sample_batch(
     out_pi = np.empty((C, kept)) if batch.W else None
     keep_i = 0
     frozen: list[dict[str, float]] = []
-    chunk = max(1, _RNG_BUF // B)  # sweeps per refill of the random streams
-
+    sweep = chunk = 0
     with np.errstate(all="ignore"):  # inf and nan arise only in rejected lanes
         for it in range(total):
             if it == burn:
                 frozen = [dict(zip(names, row)) for row in scale_rows]
                 acc[:] = 0  # a partial window at the freeze point is dropped
-            i = it % chunk
-            if i == 0:
-                z = batch.phase_major(np.stack([rng.standard_normal((chunk, B)) for rng in rngs]))
-                log_u = batch.phase_major(
-                    np.log(np.stack([rng.random((chunk, B)) for rng in rngs])))
-            batch.sweep(scale * z[i], log_u[i])
+            if sweep == chunk:
+                normals, log_us = zip(*(_refill(rng, B) for rng in rngs))
+                z = batch.phase_major(np.stack(normals))
+                log_u = batch.phase_major(np.stack(log_us))
+                chunk, sweep = len(z), 0
+            batch.sweep(scale * z[sweep], log_u[sweep])
+            sweep += 1
 
             if it < burn and (it + 1) % window == 0:
                 n_windows += 1
@@ -1016,8 +1001,25 @@ def _sample_batch(
     return _Part(out_theta, out_sig, out_gam, out_pi, books)
 
 
-def _batch_job(args):
-    return _sample_batch(*args)
+# Lanes (chains x time-points) from which a group of chains sweeps as one
+# batch; a speed choice only, since both engines give the same draws. Batch
+# time over chain-by-chain time per chain-sweep, median of 10 interleaved
+# pairs of 1500 sweeps in one process on a 2-vCPU x86-64 host, Python 3.11,
+# numpy 2.4 (batch faster in how many): 1.02 at 98 lanes (2 vaccine chains,
+# T = 48; 4 of 10), 0.79 at 99 (9 chains of the demo panel, T = 10, anchor +
+# linear + walk; 10 of 10), 0.58 at 143 (13 demo chains; 10 of 10), 0.75 at
+# 147 (3 vaccine chains; 9 of 10). Below 147 the batch does not win on both.
+BATCH_MIN_LANES = 147
+
+
+def _group_job(args) -> list[_Part]:
+    """One contiguous group of a fit's chains: one batch under the logit-shift
+    approximation when the group has at least BATCH_MIN_LANES lanes (chains x
+    (T + 1)), else chain by chain. Either way each chain gets the same draws."""
+    panel, spec, settings, seeds, designs, columns = args
+    if not spec.use_exact_nchg and len(seeds) * (panel.n_times + 1) >= BATCH_MIN_LANES:
+        return [_sample_batch(*args)]
+    return [_sample_chain(panel, spec, settings, seed, designs, columns) for seed in seeds]
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -1095,30 +1097,22 @@ def run_chains(
 ) -> ChainDraws:
     """Run ``settings.n_chains`` independent chains and stack their draws.
 
-    Under the logit-shift approximation, a fit of at least BATCH_MIN_LANES
-    lanes (chains x (T + 1)) is sampled as one batch (``_sample_batch``), split
-    into as many contiguous chain groups as ``workers`` allows while each
-    group keeps that many lanes; any other fit runs chain by chain
-    (``_sample_chain``). Chain seeds are spawned from ``settings.seed``, so
-    results are reproducible bit-for-bit regardless of ``workers`` (see
-    ``map_jobs``). The model is compiled once and shared by every chain.
+    The chains are split into min(workers, n_chains) contiguous groups, one
+    job each (``_group_job``, spread by ``map_jobs``). Chain seeds are spawned
+    from ``settings.seed``, and a chain's draws do not depend on its group or
+    on how the group is swept, so results are reproducible bit-for-bit
+    regardless of ``workers``. The model is compiled once and shared by every
+    chain.
     """
     if settings is None:
         settings = SamplerSettings()
     designs, columns = _validate_inputs(panel, spec)
     n = settings.n_chains
     seeds = np.random.SeedSequence(settings.seed).spawn(n)
-    lanes = panel.n_times + 1
-    if spec.use_exact_nchg or n * lanes < BATCH_MIN_LANES:
-        jobs = [(panel, spec, settings, s, designs, columns) for s in seeds]
-        parts = map_jobs(_chain_job, jobs, workers)
-    else:
-        groups = max(1, min(resolve_workers(workers), n // -(-BATCH_MIN_LANES // lanes)))
-        cuts = [n * g // groups for g in range(groups + 1)]
-        jobs = [(panel, spec, settings, seeds[a:b], designs, columns)
-                for a, b in zip(cuts, cuts[1:])]
-        parts = map_jobs(_batch_job, jobs, workers)
-
+    groups = min(resolve_workers(workers), n)
+    cuts = [n * g // groups for g in range(groups + 1)]
+    jobs = [(panel, spec, settings, seeds[a:b], designs, columns) for a, b in zip(cuts, cuts[1:])]
+    parts = [part for group in map_jobs(_group_job, jobs, workers) for part in group]
     return _stack_chains(parts, spec, settings)
 
 

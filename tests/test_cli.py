@@ -166,6 +166,16 @@ def test_fit_error_categories(tmp_path, demo_panel, capsys):
     assert code == 3
     assert "error: bad-config" in capsys.readouterr().err
 
+    # JSON booleans where the config takes numbers
+    for name, model in [
+        ("prior", {"bias": [{"kind": "known"}], "priors": {"theta0_var": True}}),
+        ("phi", {"bias": [{"kind": "known", "fixed_phi": [True, 1]}]}),
+    ]:
+        bool_cfg = write_cfg(tmp_path, {"model": model}, f"{name}.json")
+        code = main(["fit", "--panel", panel, "--config", bool_cfg, "--out", out])
+        assert code == 3
+        assert "error: bad-config" in capsys.readouterr().err
+
     short_cfg = write_cfg(
         tmp_path, {"sampler": QUICK_SAMPLER, "model": {"bias": [{"kind": "known"}]}},
         "short.json",

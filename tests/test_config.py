@@ -186,6 +186,26 @@ def test_flags_must_be_json_booleans(section, key, value):
         RunConfig.from_dict({section: body})
 
 
+@pytest.mark.parametrize("key", ["theta0_mean", "theta0_var", "sigma_sq_scale", "pi_sq_scale"])
+def test_priors_must_be_numbers_not_booleans(key):
+    # true once read as 1: PriorSpec(theta0_var=True)
+    doc = {"model": {"bias": [{"kind": "known"}], "priors": {key: True}}}
+    with pytest.raises(ConfigError, match=f"{key} must be a number, got True"):
+        RunConfig.from_dict(doc)
+    with pytest.raises(ValueError, match=key):
+        PriorSpec(**{key: False})
+
+
+def test_fixed_phi_must_be_numbers_not_booleans():
+    # [true, 1] once read as (1.0, 1.0)
+    doc = {"model": {"bias": [{"kind": "known", "fixed_phi": [True, 1]}]}}
+    with pytest.raises(ConfigError, match="fixed_phi value must be a number, got True"):
+        RunConfig.from_dict(doc)
+    with pytest.raises(ValueError, match="fixed_phi"):
+        BiasModelSpec(kind="known", fixed_phi=(1.0, "2"))
+    assert BiasModelSpec(kind="known", fixed_phi=[np.float64(2.0), 1]).fixed_phi == (2.0, 1.0)
+
+
 def test_generate_truth_seed_is_an_unknown_key():
     body = {"n_plan": [[100]], "population": 5000, "bias": [{"kind": "known"}]}
     assert RunConfig.from_dict({"generate": body}).generate.n_times == 1

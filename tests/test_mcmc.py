@@ -664,27 +664,26 @@ def _pinned_cases():
     }
 
 
-# Digests of the draws as the sampler made them when it evaluated every cell
-# at both the current and the proposed state (numpy 2.4). Reading the current
-# value from the cell table must not change one bit. Linear with an uncentred
-# time covariate and exact + walk (whose ridge moves count the walk cells, see
-# the quadrature test below) were pinned later, before the bias models were
-# compiled into shared designs; the compiled form must not change one bit
-# either. The mixed linear + walk case was pinned before the coefficient
-# blocks of all kinds became one block read from the compiled designs, and
-# exact + monotone walk before the theta and ridge blocks became one level
-# move and the two variance blocks one variance move.
+# Digests of the draws, per case, as the chain-by-chain engine gives them
+# since it runs the batch's sweep: the batch's phase order, its streams (one
+# normal and one log-uniform per block and sweep, read by block id) and its
+# accept rule (numpy 2.4). An approximate case's batch gives the same digest
+# (the tests below check this). The cases were first pinned on the chain's
+# own sweep, in t order with buffered streams, where they guarded the cell
+# table, the compiled bias designs and the merged level, variance and
+# coefficient blocks bit for bit; every one was re-recorded once when the
+# chain took the batch's sweep, the exact cases included.
 _PINNED_DRAW_DIGESTS = {
-    "constant": "241446f333737392",
-    "linear": "980aeafa1da445e8",
-    "linear-uncentered": "7de2a1283e4d3d2c",
-    "walk": "7ba8b5325efcf25d",
-    "known": "ff78f77a524b40a3",
-    "exact-linear": "6d6b53404c8aeb94",
-    "exact-walk": "3886f9e0c32ecb5d",
-    "vaccine": "f063ae7df942d4fd",
-    "mixed": "f9cacf6527cb7e16",
-    "exact-walk-monotone": "7abb620ca4b5b226",
+    "constant": "ec8183aae35bc1d8",
+    "linear": "d07bd5b31e362176",
+    "linear-uncentered": "78692988bf10a048",
+    "walk": "747a4e645bd08966",
+    "known": "d24c34a0b02156e6",
+    "exact-linear": "9889bd0dcc20c2c4",
+    "exact-walk": "2da6637d14d8418d",
+    "vaccine": "a11f861520170266",
+    "mixed": "7a0e4bac7265a7a1",
+    "exact-walk-monotone": "65e350d63e0ff80d",
 }
 
 
@@ -692,6 +691,9 @@ def test_draws_match_pinned_digests():
     for name, (panel, spec, settings) in _pinned_cases().items():
         draws = run_chains(panel, spec, settings, workers=1)
         assert _draws_digest(draws) == _PINNED_DRAW_DIGESTS[name], name
+        if not spec.use_exact_nchg:
+            batched = run_batched(panel, spec, settings)
+            assert _draws_digest(batched) == _PINNED_DRAW_DIGESTS[name], name
 
 
 def _bookkeeping_digest(draws) -> str:
@@ -702,22 +704,20 @@ def _bookkeeping_digest(draws) -> str:
 
 
 # Digests of the per-block acceptance rates and the proposal scales at the
-# freeze point and at the end, recorded while the sampler still adapted and
-# counted each block's decisions one call at a time. Closing every adaptation
-# window at the end of a sweep must not change one bit of them. The mixed
-# case was pinned before the coefficient blocks became one block, and exact +
-# monotone walk before the level and variance moves.
+# freeze point and at the end, recorded with the draws above. They were first
+# pinned while the chain counted each block's decisions one call at a time,
+# and re-recorded once, with the draws, when the chain took the batch's sweep.
 _PINNED_BOOKKEEPING_DIGESTS = {
-    "constant": "74b5bcbb3861a8d2",
-    "linear": "093e0a72cfc1b1f2",
-    "linear-uncentered": "d8b23413a90a6150",
-    "walk": "483f51a21ad59f6e",
-    "known": "9c2e2a59d5b7267d",
-    "exact-linear": "6855056ff9db96a0",
-    "exact-walk": "900e1cf4cb0fed95",
-    "vaccine": "6eb6cd91bf297b8c",
-    "mixed": "31b095d3ecc1cb09",
-    "exact-walk-monotone": "9a2efb8696d24fcd",
+    "constant": "059bee1f829be4c4",
+    "linear": "211a84157637e814",
+    "linear-uncentered": "59a39254a92df1f8",
+    "walk": "57fcf8d8fe33c88f",
+    "known": "aeae38dd05b8720e",
+    "exact-linear": "db15ce4d36ac812f",
+    "exact-walk": "0cd1a6fc44a6362e",
+    "vaccine": "c98d0331f39d02f5",
+    "mixed": "504f7d4e5aa62647",
+    "exact-walk-monotone": "bdd34f686919e967",
 }
 
 
@@ -725,6 +725,9 @@ def test_bookkeeping_matches_pinned_digests():
     for name, (panel, spec, settings) in _pinned_cases().items():
         draws = run_chains(panel, spec, settings, workers=1)
         assert _bookkeeping_digest(draws) == _PINNED_BOOKKEEPING_DIGESTS[name], name
+        if not spec.use_exact_nchg:
+            batched = run_batched(panel, spec, settings)
+            assert _bookkeeping_digest(batched) == _PINNED_BOOKKEEPING_DIGESTS[name], name
 
 
 def _summary_digest(table) -> str:
@@ -736,18 +739,16 @@ def _summary_digest(table) -> str:
 
 
 # Digests of the summarize rows (rates, bias odds, variances, with their
-# R-hat and ESS) before the bias models were compiled into shared designs
-# (the mixed case: before the one coefficient block; exact + monotone walk:
-# before the level and variance moves).
+# R-hat and ESS) of the draws above, re-recorded with them.
 _PINNED_SUMMARY_DIGESTS = {
-    "constant": "8b4c8c83bf71f494",
-    "linear": "24097159874366ec",
-    "linear-uncentered": "b2a6104a0fdd7353",
-    "walk": "5392db09d4aff0ff",
-    "known": "02f3dd33612e01c7",
-    "exact-walk": "d1d39addfaaccca4",
-    "mixed": "20c80870fcef42da",
-    "exact-walk-monotone": "6ebddeca98567046",
+    "constant": "5c09bd418dbeee2f",
+    "linear": "aa68e8574ef2f0f8",
+    "linear-uncentered": "dedc5423307fc872",
+    "walk": "ba17bbca9c98645d",
+    "known": "e663a77678c3351b",
+    "exact-walk": "1ea4c9ab603a5fdc",
+    "mixed": "e2d95160f99492d9",
+    "exact-walk-monotone": "0f588cc4d8420b47",
 }
 
 
@@ -865,10 +866,11 @@ def test_batch_splits_into_groups_the_workers_allow():
 
     with mock.patch.object(mcmc, "map_jobs", serial), \
             mock.patch.object(mcmc, "_stack_chains", lambda *a: None):
-        for n_chains, workers in [(4, 1), (4, 2), (6, 2), (8, 3), (7, 4), (12, 8)]:
+        for n_chains, workers in [(4, 1), (4, 2), (6, 2), (8, 3), (7, 4), (12, 8), (2, 3)]:
             run_chains(vaccine.panel, spec, _short_settings(n_chains), workers=workers)
-    # each group keeps at least BATCH_MIN_LANES lanes: 3 chains at T = 48
-    assert groups == [[4], [4], [3, 3], [4, 4], [3, 4], [3, 3, 3, 3]]
+    # min(workers, n_chains) contiguous groups, as even as the count allows
+    assert groups == [[4], [2, 2], [3, 3], [2, 3, 3], [1, 2, 2, 2], [1, 2, 1, 2, 1, 2, 1, 2],
+                      [1, 1]]
 
 
 def test_one_group_fit_keeps_one_copy_of_its_draws():
@@ -1028,8 +1030,8 @@ _EPS = 1e-6  # log ratios must agree with the oracle's to this
 
 
 class _ScriptedRng(np.random.Generator):
-    """Single draws (the start) from a real stream; the buffered normal and
-    uniform streams as scripted."""
+    """Single draws (the start) from a real stream; each refill of the normal
+    and uniform streams as scripted, row by row, padded with 0.5."""
 
     def __init__(self, seed, normals, uniforms):
         super().__init__(np.random.PCG64(seed))
@@ -1037,7 +1039,8 @@ class _ScriptedRng(np.random.Generator):
 
     @staticmethod
     def _padded(values, size):
-        return np.concatenate([values, np.full(size, 0.5)])[:size]
+        count = math.prod(size)
+        return np.concatenate([np.ravel(values), np.full(count, 0.5)])[:count].reshape(size)
 
     def standard_normal(self, size=None):
         return super().standard_normal() if size is None else self._padded(self.normals, size)
@@ -1050,11 +1053,13 @@ class _ScriptedRng(np.random.Generator):
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_scalar_sweep_log_ratios_match_the_oracle(kinds, n_times, monotone, exact, seed):
-    # Walk the scalar schedule with the oracle: each block's proposal, its
-    # log-posterior difference d (plus the log Jacobian of a variance move)
-    # and an intended decision, met by a uniform of exp(d - eps) (accept) or
-    # exp(d + eps) (reject). The chain makes the same decisions, so reaches
-    # the same states, only if its own d is within eps of the oracle's.
+    # Walk the sweep's phase order with the oracle: each block's proposal
+    # from its normal, its log-posterior difference d (plus the log Jacobian
+    # of a variance move) and an intended decision, met by a uniform of
+    # exp(d - eps) (accept) or exp(d + eps) (reject), whose log the chain
+    # compares with its own d. Every block reads one normal and one uniform
+    # per sweep, at its block id. The chain makes the same decisions, so
+    # reaches the same states, only if its own d is within eps of the oracle's.
     # a small population makes the exact cell tell theta and the odds apart
     panel, spec, rng = _random_fit(kinds, n_times, seed, 400 if exact else 10_000,
                                    monotone_walk=monotone, use_exact_nchg=exact)
@@ -1065,14 +1070,17 @@ def test_scalar_sweep_log_ratios_match_the_oracle(kinds, n_times, monotone, exac
                                             np.random.Generator(np.random.PCG64(seed)), cell)
     walk_ks = [k for k, d in enumerate(designs) if None in d.var]
     names = mcmc._block_names(T, columns, bool(walk_ks))
+    phase_order = [b for _, ids in mcmc._phase_order(T, columns, walk_ks) for b in ids]
+    assert sorted(phase_order) == list(range(len(names)))
     n_sweeps = 4
-    normals = rng.standard_normal(n_sweeps * len(names))
-    uniforms, states = [], []
+    normals = rng.standard_normal((n_sweeps, len(names)))
+    uniforms = np.full_like(normals, 0.5)
+    states = []
     counts = dict.fromkeys(names, 0)
-    steps = iter(0.5 * normals)  # every scale starts at 0.5 and burn_in is 0
-    for _ in range(n_sweeps):
-        for name in names:
-            step = next(steps)
+    for i in range(n_sweeps):
+        for bid in phase_order:
+            name = names[bid]
+            step = 0.5 * normals[i, bid]  # every scale starts at 0.5 and burn_in is 0
             before = (list(theta), sig, [list(g) for g in gam], pi)
             kind, _, index = name.partition("[")
             jac = 0.0
@@ -1083,7 +1091,7 @@ def test_scalar_sweep_log_ratios_match_the_oracle(kinds, n_times, monotone, exac
                 hi = theta[t + 1] if t < T else math.inf
                 if monotone and not lo <= prop <= hi:
                     if kind == "joint" or hi - lo <= 0.0:
-                        continue  # rejected without a uniform
+                        continue  # rejected, whatever its uniform
                     if lo == -math.inf:
                         prop = 2.0 * hi - prop
                     elif hi == math.inf:
@@ -1109,8 +1117,8 @@ def test_scalar_sweep_log_ratios_match_the_oracle(kinds, n_times, monotone, exac
             d = (_oracle_log_post(panel, spec, (theta, sig, gam, pi))
                  - _oracle_log_post(panel, spec, before) + jac)
             accept = d >= 0.0 or (d > -700.0 and rng.random() < 0.5)
-            if d < 0.0:
-                uniforms.append(math.exp(d - _EPS) if accept else math.exp(d + _EPS))
+            if -700.0 < d < 0.0:  # else the padding 0.5 decides as intended
+                uniforms[i, bid] = math.exp(d - _EPS) if accept else math.exp(d + _EPS)
             if accept:
                 counts[name] += 1
             else:
