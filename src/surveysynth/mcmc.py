@@ -398,12 +398,13 @@ def _sample_chain(
 
     # a block per id, phase by phase: level, a theta or a ridge move (id, p,
     # walks as (lp row, weight before node 0) for a ridge move, cells in the
-    # ratio, cells refreshed); variance (id, is_pi, steps counted, prior
-    # scale); coefficient (id, gamma, j, 2 var, rows, their nodes, and the
+    # ratio, cells refreshed); variance (id, is_pi, the walks it steps
+    # along, steps counted, prior scale); coefficient (id, gamma, j, 2 var, rows, their nodes, and the
     # survey's lp, ll, new_lp and new_ll rows); walk (id, lp row, ll row, p,
     # weight before node 0, y and n, or None).
     names = _block_names(T, columns, bool(walk_ks))
     B = len(names)
+    walk_rows = [lp[k] for k in walk_ks]
     schedule = []
     for name, ids in _phase_order(T, columns, walk_ks):
         if name == "theta":
@@ -425,10 +426,10 @@ def _sample_chain(
                       for b in ids for c in [columns[b - T - 2]]]
         else:
             is_pi = name == "pi_sq"
-            blocks = (ids[0], is_pi, *((len(walk_ks) * T, pr.pi_sq_scale) if is_pi
-                                       else (T, pr.sigma_sq_scale)))
-        schedule.append(("level" if name in ("theta", "ridge") else name, blocks))
-    walk_rows = [lp[k] for k in walk_ks]
+            blocks = (ids[0], is_pi, *((walk_rows, len(walk_ks) * T, pr.pi_sq_scale) if is_pi
+                                       else ((th,), T, pr.sigma_sq_scale)))
+        if blocks:
+            schedule.append(("level" if name in ("theta", "ridge") else name, blocks))
     log_scale = [math.log(0.5)] * B
     scale = [0.5] * B
     # accepts per block in the open adaptation window, then after burn-in
@@ -514,12 +515,13 @@ def _sample_chain(
                         th[p] = prop
                         for _, llk, nllk, _, _, _ in tcells:
                             llk[p] = nllk[p]
-                        for g, _ in walks:
-                            g[p] -= delta
-                        for lpk, llk, _, y, n, _ in refresh:
-                            x = prop + lpk[p]
-                            llk[p] = y * x - n * (x + log1p_(exp_(-x)) if x > 0.0
-                                                  else log1p_(exp_(x)))
+                        if walks:
+                            for g, _ in walks:
+                                g[p] -= delta
+                            for lpk, llk, _, y, n, _ in refresh:
+                                x = prop + lpk[p]
+                                llk[p] = y * x - n * (x + log1p_(exp_(-x)) if x > 0.0
+                                                      else log1p_(exp_(x)))
                         acc[bid] += 1
 
             elif name == "coefficient":  # propose gamma[j], add its prior term,
@@ -578,10 +580,17 @@ def _sample_chain(
                         acc[bid] += 1
 
             else:  # sigma_sq or pi_sq, on the log scale against its walk steps
-                bid, is_pi, count, prior_sq = blocks
+                bid, is_pi, rows, count, prior_sq = blocks
                 v = pi_sq if is_pi else sigma_sq
-                sse = _row_sum([(dd := b - a) * dd for g in (walk_rows if is_pi else (th,))
-                                for a, b in zip(g[1 : T + 1], g[2 : T + 2])])
+                if count < 8:  # in turn, as _row_sum adds a short row
+                    sse = 0.0
+                    for g in rows:
+                        for a, b in zip(g[1 : T + 1], g[2 : T + 2]):
+                            dd = b - a
+                            sse += dd * dd
+                else:
+                    sse = _row_sum([(dd := b - a) * dd for g in rows
+                                    for a, b in zip(g[1 : T + 1], g[2 : T + 2])])
                 lcur = log_(v)
                 lprop = lcur + scale[bid] * z[bid]
                 vprop = exp_(lprop)
