@@ -42,11 +42,8 @@ can check that no post-burn-in adaptation happened.
 Two engines run this one sweep, and a chain gets the same draws from both,
 bit for bit. ``_sample_batch`` sweeps chains under the logit-shift
 approximation as numpy arrays (``_Batch``), a colour of every chain per
-move. A numpy call costs about a microsecond however few lanes it serves,
-and a strided operand several times a contiguous one, so the batch keeps
-its state nodes-major with the chains last and split by the parity of the
-padded time column: a colour's nodes, both its neighbours, and a phase's
-steps, log-uniforms and accept flags are then contiguous row blocks.
+move, from a layout in which each phase reads contiguous row blocks, since
+a numpy call costs about a microsecond however few lanes it serves.
 ``_sample_chain`` sweeps one chain on plain Python floats with the
 floating-point operations of one lane of the batch, in its order: the same
 padded walk ends and prior terms, softplus as ``np.logaddexp(0, x)``
@@ -58,11 +55,10 @@ evaluates the cells it touches at the proposal only, and an accepted move
 copies the new values over, so ll equals a fresh evaluation and a touched
 cell costs one kernel call per block. Both engines share the start, the
 block names, the adaptation rule and the bookkeeping (``_books``), and
-return draws with a leading chain axis (``_Part``). A chain checks its start
-from its ll table: a non-finite cell raises ``InitializationError`` naming
-its survey's block, lik[k], before the first sweep; the start's prior terms
-are finite by construction. The likelihood module is the reference density
-the sampler is tested against; the sampler does not use it.
+return draws with a leading chain axis (``_Part``). A chain's start fails
+before the first sweep when a cell is not finite (``InitializationError``).
+The likelihood module is the reference density the sampler is tested
+against; the sampler does not use it.
 
 ``run_chains`` splits a fit's chains into min(workers, n_chains) contiguous
 groups, one job each (``_group_job``). A group sweeps as one batch when the
@@ -387,8 +383,8 @@ def _sample_chain(
     new_ll = [[0.0] * (T + 3) for _ in range(K)]
     seen = {(k, t): (float(y), float(n)) for k, t, y, n in panel.observed_cells()}
     w0 = {k: 0.5 / designs[k].var[0] for k in walk_ks}  # step weight before a walk's node 0
-    # each node's cells, bias walks first, as (lp row, ll row, new_ll row, y,
-    # n, shift): 1 for a walk cell that a ridge move counts at shifted odds
+    # each node's cells, bias walks first, as (k, lp row, ll row, new_ll row,
+    # y, n, shift): 1 for a walk cell that a ridge move counts at shifted odds
     # (the exact kernel's), else 0. Under the logit-shift approximation a
     # ridge move leaves the walk cells unchanged, so its ratio skips them
     # and an accept refreshes them.
@@ -398,10 +394,10 @@ def _sample_chain(
 
     # a block per id, phase by phase: level, a theta or a ridge move (id, p,
     # walks as (lp row, weight before node 0) for a ridge move, cells in the
-    # ratio, cells refreshed); variance (id, is_pi, the walks it steps
-    # along, steps counted, prior scale); coefficient (id, gamma, j, 2 var, rows, their nodes, and the
-    # survey's lp, ll, new_lp and new_ll rows); walk (id, lp row, ll row, p,
-    # weight before node 0, y and n, or None).
+    # ratio, cells refreshed); variance (id, is_pi, the rows it steps along,
+    # steps counted, prior scale); coefficient (id, gamma, j, 2 var, rows,
+    # their nodes, and the survey's lp, ll, new_lp and new_ll rows); walk
+    # (id, lp row, ll row, p, weight before node 0, y and n, or None).
     names = _block_names(T, columns, bool(walk_ks))
     B = len(names)
     walk_rows = [lp[k] for k in walk_ks]
@@ -744,8 +740,7 @@ class _Batch:
             ys, ns, offset = (np.array([r[i] for r in c.rows], dtype=float) for i in (1, 2, 3))
             self.coefs.append((at["coefficient"] + i, row[c.k], c.k, c.j, 2.0 * c.var, cells, ys,
                                ns, offset, coef))
-        self.walk_ph, self.ridge_ph = {}, {}
-        if W:
+        if W:  # the walk and ridge phases' rows by colour, and pi_sq's
             odd = sizes[1]
             self.walk_ph = {1: slice(at["walk"], at["walk"] + odd * W),
                             0: slice(at["walk"] + odd * W, at["pi_sq"])}
@@ -1014,10 +1009,11 @@ def _sample_batch(
 # batch; a speed choice only, since both engines give the same draws. Batch
 # time over chain-by-chain time per chain-sweep, median of 10 interleaved
 # pairs of 1500 sweeps in one process on a 2-vCPU x86-64 host, Python 3.11,
-# numpy 2.4 (batch faster in how many): 1.02 at 98 lanes (2 vaccine chains,
-# T = 48; 4 of 10), 0.79 at 99 (9 chains of the demo panel, T = 10, anchor +
-# linear + walk; 10 of 10), 0.58 at 143 (13 demo chains; 10 of 10), 0.75 at
-# 147 (3 vaccine chains; 9 of 10). Below 147 the batch does not win on both.
+# numpy 2.4 (batch faster in how many): 1.03 at 98 lanes (2 vaccine chains,
+# T = 48; 2 of 10), 0.76 at 99 (9 chains of the demo panel, T = 10, anchor +
+# linear + walk; 10 of 10), 0.54 at 143 (13 demo chains; 10 of 10), 0.75 at
+# 147 (3 vaccine chains; 10 of 10), 0.61 at 196. Below 147 the batch does not
+# win on both panels.
 BATCH_MIN_LANES = 147
 
 
