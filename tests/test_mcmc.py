@@ -896,7 +896,9 @@ def test_batched_draws_do_not_depend_on_workers_or_groups():
     vaccine = datagen.vaccine_shaped_bundle()
     panel, spec = vaccine.panel, vaccine.design.model_spec()
     settings = SamplerSettings(n_chains=6, burn_in=40, n_draws=40, thin=1, seed=9)
-    # 294 lanes, wide enough for a batch; the demo fit's 2 x 11 lanes are not
+    # the vaccine fit's groups are batches at 1 and 2 workers (294 and 147
+    # lanes) and run chain by chain at 3 (98 lanes); the demo fit's 2 x 11
+    # lanes always do
     fits = [(panel, spec, settings), (datagen.demo_panel(), _demo_spec("linear", "walk"), _SHORT)]
     for fit in fits:
         runs = [run_chains(*fit, workers=w) for w in (1, 2, 3)]
@@ -914,7 +916,7 @@ def test_batched_draws_do_not_depend_on_workers_or_groups():
 
 def run_chain_by_chain(panel, spec, settings):
     """``run_chains`` with every chain in its own ``_sample_chain`` call,
-    however wide the fit."""
+    however wide the fit, and the chains' bookkeeping."""
     designs, columns = mcmc._validate_inputs(panel, spec)
     seeds = np.random.SeedSequence(settings.seed).spawn(settings.n_chains)
     parts = [mcmc._sample_chain(panel, spec, settings, s, designs, columns) for s in seeds]
