@@ -290,6 +290,43 @@ def test_bad_counts_and_seeds_fail_before_any_work(
     assert not out.exists()
 
 
+PANEL_HEAD = "# meta: population=1000\n# meta: n_times=2\n# meta: surveys={}\nsurvey,t,y,n\n"
+
+
+@pytest.mark.parametrize("row", ["a,1,3,inf", "a,1,inf,10", "a,1,-inf,10"])
+def test_fit_reports_an_infinite_count_as_an_invalid_panel(tmp_path, capsys, row):
+    path = tmp_path / "p.csv"
+    path.write_text(PANEL_HEAD.format("a") + row + "\na,2,4,10\n")
+    out = tmp_path / "out"
+    code = main(["fit", "--panel", str(path), "--out", str(out)])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert "error: invalid-panel:" in err and "must be finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_fit_rejects_duplicate_survey_labels(tmp_path, capsys):
+    # every row would land in the second 'a', leaving the first one empty
+    path = tmp_path / "p.csv"
+    path.write_text(PANEL_HEAD.format("a,a") + "a,1,3,10\na,2,4,10\n")
+    out = tmp_path / "out"
+    code = main(["fit", "--panel", str(path), "--out", str(out)])
+    assert code == 4
+    assert "error: unreadable-input:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_duplicate_survey_labels(tmp_path, capsys):
+    doc = json.loads(open(simulate_cfg(tmp_path)).read())
+    doc["generate"]["labels"] = ["a", "a"]
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", write_cfg(tmp_path, doc, "dup.json"), "--out", str(out)])
+    assert code == 3
+    assert "duplicate survey label 'a'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_with_impossible_start_cell_is_a_run_failure(tmp_path, capsys):
     # log phi = 690.8 puts the known survey's exact cells outside the odds
     # the kernel can represent: the chain cannot start

@@ -126,6 +126,18 @@ def test_validate_reports_count_problems():
     assert ("nonpositive-n", 3) in rules
 
 
+def test_validate_reports_non_finite_counts():
+    inf = math.inf
+    panel = make_panel([[3.0, inf, -inf, 2.0]], [[inf, 10.0, 10.0, 10.0]])
+    rules = {(v.rule, v.t) for v in validate_panel(panel)}
+    assert rules == {("non-finite-count", 1), ("non-finite-count", 2), ("non-finite-count", 3)}
+
+
+def test_panel_rejects_duplicate_labels():
+    with pytest.raises(ValueError, match="duplicate survey label 'a'"):
+        make_panel([[1.0], [2.0]], [[10.0], [10.0]], labels=("a", "a"))
+
+
 def test_validate_reports_population_too_small():
     panel = make_panel([[5.0]], [[50.0]], population=40)
     rules = {(v.rule, v.k, v.t) for v in validate_panel(panel)}

@@ -77,6 +77,16 @@ def test_panel_reader_rejects_duplicate_cells(tmp_path):
         io.read_panel(path)
 
 
+def test_panel_reader_rejects_duplicate_labels(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text(
+        "# meta: population=100\n# meta: n_times=1\n# meta: surveys=a,a\n"
+        "survey,t,y,n\na,1,1,2\n"
+    )
+    with pytest.raises(ValueError, match="duplicate survey label 'a'"):
+        io.read_panel(path)
+
+
 def test_panel_label_with_comma_rejected(tmp_path):
     panel = SurveyPanel(
         y=np.array([[1.0]]), n=np.array([[2.0]]), population=10, labels=("a,b",)

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
@@ -923,8 +923,27 @@ def run_chain_by_chain(panel, spec, settings):
     return mcmc._stack_chains(parts, spec, settings), [b for p in parts for b in p.books]
 
 
+def _nine_survey_fit(n_times=12, seed=0):
+    """Nine surveys, every cell observed: the anchor, three walks, two
+    constants, two linears and a known survey with fixed odds. A level move
+    sums nine cells, a ridge move three walk priors and six cells, a linear
+    coefficient n_times cells and pi_sq's move 3 x n_times squared steps."""
+    rng = np.random.default_rng(seed)
+    bias = (
+        BiasModelSpec.anchor(),
+        *[BiasModelSpec(kind="walk")] * 3,
+        *[BiasModelSpec(kind="constant")] * 2,
+        *[BiasModelSpec(kind="linear")] * 2,
+        BiasModelSpec(kind="known", fixed_phi=tuple(rng.uniform(0.5, 2.0, n_times))),
+    )
+    n = rng.integers(50, 400, size=(len(bias), n_times)).astype(float)
+    y = np.floor(n * rng.uniform(0.2, 0.6, size=n.shape))
+    return panel_of(y, n), ModelSpec(bias=bias)
+
+
 def test_both_engines_give_the_same_draws():
-    cases = {**_pinned_cases(), **_batch_pin_cases()}
+    cases = {**_pinned_cases(), **_batch_pin_cases(),
+             "nine-surveys": (*_nine_survey_fit(), _short_settings(1))}
     for name, (panel, spec, settings_) in cases.items():
         if spec.use_exact_nchg:
             continue
@@ -1074,7 +1093,7 @@ def test_scalar_sweep_log_ratios_match_the_oracle(kinds, n_times, monotone, exac
     names = mcmc._block_names(T, columns, bool(walk_ks))
     phase_order = [b for _, ids in mcmc._phase_order(T, columns, walk_ks) for b in ids]
     assert sorted(phase_order) == list(range(len(names)))
-    n_sweeps = 4
+    n_sweeps = 10
     normals = rng.standard_normal((n_sweeps, len(names)))
     uniforms = np.full_like(normals, 0.5)
     states = []
@@ -1187,6 +1206,8 @@ def _batch_arrays(batch):
 
 @given(kinds=_KINDS, n_times=st.integers(1, 5), monotone=st.booleans(),
        n_chains=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+# the constant survey's one cell is missing: a coefficient with an empty column
+@example(kinds=["known", "constant"], n_times=1, monotone=False, n_chains=1, seed=2)
 @settings(max_examples=40, deadline=None)
 def test_batched_phase_log_ratios_match_the_oracle(kinds, n_times, monotone, n_chains, seed):
     # Each phase runs three times from one state: with every log-uniform at
@@ -1238,3 +1259,189 @@ def test_batched_phase_log_ratios_match_the_oracle(kinds, n_times, monotone, n_c
             for got, want in zip(_batch_arrays(runs[2]), _batch_arrays(batch)):
                 np.testing.assert_array_equal(got, want, err_msg=f"{kind} {arg}: rejects")
             batch = runs[0]
+
+
+# ---------------------------------------------------------------------------
+# every sum in a batched log ratio adds its terms in turn, bit for bit
+
+
+def _in_turn(terms):
+    """The sum of ``terms``, added first to last."""
+    total = 0.0
+    for v in terms:
+        total += v
+    return total
+
+
+def _step_prior(cur, prop, prev, nxt, wp, wn):
+    """A node's change in its two Gaussian step terms, in the sampler's form."""
+    s = cur + prop
+    return (cur - prop) * ((s - 2.0 * prev) * wp - (2.0 * nxt - s) * wn)
+
+
+def _lane_cells(batch, designs):
+    """Each chain's cell log-likelihoods, ll[k][t] for t = 0..T."""
+    rows = [batch.order.index(k) for k in range(len(designs))]
+    return [[batch.ll[batch.nodes, r, c].tolist() for r in rows] for c in range(len(batch.sig))]
+
+
+def _ratio_in_turn(name, before, after, ll_before, ll_after, step, spec, designs, walk_ks):
+    """A moved lane's log ratio (with a variance move's log Jacobian), each of
+    its sums added in turn: the cells of a level move walks first, a ridge
+    move's walk priors and then its non-walk cells, a coefficient's cells in
+    t order, a variance's squared steps t-major with every walk at one t side
+    by side."""
+    theta, sig, gam, pi = before
+    T = len(theta) - 1
+    pr = spec.priors
+    kind, _, index = name.partition("[")
+    others = [k for k in range(len(designs)) if k not in walk_ks]
+    if kind in ("sigma_sq", "pi_sq"):
+        if kind == "sigma_sq":
+            v, vprop, prior_sq = sig, after[1], pr.sigma_sq_scale
+            steps = [theta[t] - theta[t - 1] for t in range(1, T + 1)]
+        else:
+            v, vprop, prior_sq = pi, after[3], pr.pi_sq_scale
+            steps = [gam[k][t] - gam[k][t - 1] for t in range(1, T + 1) for k in walk_ks]
+        sse = _in_turn([dd * dd for dd in steps])
+        lcur = math.log(v)
+        lprop = lcur + step
+        assert math.exp(lprop) == vprop
+        return ((v * v - vprop * vprop) / (2.0 * prior_sq) + 0.5 * len(steps) * (lcur - lprop)
+                + 0.5 * sse * (1.0 / v - 1.0 / vprop) + (lprop - lcur))
+    wsig = 0.5 / sig
+    wpi = None if pi is None else 0.5 / pi
+
+    def walk_prior(k, t):  # bias walk k's step terms around node t
+        g = gam[k]
+        prev, wp = (0.0, 0.5 / designs[k].var[0]) if t == 0 else (g[t - 1], wpi)
+        nxt, wn = (0.0, 0.0) if t == T else (g[t + 1], wpi)
+        return _step_prior(g[t], after[2][k][t], prev, nxt, wp, wn)
+
+    if kind == "gamma":
+        k, j = (int(i) for i in index[:-1].split("]["))
+        if k in walk_ks:  # a bias walk's node j and its one cell
+            return walk_prior(k, j) + (ll_after[k][j] - ll_before[k][j])
+        d = (gam[k][j] ** 2 - after[2][k][j] ** 2) / (2.0 * designs[k].var[j])
+        # a cell outside the coefficient's column adds an exact 0
+        return d + _in_turn([ll_after[k][t] - ll_before[k][t] for t in range(1, T + 1)])
+    t = int(index[:-1])
+    prev, wp = (pr.theta0_mean, 0.5 / pr.theta0_var) if t == 0 else (theta[t - 1], wsig)
+    nxt, wn = (0.0, 0.0) if t == T else (theta[t + 1], wsig)
+    d = _step_prior(theta[t], after[0][t], prev, nxt, wp, wn)
+    if kind == "theta":
+        return d + _in_turn([ll_after[k][t] - ll_before[k][t] for k in walk_ks + others])
+    d += _in_turn([walk_prior(k, t) for k in walk_ks])
+    return d + _in_turn([ll_after[k][t] - ll_before[k][t] for k in others])
+
+
+def _nine_survey_batch(seeds):
+    """The nine-survey fit, its names and walks, and a batch of chains
+    started from ``seeds``, with its phases in sweep order."""
+    panel, spec = _nine_survey_fit()
+    designs, columns = mcmc._validate_inputs(panel, spec)
+    walk_ks = [k for k, d in enumerate(designs) if None in d.var]
+    names = mcmc._block_names(panel.n_times, columns, True)
+    starts = [mcmc._start(panel, spec, designs, np.random.default_rng(s), None) for s in seeds]
+    batch = mcmc._Batch(panel, spec, designs, columns, starts)
+    phases = [("level", 1), ("level", 0), ("variance", False)]
+    phases += [("coefficient", block) for block in batch.coefs]
+    phases += [("walk", 1), ("walk", 0), ("variance", True), ("ridge", 1), ("ridge", 0)]
+    return panel, spec, designs, columns, walk_ks, names, batch, phases
+
+
+def _moved_and_ratios(batch, kind, arg, steps, spec, designs, names, walk_ks):
+    """A phase of ``batch`` run on a copy with every log-uniform at -inf,
+    which moves every lane, and each moved lane's ratio summed in turn
+    (+inf at a lane that did not move), as (chains, blocks)."""
+    ordered = batch.phase_major
+    batch.accepted[:] = False
+    moved = copy.deepcopy(batch)
+    getattr(moved, kind)(arg, ordered(steps), ordered(np.full(steps.shape, -np.inf)))
+    before, after = _lane_states(batch, designs), _lane_states(moved, designs)
+    ll_before, ll_after = _lane_cells(batch, designs), _lane_cells(moved, designs)
+    want = np.full(steps.shape, np.inf)
+    for r, c in np.argwhere(moved.accepted):
+        bid = moved.perm[r]
+        want[c, bid] = _ratio_in_turn(names[bid], before[c], after[c], ll_before[c],
+                                      ll_after[c], steps[c, bid], spec, designs, walk_ks)
+    return moved, want
+
+
+@pytest.mark.parametrize("n_chains", [1, 2])
+def test_batched_ratios_add_their_terms_in_turn(n_chains):
+    # Each phase runs from one state three times: with every log-uniform at
+    # -inf, which moves every lane; then with each moved lane's log-uniform
+    # one float below the ratio computed here, every sum added in turn, which
+    # must accept the same lanes; then at that ratio, which must reject them
+    # all. So each moved lane's ratio is that float, whatever the chain count:
+    # a batch of one chain must not sum its nine level cells in another order.
+    _, spec, designs, _, walk_ks, names, batch, phases = _nine_survey_batch(
+        [[5, c] for c in range(n_chains)])
+    rng = np.random.default_rng(13)
+    shape = (n_chains, len(names))
+    ordered = batch.phase_major
+    checked = dict.fromkeys(("theta", "joint", "gamma", "sigma_sq", "pi_sq"), 0)
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            batch.sweep(ordered(0.3 * rng.standard_normal(shape)),
+                        ordered(np.log(rng.random(shape))))
+            for kind, arg in phases:
+                steps = 0.5 * rng.standard_normal(shape)
+                moved, want = _moved_and_ratios(batch, kind, arg, steps, spec, designs, names,
+                                                walk_ks)
+                for name in np.array(names)[np.isfinite(want).nonzero()[1]]:
+                    checked[name.partition("[")[0]] += 1
+                below, at = copy.deepcopy(batch), copy.deepcopy(batch)
+                getattr(below, kind)(arg, ordered(steps), ordered(np.nextafter(want, -np.inf)))
+                getattr(at, kind)(arg, ordered(steps), ordered(want))
+                for got, exp in zip(_batch_arrays(below), _batch_arrays(moved)):
+                    np.testing.assert_array_equal(got, exp, err_msg=f"{kind} {arg}: accepts")
+                for got, exp in zip(_batch_arrays(at), _batch_arrays(batch)):
+                    np.testing.assert_array_equal(got, exp, err_msg=f"{kind} {arg}: rejects")
+                batch = moved
+    # every lane moves: 13 nodes, 3 walks, 6 non-walk coefficients, 2 variances
+    assert checked == {"theta": 39 * n_chains, "joint": 39 * n_chains,
+                       "gamma": 3 * (6 + 39) * n_chains, "sigma_sq": 3 * n_chains,
+                       "pi_sq": 3 * n_chains}
+
+
+def test_chain_ratios_add_their_terms_in_turn(monkeypatch):
+    # A one-chain batch, checked float for float above, walks ten sweeps;
+    # each block accepts or rejects at random with its log-uniform one float
+    # below its ratio or at it. The chain, given the same start, steps and
+    # log-uniforms, makes every decision the same way, and so reaches the same
+    # states, only if each of its ratios is that same float.
+    seed = 21
+    panel, spec, designs, columns, walk_ks, names, batch, phases = _nine_survey_batch([seed])
+    n_sweeps = 10
+    rng = np.random.default_rng(8)
+    normals = rng.standard_normal((n_sweeps, len(names)))
+    log_us = np.full_like(normals, np.inf)
+    counts = dict.fromkeys(names, 0)
+    states = []
+    with np.errstate(all="ignore"):
+        for i in range(n_sweeps):
+            steps = 0.5 * normals[i : i + 1]  # every scale is 0.5 and burn_in 0
+            for kind, arg in phases:
+                _, want = _moved_and_ratios(batch, kind, arg, steps, spec, designs, names,
+                                            walk_ks)
+                for bid in np.isfinite(want[0]).nonzero()[0]:
+                    accept = rng.random() < 0.5
+                    log_us[i, bid] = np.nextafter(want[0, bid], -np.inf) if accept else want[0, bid]
+                    counts[names[bid]] += accept
+                getattr(batch, kind)(arg, batch.phase_major(steps),
+                                     batch.phase_major(log_us[i : i + 1]))
+            states.append(_lane_states(batch, designs)[0])
+    assert 0 < sum(counts.values()) < n_sweeps * len(names)
+
+    monkeypatch.setattr(mcmc, "_refill", lambda rng_, blocks: (normals, log_us))
+    settings_ = SamplerSettings(n_chains=1, burn_in=0, n_draws=n_sweeps, thin=1)
+    part = mcmc._sample_chain(panel, spec, settings_, seed, designs, columns)
+    draws = mcmc._stack_chains([part], spec, settings_)
+    assert draws.theta[0].tolist() == [s[0] for s in states]
+    assert draws.sigma_sq[0].tolist() == [s[1] for s in states]
+    for k in range(len(designs)):
+        assert draws.gamma[k][0].tolist() == [s[2][k] for s in states]
+    assert draws.pi_sq[0].tolist() == [s[3] for s in states]
+    assert {name: rate * n_sweeps for name, rate in draws.acceptance_rates.items()} == counts
