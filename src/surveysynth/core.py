@@ -39,6 +39,18 @@ def check_number(name: str, value) -> None:
         raise ValueError(f"{name} must be a number, got {value!r}")
 
 
+def check_labels(labels, count: int) -> tuple[str, ...]:
+    """``labels`` as strings; ValueError unless there are ``count`` of them,
+    all different."""
+    labels = tuple(str(s) for s in labels)
+    if len(labels) != count:
+        raise ValueError(f"{len(labels)} labels for {count} surveys")
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"duplicate survey label {label!r}")
+    return labels
+
+
 @dataclass(frozen=True, eq=False)
 class SurveyPanel:
     """Aligned counts for K surveys over a shared time grid.
@@ -57,9 +69,7 @@ class SurveyPanel:
         n = _frozen_array(self.n)
         if y.ndim != 2 or n.shape != y.shape:
             raise ValueError(f"y and n must be equal-shape 2-d arrays, got {y.shape} and {n.shape}")
-        labels = tuple(str(s) for s in self.labels)
-        if len(labels) != y.shape[0]:
-            raise ValueError(f"{len(labels)} labels for {y.shape[0]} surveys")
+        labels = check_labels(self.labels, y.shape[0])
         check_count("population", self.population, 1)
         population = int(self.population)
         object.__setattr__(self, "y", y)
@@ -436,6 +446,13 @@ def validate_panel(panel: SurveyPanel) -> list[PanelViolation]:
                 )
                 continue
             if not y_here:
+                continue
+            if not (math.isfinite(yv) and math.isfinite(nv)):
+                out.append(
+                    PanelViolation(
+                        "non-finite-count", k, t, f"cell ({k},{t}) counts y={yv}, n={nv} must be finite"
+                    )
+                )
                 continue
             if yv != math.floor(yv) or nv != math.floor(nv):
                 out.append(

@@ -25,6 +25,7 @@ from .core import (
     _frozen_array,
     bias_designs,
     check_count,
+    check_labels,
     validate_state,
 )
 from .dists import NchgParams, inv_logit, nchg_sample, truncnorm_sample
@@ -79,9 +80,7 @@ class GenDesign:
         if labels is None:
             labels = tuple(f"s{k}" for k in range(K))
         else:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != K:
-                raise ValueError(f"{len(labels)} labels for {K} surveys")
+            labels = check_labels(labels, K)
         object.__setattr__(self, "n_plan", plan)
         object.__setattr__(self, "population", population)
         object.__setattr__(self, "bias", bias)

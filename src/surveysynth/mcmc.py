@@ -46,10 +46,14 @@ move, from a layout in which each phase reads contiguous row blocks, since
 a numpy call costs about a microsecond however few lanes it serves.
 ``_sample_chain`` sweeps one chain on plain Python floats with the
 floating-point operations of one lane of the batch, in its order: the same
-padded walk ends and prior terms, softplus as ``np.logaddexp(0, x)``
-computes it, and numpy's summation order (``_row_sum``). It also runs the
-exact kernel, whose cells are one call each over windows of differing
-lengths, which a batch cannot share (``_exact_cell``). The chain keeps each
+padded walk ends and prior terms, and softplus as ``np.logaddexp(0, x)``
+computes it. Every sum in a log ratio adds its terms in turn, first to last,
+in both engines (``_sum_in_turn`` in the batch): a level move's cells walks
+first, a ridge move's walk priors and then its other cells, a coefficient's
+cells in t order, a variance's squared steps t-major with every walk at one
+t side by side. So no sum depends on how many chains share a batch. The
+chain also runs the exact kernel, whose cells are one call each over windows
+of differing lengths, which a batch cannot share (``_exact_cell``). The chain keeps each
 observed cell's log bias odds (lp) and log-likelihood (ll); a block
 evaluates the cells it touches at the proposal only, and an accepted move
 copies the new values over, so ll equals a fresh evaluation and a touched
@@ -320,38 +324,6 @@ def _refill(rng, blocks: int):
     return rng.standard_normal((sweeps, blocks)), np.log(rng.random((sweeps, blocks)))
 
 
-def _row_sum(values) -> float:
-    """The sum of ``values`` in numpy's order for a contiguous row, the
-    batch's order for a chain's squared steps and a coefficient's cells: in
-    turn below 8 terms; up to 128, eight running sums over blocks of 8,
-    added pairwise, then the rest in turn; longer rows halved at a multiple
-    of 8 (numpy's pairwise summation)."""
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _row_sum(values[:half]) + _row_sum(values[half:])
-    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
-    end = n - n % 8
-    for i in range(8, end, 8):
-        r0 += values[i]
-        r1 += values[i + 1]
-        r2 += values[i + 2]
-        r3 += values[i + 3]
-        r4 += values[i + 4]
-        r5 += values[i + 5]
-        r6 += values[i + 6]
-        r7 += values[i + 7]
-    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for v in values[end:]:
-        total += v
-    return total
-
-
 def _sample_chain(
     panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings, seed, designs, columns
 ) -> _Part:
@@ -394,8 +366,9 @@ def _sample_chain(
 
     # a block per id, phase by phase: level, a theta or a ridge move (id, p,
     # walks as (lp row, weight before node 0) for a ridge move, cells in the
-    # ratio, cells refreshed); variance (id, is_pi, the rows it steps along,
-    # steps counted, prior scale); coefficient (id, gamma, j, 2 var, rows,
+    # ratio, cells refreshed); variance (id, is_pi, its steps as (row, node
+    # p) from p - 1 to p, t-major with every walk at one t side by side, prior
+    # scale); coefficient (id, gamma, j, 2 var, rows,
     # their nodes, and the survey's lp, ll, new_lp and new_ll rows); walk
     # (id, lp row, ll row, p, weight before node 0, y and n, or None).
     names = _block_names(T, columns, bool(walk_ks))
@@ -422,8 +395,9 @@ def _sample_chain(
                       for b in ids for c in [columns[b - T - 2]]]
         else:
             is_pi = name == "pi_sq"
-            blocks = (ids[0], is_pi, *((walk_rows, len(walk_ks) * T, pr.pi_sq_scale) if is_pi
-                                       else ((th,), T, pr.sigma_sq_scale)))
+            rows = walk_rows if is_pi else (th,)
+            blocks = (ids[0], is_pi, [(g, p) for p in range(2, T + 2) for g in rows],
+                      pr.pi_sq_scale if is_pi else pr.sigma_sq_scale)
         if blocks:
             schedule.append(("level" if name in ("theta", "ridge") else name, blocks))
     log_scale = [math.log(0.5)] * B
@@ -527,8 +501,7 @@ def _sample_chain(
                     prop = cur + scale[bid] * z[bid]
                     d = (cur * cur - prop * prop) / two_var
                     gk[j] = prop
-                    cs = 0.0  # in turn, as _row_sum adds a short column
-                    diffs = None if len(ps) < 8 else []
+                    cs = 0.0
                     for p, y, n, g, terms in rows:  # g starts as the row's offset
                         if terms is None:
                             g = prop
@@ -542,11 +515,8 @@ def _sample_chain(
                             v = y * x - n * (x + log1p_(exp_(-x)) if x > 0.0 else log1p_(exp_(x)))
                         nlpk[p] = g
                         nllk[p] = v
-                        if diffs is None:
-                            cs += v - llk[p]
-                        else:
-                            diffs.append(v - llk[p])
-                    d += cs if diffs is None else _row_sum(diffs)
+                        cs += v - llk[p]
+                    d += cs
                     if lu[bid] < d:
                         for p in ps:
                             lpk[p] = nlpk[p]
@@ -576,23 +546,18 @@ def _sample_chain(
                         acc[bid] += 1
 
             else:  # sigma_sq or pi_sq, on the log scale against its walk steps
-                bid, is_pi, rows, count, prior_sq = blocks
+                bid, is_pi, steps, prior_sq = blocks
                 v = pi_sq if is_pi else sigma_sq
-                if count < 8:  # in turn, as _row_sum adds a short row
-                    sse = 0.0
-                    for g in rows:
-                        for a, b in zip(g[1 : T + 1], g[2 : T + 2]):
-                            dd = b - a
-                            sse += dd * dd
-                else:
-                    sse = _row_sum([(dd := b - a) * dd for g in rows
-                                    for a, b in zip(g[1 : T + 1], g[2 : T + 2])])
+                sse = 0.0
+                for g, p in steps:
+                    dd = g[p] - g[p - 1]
+                    sse += dd * dd
                 lcur = log_(v)
                 lprop = lcur + scale[bid] * z[bid]
                 vprop = exp_(lprop)
                 d = (
                     (v * v - vprop * vprop) / (2.0 * prior_sq)
-                    + 0.5 * count * (lcur - lprop)
+                    + 0.5 * len(steps) * (lcur - lprop)
                     + 0.5 * sse * (1.0 / v - 1.0 / vprop)
                     + (lprop - lcur)
                 )
@@ -626,6 +591,15 @@ def _sample_chain(
     return _Part(out_theta[None], out_sig[None], [g[None] for g in out_gam],
                  None if out_pi is None else out_pi[None],
                  [_books(settings, names, acc, scales_frozen, scale)])
+
+
+_LAST = ((-1,), (slice(None), -1))  # the last entry along axis 0, along axis 1
+
+
+def _sum_in_turn(a, axis: int):
+    """The sum of ``a`` along axis 0 or 1, its terms added in turn, first to
+    last, as the chain adds them; 0.0 for an empty axis."""
+    return np.add.accumulate(a, axis)[_LAST[axis]] if a.shape[axis] else 0.0
 
 
 def _pair_prior(cur, prop, two, wp, wn):
@@ -832,7 +806,7 @@ class _Batch:
         x = prop[:, None] + self.lp[nodes]
         v = self.Y[nodes] * x - self.N[nodes] * np.logaddexp(0.0, x)
         lls = self.ll[nodes]
-        d += (v - lls).sum(axis=1)
+        d += _sum_in_turn(v - lls, 1)
         a = np.less(log_u[ph], d, out=self.accepted[ph])
         np.copyto(cur, prop, where=a)
         np.copyto(lls, v, where=a[:, None])
@@ -847,9 +821,8 @@ class _Batch:
             bid, v, prior_sq, count = T + 1, self.sig, self.sig_prior, T
             g = self.th[self.nodes]
         steps = g[1:] - g[:-1]
-        # each chain's squared steps, walk by walk and then by t, as one
-        # contiguous row, so that numpy sums them in one fixed order
-        sse = np.ascontiguousarray((steps * steps).T).reshape(len(v), -1).sum(axis=1)
+        # t-major, every walk at one t side by side
+        sse = _sum_in_turn((steps * steps).reshape(-1, len(v)), 0)
         # math.log and math.exp, as in the scalar sweep: numpy's SIMD loops
         # may round differently on another CPU, and these values are kept
         lcur = np.fromiter(map(math.log, v), float, len(v))
@@ -867,7 +840,7 @@ class _Batch:
 
     def coefficient(self, block, D, log_u) -> None:
         """One non-walk coefficient on every chain, with all the cells of its
-        column, as (chains, cells) so that each chain sums its cells in order."""
+        column, as (chains, cells)."""
         bid, r, k, j, two_var, cells, ys, ns, offset, coef = block
         gk = self.gam[k]
         cur = gk[:, j].copy()
@@ -881,7 +854,7 @@ class _Batch:
         v = ys * x - ns * np.logaddexp(0.0, x)
         lps, lls = self.lp[:, r].T, self.ll[:, r].T  # (chains, rows)
         old = np.take(lls, cells, axis=1)
-        d += (v - old).sum(axis=1)
+        d += _sum_in_turn(v - old, 1)
         a = np.less(log_u[bid], d, out=self.accepted[bid])
         gk[:, j] = np.where(a, prop, cur)
         a = a[:, None]
@@ -921,12 +894,12 @@ class _Batch:
         lp = self.lp
         lps = lp[nodes]
         lnew = lps - delta[:, None] * self.walk_rows
-        d += _pair_prior(lps[:, :W], lnew[:, :W], 2.0 * lp[around, :W],
-                         self.wg[0, ph], self.wg[1, ph]).sum(axis=1)
+        d += _sum_in_turn(_pair_prior(lps[:, :W], lnew[:, :W], 2.0 * lp[around, :W],
+                                      self.wg[0, ph], self.wg[1, ph]), 1)
         x = prop[:, None] + lnew
         v = self.Y[nodes] * x - self.N[nodes] * np.logaddexp(0.0, x)
         lls = self.ll[nodes]
-        d += (v[:, W:] - lls[:, W:]).sum(axis=1)
+        d += _sum_in_turn(v[:, W:] - lls[:, W:], 1)
         a = np.less(log_u[rows], d, out=self.accepted[rows])
         if self.monotone:
             self._in_order(s, a, prop, near[:-1], near[1:])
@@ -1009,12 +982,14 @@ def _sample_batch(
 # batch; a speed choice only, since both engines give the same draws. Batch
 # time over chain-by-chain time per chain-sweep, median of 10 interleaved
 # pairs of 1500 sweeps in one process on a 2-vCPU x86-64 host, Python 3.11,
-# numpy 2.4 (batch faster in how many): 1.03 at 98 lanes (2 vaccine chains,
-# T = 48; 2 of 10), 0.76 at 99 (9 chains of the demo panel, T = 10, anchor +
-# linear + walk; 10 of 10), 0.54 at 143 (13 demo chains; 10 of 10), 0.75 at
-# 147 (3 vaccine chains; 10 of 10), 0.61 at 196. Below 147 the batch does not
-# win on both panels.
-BATCH_MIN_LANES = 147
+# numpy 2.4 (batch faster in how many pairs). Vaccine panel (T = 48, two
+# walk surveys): 1.06 and 1.05 at 98 lanes (2 chains; 2 of 10 twice); 0.84,
+# 0.87 and 0.95 at 147 (3 chains; 8, 10 and 8 of 10 in three rounds); 0.62
+# and 0.69 at 196 (4 chains; 10 of 10 twice). Demo panel (T = 10, anchor +
+# linear + walk; 10 of 10 each): 0.84 at 99 (9 chains), 0.63 and 0.71 at
+# 143, 0.59 at 154. The batch wins 9 of 10 pairs on both panels only above
+# 147 lanes.
+BATCH_MIN_LANES = 148
 
 
 def _group_job(args) -> list[_Part]:

@@ -842,7 +842,7 @@ def test_run_chains_picks_the_engine_from_the_fit():
     demo = datagen.demo_panel()
     cases = [
         (vaccine.panel, spec, 4, "batch"),  # 196 lanes
-        (vaccine.panel, spec, 3, "batch"),  # 147 lanes
+        (vaccine.panel, spec, 3, "scalar"),  # 147 lanes
         (vaccine.panel, spec, 2, "scalar"),  # 98 lanes
         (vaccine.panel, dataclasses.replace(spec, use_exact_nchg=True), 4, "scalar"),
         (demo, _demo_spec("linear", "walk"), 13, "scalar"),  # 143 lanes
@@ -895,10 +895,10 @@ def test_resolve_workers_takes_only_a_count(workers):
 def test_batched_draws_do_not_depend_on_workers_or_groups():
     vaccine = datagen.vaccine_shaped_bundle()
     panel, spec = vaccine.panel, vaccine.design.model_spec()
-    settings = SamplerSettings(n_chains=6, burn_in=40, n_draws=40, thin=1, seed=9)
-    # the vaccine fit's groups are batches at 1 and 2 workers (294 and 147
-    # lanes) and run chain by chain at 3 (98 lanes); the demo fit's 2 x 11
-    # lanes always do
+    settings = SamplerSettings(n_chains=8, burn_in=40, n_draws=40, thin=1, seed=9)
+    # the vaccine fit's groups are batches at 1 and 2 workers (392 and 196
+    # lanes) and run chain by chain at 3 (98 and 147 lanes); the demo fit's
+    # 2 x 11 lanes always do
     fits = [(panel, spec, settings), (datagen.demo_panel(), _demo_spec("linear", "walk"), _SHORT)]
     for fit in fits:
         runs = [run_chains(*fit, workers=w) for w in (1, 2, 3)]
