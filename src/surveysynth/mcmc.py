@@ -52,17 +52,17 @@ in both engines (``_sum_in_turn`` in the batch): a level move's cells walks
 first, a ridge move's walk priors and then its other cells, a coefficient's
 cells in t order, a variance's squared steps t-major with every walk at one
 t side by side. So no sum depends on how many chains share a batch. The
-chain also runs the exact kernel, whose cells are one call each over windows
-of differing lengths, which a batch cannot share (``_exact_cell``). The chain keeps each
-observed cell's log bias odds (lp) and log-likelihood (ll); a block
-evaluates the cells it touches at the proposal only, and an accepted move
-copies the new values over, so ll equals a fresh evaluation and a touched
-cell costs one kernel call per block. Both engines share the start, the
-block names, the adaptation rule and the bookkeeping (``_books``), and
-return draws with a leading chain axis (``_Part``). A chain's start fails
-before the first sweep when a cell is not finite (``InitializationError``).
-The likelihood module is the reference density the sampler is tested
-against; the sampler does not use it.
+chain also runs the exact kernel, whose cells are one call each over
+windows of differing lengths, which a batch cannot share (``_exact_cell``).
+The chain keeps each observed cell's log bias odds (lp) and log-likelihood
+(ll); a block evaluates the cells it touches at the proposal only, and an
+accepted move copies the new values over, so ll equals a fresh evaluation
+and a touched cell costs one kernel call per block. Both engines share the
+start, the block names, the adaptation rule and the bookkeeping
+(``_books``), and return draws with a leading chain axis (``_Part``). A
+chain's start fails before the first sweep when a cell is not finite
+(``InitializationError``). The likelihood module is the reference density
+the sampler is tested against; the sampler does not use it.
 
 ``run_chains`` splits a fit's chains into min(workers, n_chains) contiguous
 groups, one job each (``_group_job``). A group sweeps as one batch when the
@@ -366,11 +366,11 @@ def _sample_chain(
 
     # a block per id, phase by phase: level, a theta or a ridge move (id, p,
     # walks as (lp row, weight before node 0) for a ridge move, cells in the
-    # ratio, cells refreshed); variance (id, is_pi, its steps as (row, node
-    # p) from p - 1 to p, t-major with every walk at one t side by side, prior
-    # scale); coefficient (id, gamma, j, 2 var, rows,
-    # their nodes, and the survey's lp, ll, new_lp and new_ll rows); walk
-    # (id, lp row, ll row, p, weight before node 0, y and n, or None).
+    # ratio, cells refreshed); variance (id, is_pi, its steps as (row, p)
+    # from p - 1 to p, t-major with every walk at one t side by side, prior
+    # scale); coefficient (id, gamma, j, 2 var, rows, their nodes, and the
+    # survey's lp, ll, new_lp and new_ll rows); walk (id, lp row, ll row, p,
+    # weight before node 0, y and n, or None).
     names = _block_names(T, columns, bool(walk_ks))
     B = len(names)
     walk_rows = [lp[k] for k in walk_ks]
