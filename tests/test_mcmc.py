@@ -1093,7 +1093,7 @@ def test_scalar_sweep_log_ratios_match_the_oracle(kinds, n_times, monotone, exac
     names = mcmc._block_names(T, columns, bool(walk_ks))
     phase_order = [b for _, ids in mcmc._phase_order(T, columns, walk_ks) for b in ids]
     assert sorted(phase_order) == list(range(len(names)))
-    n_sweeps = 10
+    n_sweeps = 4
     normals = rng.standard_normal((n_sweeps, len(names)))
     uniforms = np.full_like(normals, 0.5)
     states = []
