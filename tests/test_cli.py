@@ -318,7 +318,8 @@ def test_fit_rejects_duplicate_survey_labels(tmp_path, capsys):
 
 
 def test_simulate_rejects_duplicate_survey_labels(tmp_path, capsys):
-    doc = json.loads(open(simulate_cfg(tmp_path)).read())
+    with open(simulate_cfg(tmp_path)) as f:
+        doc = json.load(f)
     doc["generate"]["labels"] = ["a", "a"]
     out = tmp_path / "out"
     code = main(["simulate", "--config", write_cfg(tmp_path, doc, "dup.json"), "--out", str(out)])
