@@ -362,3 +362,18 @@ def test_n_iid_flags_degenerate_rates():
     out = n_iid_gain(base, method)
     assert out.flagged == (1,)
     assert out.t.tolist() == [2]
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 0.0, 1.0, 1.5, math.nan])
+def test_alpha_is_checked_before_any_work(monkeypatch, alpha):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the sampler ran")
+
+    monkeypatch.setattr(analysis, "run_chains", must_not_run)
+    monkeypatch.setattr(analysis, "map_jobs", must_not_run)
+    panel = SurveyPanel(y=np.array([[9.0, 18.0]]), n=np.array([[100.0, 100.0]]),
+                        population=10_000, labels=("a",))
+    spec = ModelSpec(bias=(BiasModelSpec.anchor(),))
+    for fit in (fit_full, nowcast_series):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            fit(panel, spec, SamplerSettings.desk(), alpha=alpha)

@@ -235,6 +235,39 @@ def test_bad_worker_count_fails_before_sampling(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "nowcast", "sim-study"])
+def test_out_naming_a_file_fails_before_sampling(tmp_path, demo_panel, capsys, monkeypatch, command):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the sampler ran")
+
+    for name in ("fit_full", "nowcast_series", "run_grid"):
+        monkeypatch.setattr(f"surveysynth.cli.{name}", must_not_run)
+    inputs = [] if command == "sim-study" else [
+        "--panel", demo_panel_file(tmp_path, demo_panel), "--config", fit_cfg(tmp_path)]
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    # the file itself, and a directory that would have to be made under it
+    for out in (taken, taken / "out"):
+        code = main([command, *inputs, "--out", str(out)])
+        assert code == 3
+        assert "error: bad-config: --out" in capsys.readouterr().err
+    assert taken.read_text() == "keep"
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_sim_study_bad_worker_count_fails_before_drawing(tmp_path, capsys, monkeypatch, value):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr("surveysynth.cli.run_grid", must_not_run)
+    monkeypatch.setenv("SURVEYSYNTH_WORKERS", value)
+    out = tmp_path / "out"
+    assert main(["sim-study", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "error: bad-config: SURVEYSYNTH_WORKERS must be an integer >= 1" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sampler", [{"n_draws": 5, "thin": 5}, {"n_draws": 11, "thin": 3}])
 def test_too_few_kept_draws_fail_before_sampling(tmp_path, demo_panel, capsys, monkeypatch, sampler):
     def must_not_run(*args, **kwargs):
@@ -486,6 +519,19 @@ def test_report_restrict(tmp_path):
     )
     assert code == 0
     assert io.read_ratio_report(out / "ratios.csv").t.tolist() == [2]
+
+
+@pytest.mark.parametrize("restrict", ["1,a", "2,", "x"])
+def test_report_restrict_must_be_time_points(tmp_path, capsys, restrict):
+    table = SummaryTable(alpha=0.05, rows=[rate_row(1, 0.5, 0.10)], converged=True)
+    path = tmp_path / "s.csv"
+    io.write_summary(table, path)
+    out = tmp_path / "out"
+    code = main(["report", "--baseline", str(path), "--method", str(path),
+                 "--restrict", restrict, "--out", str(out)])
+    assert code == 3
+    assert "error: bad-config: --restrict" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_error_exits_2():

@@ -1,10 +1,14 @@
+import contextlib
 import copy
 import dataclasses
 import hashlib
 import math
 import os
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -17,7 +21,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 import surveysynth
-from surveysynth import datagen, mcmc
+from surveysynth import _chainlib, datagen, mcmc
 from surveysynth.core import (
     BiasModelSpec,
     ChainDraws,
@@ -535,12 +539,52 @@ def test_single_point_with_idle_walk_survey_matches_quadrature():
     _idle_walk_survey_quadrature(run_chains)
 
 
+# Approximate fits take one of two routes: the compiled sweep when its
+# library can be had, else today's route (the batch from BATCH_MIN_LANES
+# lanes, else the chain). Tests that pin draws run under both.
+ROUTES = ("compiled", "no-compiler")
+
+
+@contextlib.contextmanager
+def route(name, tmp_path):
+    """Fits under ``name``: "compiled" as the machine allows, "no-compiler"
+    with no compiler in sysconfig or on the PATH and an empty library cache."""
+    _chainlib.library.cache_clear()
+    try:
+        if name == "compiled":
+            yield name
+        else:
+            with mock.patch.dict(sysconfig.get_config_vars(), {"CC": "no-such-compiler"}), \
+                    mock.patch.dict(os.environ, {"PATH": str(tmp_path),
+                                                 "XDG_CACHE_HOME": str(tmp_path / "cache")}):
+                assert _chainlib.library() is None
+                yield name
+    finally:
+        _chainlib.library.cache_clear()
+
+
+def compiled_sweep():
+    """The loaded compiled sweep, or None when its library cannot be had."""
+    path = _chainlib.library()
+    return None if path is None else _chainlib.load(path)
+
+
+def sample_group(panel, spec, settings, seeds, designs, columns):
+    """One group of chains as ``_group_job`` runs it on the route in force,
+    whatever its width: one ``_sample_compiled`` call, or one
+    ``_sample_batch`` call when the compiled sweep cannot be had."""
+    sweep = compiled_sweep()
+    if sweep is None:
+        return mcmc._sample_batch(panel, spec, settings, seeds, designs, columns)
+    return mcmc._sample_compiled(panel, spec, settings, seeds, designs, columns, sweep)
+
+
 def run_batched(panel, spec, settings):
-    """``run_chains`` with every chain in one ``_sample_batch`` call, however
-    narrow the fit."""
+    """``run_chains`` with every chain in one group call (``sample_group``),
+    however narrow the fit."""
     designs, columns = mcmc._validate_inputs(panel, spec)
     seeds = np.random.SeedSequence(settings.seed).spawn(settings.n_chains)
-    part = mcmc._sample_batch(panel, spec, settings, seeds, designs, columns)
+    part = sample_group(panel, spec, settings, seeds, designs, columns)
     return mcmc._stack_chains([part], spec, settings)
 
 
@@ -557,9 +601,12 @@ def run_batched(panel, spec, settings):
     ids=["single-point", "idle-walk", "sigma-sq-prior", "rate-at-origin", "walk-prior",
          "walk-prior-monotone"],
 )
-def test_statistical_gates_hold_through_the_batch(gate):
-    # the same gates, tolerances, seeds and lengths with every chain in one batch
-    gate(run_batched)
+def test_statistical_gates_hold_through_the_batch(gate, tmp_path):
+    # the same gates, tolerances, seeds and lengths with every chain in one
+    # group: one compiled call, and with no compiler one batch
+    for name in ROUTES:
+        with route(name, tmp_path):
+            gate(run_batched)
 
 
 def test_diagnose_flags_convergence():
@@ -687,13 +734,15 @@ _PINNED_DRAW_DIGESTS = {
 }
 
 
-def test_draws_match_pinned_digests():
-    for name, (panel, spec, settings) in _pinned_cases().items():
-        draws = run_chains(panel, spec, settings, workers=1)
-        assert _draws_digest(draws) == _PINNED_DRAW_DIGESTS[name], name
-        if not spec.use_exact_nchg:
-            batched = run_batched(panel, spec, settings)
-            assert _draws_digest(batched) == _PINNED_DRAW_DIGESTS[name], name
+def test_draws_match_pinned_digests(tmp_path):
+    for way in ROUTES:
+        with route(way, tmp_path):
+            for name, (panel, spec, settings) in _pinned_cases().items():
+                draws = run_chains(panel, spec, settings, workers=1)
+                assert _draws_digest(draws) == _PINNED_DRAW_DIGESTS[name], (way, name)
+                if not spec.use_exact_nchg:
+                    batched = run_batched(panel, spec, settings)
+                    assert _draws_digest(batched) == _PINNED_DRAW_DIGESTS[name], (way, name)
 
 
 def _bookkeeping_digest(draws) -> str:
@@ -721,13 +770,16 @@ _PINNED_BOOKKEEPING_DIGESTS = {
 }
 
 
-def test_bookkeeping_matches_pinned_digests():
-    for name, (panel, spec, settings) in _pinned_cases().items():
-        draws = run_chains(panel, spec, settings, workers=1)
-        assert _bookkeeping_digest(draws) == _PINNED_BOOKKEEPING_DIGESTS[name], name
-        if not spec.use_exact_nchg:
-            batched = run_batched(panel, spec, settings)
-            assert _bookkeeping_digest(batched) == _PINNED_BOOKKEEPING_DIGESTS[name], name
+def test_bookkeeping_matches_pinned_digests(tmp_path):
+    for way in ROUTES:
+        with route(way, tmp_path):
+            for name, (panel, spec, settings) in _pinned_cases().items():
+                draws = run_chains(panel, spec, settings, workers=1)
+                want = _PINNED_BOOKKEEPING_DIGESTS[name]
+                assert _bookkeeping_digest(draws) == want, (way, name)
+                if not spec.use_exact_nchg:
+                    batched = run_batched(panel, spec, settings)
+                    assert _bookkeeping_digest(batched) == want, (way, name)
 
 
 def _summary_digest(table) -> str:
@@ -752,12 +804,14 @@ _PINNED_SUMMARY_DIGESTS = {
 }
 
 
-def test_summary_rows_match_pinned_digests():
+def test_summary_rows_match_pinned_digests(tmp_path):
     cases = _pinned_cases()
-    for name, want in _PINNED_SUMMARY_DIGESTS.items():
-        panel, spec, settings = cases[name]
-        table = summarize(run_chains(panel, spec, settings, workers=1))
-        assert _summary_digest(table) == want, name
+    for way in ROUTES:
+        with route(way, tmp_path):
+            for name, want in _PINNED_SUMMARY_DIGESTS.items():
+                panel, spec, settings = cases[name]
+                table = summarize(run_chains(panel, spec, settings, workers=1))
+                assert _summary_digest(table) == want, (way, name)
 
 
 def test_exact_demo_chain_calls_kernel_once_per_touched_cell(monkeypatch):
@@ -836,10 +890,11 @@ class _Picked(Exception):
     pass
 
 
-def test_run_chains_picks_the_engine_from_the_fit():
+def test_run_chains_picks_the_engine_from_the_fit(tmp_path):
     vaccine = datagen.vaccine_shaped_bundle()
     spec = vaccine.design.model_spec()
     demo = datagen.demo_panel()
+    # the engine with no compiler: the batch from BATCH_MIN_LANES lanes
     cases = [
         (vaccine.panel, spec, 4, "batch"),  # 196 lanes
         (vaccine.panel, spec, 3, "scalar"),  # 147 lanes
@@ -848,11 +903,18 @@ def test_run_chains_picks_the_engine_from_the_fit():
         (demo, _demo_spec("linear", "walk"), 13, "scalar"),  # 143 lanes
         (demo, _demo_spec("linear", "walk"), 14, "batch"),  # 154 lanes
     ]
-    for panel, spec, n_chains, engine in cases:
-        with mock.patch.object(mcmc, "_sample_chain", side_effect=_Picked("scalar")), \
-                mock.patch.object(mcmc, "_sample_batch", side_effect=_Picked("batch")):
-            with pytest.raises(_Picked, match=engine):
-                run_chains(panel, spec, _short_settings(n_chains), workers=1)
+    compiled = compiled_sweep() is not None
+    for way in ROUTES:
+        with route(way, tmp_path):
+            for panel, spec, n_chains, engine in cases:
+                if way == "compiled" and compiled and not spec.use_exact_nchg:
+                    engine = "compiled"  # whatever the lane count
+                with mock.patch.object(mcmc, "_sample_chain", side_effect=_Picked("scalar")), \
+                        mock.patch.object(mcmc, "_sample_batch", side_effect=_Picked("batch")), \
+                        mock.patch.object(mcmc, "_sample_compiled",
+                                          side_effect=_Picked("compiled")):
+                    with pytest.raises(_Picked, match=engine):
+                        run_chains(panel, spec, _short_settings(n_chains), workers=1)
 
 
 def test_batch_splits_into_groups_the_workers_allow():
@@ -873,17 +935,21 @@ def test_batch_splits_into_groups_the_workers_allow():
                       [1, 1]]
 
 
-def test_one_group_fit_keeps_one_copy_of_its_draws():
+def test_one_group_fit_keeps_one_copy_of_its_draws(tmp_path):
     vaccine = datagen.vaccine_shaped_bundle()
     settings_ = SamplerSettings(n_chains=4, burn_in=50, n_draws=1000, thin=1, seed=3)
-    tracemalloc.start()
-    try:
-        draws = run_chains(vaccine.panel, vaccine.design.model_spec(), settings_, workers=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    size = sum(a.nbytes for a in (draws.theta, draws.sigma_sq, *draws.gamma, draws.pi_sq))
-    assert peak < 1.5 * size, (peak, size)
+    for way in ROUTES:
+        with route(way, tmp_path):
+            compiled_sweep()  # a build's memory is not the fit's
+            tracemalloc.start()
+            try:
+                draws = run_chains(vaccine.panel, vaccine.design.model_spec(), settings_,
+                                   workers=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            size = sum(a.nbytes for a in (draws.theta, draws.sigma_sq, *draws.gamma, draws.pi_sq))
+            assert peak < 1.5 * size, (way, peak, size)
 
 
 @pytest.mark.parametrize("workers", [2.7, True, 0.5])
@@ -892,26 +958,31 @@ def test_resolve_workers_takes_only_a_count(workers):
         mcmc.resolve_workers(workers)
 
 
-def test_batched_draws_do_not_depend_on_workers_or_groups():
+def test_batched_draws_do_not_depend_on_workers_or_groups(tmp_path):
     vaccine = datagen.vaccine_shaped_bundle()
     panel, spec = vaccine.panel, vaccine.design.model_spec()
     settings = SamplerSettings(n_chains=8, burn_in=40, n_draws=40, thin=1, seed=9)
-    # the vaccine fit's groups are batches at 1 and 2 workers (392 and 196
-    # lanes) and run chain by chain at 3 (98 and 147 lanes); the demo fit's
-    # 2 x 11 lanes always do
+    # with no compiler the vaccine fit's groups are batches at 1 and 2
+    # workers (392 and 196 lanes) and run chain by chain at 3 (98 and 147
+    # lanes); the demo fit's 2 x 11 lanes always do
     fits = [(panel, spec, settings), (datagen.demo_panel(), _demo_spec("linear", "walk"), _SHORT)]
-    for fit in fits:
-        runs = [run_chains(*fit, workers=w) for w in (1, 2, 3)]
-        assert len({_draws_digest(r) for r in runs}) == 1
-        assert len({_bookkeeping_digest(r) for r in runs}) == 1
-
     designs, columns = mcmc._validate_inputs(panel, spec)
     seeds = np.random.SeedSequence(3).spawn(4)
-    four = mcmc._sample_batch(panel, spec, settings, seeds, designs, columns)
-    pairs = [mcmc._sample_batch(panel, spec, settings, part, designs, columns)
-             for part in (seeds[:2], seeds[2:])]
-    assert _draws_digest(four) == _draws_digest(mcmc._stack_chains(pairs, spec, settings))
-    assert four.books == [b for part in pairs for b in part.books]
+    digests = set()
+    for way in ROUTES:
+        with route(way, tmp_path):
+            for fit in fits:
+                runs = [run_chains(*fit, workers=w) for w in (1, 2, 3)]
+                assert len({_draws_digest(r) for r in runs}) == 1, way
+                assert len({_bookkeeping_digest(r) for r in runs}) == 1, way
+                digests.add((_draws_digest(runs[0]), _bookkeeping_digest(runs[0])))
+
+            four = sample_group(panel, spec, settings, seeds, designs, columns)
+            pairs = [sample_group(panel, spec, settings, part, designs, columns)
+                     for part in (seeds[:2], seeds[2:])]
+            assert _draws_digest(four) == _draws_digest(mcmc._stack_chains(pairs, spec, settings))
+            assert four.books == [b for part in pairs for b in part.books]
+    assert len(digests) == len(fits)  # and the routes agree
 
 
 def run_chain_by_chain(panel, spec, settings):
@@ -942,6 +1013,8 @@ def _nine_survey_fit(n_times=12, seed=0):
 
 
 def test_both_engines_give_the_same_draws():
+    # the chain, the batch and, where it can be had, the compiled sweep
+    sweep = compiled_sweep()
     cases = {**_pinned_cases(), **_batch_pin_cases(),
              "nine-surveys": (*_nine_survey_fit(), _short_settings(1))}
     for name, (panel, spec, settings_) in cases.items():
@@ -950,10 +1023,14 @@ def test_both_engines_give_the_same_draws():
         chains, books = run_chain_by_chain(panel, spec, settings_)
         designs, columns = mcmc._validate_inputs(panel, spec)
         seeds = np.random.SeedSequence(settings_.seed).spawn(settings_.n_chains)
-        part = mcmc._sample_batch(panel, spec, settings_, seeds, designs, columns)
-        batch = mcmc._stack_chains([part], spec, settings_)
-        assert _draws_digest(chains) == _draws_digest(batch), name
-        assert books == part.books, name
+        parts = [mcmc._sample_batch(panel, spec, settings_, seeds, designs, columns)]
+        if sweep is not None:
+            parts.append(mcmc._sample_compiled(panel, spec, settings_, seeds, designs, columns,
+                                               sweep))
+        for part in parts:
+            other = mcmc._stack_chains([part], spec, settings_)
+            assert _draws_digest(chains) == _draws_digest(other), name
+            assert books == part.books, name
 
 
 # Digests of the vaccine case's draws and bookkeeping with its four chains
@@ -962,12 +1039,14 @@ def test_both_engines_give_the_same_draws():
 _PINNED_BATCH_DIGESTS = ("86cff9407e149d29", "0eafa6dc5642a219")
 
 
-def test_batched_vaccine_draws_match_pinned_digests():
+def test_batched_vaccine_draws_match_pinned_digests(tmp_path):
     vaccine = datagen.vaccine_shaped_bundle()
-    with mock.patch.object(mcmc, "_sample_chain", side_effect=_Picked("scalar")):
-        draws = run_chains(vaccine.panel, vaccine.design.model_spec(), _short_settings(4),
-                           workers=1)
-    assert (_draws_digest(draws), _bookkeeping_digest(draws)) == _PINNED_BATCH_DIGESTS
+    for way in ROUTES:
+        with route(way, tmp_path), \
+                mock.patch.object(mcmc, "_sample_chain", side_effect=_Picked("scalar")):
+            draws = run_chains(vaccine.panel, vaccine.design.model_spec(), _short_settings(4),
+                               workers=1)
+        assert (_draws_digest(draws), _bookkeeping_digest(draws)) == _PINNED_BATCH_DIGESTS, way
 
 
 def _rising_panel(n_times):
@@ -1009,11 +1088,13 @@ _PINNED_BATCH_CASE_DIGESTS = {
 }
 
 
-def test_batched_draws_match_pinned_digests():
-    for name, (panel, spec, settings_) in _batch_pin_cases().items():
-        draws = run_batched(panel, spec, settings_)
-        got = (_draws_digest(draws), _bookkeeping_digest(draws))
-        assert got == _PINNED_BATCH_CASE_DIGESTS[name], name
+def test_batched_draws_match_pinned_digests(tmp_path):
+    for way in ROUTES:
+        with route(way, tmp_path):
+            for name, (panel, spec, settings_) in _batch_pin_cases().items():
+                draws = run_batched(panel, spec, settings_)
+                got = (_draws_digest(draws), _bookkeeping_digest(draws))
+                assert got == _PINNED_BATCH_CASE_DIGESTS[name], (way, name)
 
 
 # ---------------------------------------------------------------------------
@@ -1435,13 +1516,150 @@ def test_chain_ratios_add_their_terms_in_turn(monkeypatch):
             states.append(_lane_states(batch, designs)[0])
     assert 0 < sum(counts.values()) < n_sweeps * len(names)
 
+    # the chain, and the compiled sweep fed the same streams
     monkeypatch.setattr(mcmc, "_refill", lambda rng_, blocks: (normals, log_us))
     settings_ = SamplerSettings(n_chains=1, burn_in=0, n_draws=n_sweeps, thin=1)
-    part = mcmc._sample_chain(panel, spec, settings_, seed, designs, columns)
-    draws = mcmc._stack_chains([part], spec, settings_)
-    assert draws.theta[0].tolist() == [s[0] for s in states]
-    assert draws.sigma_sq[0].tolist() == [s[1] for s in states]
-    for k in range(len(designs)):
-        assert draws.gamma[k][0].tolist() == [s[2][k] for s in states]
-    assert draws.pi_sq[0].tolist() == [s[3] for s in states]
-    assert {name: rate * n_sweeps for name, rate in draws.acceptance_rates.items()} == counts
+    parts = [mcmc._sample_chain(panel, spec, settings_, seed, designs, columns)]
+    sweep = compiled_sweep()
+    if sweep is not None:
+        parts.append(mcmc._sample_compiled(panel, spec, settings_, [seed], designs, columns,
+                                           sweep))
+    for part in parts:
+        draws = mcmc._stack_chains([part], spec, settings_)
+        assert draws.theta[0].tolist() == [s[0] for s in states]
+        assert draws.sigma_sq[0].tolist() == [s[1] for s in states]
+        for k in range(len(designs)):
+            assert draws.gamma[k][0].tolist() == [s[2][k] for s in states]
+        assert draws.pi_sq[0].tolist() == [s[3] for s in states]
+        assert {name: rate * n_sweeps for name, rate in draws.acceptance_rates.items()} == counts
+
+
+# ---------------------------------------------------------------------------
+# the compiled sweep: the chain's draws, its build, cache and fallback
+
+
+def _compiler_on_path() -> bool:
+    cc = sysconfig.get_config_var("CC")
+    return any(shutil.which(shlex.split(c)[0]) for c in (cc, "cc") if c)
+
+
+def _needs_compiled_sweep():
+    sweep = compiled_sweep()
+    if sweep is None:
+        assert not _compiler_on_path(), "a compiler is on the PATH, but the sweep did not build"
+        pytest.skip("no C compiler to build the compiled sweep")
+    return sweep
+
+
+@given(kinds=_KINDS, n_times=st.integers(1, 5), monotone=st.booleans(),
+       n_chains=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(kinds=["known", "constant"], n_times=1, monotone=False, n_chains=1, seed=2)
+@example(kinds=["walk", "linear"], n_times=5, monotone=True, n_chains=2, seed=7)
+@settings(max_examples=40, deadline=None)
+def test_compiled_sweep_gives_the_chains_draws(kinds, n_times, monotone, n_chains, seed):
+    # the strategies of test_batched_phase_log_ratios_match_the_oracle; short
+    # windows, so that scales adapt, and thinning
+    sweep = _needs_compiled_sweep()
+    panel, spec, _ = _random_fit(kinds, n_times, seed, monotone_walk=monotone)
+    settings_ = SamplerSettings(n_chains=n_chains, burn_in=60, n_draws=60, thin=3,
+                                seed=seed, adapt_window=10)
+    chains, books = run_chain_by_chain(panel, spec, settings_)
+    designs, columns = mcmc._validate_inputs(panel, spec)
+    seeds = np.random.SeedSequence(seed).spawn(n_chains)
+    part = mcmc._sample_compiled(panel, spec, settings_, seeds, designs, columns, sweep)
+    assert _draws_digest(chains) == _draws_digest(mcmc._stack_chains([part], spec, settings_))
+    assert books == part.books
+
+
+def _run_python(code, cache):
+    """``code`` run by a fresh interpreter on this checkout's package, with
+    ``cache`` as XDG_CACHE_HOME; its standard output, stripped."""
+    src = str(Path(surveysynth.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               XDG_CACHE_HOME=str(cache))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    return out.stdout.strip()
+
+
+def test_compiled_loop_builds_and_loads(tmp_path):
+    if not _compiler_on_path():
+        pytest.skip("no C compiler to build the compiled sweep")
+    with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": str(tmp_path)}):
+        _chainlib.library.cache_clear()
+        try:
+            path = Path(_chainlib.library())
+            assert path.parent == tmp_path / "surveysynth"
+            assert _chainlib.load(str(path)) is not None
+            built = path.stat().st_mtime_ns
+            _chainlib.library.cache_clear()
+            assert _chainlib.library() == str(path)  # found in the cache, not rebuilt
+            assert path.stat().st_mtime_ns == built
+            assert [p.name for p in path.parent.iterdir()] == [path.name]  # no temp file left
+        finally:
+            _chainlib.library.cache_clear()
+
+
+def test_truncated_cached_library_is_rebuilt(tmp_path):
+    if not _compiler_on_path():
+        pytest.skip("no C compiler to build the compiled sweep")
+    path = Path(_run_python("from surveysynth import _chainlib; print(_chainlib.library())",
+                            tmp_path))
+    size = path.stat().st_size
+    with open(path, "r+b") as f:
+        f.truncate(size // 3)
+    code = (
+        "from surveysynth import _chainlib\n"
+        "path = _chainlib.library()\n"
+        "print(path, _chainlib.load(path) is not None)\n"
+    )
+    assert _run_python(code, tmp_path) == f"{path} True"
+    assert path.stat().st_size == size
+
+
+def test_a_failed_build_takes_todays_route(tmp_path):
+    # a compiler that runs and fails: no library, no exception, today's draws
+    failing = f"{shlex.quote(sys.executable)} -c 'raise SystemExit(1)'"
+    with mock.patch.dict(sysconfig.get_config_vars(), {"CC": failing}), \
+            mock.patch.dict(os.environ, {"PATH": str(tmp_path),
+                                         "XDG_CACHE_HOME": str(tmp_path / "cache")}):
+        _chainlib.library.cache_clear()
+        try:
+            assert _chainlib.library() is None
+            panel, spec, settings_ = _pinned_cases()["walk"]
+            with mock.patch.object(mcmc, "_sample_compiled", side_effect=_Picked("compiled")):
+                draws = run_chains(panel, spec, settings_, workers=1)
+        finally:
+            _chainlib.library.cache_clear()
+    assert _draws_digest(draws) == _PINNED_DRAW_DIGESTS["walk"]
+
+
+def test_import_builds_and_loads_nothing(tmp_path):
+    code = ("import sys, surveysynth, surveysynth.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('surveysynth._chain')))")
+    assert _run_python(code, tmp_path) == "[]"
+    assert not tmp_path.joinpath("surveysynth").exists()
+
+
+def test_exact_fits_never_load_the_compiled_loop(tmp_path):
+    code = (
+        "import sys\n"
+        "from surveysynth import datagen, mcmc\n"
+        "from surveysynth.core import BiasModelSpec, ModelSpec\n"
+        "spec = ModelSpec(bias=(BiasModelSpec.anchor(), BiasModelSpec(kind='walk')),\n"
+        "                 use_exact_nchg=True)\n"
+        "panel = datagen.demo_panel().subset_surveys([0, 1])\n"
+        "settings = mcmc.SamplerSettings(n_chains=2, burn_in=4, n_draws=8, thin=2)\n"
+        "mcmc.run_chains(panel, spec, settings, workers=1)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('surveysynth._chain')))"
+    )
+    assert _run_python(code, tmp_path) == "[]"
+    assert not tmp_path.joinpath("surveysynth").exists()
+
+
+def test_chain_source_ships_with_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    doc = tomllib.loads((root / "pyproject.toml").read_text())
+    assert "_chain.c" in doc["tool"]["setuptools"]["package-data"]["surveysynth"]
+    assert Path(surveysynth.__file__).with_name("_chain.c").is_file()
