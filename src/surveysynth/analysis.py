@@ -192,6 +192,12 @@ class FitResult:
     saturated_cells: list[tuple[int, int]]
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise ValueError, before any fit, unless 0 < alpha < 1 (nan is not)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def fit_full(
     panel: SurveyPanel,
     spec: ModelSpec,
@@ -201,6 +207,7 @@ def fit_full(
     workers: int | None = None,
 ) -> FitResult:
     """Fit the synthesis model to a whole panel and summarize it."""
+    _check_alpha(alpha)
     if not panel.observed.any():
         raise ValueError("no observed cells")
     draws = run_chains(panel, spec, settings, workers=workers)
@@ -255,6 +262,7 @@ def nowcast_series(
     result is identical either way because every job seeds from settings
     alone.
     """
+    _check_alpha(alpha)
     jobs = [
         (panel, spec, settings, t_star, alpha) for t_star in range(1, panel.n_times + 1)
     ]

@@ -71,6 +71,16 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _check_out(out: str) -> None:
+    """--out must name a directory, or a path whose nearest existing
+    ancestor is one, so that ``_out_dir`` can make it after the work."""
+    for path in (Path(out), *Path(out).parents):
+        if path.exists():
+            if not path.is_dir():
+                raise CliError("bad-config", f"--out {out}: {path} is not a directory")
+            return
+
+
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise CliError("bad-config", f"--alpha must lie in (0, 1), got {alpha}")
@@ -265,6 +275,7 @@ def _cmd_sim_study(args) -> int:
     study = cfg.study if cfg.study is not None else StudyConfig()
     settings = cfg.study_settings()
     seed = _seed(cfg, args)
+    _check_workers(None)  # the fits read SURVEYSYNTH_WORKERS
     results, records = run_grid(
         study.n_times, study.n_reps, settings, seed,
         n_anchor=study.n_anchor, n_biased=study.n_biased, population=study.population,
@@ -284,11 +295,14 @@ def _cmd_sim_study(args) -> int:
 
 def _cmd_report(args) -> int:
     _check_alpha(args.alpha)
-    baseline = _read_input(io.read_summary, args.baseline, "baseline summary")
-    method = _read_input(io.read_summary, args.method, "method summary")
     restrict = None
     if args.restrict:
-        restrict = tuple(int(t) for t in args.restrict.split(","))
+        try:
+            restrict = tuple(int(t) for t in args.restrict.split(","))
+        except ValueError:
+            raise CliError("bad-config", f"--restrict must list time-points, got {args.restrict!r}")
+    baseline = _read_input(io.read_summary, args.baseline, "baseline summary")
+    method = _read_input(io.read_summary, args.method, "method summary")
     ratios = ci_width_ratio(baseline, method, restrict_to=restrict)
     niid = n_iid_gain(baseline, method, alpha=args.alpha, restrict_to=restrict)
     out = _out_dir(args)
@@ -375,6 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except CliError as e:
         print(f"error: {e.category}: {e}", file=sys.stderr)

@@ -39,21 +39,27 @@ by (accepts / window - target) / sqrt(windows closed so far)
 rates. Scales are snapshotted at the freeze point and at the end so callers
 can check that no post-burn-in adaptation happened.
 
-Two engines run this one sweep, and a chain gets the same draws from both,
-bit for bit. ``_sample_batch`` sweeps chains under the logit-shift
-approximation as numpy arrays (``_Batch``), a colour of every chain per
-move, from a layout in which each phase reads contiguous row blocks, since
-a numpy call costs about a microsecond however few lanes it serves.
-``_sample_chain`` sweeps one chain on plain Python floats with the
-floating-point operations of one lane of the batch, in its order: the same
-padded walk ends and prior terms, and softplus as ``np.logaddexp(0, x)``
-computes it. Every sum in a log ratio adds its terms in turn, first to last,
-in both engines (``_sum_in_turn`` in the batch): a level move's cells walks
-first, a ridge move's walk priors and then its other cells, a coefficient's
-cells in t order, a variance's squared steps t-major with every walk at one
-t side by side. So no sum depends on how many chains share a batch. The
-chain also runs the exact kernel, whose cells are one call each over
-windows of differing lengths, which a batch cannot share (``_exact_cell``).
+Three engines run this one sweep, and a chain gets the same draws from
+each, bit for bit. ``_sample_chain`` sweeps one chain on plain Python floats
+with the floating-point operations of one lane of the batch, in its order:
+the same padded walk ends and prior terms, and softplus as
+``np.logaddexp(0, x)`` computes it. ``_sample_compiled`` runs the chain's
+approximate sweeps as compiled code (``_chain.c``): Python draws each
+chain's start and each stretch of its streams, and one C call sweeps the
+stretch with the chain's operations in the chain's order. It calls libm's
+exp, log1p, log and sqrt, as Python's math module does, and is compiled at
+``-O2 -ffp-contract=off``, so no multiply-add is fused. ``_sample_batch``
+sweeps chains under the logit-shift approximation as numpy arrays
+(``_Batch``), a colour of every chain per move, from a layout in which each
+phase reads contiguous row blocks, since a numpy call costs about a
+microsecond however few lanes it serves. Every sum in a log ratio adds its
+terms in turn, first to last, in every engine (``_sum_in_turn`` in the
+batch): a level move's cells walks first, a ridge move's walk priors and
+then its other cells, a coefficient's cells in t order, a variance's squared
+steps t-major with every walk at one t side by side. So no sum depends on
+how many chains share a batch. Only the chain runs the exact kernel, whose
+cells are one call each over windows of differing lengths, which a batch
+cannot share (``_exact_cell``).
 The chain keeps each observed cell's log bias odds (lp) and log-likelihood
 (ll); a block evaluates the cells it touches at the proposal only, and an
 accepted move copies the new values over, so ll equals a fresh evaluation
@@ -65,11 +71,16 @@ chain's start fails before the first sweep when a cell is not finite
 the sampler is tested against; the sampler does not use it.
 
 ``run_chains`` splits a fit's chains into min(workers, n_chains) contiguous
-groups, one job each (``_group_job``). A group sweeps as one batch when the
-kernel is the approximation and the group has at least ``BATCH_MIN_LANES``
-lanes (chains x (T + 1)), else chain by chain. No draw depends on the
-engine or the grouping, so that width is a speed choice only. When one
-batch group holds every chain, its arrays are the fit's draws.
+groups, one job each (``_group_job``). Under the approximation it first
+finds the compiled sweep's library in its cache or builds it
+(``_chainlib.library``, once per process), before any worker starts, so
+that workers only load it; then every group runs through it, whatever its
+width. When the library cannot be had (no compiler, a failed build, a file
+that will not load) a group takes the Python route: one batch when it has
+at least ``BATCH_MIN_LANES`` lanes (chains x (T + 1)), else chain by chain.
+Exact-kernel fits never load the library and run chain by chain. No draw
+depends on the route or the grouping, so both are speed choices only. When
+one group holds every chain, its arrays are the fit's draws.
 
 ``split_stats`` scores split-chain R-hat and ESS for a whole stack of
 series at once, bit for bit as ``r_hat`` and ``ess`` score one. ``diagnose``
@@ -593,6 +604,124 @@ def _sample_chain(
                  [_books(settings, names, acc, scales_frozen, scale)])
 
 
+_LEVEL, _COEF, _WALK, _VAR = range(4)  # block kinds of the compiled sweep (_chain.c)
+
+
+def _flat_schedule(panel: SurveyPanel, spec: ModelSpec, designs, columns, walk_ks):
+    """The approximate sweep's blocks in phase order, flattened for the
+    compiled sweep (``_chain.c`` lists the layout): int64 kinds, ids and
+    shapes, float64 constants, and each non-walk survey's first coefficient
+    in the chain's flat gamma. The blocks are ``_sample_chain``'s: a level
+    move's cells walks first, a ridge move's non-walk cells, with its walk
+    cells refreshed on an accept."""
+    T = panel.n_times
+    pr = spec.priors
+    seen = {(k, t): (float(y), float(n)) for k, t, y, n in panel.observed_cells()}
+    w0 = {k: 0.5 / designs[k].var[0] for k in walk_ks}
+    surveys = walk_ks + [k for k in range(len(designs)) if k not in w0]
+    first, at = {}, 0
+    for k, d in enumerate(designs):
+        if k not in w0:
+            first[k], at = at, at + len(d.var)
+    ix: list[int] = []
+    fx: list[float] = []
+    for name, ids in _phase_order(T, columns, walk_ks):
+        for b in ids:
+            if name in ("theta", "ridge"):
+                p = b + 1 if name == "theta" else b - T - 2 - len(columns)
+                here = [k for k in surveys if (k, p - 1) in seen]
+                walks = walk_ks if name == "ridge" else []
+                tcells = [k for k in here if not walks or k not in w0]
+                refresh = [k for k in here if walks and k in w0]
+                ix += [_LEVEL, b, p, len(walks), len(tcells), len(refresh),
+                       *walks, *tcells, *refresh]
+                fx += [w0[k] for k in walks] + [v for k in tcells + refresh for v in seen[k, p - 1]]
+            elif name == "coefficient":
+                c = columns[b - T - 2]
+                ix += [_COEF, b, c.k, first[c.k], c.j, len(c.rows)]
+                fx.append(2.0 * c.var)
+                for t, y, n, offset, terms in c.rows:
+                    ix += [t + 1, -1] if terms is None else [t + 1, len(terms), *(i for i, _ in terms)]
+                    fx += [y, n, offset, *(v for _, v in terms or ())]
+            elif name == "walk":
+                c = columns[b - T - 2]
+                ix += [_WALK, b, c.k, c.j + 1, int((c.k, c.j) in seen)]
+                fx += [w0[c.k], *seen.get((c.k, c.j), (0.0, 0.0))]
+            else:  # sigma_sq's steps of theta (row -1), or pi_sq's of every walk
+                is_pi = name == "pi_sq"
+                steps = [(r, p) for p in range(2, T + 2) for r in (walk_ks if is_pi else [-1])]
+                ix += [_VAR, b, int(is_pi), len(steps), *(v for step in steps for v in step)]
+                fx.append(pr.pi_sq_scale if is_pi else pr.sigma_sq_scale)
+    return np.array(ix, dtype=np.int64), np.array(fx, dtype=float), first
+
+
+def _sample_compiled(
+    panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings, seeds, designs, columns, run
+) -> _Part:
+    """The chains of ``seeds`` one by one through the compiled sweep ``run``
+    (``_chainlib.load``), under the logit-shift approximation only. Each chain
+    draws its start and streams as ``_sample_chain`` does and passes each
+    stretch of streams to one call, which sweeps it as the chain would; so the
+    draws and bookkeeping are the chain's, bit for bit. Every buffer is made
+    here and dropped with the fit; the chains write their draws into one array
+    per parameter, as a batch does."""
+    from ._chainlib import Chain
+
+    T, K = panel.n_times, panel.n_surveys
+    R = T + 3
+    walk_ks = [k for k, d in enumerate(designs) if None in d.var]
+    names = _block_names(T, columns, bool(walk_ks))
+    B = len(names)
+    ix, fx, first = _flat_schedule(panel, spec, designs, columns, walk_ks)
+    C, kept = len(seeds), settings.n_kept
+    out_theta = np.empty((C, kept, T + 1))
+    out_sig = np.empty((C, kept))
+    out_gam = [np.empty((C, kept, len(d.var))) for d in designs]
+    out_pi = np.empty((C, kept)) if walk_ks else None
+    # a kept survey's draws: its row of lp (a walk) or its coefficients in gam
+    kept_ks = [k for k, d in enumerate(designs) if d.var]
+    outs = np.array([(1, k * R + 1, T + 1) if k in walk_ks else (0, first[k], len(designs[k].var))
+                     for k in kept_ks], dtype=np.int64)
+    out_gam_at = np.empty(len(kept_ks), dtype=np.intp)
+    chain = Chain(T=T, B=B, monotone=spec.monotone_walk, burn=settings.burn_in,
+                  thin=settings.thin, window=settings.adapt_window, n_ix=len(ix),
+                  n_out=len(kept_ks), wt0=0.5 / spec.priors.theta0_var,
+                  target=settings.target_accept, ix=ix.ctypes.data, fx=fx.ctypes.data,
+                  outs=outs.ctypes.data, out_gam=out_gam_at.ctypes.data)
+    total = settings.burn_in + settings.n_draws
+    books = []
+    for c, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        theta, sigma_sq, pi_sq, gam, lphi, ll0 = _start(panel, spec, designs, rng, None)
+        th = np.array([spec.priors.theta0_mean, *theta, 0.0])
+        lp, ll, nlp, nll = (np.zeros((K, R)) for _ in range(4))
+        lp[:, 1 : T + 2] = lphi
+        ll[:, 1 : T + 2] = ll0
+        flat_gam = np.array([v for k in first for v in gam[k]], dtype=float)
+        var = np.array([sigma_sq, pi_sq or 0.0, 0.5 / sigma_sq, 0.5 / pi_sq if pi_sq else 0.0])
+        log_scale = np.full(B, math.log(0.5))
+        scale = np.full(B, 0.5)
+        frozen = np.empty(B)
+        acc = np.zeros(B, dtype=np.int64)
+        counts = np.zeros(2, dtype=np.int64)
+        out_gam_at[:] = [out_gam[k][c].ctypes.data for k in kept_ks]
+        for field, a in (("th", th), ("lp", lp), ("ll", ll), ("nlp", nlp), ("nll", nll),
+                         ("gam", flat_gam), ("var", var), ("log_scale", log_scale),
+                         ("scale", scale), ("frozen", frozen), ("acc", acc), ("counts", counts),
+                         ("out_theta", out_theta[c]), ("out_sig", out_sig[c]),
+                         ("out_pi", None if out_pi is None else out_pi[c])):
+            setattr(chain, field, None if a is None else a.ctypes.data)
+        it = 0
+        while it < total:
+            normals, log_us = (np.ascontiguousarray(a, dtype=float) for a in _refill(rng, B))
+            n = min(len(normals), total - it)
+            run(chain, it, n, normals.ctypes.data, log_us.ctypes.data)
+            it += n
+        books.append(_books(settings, names, acc.tolist(), dict(zip(names, frozen.tolist())),
+                            scale.tolist()))
+    return _Part(out_theta, out_sig, out_gam, out_pi, books)
+
+
 _LAST = ((-1,), (slice(None), -1))  # the last entry along axis 0, along axis 1
 
 
@@ -993,12 +1122,20 @@ BATCH_MIN_LANES = 148
 
 
 def _group_job(args) -> list[_Part]:
-    """One contiguous group of a fit's chains: one batch under the logit-shift
-    approximation when the group has at least BATCH_MIN_LANES lanes (chains x
-    (T + 1)), else chain by chain. Either way each chain gets the same draws."""
-    panel, spec, settings, seeds, designs, columns = args
+    """One contiguous group of a fit's chains. Given the compiled sweep's
+    library, and when it loads, the group runs through it whatever its width;
+    else it sweeps as one batch under the logit-shift approximation when it
+    has at least BATCH_MIN_LANES lanes (chains x (T + 1)), else chain by
+    chain. Each way each chain gets the same draws."""
+    panel, spec, settings, seeds, designs, columns, library = args
+    if library is not None:
+        from ._chainlib import load
+
+        run = load(library)
+        if run is not None:
+            return [_sample_compiled(panel, spec, settings, seeds, designs, columns, run)]
     if not spec.use_exact_nchg and len(seeds) * (panel.n_times + 1) >= BATCH_MIN_LANES:
-        return [_sample_batch(*args)]
+        return [_sample_batch(panel, spec, settings, seeds, designs, columns)]
     return [_sample_chain(panel, spec, settings, seed, designs, columns) for seed in seeds]
 
 
@@ -1091,7 +1228,13 @@ def run_chains(
     seeds = np.random.SeedSequence(settings.seed).spawn(n)
     groups = min(resolve_workers(workers), n)
     cuts = [n * g // groups for g in range(groups + 1)]
-    jobs = [(panel, spec, settings, seeds[a:b], designs, columns) for a, b in zip(cuts, cuts[1:])]
+    library = None
+    if not spec.use_exact_nchg:  # built here, so that the workers only load it
+        from . import _chainlib
+
+        library = _chainlib.library()
+    jobs = [(panel, spec, settings, seeds[a:b], designs, columns, library)
+            for a, b in zip(cuts, cuts[1:])]
     parts = [part for group in map_jobs(_group_job, jobs, workers) for part in group]
     return _stack_chains(parts, spec, settings)
 
