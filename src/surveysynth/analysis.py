@@ -28,6 +28,7 @@ from .mcmc import (
     map_jobs,
     run_chains,
     summarize,
+    sweep_library,
 )
 
 ALIGN_WINDOW_DAYS = 6  # a record on day d is eligible for grid date g when g <= d <= g+6
@@ -263,6 +264,7 @@ def nowcast_series(
     alone.
     """
     _check_alpha(alpha)
+    sweep_library(spec)  # before the workers start, so that they only load it
     jobs = [
         (panel, spec, settings, t_star, alpha) for t_star in range(1, panel.n_times + 1)
     ]

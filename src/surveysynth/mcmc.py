@@ -714,6 +714,8 @@ def _sample_compiled(
         it = 0
         while it < total:
             normals, log_us = (np.ascontiguousarray(a, dtype=float) for a in _refill(rng, B))
+            if normals.ndim != 2 or normals.shape[1] != B or log_us.shape != normals.shape:
+                raise ValueError(f"a stretch of streams must be two (sweeps, {B}) arrays")
             n = min(len(normals), total - it)
             run(chain, it, n, normals.ctypes.data, log_us.ctypes.data)
             it += n
@@ -1139,6 +1141,19 @@ def _group_job(args) -> list[_Part]:
     return [_sample_chain(panel, spec, settings, seed, designs, columns) for seed in seeds]
 
 
+def sweep_library(spec: ModelSpec) -> str | None:
+    """The path of the compiled sweep's library for a fit of ``spec``, found
+    in the cache or built on the first call in a process
+    (``_chainlib.library``); None for an exact-kernel fit, which never loads
+    it, or when it cannot be had. Call it before starting worker processes,
+    so that they only load it."""
+    if spec.use_exact_nchg:
+        return None
+    from . import _chainlib
+
+    return _chainlib.library()
+
+
 def resolve_workers(workers: int | None = None) -> int:
     """The process count to use: ``workers``, else the SURVEYSYNTH_WORKERS
     environment variable, else 1 (serial).
@@ -1228,11 +1243,7 @@ def run_chains(
     seeds = np.random.SeedSequence(settings.seed).spawn(n)
     groups = min(resolve_workers(workers), n)
     cuts = [n * g // groups for g in range(groups + 1)]
-    library = None
-    if not spec.use_exact_nchg:  # built here, so that the workers only load it
-        from . import _chainlib
-
-        library = _chainlib.library()
+    library = sweep_library(spec)  # found or built here, so that the workers only load it
     jobs = [(panel, spec, settings, seeds[a:b], designs, columns, library)
             for a, b in zip(cuts, cuts[1:])]
     parts = [part for group in map_jobs(_group_job, jobs, workers) for part in group]
