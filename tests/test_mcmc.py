@@ -1595,7 +1595,9 @@ def test_compiled_loop_builds_and_loads(tmp_path):
             _chainlib.library.cache_clear()
             assert _chainlib.library() == str(path)  # found in the cache, not rebuilt
             assert path.stat().st_mtime_ns == built
-            assert [p.name for p in path.parent.iterdir()] == [path.name]  # no temp file left
+            # the library and its digest, no temporary file
+            assert sorted(p.name for p in path.parent.iterdir()) == [path.stem + ".sha256",
+                                                                     path.name]
         finally:
             _chainlib.library.cache_clear()
 
