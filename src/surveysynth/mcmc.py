@@ -39,48 +39,45 @@ by (accepts / window - target) / sqrt(windows closed so far)
 rates. Scales are snapshotted at the freeze point and at the end so callers
 can check that no post-burn-in adaptation happened.
 
-Three engines run this one sweep, and a chain gets the same draws from
-each, bit for bit. ``_sample_chain`` sweeps one chain on plain Python floats
-with the floating-point operations of one lane of the batch, in its order:
-the same padded walk ends and prior terms, and softplus as
+Two engines run this one sweep, and a chain gets the same draws from each,
+bit for bit. ``_sample_chain`` sweeps chain by chain on plain Python floats,
+under the approximation or the exact kernel, softplus as
 ``np.logaddexp(0, x)`` computes it. ``_sample_compiled`` runs the chain's
 approximate sweeps as compiled code (``_chain.c``): Python draws each
 chain's start and each stretch of its streams, and one C call sweeps the
 stretch with the chain's operations in the chain's order. It calls libm's
 exp, log1p, log and sqrt, as Python's math module does, and is compiled at
-``-O2 -ffp-contract=off``, so no multiply-add is fused. ``_sample_batch``
-sweeps chains under the logit-shift approximation as numpy arrays
-(``_Batch``), a colour of every chain per move, from a layout in which each
-phase reads contiguous row blocks, since a numpy call costs about a
-microsecond however few lanes it serves. Every sum in a log ratio adds its
-terms in turn, first to last, in every engine (``_sum_in_turn`` in the
-batch): a level move's cells walks first, a ridge move's walk priors and
-then its other cells, a coefficient's cells in t order, a variance's squared
-steps t-major with every walk at one t side by side. So no sum depends on
-how many chains share a batch. Only the chain runs the exact kernel, whose
-cells are one call each over windows of differing lengths, which a batch
-cannot share (``_exact_cell``).
+``-O2 -ffp-contract=off``, so no multiply-add is fused. Both take their
+blocks from one list in phase order (``_sweep_blocks``): the chain binds
+each block to its rows once per chain, and ``_flat_schedule`` flattens the
+list into the compiled sweep's arrays, so which cells a block touches, and
+in what order, is decided in one place. Every sum in a log ratio adds its
+terms in turn, first to last: a level move's cells walks first, a ridge
+move's walk priors and then its other cells, a coefficient's cells in t
+order, a variance's squared steps t-major with every walk at one t side by
+side. Only the chain runs the exact kernel (``_exact_cell``), whose cells
+are one call each.
 The chain keeps each observed cell's log bias odds (lp) and log-likelihood
 (ll); a block evaluates the cells it touches at the proposal only, and an
 accepted move copies the new values over, so ll equals a fresh evaluation
 and a touched cell costs one kernel call per block. Both engines share the
 start, the block names, the adaptation rule and the bookkeeping
-(``_books``), and return draws with a leading chain axis (``_Part``). A
-chain's start fails before the first sweep when a cell is not finite
-(``InitializationError``). The likelihood module is the reference density
-the sampler is tested against; the sampler does not use it.
+(``_books``), and write a group's draws into one array per parameter with a
+leading chain axis (``_draw_arrays``, ``_Part``). A chain's start fails
+before the first sweep when a cell is not finite (``InitializationError``).
+The likelihood module is the reference density the sampler is tested
+against; the sampler does not use it.
 
 ``run_chains`` splits a fit's chains into min(workers, n_chains) contiguous
 groups, one job each (``_group_job``). Under the approximation it first
 finds the compiled sweep's library in its cache or builds it
 (``_chainlib.library``, once per process), before any worker starts, so
-that workers only load it; then every group runs through it, whatever its
-width. When the library cannot be had (no compiler, a failed build, a file
-that will not load) a group takes the Python route: one batch when it has
-at least ``BATCH_MIN_LANES`` lanes (chains x (T + 1)), else chain by chain.
-Exact-kernel fits never load the library and run chain by chain. No draw
-depends on the route or the grouping, so both are speed choices only. When
-one group holds every chain, its arrays are the fit's draws.
+that workers only load it; then every group runs through it. When the
+library cannot be had (no compiler, a failed build, a file that will not
+load), and for exact-kernel fits, which never load it, a group runs chain by
+chain. No draw depends on the route or the grouping, so both are speed
+choices only. A group gives one ``_Part`` on either route, and when one
+group holds every chain, its arrays are the fit's draws.
 
 ``split_stats`` scores split-chain R-hat and ESS for a whole stack of
 series at once, bit for bit as ``r_hat`` and ``ess`` score one. ``diagnose``
@@ -90,6 +87,7 @@ bias-odds rows that are not a coefficient's own series.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -335,17 +333,103 @@ def _refill(rng, blocks: int):
     return rng.standard_normal((sweeps, blocks)), np.log(rng.random((sweeps, blocks)))
 
 
+_LEVEL, _COEF, _WALK, _VAR = range(4)  # block kinds, numbered as the compiled sweep's (_chain.c)
+
+
+def _sweep_blocks(panel: SurveyPanel, spec: ModelSpec, designs, columns, walk_ks) -> list:
+    """The sweep's blocks in phase order (``_phase_order``): the one list
+    from which ``_sample_chain`` binds its blocks and ``_flat_schedule``
+    flattens the compiled sweep's. Node t sits at p = t + 1, as in the
+    chain's padded rows. A block is one of
+
+    - (_LEVEL, id, p, walks, cells, refresh): a theta move, or a ridge move
+      with its walks as (survey, step weight before node 0); the cells its
+      ratio adds, in that order, as (survey, y, n, shift), walks first, with
+      shift 1.0 for a walk cell that a ridge move counts at shifted odds (the
+      exact kernel's); the cells an accept refreshes, as (survey, y, n).
+      Under the logit-shift approximation a ridge move leaves its walk cells
+      unchanged, so its ratio skips them and an accept refreshes them;
+    - (_COEF, id, column): a non-walk coefficient and its compiled column,
+      whose cells its ratio adds in t order;
+    - (_WALK, id, p, survey, step weight before node 0, (y, n) or None);
+    - (_VAR, id, is_pi, steps, prior scale): sigma_sq's steps of theta (row
+      -1) or pi_sq's of every walk, as (row, p) from p - 1 to p, t-major with
+      every walk at one t side by side.
+    """
+    T = panel.n_times
+    pr = spec.priors
+    exact = spec.use_exact_nchg
+    seen = {(k, t): (float(y), float(n)) for k, t, y, n in panel.observed_cells()}
+    w0 = {k: 0.5 / designs[k].var[0] for k in walk_ks}
+    walks = [(k, w0[k]) for k in walk_ks]
+    surveys = walk_ks + [k for k in range(len(designs)) if k not in w0]
+    # each node's cells, walks first, at shift 0, as a theta move counts them
+    here = [[(k, *seen[k, t], 0.0) for k in surveys if (k, t) in seen] for t in range(T + 1)]
+    ridge0 = T + 3 + len(columns)  # the id of joint[0]
+    blocks: list[tuple] = []
+    for name, ids in _phase_order(T, columns, walk_ks):
+        if name == "theta":
+            blocks += [(_LEVEL, b, b + 1, (), here[b], ()) for b in ids]
+        elif name == "ridge":
+            for b in ids:
+                cells = here[b - ridge0]
+                if exact:
+                    counted, refresh = [(k, y, n, float(k in w0)) for k, y, n, _ in cells], ()
+                else:
+                    counted = [c for c in cells if c[0] not in w0]
+                    refresh = [c[:3] for c in cells if c[0] in w0]
+                blocks.append((_LEVEL, b, b - ridge0 + 1, walks, counted, refresh))
+        elif name == "coefficient":
+            blocks += [(_COEF, b, columns[b - T - 2]) for b in ids]
+        elif name == "walk":
+            blocks += [(_WALK, b, c.j + 1, c.k, w0[c.k], seen.get((c.k, c.j)))
+                       for b in ids for c in [columns[b - T - 2]]]
+        else:
+            is_pi = name == "pi_sq"
+            steps = [(r, p) for p in range(2, T + 2) for r in (walk_ks if is_pi else (-1,))]
+            blocks.append((_VAR, ids[0], is_pi, steps,
+                           pr.pi_sq_scale if is_pi else pr.sigma_sq_scale))
+    return blocks
+
+
+def _draw_arrays(designs, n_chains: int, settings: SamplerSettings, n_times: int, walk: bool):
+    """A group's draw arrays, each (chains, kept, ...): theta, sigma_sq, one
+    per survey of its coefficients (a bias walk's log odds), and pi_sq, or
+    None without a bias walk."""
+    C, kept = n_chains, settings.n_kept
+    return (np.empty((C, kept, n_times + 1)), np.empty((C, kept)),
+            [np.empty((C, kept, len(d.var))) for d in designs],
+            np.empty((C, kept)) if walk else None)
+
+
 def _sample_chain(
-    panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings, seed, designs, columns
+    panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings, seeds, designs, columns
 ) -> _Part:
-    """One chain, swept as the batch sweeps one lane, or under the exact kernel."""
+    """The chains of ``seeds`` one by one on plain Python floats, under the
+    logit-shift approximation or the exact kernel, each writing its draws
+    into its row of the group's arrays (``_draw_arrays``)."""
+    T = panel.n_times
+    walk_ks = [k for k, d in enumerate(designs) if None in d.var]
+    blocks = _sweep_blocks(panel, spec, designs, columns, walk_ks)
+    names = _block_names(T, columns, bool(walk_ks))
+    out = _draw_arrays(designs, len(seeds), settings, T, bool(walk_ks))
+    theta, sig, gam, pi = out
+    books = [_sweep_chain(panel, spec, settings, seed, designs, walk_ks, blocks, names,
+                          (theta[c], sig[c], [g[c] for g in gam], None if pi is None else pi[c]))
+             for c, seed in enumerate(seeds)]
+    return _Part(*out, books)
+
+
+def _sweep_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings, seed, designs,
+                 walk_ks, blocks, names, out):
+    """One chain's sweeps from ``seed``, its draws written into ``out`` (its
+    rows of the group's arrays); returns its bookkeeping (``_books``)."""
     rng = np.random.default_rng(seed)
     pr = spec.priors
     T = panel.n_times
     K = panel.n_surveys
     monotone = spec.monotone_walk
     exact = spec.use_exact_nchg
-    walk_ks = [k for k, d in enumerate(designs) if None in d.var]
 
     # the exact kernel is a call; the logit-shift cell term x = theta + g,
     # y*x - n*softplus(x), is written out inline wherever a cell is
@@ -354,63 +438,44 @@ def _sample_chain(
     log1p_ = math.log1p
     cell_ll = _exact_cell(panel.population) if exact else None
     theta, sigma_sq, pi_sq, gam, lphi, ll0 = _start(panel, spec, designs, rng, cell_ll)
-    # padded as in the batch: node t at t + 1, before node 0 its prior mean
-    # (theta0_mean, 0 for a bias walk), after node T a 0 of step weight 0. A
-    # bias walk's row of lp is its coefficient vector. A block keeps its
-    # proposal's values at the cells it touches in new_lp and new_ll, and an
-    # accepted move copies them over lp and ll.
+    # padded: node t at t + 1, before node 0 its prior mean (theta0_mean, 0
+    # for a bias walk), after node T a 0 of step weight 0. A bias walk's row
+    # of lp is its coefficient vector. A block keeps its proposal's values at
+    # the cells it touches in new_lp and new_ll, and an accepted move copies
+    # them over lp and ll.
     th = [pr.theta0_mean, *theta, 0.0]
     lp = [[0.0, *row, 0.0] for row in lphi]
     ll = [[0.0, *row, 0.0] for row in ll0]
     new_lp = [[0.0] * (T + 3) for _ in range(K)]
     new_ll = [[0.0] * (T + 3) for _ in range(K)]
-    seen = {(k, t): (float(y), float(n)) for k, t, y, n in panel.observed_cells()}
-    w0 = {k: 0.5 / designs[k].var[0] for k in walk_ks}  # step weight before a walk's node 0
-    # each node's cells, bias walks first, as (k, lp row, ll row, new_ll row,
-    # y, n, shift): 1 for a walk cell that a ridge move counts at shifted odds
-    # (the exact kernel's), else 0. Under the logit-shift approximation a
-    # ridge move leaves the walk cells unchanged, so its ratio skips them
-    # and an accept refreshes them.
-    cells = [[(k, lp[k], ll[k], new_ll[k], *seen[k, p - 1], 1.0 if k in w0 else 0.0)
-              for k in walk_ks + [k for k in range(K) if k not in w0] if (k, p - 1) in seen]
-             for p in range(T + 2)]
 
-    # a block per id, phase by phase: level, a theta or a ridge move (id, p,
-    # walks as (lp row, weight before node 0) for a ridge move, cells in the
-    # ratio, cells refreshed); variance (id, is_pi, its steps as (row, p)
-    # from p - 1 to p, t-major with every walk at one t side by side, prior
-    # scale); coefficient (id, gamma, j, 2 var, rows, their nodes, and the
-    # survey's lp, ll, new_lp and new_ll rows); walk (id, lp row, ll row, p,
-    # weight before node 0, y and n, or None).
-    names = _block_names(T, columns, bool(walk_ks))
-    B = len(names)
-    walk_rows = [lp[k] for k in walk_ks]
+    # each block bound to this chain's rows, in runs of one kind: level (id,
+    # p, walks as (lp row, weight before node 0), cells in the ratio, cells
+    # refreshed); coefficient (id, gamma, j, 2 var, rows, their nodes, and
+    # the survey's lp, ll, new_lp and new_ll rows); walk (id, lp row, ll row,
+    # p, weight before node 0, y and n, or None); variance (id, is_pi, its
+    # steps as (row, p), prior scale)
     schedule = []
-    for name, ids in _phase_order(T, columns, walk_ks):
-        if name == "theta":
-            blocks = [(b, b + 1, (), [(*c[1:6], 0.0) for c in cells[b + 1]], ()) for b in ids]
-        elif name == "ridge":  # id T + 3 + len(columns) + t
-            blocks = [(b, p, [(lp[k], w0[k]) for k in walk_ks],
-                       [c[1:] for c in cells[p] if exact or c[0] not in w0],
-                       [] if exact else [c[1:] for c in cells[p] if c[0] in w0])
-                      for b in ids for p in [b - T - 2 - len(columns)]]
-        elif name == "coefficient":
-            blocks = []
-            for b in ids:
-                c = columns[b - T - 2]
+    for kind, run in itertools.groupby(blocks, key=lambda block: block[0]):
+        if kind == _LEVEL:
+            bound = [(b, p, [(lp[k], w) for k, w in walks],
+                      [(lp[k], ll[k], new_ll[k], y, n, shift) for k, y, n, shift in cells],
+                      [(lp[k], ll[k], y, n) for k, y, n in refresh])
+                     for _, b, p, walks, cells, refresh in run]
+        elif kind == _COEF:
+            bound = []
+            for _, b, c in run:
                 rows = tuple((t + 1, *rest) for t, *rest in c.rows)
-                blocks.append((b, gam[c.k], c.j, 2.0 * c.var, rows, [r[0] for r in rows],
-                               lp[c.k], ll[c.k], new_lp[c.k], new_ll[c.k]))
-        elif name == "walk":
-            blocks = [(b, lp[c.k], ll[c.k], c.j + 1, w0[c.k], *seen.get((c.k, c.j), (None, None)))
-                      for b in ids for c in [columns[b - T - 2]]]
+                bound.append((b, gam[c.k], c.j, 2.0 * c.var, rows, [r[0] for r in rows],
+                              lp[c.k], ll[c.k], new_lp[c.k], new_ll[c.k]))
+        elif kind == _WALK:
+            bound = [(b, lp[k], ll[k], p, wfirst, *(cell or (None, None)))
+                     for _, b, p, k, wfirst, cell in run]
         else:
-            is_pi = name == "pi_sq"
-            rows = walk_rows if is_pi else (th,)
-            blocks = (ids[0], is_pi, [(g, p) for p in range(2, T + 2) for g in rows],
-                      pr.pi_sq_scale if is_pi else pr.sigma_sq_scale)
-        if blocks:
-            schedule.append(("level" if name in ("theta", "ridge") else name, blocks))
+            bound = [(b, is_pi, [(th if r < 0 else lp[r], p) for r, p in steps], prior_sq)
+                     for _, b, is_pi, steps, prior_sq in run]
+        schedule.append((kind, bound))
+    B = len(names)
     log_scale = [math.log(0.5)] * B
     scale = [0.5] * B
     # accepts per block in the open adaptation window, then after burn-in
@@ -421,7 +486,6 @@ def _sample_chain(
     burn = settings.burn_in
     thin = settings.thin
     total = burn + settings.n_draws
-    kept = settings.n_kept
     # step weights 1 / (2 var): before node 0, and of sigma_sq's and pi_sq's steps
     wt0 = 0.5 / pr.theta0_var
     wsig = 0.5 / sigma_sq
@@ -429,10 +493,8 @@ def _sample_chain(
     log_ = math.log
     nodes = slice(1, T + 2)
 
-    out_theta = np.empty((kept, T + 1))
-    out_sig = np.empty(kept)
-    out_gam = [np.empty((kept, len(d.var))) for d in designs]
-    out_pi = np.empty(kept) if pi_sq is not None else None
+    out_theta, out_sig, out_gam, out_pi = out
+    kept_gam = [(k, out_gam[k], k in walk_ks) for k, d in enumerate(designs) if d.var]
     keep_i = 0
     scales_frozen: dict[str, float] = {}
     sweep = chunk = 0
@@ -448,9 +510,9 @@ def _sample_chain(
         z, lu = normals[sweep], log_us[sweep]
         sweep += 1
 
-        for name, blocks in schedule:
-            if name == "level":
-                for bid, p, walks, tcells, refresh in blocks:
+        for kind, bound in schedule:
+            if kind == _LEVEL:
+                for bid, p, walks, tcells, refresh in bound:
                     cur, prev, nxt = th[p], th[p - 1], th[p + 1]
                     delta = scale[bid] * z[bid]
                     prop = cur + delta
@@ -499,15 +561,15 @@ def _sample_chain(
                         if walks:
                             for g, _ in walks:
                                 g[p] -= delta
-                            for lpk, llk, _, y, n, _ in refresh:
+                            for lpk, llk, y, n in refresh:
                                 x = prop + lpk[p]
                                 llk[p] = y * x - n * (x + log1p_(exp_(-x)) if x > 0.0
                                                       else log1p_(exp_(x)))
                         acc[bid] += 1
 
-            elif name == "coefficient":  # propose gamma[j], add its prior term,
-                # then re-evaluate each cell in its column at offset + sum of c * gamma
-                for bid, gk, j, two_var, rows, ps, lpk, llk, nlpk, nllk in blocks:
+            elif kind == _COEF:  # propose gamma[j], add its prior term, then
+                # re-evaluate each cell in its column at offset + sum of c * gamma
+                for bid, gk, j, two_var, rows, ps, lpk, llk, nlpk, nllk in bound:
                     cur = gk[j]
                     prop = cur + scale[bid] * z[bid]
                     d = (cur * cur - prop * prop) / two_var
@@ -536,8 +598,8 @@ def _sample_chain(
                     else:
                         gk[j] = cur
 
-            elif name == "walk":
-                for bid, g, llk, p, wfirst, y, n in blocks:
+            elif kind == _WALK:
+                for bid, g, llk, p, wfirst, y, n in bound:
                     cur = g[p]
                     prop = cur + scale[bid] * z[bid]
                     s = cur + prop
@@ -557,29 +619,29 @@ def _sample_chain(
                         acc[bid] += 1
 
             else:  # sigma_sq or pi_sq, on the log scale against its walk steps
-                bid, is_pi, steps, prior_sq = blocks
-                v = pi_sq if is_pi else sigma_sq
-                sse = 0.0
-                for g, p in steps:
-                    dd = g[p] - g[p - 1]
-                    sse += dd * dd
-                lcur = log_(v)
-                lprop = lcur + scale[bid] * z[bid]
-                vprop = exp_(lprop)
-                d = (
-                    (v * v - vprop * vprop) / (2.0 * prior_sq)
-                    + 0.5 * len(steps) * (lcur - lprop)
-                    + 0.5 * sse * (1.0 / v - 1.0 / vprop)
-                    + (lprop - lcur)
-                )
-                if lu[bid] < d:
-                    if is_pi:
-                        pi_sq = vprop
-                        wpi = 0.5 / vprop
-                    else:
-                        sigma_sq = vprop
-                        wsig = 0.5 / vprop
-                    acc[bid] += 1
+                for bid, is_pi, steps, prior_sq in bound:
+                    v = pi_sq if is_pi else sigma_sq
+                    sse = 0.0
+                    for g, p in steps:
+                        dd = g[p] - g[p - 1]
+                        sse += dd * dd
+                    lcur = log_(v)
+                    lprop = lcur + scale[bid] * z[bid]
+                    vprop = exp_(lprop)
+                    d = (
+                        (v * v - vprop * vprop) / (2.0 * prior_sq)
+                        + 0.5 * len(steps) * (lcur - lprop)
+                        + 0.5 * sse * (1.0 / v - 1.0 / vprop)
+                        + (lprop - lcur)
+                    )
+                    if lu[bid] < d:
+                        if is_pi:
+                            pi_sq = vprop
+                            wpi = 0.5 / vprop
+                        else:
+                            sigma_sq = vprop
+                            wsig = 0.5 / vprop
+                        acc[bid] += 1
 
         # every block made one decision this sweep, so all adaptation
         # windows close together
@@ -590,68 +652,57 @@ def _sample_chain(
         if it >= burn and (it - burn) % thin == thin - 1:
             out_theta[keep_i] = th[nodes]
             out_sig[keep_i] = sigma_sq
-            for k, design in enumerate(designs):
-                if k in w0:
-                    out_gam[k][keep_i] = lp[k][nodes]
-                elif design.var:
-                    out_gam[k][keep_i] = gam[k]
+            for k, g, walk in kept_gam:
+                g[keep_i] = lp[k][nodes] if walk else gam[k]
             if out_pi is not None:
                 out_pi[keep_i] = pi_sq
             keep_i += 1
 
-    return _Part(out_theta[None], out_sig[None], [g[None] for g in out_gam],
-                 None if out_pi is None else out_pi[None],
-                 [_books(settings, names, acc, scales_frozen, scale)])
-
-
-_LEVEL, _COEF, _WALK, _VAR = range(4)  # block kinds of the compiled sweep (_chain.c)
+    return _books(settings, names, acc, scales_frozen, scale)
 
 
 def _flat_schedule(panel: SurveyPanel, spec: ModelSpec, designs, columns, walk_ks):
-    """The approximate sweep's blocks in phase order, flattened for the
+    """The approximate sweep's blocks (``_sweep_blocks``) flattened for the
     compiled sweep (``_chain.c`` lists the layout): int64 kinds, ids and
     shapes, float64 constants, and each non-walk survey's first coefficient
-    in the chain's flat gamma. The blocks are ``_sample_chain``'s: a level
-    move's cells walks first, a ridge move's non-walk cells, with its walk
-    cells refreshed on an accept."""
-    T = panel.n_times
-    pr = spec.priors
-    seen = {(k, t): (float(y), float(n)) for k, t, y, n in panel.observed_cells()}
-    w0 = {k: 0.5 / designs[k].var[0] for k in walk_ks}
-    surveys = walk_ks + [k for k in range(len(designs)) if k not in w0]
+    in the chain's flat gamma."""
     first, at = {}, 0
     for k, d in enumerate(designs):
-        if k not in w0:
+        if k not in walk_ks:
             first[k], at = at, at + len(d.var)
     ix: list[int] = []
     fx: list[float] = []
-    for name, ids in _phase_order(T, columns, walk_ks):
-        for b in ids:
-            if name in ("theta", "ridge"):
-                p = b + 1 if name == "theta" else b - T - 2 - len(columns)
-                here = [k for k in surveys if (k, p - 1) in seen]
-                walks = walk_ks if name == "ridge" else []
-                tcells = [k for k in here if not walks or k not in w0]
-                refresh = [k for k in here if walks and k in w0]
-                ix += [_LEVEL, b, p, len(walks), len(tcells), len(refresh),
-                       *walks, *tcells, *refresh]
-                fx += [w0[k] for k in walks] + [v for k in tcells + refresh for v in seen[k, p - 1]]
-            elif name == "coefficient":
-                c = columns[b - T - 2]
-                ix += [_COEF, b, c.k, first[c.k], c.j, len(c.rows)]
-                fx.append(2.0 * c.var)
-                for t, y, n, offset, terms in c.rows:
-                    ix += [t + 1, -1] if terms is None else [t + 1, len(terms), *(i for i, _ in terms)]
-                    fx += [y, n, offset, *(v for _, v in terms or ())]
-            elif name == "walk":
-                c = columns[b - T - 2]
-                ix += [_WALK, b, c.k, c.j + 1, int((c.k, c.j) in seen)]
-                fx += [w0[c.k], *seen.get((c.k, c.j), (0.0, 0.0))]
-            else:  # sigma_sq's steps of theta (row -1), or pi_sq's of every walk
-                is_pi = name == "pi_sq"
-                steps = [(r, p) for p in range(2, T + 2) for r in (walk_ks if is_pi else [-1])]
-                ix += [_VAR, b, int(is_pi), len(steps), *(v for step in steps for v in step)]
-                fx.append(pr.pi_sq_scale if is_pi else pr.sigma_sq_scale)
+    for block in _sweep_blocks(panel, spec, designs, columns, walk_ks):
+        kind, b = block[0], block[1]
+        if kind == _LEVEL:
+            _, _, p, walks, cells, refresh = block
+            ix += (_LEVEL, b, p, len(walks), len(cells), len(refresh))
+            for k, w in walks:
+                ix.append(k)
+                fx.append(w)
+            for c in cells:
+                ix.append(c[0])
+                fx += c[1:3]
+            for c in refresh:
+                ix.append(c[0])
+                fx += c[1:3]
+        elif kind == _COEF:
+            c = block[2]
+            ix += (_COEF, b, c.k, first[c.k], c.j, len(c.rows))
+            fx.append(2.0 * c.var)
+            for t, y, n, offset, terms in c.rows:
+                ix += [t + 1, -1] if terms is None else [t + 1, len(terms), *(i for i, _ in terms)]
+                fx += [y, n, offset, *(v for _, v in terms or ())]
+        elif kind == _WALK:
+            _, _, p, k, wfirst, cell = block
+            ix += (_WALK, b, k, p, int(cell is not None))
+            fx += (wfirst, *(cell or (0.0, 0.0)))
+        else:
+            _, _, is_pi, steps, prior_sq = block
+            ix += (_VAR, b, int(is_pi), len(steps))
+            for step in steps:
+                ix += step
+            fx.append(prior_sq)
     return np.array(ix, dtype=np.int64), np.array(fx, dtype=float), first
 
 
@@ -663,8 +714,8 @@ def _sample_compiled(
     draws its start and streams as ``_sample_chain`` does and passes each
     stretch of streams to one call, which sweeps it as the chain would; so the
     draws and bookkeeping are the chain's, bit for bit. Every buffer is made
-    here and dropped with the fit; the chains write their draws into one array
-    per parameter, as a batch does."""
+    here and dropped with the fit; the chains write their draws into the
+    group's arrays (``_draw_arrays``), as the chain does."""
     from ._chainlib import Chain
 
     T, K = panel.n_times, panel.n_surveys
@@ -673,11 +724,8 @@ def _sample_compiled(
     names = _block_names(T, columns, bool(walk_ks))
     B = len(names)
     ix, fx, first = _flat_schedule(panel, spec, designs, columns, walk_ks)
-    C, kept = len(seeds), settings.n_kept
-    out_theta = np.empty((C, kept, T + 1))
-    out_sig = np.empty((C, kept))
-    out_gam = [np.empty((C, kept, len(d.var))) for d in designs]
-    out_pi = np.empty((C, kept)) if walk_ks else None
+    out_theta, out_sig, out_gam, out_pi = _draw_arrays(designs, len(seeds), settings, T,
+                                                       bool(walk_ks))
     # a kept survey's draws: its row of lp (a walk) or its coefficients in gam
     kept_ks = [k for k, d in enumerate(designs) if d.var]
     outs = np.array([(1, k * R + 1, T + 1) if k in walk_ks else (0, first[k], len(designs[k].var))
@@ -724,421 +772,18 @@ def _sample_compiled(
     return _Part(out_theta, out_sig, out_gam, out_pi, books)
 
 
-_LAST = ((-1,), (slice(None), -1))  # the last entry along axis 0, along axis 1
-
-
-def _sum_in_turn(a, axis: int):
-    """The sum of ``a`` along axis 0 or 1, its terms added in turn, first to
-    last, as the chain adds them; 0.0 for an empty axis."""
-    return np.add.accumulate(a, axis)[_LAST[axis]] if a.shape[axis] else 0.0
-
-
-def _pair_prior(cur, prop, two, wp, wn):
-    """Change in the two Gaussian step terms around nodes moved from cur to
-    prop: ((cur - prev)^2 - (prop - prev)^2) wp + ((nxt - cur)^2 - (nxt - prop)^2) wn,
-    with wp and wn the steps' 1 / (2 var) and ``two`` twice the neighbours,
-    rows 0..n of a colour's neighbour block: 2 prev = two[:-1], 2 nxt = two[1:]."""
-    s = cur + prop
-    return (cur - prop) * ((s - two[:-1]) * wp - (two[1:] - s) * wn)
-
-
-class _Batch:
-    """The state of a batch of chains under the logit-shift approximation,
-    laid out so that each phase of the sweep reads and writes contiguous
-    row blocks.
-
-    Node t of a walk sits at padded column t + 1 of T + 3: column 0 holds the
-    prior mean of node 0 (theta0_mean, or 0 for a bias walk), column T + 2 a
-    0 whose step weight is 0. Every array is nodes-major with the chains
-    last, and split by the parity of the padded column: column p is row
-    p // 2 of its parity's block, the even block first, and ``nodes`` lists
-    the rows of nodes 0..T. ``th`` is (rows, chains). ``lp`` (log bias odds),
-    ``ll`` (cell log-likelihoods), ``Y`` and ``N`` are (rows, surveys,
-    chains), bias walks first, so that a bias walk's rows of ``lp`` are its
-    coefficient vector; the other coefficients are in ``gam``, (chains,
-    coefficients) per survey. An unobserved cell has y = n = 0, so its term
-    is 0. The nodes of colour s, t = s, s + 2, ..., are then one row block of
-    the other parity, and their predecessors and successors rows 0..n - 1
-    and 1..n of one block of s's parity (``colours``).
-
-    Blocks are kept in phase order (``_phase_order``), the order the sweep
-    reaches them; ``perm`` lists the block ids in that order. A phase reads
-    its steps from D and its log-uniforms from log_u, both (blocks, chains)
-    in phase order, and writes its decisions into its rows of ``accepted``;
-    the sweep adds them to ``acc``. ``wt`` holds theta's step weights
-    1 / (2 var) before and after each node (0 after node T) in the order of
-    the theta blocks, and ``wg`` the bias walks'. Node 0 and node T have one
-    monotone bound each (``edges``).
-    """
-
-    def __init__(self, panel: SurveyPanel, spec: ModelSpec, designs, columns, starts):
-        T = panel.n_times
-        C = len(starts)
-        pr = spec.priors
-        walk_ks = [k for k, d in enumerate(designs) if None in d.var]
-        W = len(walk_ks)
-        order = walk_ks + [k for k in range(len(designs)) if k not in walk_ks]
-        row = {k: r for r, k in enumerate(order)}
-        S = len(order)
-        self.T, self.W, self.order = T, W, order
-        self.monotone = spec.monotone_walk
-
-        even = (T + 4) // 2  # rows of the even block: padded columns 0, 2, ..., T + 2
-        pos = [p // 2 if p % 2 == 0 else even + p // 2 for p in range(T + 3)]
-        self.nodes = np.array(pos[1 : T + 2], dtype=np.intp)
-        self.th = np.zeros((T + 3, C))
-        self.th[0] = pr.theta0_mean
-        self.lp = np.zeros((T + 3, S, C))
-        self.ll = np.zeros_like(self.lp)
-        self.Y = np.zeros_like(self.lp)
-        self.N = np.zeros_like(self.lp)
-        for k, t, y, n in panel.observed_cells():
-            self.Y[pos[t + 1], row[k]] = y
-            self.N[pos[t + 1], row[k]] = n
-        self.sig = np.array([s[1] for s in starts])
-        self.pi = np.array([s[2] for s in starts]) if W else None
-        self.gam = {k: np.array([s[3][k] for s in starts]) for k in order[W:] if designs[k].var}
-        for c, (theta, _, _, _, lphi, ll) in enumerate(starts):
-            self.th[self.nodes, c] = theta
-            for k, r in row.items():
-                self.lp[self.nodes, r, c] = lphi[k]
-                self.ll[self.nodes, r, c] = ll[k]
-        self.sig_prior, self.pi_prior = pr.sigma_sq_scale, pr.pi_sq_scale
-        self.walk_rows = np.array([1.0] * W + [0.0] * (S - W))[:, None]
-
-        # colour s: the rows of its nodes, the rows of their neighbours (the
-        # predecessors and one more, the last successor), and its theta
-        # blocks in phase order; whether it holds node 0 (first) and node T (last)
-        sizes = {1: (T + 1) // 2, 0: T // 2 + 1}
-        self.colours, self.edges = {}, {}
-        for s, start in ((1, 0), (0, sizes[1])):
-            n, a, b = sizes[s], pos[s + 1], pos[s]
-            self.colours[s] = (slice(a, a + n), slice(b, b + n + 1), slice(start, start + n))
-            self.edges[s] = (s == 0, T % 2 == s)
-        ends = (sizes[1], T if T % 2 == 0 else sizes[1] - 1)  # node 0's and node T's blocks
-        self.wt = np.empty((2, T + 1, C))
-        self.wt_ends = (ends[0], 0.5 / pr.theta0_var), (ends[1], 0.0)
-        self.wg = np.empty((2, T + 1, W, C))
-        var0 = np.array([0.5 / designs[k].var[0] for k in walk_ks])[:, None]
-        self.wg_ends = (ends[0], var0), (ends[1], 0.0)
-        self._set_weights(False)
-        if W:
-            self._set_weights(True)
-
-        # block ids in phase order, and where each phase starts among them
-        phases = _phase_order(T, columns, walk_ks)
-        perm: list[int] = []
-        at = {}
-        for name, ids in phases:
-            at[name] = len(perm)
-            perm += ids
-        # a coefficient block per non-walk column: its cells' log odds are
-        # offset + coef @ gamma, the design's map written out densely
-        self.coefs = []
-        for i, b in enumerate(dict(phases)["coefficient"]):
-            c = columns[b - T - 2]
-            coef = np.zeros((len(designs[c.k].var), len(c.rows)))
-            for r, (_, _, _, _, terms) in enumerate(c.rows):
-                for j, v in ((c.j, 1.0),) if terms is None else terms:
-                    coef[j, r] = v
-            cells = np.array([pos[r[0] + 1] for r in c.rows], dtype=np.intp)
-            ys, ns, offset = (np.array([r[i] for r in c.rows], dtype=float) for i in (1, 2, 3))
-            self.coefs.append((at["coefficient"] + i, row[c.k], c.k, c.j, 2.0 * c.var, cells, ys,
-                               ns, offset, coef))
-        if W:  # the walk and ridge phases' rows by colour, and pi_sq's
-            odd = sizes[1]
-            self.walk_ph = {1: slice(at["walk"], at["walk"] + odd * W),
-                            0: slice(at["walk"] + odd * W, at["pi_sq"])}
-            self.pi_ph = at["pi_sq"]
-            self.ridge_ph = {1: slice(at["ridge"], at["ridge"] + odd),
-                             0: slice(at["ridge"] + odd, len(perm))}
-        self.perm = np.array(perm, dtype=np.intp)
-        self.ids = np.argsort(self.perm)
-        self.accepted = np.zeros((len(perm), C), dtype=bool)
-        self.acc = np.zeros((len(perm), C), dtype=np.int64)
-
-    def _set_weights(self, is_pi: bool) -> None:
-        """Refill theta's or the bias walks' step weights from the variance."""
-        if is_pi:
-            w, ends, v = self.wg, self.wg_ends, self.pi
-        else:
-            w, ends, v = self.wt, self.wt_ends, self.sig
-        w[...] = 0.5 / v
-        for side, (i, value) in enumerate(ends):
-            w[side, i] = value
-
-    def phase_major(self, a):
-        """A (chains, ..., blocks) array as (..., blocks in phase order, chains)."""
-        return np.ascontiguousarray(np.moveaxis(np.take(a, self.perm, axis=-1), 0, -1))
-
-    def counts(self):
-        """Accepts as (chains, blocks) in block-id order."""
-        return self.acc[self.ids].T
-
-    def sweep(self, D, log_u) -> None:
-        """One sweep, phase by phase in ``_phase_order``."""
-        for s in (1, 0):
-            self.level(s, D, log_u)
-        self.variance(False, D, log_u)
-        for block in self.coefs:
-            self.coefficient(block, D, log_u)
-        if self.W:
-            for s in (1, 0):
-                self.walk(s, D, log_u)
-            self.variance(True, D, log_u)
-            for s in (1, 0):
-                self.ridge(s, D, log_u)
-        self.acc += self.accepted
-
-    def _reflect(self, s, prop, lo, hi) -> None:
-        """Reflect colour s's theta proposals into the monotone order, in
-        place: into [lo, hi], and off the one bound of node 0 and of node T.
-        A node whose neighbours are tied has nowhere to move: its reflection
-        divides by 0 and leaves nan, whose ratio rejects."""
-        first, last = self.edges[s]
-        out = (prop < lo) | (prop > hi)
-        if first:  # node 0: nothing below
-            out[0] = prop[0] > hi[0]
-        if last:  # node T: nothing above
-            out[-1] = prop[-1] < lo[-1]
-        if np.count_nonzero(out):
-            w = hi - lo
-            w2 = 2.0 * w
-            r = np.mod(prop - lo, w2)
-            into = lo + np.where(r <= w, r, w2 - r)
-            if first:
-                into[0] = 2.0 * hi[0] - prop[0]
-            if last:
-                into[-1] = 2.0 * lo[-1] - prop[-1]
-            np.copyto(prop, into, where=out)
-
-    def _in_order(self, s, a, prop, lo, hi) -> None:
-        """Reject, in place, colour s's lanes of ``a`` whose proposal leaves
-        the monotone order."""
-        first, last = self.edges[s]
-        ok = prop >= lo
-        if first:
-            ok[0] = True
-        a &= ok
-        ok = np.less_equal(prop, hi, out=ok)
-        if last:
-            ok[-1] = True
-        a &= ok
-
-    def level(self, s, D, log_u) -> None:
-        """theta moves at colour s, reflected into the monotone order."""
-        nodes, around, ph = self.colours[s]
-        th = self.th
-        cur, near = th[nodes], th[around]
-        prop = cur + D[ph]
-        if self.monotone:
-            self._reflect(s, prop, near[:-1], near[1:])
-        d = _pair_prior(cur, prop, 2.0 * near, self.wt[0, ph], self.wt[1, ph])
-        x = prop[:, None] + self.lp[nodes]
-        v = self.Y[nodes] * x - self.N[nodes] * np.logaddexp(0.0, x)
-        lls = self.ll[nodes]
-        d += _sum_in_turn(v - lls, 1)
-        a = np.less(log_u[ph], d, out=self.accepted[ph])
-        np.copyto(cur, prop, where=a)
-        np.copyto(lls, v, where=a[:, None])
-
-    def variance(self, is_pi: bool, D, log_u) -> None:
-        """The sigma_sq or pi_sq move on the log scale."""
-        T = self.T
-        if is_pi:
-            bid, v, prior_sq, count = self.pi_ph, self.pi, self.pi_prior, self.W * T
-            g = self.lp[self.nodes, : self.W]
-        else:
-            bid, v, prior_sq, count = T + 1, self.sig, self.sig_prior, T
-            g = self.th[self.nodes]
-        steps = g[1:] - g[:-1]
-        # t-major, every walk at one t side by side
-        sse = _sum_in_turn((steps * steps).reshape(-1, len(v)), 0)
-        # math.log and math.exp, as in the scalar sweep: numpy's SIMD loops
-        # may round differently on another CPU, and these values are kept
-        lcur = np.fromiter(map(math.log, v), float, len(v))
-        lprop = lcur + D[bid]
-        vprop = np.fromiter(map(math.exp, lprop), float, len(v))
-        d = (
-            (v * v - vprop * vprop) / (2.0 * prior_sq)
-            + 0.5 * count * (lcur - lprop)
-            + 0.5 * sse * (1.0 / v - 1.0 / vprop)
-            + (lprop - lcur)
-        )
-        a = np.less(log_u[bid], d, out=self.accepted[bid])
-        np.copyto(v, vprop, where=a)
-        self._set_weights(is_pi)
-
-    def coefficient(self, block, D, log_u) -> None:
-        """One non-walk coefficient on every chain, with all the cells of its
-        column, as (chains, cells)."""
-        bid, r, k, j, two_var, cells, ys, ns, offset, coef = block
-        gk = self.gam[k]
-        cur = gk[:, j].copy()
-        prop = cur + D[bid]
-        d = (cur * cur - prop * prop) / two_var
-        gk[:, j] = prop
-        g = offset
-        for i in range(len(coef)):
-            g = g + coef[i] * gk[:, i, None]
-        x = np.take(self.th.T, cells, axis=1) + g
-        v = ys * x - ns * np.logaddexp(0.0, x)
-        lps, lls = self.lp[:, r].T, self.ll[:, r].T  # (chains, rows)
-        old = np.take(lls, cells, axis=1)
-        d += _sum_in_turn(v - old, 1)
-        a = np.less(log_u[bid], d, out=self.accepted[bid])
-        gk[:, j] = np.where(a, prop, cur)
-        a = a[:, None]
-        lps[:, cells] = np.where(a, g, np.take(lps, cells, axis=1))
-        lls[:, cells] = np.where(a, v, old)
-
-    def walk(self, s, D, log_u) -> None:
-        """Bias-walk coefficient moves at colour s, every walk survey at once."""
-        nodes, around, ph = self.colours[s]
-        W = self.W
-        rows = self.walk_ph[s]
-        shape = (nodes.stop - nodes.start, W, -1)
-        lp = self.lp
-        cur = lp[nodes, :W]
-        prop = cur + D[rows].reshape(shape)
-        d = _pair_prior(cur, prop, 2.0 * lp[around, :W], self.wg[0, ph], self.wg[1, ph])
-        x = self.th[nodes, None] + prop
-        v = self.Y[nodes, :W] * x - self.N[nodes, :W] * np.logaddexp(0.0, x)
-        lls = self.ll[nodes, :W]
-        d += v - lls
-        a = np.less(log_u[rows].reshape(shape), d, out=self.accepted[rows].reshape(shape))
-        np.copyto(cur, prop, where=a)
-        np.copyto(lls, v, where=a)
-
-    def ridge(self, s, D, log_u) -> None:
-        """Ridge moves at colour s: theta[t] and, against it, every bias walk at t.
-        The walk cells are invariant, so the ratio skips them and an accept
-        refreshes them; a proposal outside the monotone order is rejected."""
-        nodes, around, ph = self.colours[s]
-        W = self.W
-        rows = self.ridge_ph[s]
-        th = self.th
-        cur, near = th[nodes], th[around]
-        delta = D[rows]
-        prop = cur + delta
-        d = _pair_prior(cur, prop, 2.0 * near, self.wt[0, ph], self.wt[1, ph])
-        lp = self.lp
-        lps = lp[nodes]
-        lnew = lps - delta[:, None] * self.walk_rows
-        d += _sum_in_turn(_pair_prior(lps[:, :W], lnew[:, :W], 2.0 * lp[around, :W],
-                                      self.wg[0, ph], self.wg[1, ph]), 1)
-        x = prop[:, None] + lnew
-        v = self.Y[nodes] * x - self.N[nodes] * np.logaddexp(0.0, x)
-        lls = self.ll[nodes]
-        d += _sum_in_turn(v[:, W:] - lls[:, W:], 1)
-        a = np.less(log_u[rows], d, out=self.accepted[rows])
-        if self.monotone:
-            self._in_order(s, a, prop, near[:-1], near[1:])
-        np.copyto(cur, prop, where=a)
-        a3 = a[:, None]
-        np.copyto(lps, lnew, where=a3)
-        np.copyto(lls, v, where=a3)
-
-
-def _sample_batch(
-    panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings, seeds, designs, columns
-) -> _Part:
-    """The chains of ``seeds``, swept together as one ``_Batch``; the
-    logit-shift approximation only. Each chain draws its start and then its
-    streams (``_refill``) from its own generator, so its draws do not depend
-    on which chains share the batch."""
-    T = panel.n_times
-    rngs = [np.random.default_rng(s) for s in seeds]
-    batch = _Batch(panel, spec, designs, columns,
-                   [_start(panel, spec, designs, rng, None) for rng in rngs])
-    names = _block_names(T, columns, batch.W > 0)
-    C, B = len(rngs), len(names)
-    log_scale = [[math.log(0.5)] * B for _ in rngs]
-    scale_rows = [[0.5] * B for _ in rngs]
-    scale = batch.phase_major(np.array(scale_rows))
-    acc = batch.acc
-    n_windows = 0
-
-    window = settings.adapt_window
-    burn = settings.burn_in
-    thin = settings.thin
-    total = burn + settings.n_draws
-    kept = settings.n_kept
-    nodes = batch.nodes
-    out_theta = np.empty((C, kept, T + 1))
-    out_sig = np.empty((C, kept))
-    out_gam = [np.empty((C, kept, len(d.var))) for d in designs]
-    out_pi = np.empty((C, kept)) if batch.W else None
-    keep_i = 0
-    frozen: list[dict[str, float]] = []
-    sweep = chunk = 0
-    with np.errstate(all="ignore"):  # inf and nan arise only in rejected lanes
-        for it in range(total):
-            if it == burn:
-                frozen = [dict(zip(names, row)) for row in scale_rows]
-                acc[:] = 0  # a partial window at the freeze point is dropped
-            if sweep == chunk:
-                normals, log_us = zip(*(_refill(rng, B) for rng in rngs))
-                z = batch.phase_major(np.stack(normals))
-                log_u = batch.phase_major(np.stack(log_us))
-                chunk, sweep = len(z), 0
-            batch.sweep(scale * z[sweep], log_u[sweep])
-            sweep += 1
-
-            if it < burn and (it + 1) % window == 0:
-                n_windows += 1
-                for c, counts in enumerate(batch.counts().tolist()):
-                    _close_window(log_scale[c], scale_rows[c], counts, settings, n_windows)
-                scale = batch.phase_major(np.array(scale_rows))
-                acc[:] = 0
-
-            if it >= burn and (it - burn) % thin == thin - 1:
-                out_theta[:, keep_i] = batch.th[nodes].T
-                out_sig[:, keep_i] = batch.sig
-                for r, k in enumerate(batch.order):
-                    if r < batch.W:
-                        out_gam[k][:, keep_i] = batch.lp[nodes, r].T
-                    elif k in batch.gam:
-                        out_gam[k][:, keep_i] = batch.gam[k]
-                if out_pi is not None:
-                    out_pi[:, keep_i] = batch.pi
-                keep_i += 1
-
-    books = [_books(settings, names, counts, frozen[c], scale_rows[c])
-             for c, counts in enumerate(batch.counts().tolist())]
-    return _Part(out_theta, out_sig, out_gam, out_pi, books)
-
-
-# Lanes (chains x time-points) from which a group of chains sweeps as one
-# batch; a speed choice only, since both engines give the same draws. Batch
-# time over chain-by-chain time per chain-sweep, median of 10 interleaved
-# pairs of 1500 sweeps in one process on a 2-vCPU x86-64 host, Python 3.11,
-# numpy 2.4 (batch faster in how many pairs). Vaccine panel (T = 48, two
-# walk surveys): 1.06 and 1.05 at 98 lanes (2 chains; 2 of 10 twice); 0.84,
-# 0.87 and 0.95 at 147 (3 chains; 8, 10 and 8 of 10 in three rounds); 0.62
-# and 0.69 at 196 (4 chains; 10 of 10 twice). Demo panel (T = 10, anchor +
-# linear + walk; 10 of 10 each): 0.84 at 99 (9 chains), 0.63 and 0.71 at
-# 143, 0.59 at 154. The batch wins 9 of 10 pairs on both panels only above
-# 147 lanes.
-BATCH_MIN_LANES = 148
-
-
-def _group_job(args) -> list[_Part]:
-    """One contiguous group of a fit's chains. Given the compiled sweep's
-    library, and when it loads, the group runs through it whatever its width;
-    else it sweeps as one batch under the logit-shift approximation when it
-    has at least BATCH_MIN_LANES lanes (chains x (T + 1)), else chain by
-    chain. Each way each chain gets the same draws."""
+def _group_job(args) -> _Part:
+    """One contiguous group of a fit's chains: through the compiled sweep
+    when its library is given and loads, else chain by chain. Each way each
+    chain gets the same draws, and the group gives one ``_Part``."""
     panel, spec, settings, seeds, designs, columns, library = args
     if library is not None:
         from ._chainlib import load
 
         run = load(library)
         if run is not None:
-            return [_sample_compiled(panel, spec, settings, seeds, designs, columns, run)]
-    if not spec.use_exact_nchg and len(seeds) * (panel.n_times + 1) >= BATCH_MIN_LANES:
-        return [_sample_batch(panel, spec, settings, seeds, designs, columns)]
-    return [_sample_chain(panel, spec, settings, seed, designs, columns) for seed in seeds]
+            return _sample_compiled(panel, spec, settings, seeds, designs, columns, run)
+    return _sample_chain(panel, spec, settings, seeds, designs, columns)
 
 
 def sweep_library(spec: ModelSpec) -> str | None:
@@ -1246,7 +891,7 @@ def run_chains(
     library = sweep_library(spec)  # found or built here, so that the workers only load it
     jobs = [(panel, spec, settings, seeds[a:b], designs, columns, library)
             for a, b in zip(cuts, cuts[1:])]
-    parts = [part for group in map_jobs(_group_job, jobs, workers) for part in group]
+    parts = map_jobs(_group_job, jobs, workers)
     return _stack_chains(parts, spec, settings)
 
 

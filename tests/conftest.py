@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from surveysynth import _chainlib
 from surveysynth.core import BiasModelSpec, ModelSpec, SurveyPanel
 
 DEMO_Y = [
@@ -9,6 +10,18 @@ DEMO_Y = [
     [207, 293, 102, 208, 345, 117, 185, 145, 174, 441],
 ]
 DEMO_N = [[100] * 10, [1000] * 10, [1000] * 10]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def hermetic_library_cache(tmp_path_factory):
+    """The compiled sweep built into a temporary cache for the session, not
+    the user's: XDG_CACHE_HOME points there, subprocesses included, and the
+    library's path is looked up afresh. A test may still set its own."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        _chainlib.library.cache_clear()
+        yield
+    _chainlib.library.cache_clear()
 
 
 @pytest.fixture

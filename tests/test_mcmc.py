@@ -1,8 +1,8 @@
 import contextlib
-import copy
 import dataclasses
 import hashlib
 import math
+import operator
 import os
 import shlex
 import shutil
@@ -540,8 +540,7 @@ def test_single_point_with_idle_walk_survey_matches_quadrature():
 
 
 # Approximate fits take one of two routes: the compiled sweep when its
-# library can be had, else today's route (the batch from BATCH_MIN_LANES
-# lanes, else the chain). Tests that pin draws run under both.
+# library can be had, else the chain. Tests that pin draws run under both.
 ROUTES = ("compiled", "no-compiler")
 
 
@@ -570,16 +569,16 @@ def compiled_sweep():
 
 
 def sample_group(panel, spec, settings, seeds, designs, columns):
-    """One group of chains as ``_group_job`` runs it on the route in force,
-    whatever its width: one ``_sample_compiled`` call, or one
-    ``_sample_batch`` call when the compiled sweep cannot be had."""
+    """One group of chains as ``_group_job`` runs it on the route in force:
+    one ``_sample_compiled`` call, or one ``_sample_chain`` call when the
+    compiled sweep cannot be had."""
     sweep = compiled_sweep()
     if sweep is None:
-        return mcmc._sample_batch(panel, spec, settings, seeds, designs, columns)
+        return mcmc._sample_chain(panel, spec, settings, seeds, designs, columns)
     return mcmc._sample_compiled(panel, spec, settings, seeds, designs, columns, sweep)
 
 
-def run_batched(panel, spec, settings):
+def run_one_group(panel, spec, settings):
     """``run_chains`` with every chain in one group call (``sample_group``),
     however narrow the fit."""
     designs, columns = mcmc._validate_inputs(panel, spec)
@@ -603,10 +602,10 @@ def run_batched(panel, spec, settings):
 )
 def test_statistical_gates_hold_through_the_batch(gate, tmp_path):
     # the same gates, tolerances, seeds and lengths with every chain in one
-    # group: one compiled call, and with no compiler one batch
+    # group: one compiled call, and with no compiler one chain-by-chain call
     for name in ROUTES:
         with route(name, tmp_path):
-            gate(run_batched)
+            gate(run_one_group)
 
 
 def test_diagnose_flags_convergence():
@@ -714,12 +713,13 @@ def _pinned_cases():
 # Digests of the draws, per case, as the chain-by-chain engine gives them
 # since it runs the batch's sweep: the batch's phase order, its streams (one
 # normal and one log-uniform per block and sweep, read by block id) and its
-# accept rule (numpy 2.4). An approximate case's batch gives the same digest
-# (the tests below check this). The cases were first pinned on the chain's
-# own sweep, in t order with buffered streams, where they guarded the cell
-# table, the compiled bias designs and the merged level, variance and
-# coefficient blocks bit for bit; every one was re-recorded once when the
-# chain took the batch's sweep, the exact cases included.
+# accept rule (numpy 2.4). An approximate case gives the same digest with
+# every chain in one group call (the tests below check this). The cases were
+# first pinned on the chain's own sweep, in t order with buffered streams,
+# where they guarded the cell table, the compiled bias designs and the merged
+# level, variance and coefficient blocks bit for bit; every one was
+# re-recorded once when the chain took the batch's sweep, the exact cases
+# included.
 _PINNED_DRAW_DIGESTS = {
     "constant": "ec8183aae35bc1d8",
     "linear": "d07bd5b31e362176",
@@ -741,8 +741,8 @@ def test_draws_match_pinned_digests(tmp_path):
                 draws = run_chains(panel, spec, settings, workers=1)
                 assert _draws_digest(draws) == _PINNED_DRAW_DIGESTS[name], (way, name)
                 if not spec.use_exact_nchg:
-                    batched = run_batched(panel, spec, settings)
-                    assert _draws_digest(batched) == _PINNED_DRAW_DIGESTS[name], (way, name)
+                    grouped = run_one_group(panel, spec, settings)
+                    assert _draws_digest(grouped) == _PINNED_DRAW_DIGESTS[name], (way, name)
 
 
 def _bookkeeping_digest(draws) -> str:
@@ -778,8 +778,8 @@ def test_bookkeeping_matches_pinned_digests(tmp_path):
                 want = _PINNED_BOOKKEEPING_DIGESTS[name]
                 assert _bookkeeping_digest(draws) == want, (way, name)
                 if not spec.use_exact_nchg:
-                    batched = run_batched(panel, spec, settings)
-                    assert _bookkeeping_digest(batched) == want, (way, name)
+                    grouped = run_one_group(panel, spec, settings)
+                    assert _bookkeeping_digest(grouped) == want, (way, name)
 
 
 def _summary_digest(table) -> str:
@@ -879,7 +879,7 @@ def test_exact_walk_ridge_posterior_matches_quadrature():
 
 
 # ---------------------------------------------------------------------------
-# the batch engine: choice, invariance, pinned draws
+# the engines: choice, groups, invariance, pinned draws
 
 
 def _short_settings(n_chains):
@@ -894,23 +894,23 @@ def test_run_chains_picks_the_engine_from_the_fit(tmp_path):
     vaccine = datagen.vaccine_shaped_bundle()
     spec = vaccine.design.model_spec()
     demo = datagen.demo_panel()
-    # the engine with no compiler: the batch from BATCH_MIN_LANES lanes
+    # with no compiler, and for exact fits, the chain whatever the chain count
     cases = [
-        (vaccine.panel, spec, 4, "batch"),  # 196 lanes
-        (vaccine.panel, spec, 3, "scalar"),  # 147 lanes
-        (vaccine.panel, spec, 2, "scalar"),  # 98 lanes
-        (vaccine.panel, dataclasses.replace(spec, use_exact_nchg=True), 4, "scalar"),
-        (demo, _demo_spec("linear", "walk"), 13, "scalar"),  # 143 lanes
-        (demo, _demo_spec("linear", "walk"), 14, "batch"),  # 154 lanes
+        (vaccine.panel, spec, 4),
+        (vaccine.panel, spec, 3),
+        (vaccine.panel, spec, 2),
+        (vaccine.panel, dataclasses.replace(spec, use_exact_nchg=True), 4),
+        (demo, _demo_spec("linear", "walk"), 13),
+        (demo, _demo_spec("linear", "walk"), 14),
     ]
     compiled = compiled_sweep() is not None
     for way in ROUTES:
         with route(way, tmp_path):
-            for panel, spec, n_chains, engine in cases:
+            for panel, spec, n_chains in cases:
+                engine = "scalar"
                 if way == "compiled" and compiled and not spec.use_exact_nchg:
-                    engine = "compiled"  # whatever the lane count
+                    engine = "compiled"  # whatever the chain count
                 with mock.patch.object(mcmc, "_sample_chain", side_effect=_Picked("scalar")), \
-                        mock.patch.object(mcmc, "_sample_batch", side_effect=_Picked("batch")), \
                         mock.patch.object(mcmc, "_sample_compiled",
                                           side_effect=_Picked("compiled")):
                     with pytest.raises(_Picked, match=engine):
@@ -936,20 +936,53 @@ def test_batch_splits_into_groups_the_workers_allow():
 
 
 def test_one_group_fit_keeps_one_copy_of_its_draws(tmp_path):
+    # on the compiled route tracemalloc sees the fit's every allocation; the
+    # chain makes a Python float per operation, which tracemalloc would trace
+    # one by one, so with no compiler a fresh interpreter runs the fit and
+    # reads the rise of its peak resident size (ru_maxrss) around it
     vaccine = datagen.vaccine_shaped_bundle()
     settings_ = SamplerSettings(n_chains=4, burn_in=50, n_draws=1000, thin=1, seed=3)
+    with route("compiled", tmp_path):
+        compiled_sweep()  # a build's memory is not the fit's
+        tracemalloc.start()
+        try:
+            draws = run_chains(vaccine.panel, vaccine.design.model_spec(), settings_, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    size = sum(a.nbytes for a in (draws.theta, draws.sigma_sq, *draws.gamma, draws.pi_sq))
+    assert peak < 1.5 * size, ("compiled", peak, size)
+    code = (
+        "import os, resource, sys, sysconfig\n"
+        "sysconfig.get_config_vars()['CC'] = 'no-such-compiler'\n"
+        "os.environ['PATH'] = ''\n"
+        "from surveysynth import _chainlib, datagen, mcmc\n"
+        "assert _chainlib.library() is None\n"
+        "vaccine = datagen.vaccine_shaped_bundle()\n"
+        "settings = mcmc.SamplerSettings(n_chains=4, burn_in=50, n_draws=1000, thin=1, seed=3)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "draws = mcmc.run_chains(vaccine.panel, vaccine.design.model_spec(), settings, workers=1)\n"
+        "rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "size = sum(a.nbytes for a in (draws.theta, draws.sigma_sq, *draws.gamma, draws.pi_sq))\n"
+        "print(rise * (1 if sys.platform == 'darwin' else 1024), size)\n"  # bytes, else KiB
+    )
+    peak, size = map(int, _run_python(code, tmp_path / "no-compiler").split())
+    assert peak < 1.5 * size, ("no-compiler", peak, size)
+
+
+def test_a_one_group_fit_is_one_part(tmp_path):
+    # the same fit gives one _Part on either route, and its draws are that
+    # part's arrays, not a copy
+    panel, spec, settings_ = _pinned_cases()["mixed"]
     for way in ROUTES:
-        with route(way, tmp_path):
-            compiled_sweep()  # a build's memory is not the fit's
-            tracemalloc.start()
-            try:
-                draws = run_chains(vaccine.panel, vaccine.design.model_spec(), settings_,
-                                   workers=1)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            size = sum(a.nbytes for a in (draws.theta, draws.sigma_sq, *draws.gamma, draws.pi_sq))
-            assert peak < 1.5 * size, (way, peak, size)
+        with route(way, tmp_path), \
+                mock.patch.object(mcmc, "_stack_chains", wraps=mcmc._stack_chains) as stack:
+            draws = run_chains(panel, spec, settings_, workers=1)
+        parts = stack.call_args.args[0]
+        assert len(parts) == 1 and isinstance(parts[0], mcmc._Part), way
+        part = parts[0]
+        assert draws.theta is part.theta and draws.sigma_sq is part.sigma_sq, way
+        assert draws.pi_sq is part.pi_sq and all(map(operator.is_, draws.gamma, part.gamma)), way
 
 
 @pytest.mark.parametrize("workers", [2.7, True, 0.5])
@@ -962,9 +995,7 @@ def test_batched_draws_do_not_depend_on_workers_or_groups(tmp_path):
     vaccine = datagen.vaccine_shaped_bundle()
     panel, spec = vaccine.panel, vaccine.design.model_spec()
     settings = SamplerSettings(n_chains=8, burn_in=40, n_draws=40, thin=1, seed=9)
-    # with no compiler the vaccine fit's groups are batches at 1 and 2
-    # workers (392 and 196 lanes) and run chain by chain at 3 (98 and 147
-    # lanes); the demo fit's 2 x 11 lanes always do
+    # groups of 8, 4 and 4, and 2 or 3 chains; one group call against two
     fits = [(panel, spec, settings), (datagen.demo_panel(), _demo_spec("linear", "walk"), _SHORT)]
     designs, columns = mcmc._validate_inputs(panel, spec)
     seeds = np.random.SeedSequence(3).spawn(4)
@@ -990,7 +1021,7 @@ def run_chain_by_chain(panel, spec, settings):
     however wide the fit, and the chains' bookkeeping."""
     designs, columns = mcmc._validate_inputs(panel, spec)
     seeds = np.random.SeedSequence(settings.seed).spawn(settings.n_chains)
-    parts = [mcmc._sample_chain(panel, spec, settings, s, designs, columns) for s in seeds]
+    parts = [mcmc._sample_chain(panel, spec, settings, [s], designs, columns) for s in seeds]
     return mcmc._stack_chains(parts, spec, settings), [b for p in parts for b in p.books]
 
 
@@ -1013,9 +1044,10 @@ def _nine_survey_fit(n_times=12, seed=0):
 
 
 def test_both_engines_give_the_same_draws():
-    # the chain, the batch and, where it can be had, the compiled sweep
+    # the chain chain by chain, the chain with every chain in one group and,
+    # where it can be had, the compiled sweep
     sweep = compiled_sweep()
-    cases = {**_pinned_cases(), **_batch_pin_cases(),
+    cases = {**_pinned_cases(), **_group_pin_cases(),
              "nine-surveys": (*_nine_survey_fit(), _short_settings(1))}
     for name, (panel, spec, settings_) in cases.items():
         if spec.use_exact_nchg:
@@ -1023,7 +1055,7 @@ def test_both_engines_give_the_same_draws():
         chains, books = run_chain_by_chain(panel, spec, settings_)
         designs, columns = mcmc._validate_inputs(panel, spec)
         seeds = np.random.SeedSequence(settings_.seed).spawn(settings_.n_chains)
-        parts = [mcmc._sample_batch(panel, spec, settings_, seeds, designs, columns)]
+        parts = [mcmc._sample_chain(panel, spec, settings_, seeds, designs, columns)]
         if sweep is not None:
             parts.append(mcmc._sample_compiled(panel, spec, settings_, seeds, designs, columns,
                                                sweep))
@@ -1034,16 +1066,15 @@ def test_both_engines_give_the_same_draws():
 
 
 # Digests of the vaccine case's draws and bookkeeping with its four chains
-# in one batch, as first recorded (numpy 2.4); any change to the batched
-# sweep or its random streams shows here.
+# in one group, as first recorded (numpy 2.4) on a numpy batch engine since
+# retired; any change to the sweep or its random streams shows here.
 _PINNED_BATCH_DIGESTS = ("86cff9407e149d29", "0eafa6dc5642a219")
 
 
 def test_batched_vaccine_draws_match_pinned_digests(tmp_path):
     vaccine = datagen.vaccine_shaped_bundle()
     for way in ROUTES:
-        with route(way, tmp_path), \
-                mock.patch.object(mcmc, "_sample_chain", side_effect=_Picked("scalar")):
+        with route(way, tmp_path):
             draws = run_chains(vaccine.panel, vaccine.design.model_spec(), _short_settings(4),
                                workers=1)
         assert (_draws_digest(draws), _bookkeeping_digest(draws)) == _PINNED_BATCH_DIGESTS, way
@@ -1058,12 +1089,12 @@ def _rising_panel(n_times):
     return panel_of(np.round(n * [rate, 0.8 * rate, np.sqrt(rate)]), n)
 
 
-def _batch_pin_cases():
+def _group_pin_cases():
     demo = datagen.demo_panel()
     vaccine = datagen.vaccine_shaped_bundle()
     ridge = dataclasses.replace(_demo_spec("constant", "walk"), monotone_walk=True)
     return {
-        # 154 lanes, with a linear survey's coefficient blocks beside the walk
+        # 14 chains, with a linear survey's coefficient blocks beside the walk
         "demo-linear-walk": (demo, _demo_spec("linear", "walk"), _short_settings(14)),
         "vaccine-free": (
             vaccine.panel,
@@ -1078,8 +1109,9 @@ def _batch_pin_cases():
     }
 
 
-# Digests of batched draws and bookkeeping, first recorded (numpy 2.4) while
-# the batch state was stored chains-major; the layout must not change a bit.
+# Digests of draws and bookkeeping with every chain in one group, first
+# recorded (numpy 2.4) on a numpy batch engine since retired; no engine may
+# change a bit of them.
 _PINNED_BATCH_CASE_DIGESTS = {
     "demo-linear-walk": ("b0f66434d5a66347", "fbd9a25c9857e7f3"),
     "vaccine-free": ("23da6c7f1dbd6d5b", "34f63348ba4201de"),
@@ -1091,8 +1123,8 @@ _PINNED_BATCH_CASE_DIGESTS = {
 def test_batched_draws_match_pinned_digests(tmp_path):
     for way in ROUTES:
         with route(way, tmp_path):
-            for name, (panel, spec, settings_) in _batch_pin_cases().items():
-                draws = run_batched(panel, spec, settings_)
+            for name, (panel, spec, settings_) in _group_pin_cases().items():
+                draws = run_one_group(panel, spec, settings_)
                 got = (_draws_digest(draws), _bookkeeping_digest(draws))
                 assert got == _PINNED_BATCH_CASE_DIGESTS[name], (way, name)
 
@@ -1228,7 +1260,7 @@ def test_scalar_sweep_log_ratios_match_the_oracle(kinds, n_times, monotone, exac
         states.append((list(theta), sig, [list(g) for g in gam], pi))
 
     settings_ = SamplerSettings(n_chains=1, burn_in=0, n_draws=n_sweeps, thin=1)
-    part = mcmc._sample_chain(panel, spec, settings_, _ScriptedRng(seed, normals, uniforms),
+    part = mcmc._sample_chain(panel, spec, settings_, [_ScriptedRng(seed, normals, uniforms)],
                               designs, columns)
     draws = mcmc._stack_chains([part], spec, settings_)
     assert draws.theta[0].tolist() == [s[0] for s in states]
@@ -1240,110 +1272,8 @@ def test_scalar_sweep_log_ratios_match_the_oracle(kinds, n_times, monotone, exac
     assert {name: rate * n_sweeps for name, rate in draws.acceptance_rates.items()} == counts
 
 
-def _lane_states(batch, designs):
-    """Each chain's (theta, sigma_sq, gam, pi_sq) in a batch."""
-    nodes = batch.nodes
-    states = []
-    for c in range(len(batch.sig)):
-        gam = []
-        for k in range(len(designs)):
-            r = batch.order.index(k)
-            if r < batch.W:
-                gam.append(batch.lp[nodes, r, c].tolist())
-            else:
-                gam.append(batch.gam[k][c].tolist() if k in batch.gam else [])
-        pi = None if batch.pi is None else float(batch.pi[c])
-        states.append((batch.th[nodes, c].tolist(), float(batch.sig[c]), gam, pi))
-    return states
-
-
-def _with_block(name, before, after, walk_ks):
-    """``before`` with the values of block ``name`` taken from ``after``, and
-    the log Jacobian of the move."""
-    theta, sig, gam, pi = list(before[0]), before[1], [list(g) for g in before[2]], before[3]
-    kind, _, index = name.partition("[")
-    jac = 0.0
-    if kind in ("theta", "joint"):
-        t = int(index[:-1])
-        theta[t] = after[0][t]
-        if kind == "joint":
-            for k in walk_ks:
-                gam[k][t] = after[2][k][t]
-    elif kind == "sigma_sq":
-        sig, jac = after[1], math.log(after[1] / before[1])
-    elif kind == "pi_sq":
-        pi, jac = after[3], math.log(after[3] / before[3])
-    else:
-        k, j = (int(v) for v in index[:-1].split("]["))
-        gam[k][j] = after[2][k][j]
-    return (theta, sig, gam, pi), jac
-
-
-def _batch_arrays(batch):
-    arrays = [batch.th, batch.lp, batch.ll, batch.sig, batch.accepted]
-    return arrays + [batch.gam[k] for k in sorted(batch.gam)] + (
-        [] if batch.pi is None else [batch.pi])
-
-
-@given(kinds=_KINDS, n_times=st.integers(1, 5), monotone=st.booleans(),
-       n_chains=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-# the constant survey's one cell is missing: a coefficient with an empty column
-@example(kinds=["known", "constant"], n_times=1, monotone=False, n_chains=1, seed=2)
-@settings(max_examples=40, deadline=None)
-def test_batched_phase_log_ratios_match_the_oracle(kinds, n_times, monotone, n_chains, seed):
-    # Each phase runs three times from one state: with every log-uniform at
-    # -inf, which accepts every lane that can move; then with each moved
-    # lane's log-uniform at the oracle's log ratio for that lane alone - eps,
-    # which must accept the same lanes, and + eps, which must reject them all.
-    # A lane's ratio thus matches the oracle's, and reads nothing that another
-    # lane of its phase moves.
-    panel, spec, rng = _random_fit(kinds, n_times, seed, monotone_walk=monotone)
-    designs, columns = mcmc._validate_inputs(panel, spec)
-    starts = [mcmc._start(panel, spec, designs, np.random.default_rng([seed, c]), None)
-              for c in range(n_chains)]
-    batch = mcmc._Batch(panel, spec, designs, columns, starts)
-    walk_ks = [k for k, d in enumerate(designs) if None in d.var]
-    names = mcmc._block_names(n_times, columns, bool(walk_ks))
-    shape = (n_chains, len(names))
-    phases = [("level", 1), ("level", 0), ("variance", False)]
-    phases += [("coefficient", block) for block in batch.coefs]
-    if walk_ks:
-        phases += [("walk", 1), ("walk", 0), ("variance", True), ("ridge", 1), ("ridge", 0)]
-    # a phase takes its steps and log-uniforms in phase order, (blocks, chains)
-    ordered = batch.phase_major
-    with np.errstate(all="ignore"):
-        for _ in range(3):  # away from the start
-            batch.sweep(ordered(0.3 * rng.standard_normal(shape)),
-                        ordered(np.log(rng.random(shape))))
-        for kind, arg in phases:
-            D = ordered(0.5 * rng.standard_normal(shape))
-            batch.accepted[:] = False
-            runs = []
-            for log_u in ("all", "below", "above"):
-                b = copy.deepcopy(batch)
-                if log_u == "all":
-                    getattr(b, kind)(arg, D, ordered(np.full(shape, -np.inf)))
-                    moved = [(c, b.perm[r]) for r, c in np.argwhere(b.accepted)]
-                    before = _lane_states(batch, designs)
-                    after = _lane_states(b, designs)
-                    ratios = np.full(shape, -np.inf)
-                    for c, bid in moved:
-                        state, jac = _with_block(names[bid], before[c], after[c], walk_ks)
-                        ratios[c, bid] = (_oracle_log_post(panel, spec, state)
-                                          - _oracle_log_post(panel, spec, before[c]) + jac)
-                else:
-                    shift = _EPS if log_u == "above" else -_EPS
-                    getattr(b, kind)(arg, D, ordered(ratios + shift))
-                runs.append(b)
-            for got, want in zip(_batch_arrays(runs[1]), _batch_arrays(runs[0])):
-                np.testing.assert_array_equal(got, want, err_msg=f"{kind} {arg}: accepts")
-            for got, want in zip(_batch_arrays(runs[2]), _batch_arrays(batch)):
-                np.testing.assert_array_equal(got, want, err_msg=f"{kind} {arg}: rejects")
-            batch = runs[0]
-
-
 # ---------------------------------------------------------------------------
-# every sum in a batched log ratio adds its terms in turn, bit for bit
+# every sum in a log ratio adds its terms in turn, bit for bit
 
 
 def _in_turn(terms):
@@ -1358,12 +1288,6 @@ def _step_prior(cur, prop, prev, nxt, wp, wn):
     """A node's change in its two Gaussian step terms, in the sampler's form."""
     s = cur + prop
     return (cur - prop) * ((s - 2.0 * prev) * wp - (2.0 * nxt - s) * wn)
-
-
-def _lane_cells(batch, designs):
-    """Each chain's cell log-likelihoods, ll[k][t] for t = 0..T."""
-    rows = [batch.order.index(k) for k in range(len(designs))]
-    return [[batch.ll[batch.nodes, r, c].tolist() for r in rows] for c in range(len(batch.sig))]
 
 
 def _ratio_in_turn(name, before, after, ll_before, ll_after, step, spec, designs, walk_ks):
@@ -1416,110 +1340,110 @@ def _ratio_in_turn(name, before, after, ll_before, ll_after, step, spec, designs
     return d + _in_turn([ll_after[k][t] - ll_before[k][t] for k in others])
 
 
-def _nine_survey_batch(seeds):
-    """The nine-survey fit, its names and walks, and a batch of chains
-    started from ``seeds``, with its phases in sweep order."""
-    panel, spec = _nine_survey_fit()
-    designs, columns = mcmc._validate_inputs(panel, spec)
+def _walk_in_turn(panel, spec, designs, columns, start, normals, rng):
+    """Sweeps of a free (not monotone) fit under the approximation, walked
+    here in phase order from ``start``: each block proposes from 0.5 times
+    its normal (every scale is 0.5 and burn_in 0), evaluates the cells it
+    touches at the proposal, and takes its ratio with every sum added in turn
+    (``_ratio_in_turn``). It then accepts or rejects as ``rng`` says, its
+    log-uniform one float below that ratio or at it. Returns the
+    log-uniforms, the state after each sweep, the accepts per block and the
+    decisions per kind of block, as (accepts, rejects)."""
+    assert not spec.use_exact_nchg and not spec.monotone_walk
+    T = panel.n_times
     walk_ks = [k for k, d in enumerate(designs) if None in d.var]
-    names = mcmc._block_names(panel.n_times, columns, True)
-    starts = [mcmc._start(panel, spec, designs, np.random.default_rng(s), None) for s in seeds]
-    batch = mcmc._Batch(panel, spec, designs, columns, starts)
-    phases = [("level", 1), ("level", 0), ("variance", False)]
-    phases += [("coefficient", block) for block in batch.coefs]
-    phases += [("walk", 1), ("walk", 0), ("variance", True), ("ridge", 1), ("ridge", 0)]
-    return panel, spec, designs, columns, walk_ks, names, batch, phases
+    names = mcmc._block_names(T, columns, bool(walk_ks))
+    order = [b for _, ids in mcmc._phase_order(T, columns, walk_ks) for b in ids]
+    column = {(c.k, c.j): c for c in columns}
+    seen = {(k, t): (float(y), float(n)) for k, t, y, n in panel.observed_cells()}
+    theta, sig, pi, gam, lphi, ll = start
 
+    def cell(k, t, th, g):
+        y, n = seen[k, t]
+        x = th + g
+        return float(y * x - n * np.logaddexp(0.0, x))
 
-def _moved_and_ratios(batch, kind, arg, steps, spec, designs, names, walk_ks):
-    """A phase of ``batch`` run on a copy with every log-uniform at -inf,
-    which moves every lane, and each moved lane's ratio summed in turn
-    (+inf at a lane that did not move), as (chains, blocks)."""
-    ordered = batch.phase_major
-    batch.accepted[:] = False
-    moved = copy.deepcopy(batch)
-    getattr(moved, kind)(arg, ordered(steps), ordered(np.full(steps.shape, -np.inf)))
-    before, after = _lane_states(batch, designs), _lane_states(moved, designs)
-    ll_before, ll_after = _lane_cells(batch, designs), _lane_cells(moved, designs)
-    want = np.full(steps.shape, np.inf)
-    for r, c in np.argwhere(moved.accepted):
-        bid = moved.perm[r]
-        want[c, bid] = _ratio_in_turn(names[bid], before[c], after[c], ll_before[c],
-                                      ll_after[c], steps[c, bid], spec, designs, walk_ks)
-    return moved, want
-
-
-@pytest.mark.parametrize("n_chains", [1, 2])
-def test_batched_ratios_add_their_terms_in_turn(n_chains):
-    # Each phase runs from one state three times: with every log-uniform at
-    # -inf, which moves every lane; then with each moved lane's log-uniform
-    # one float below the ratio computed here, every sum added in turn, which
-    # must accept the same lanes; then at that ratio, which must reject them
-    # all. So each moved lane's ratio is that float, whatever the chain count:
-    # a batch of one chain must not sum its nine level cells in another order.
-    _, spec, designs, _, walk_ks, names, batch, phases = _nine_survey_batch(
-        [[5, c] for c in range(n_chains)])
-    rng = np.random.default_rng(13)
-    shape = (n_chains, len(names))
-    ordered = batch.phase_major
-    checked = dict.fromkeys(("theta", "joint", "gamma", "sigma_sq", "pi_sq"), 0)
-    with np.errstate(all="ignore"):
-        for _ in range(3):
-            batch.sweep(ordered(0.3 * rng.standard_normal(shape)),
-                        ordered(np.log(rng.random(shape))))
-            for kind, arg in phases:
-                steps = 0.5 * rng.standard_normal(shape)
-                moved, want = _moved_and_ratios(batch, kind, arg, steps, spec, designs, names,
-                                                walk_ks)
-                for name in np.array(names)[np.isfinite(want).nonzero()[1]]:
-                    checked[name.partition("[")[0]] += 1
-                below, at = copy.deepcopy(batch), copy.deepcopy(batch)
-                getattr(below, kind)(arg, ordered(steps), ordered(np.nextafter(want, -np.inf)))
-                getattr(at, kind)(arg, ordered(steps), ordered(want))
-                for got, exp in zip(_batch_arrays(below), _batch_arrays(moved)):
-                    np.testing.assert_array_equal(got, exp, err_msg=f"{kind} {arg}: accepts")
-                for got, exp in zip(_batch_arrays(at), _batch_arrays(batch)):
-                    np.testing.assert_array_equal(got, exp, err_msg=f"{kind} {arg}: rejects")
-                batch = moved
-    # every lane moves: 13 nodes, 3 walks, 6 non-walk coefficients, 2 variances
-    assert checked == {"theta": 39 * n_chains, "joint": 39 * n_chains,
-                       "gamma": 3 * (6 + 39) * n_chains, "sigma_sq": 3 * n_chains,
-                       "pi_sq": 3 * n_chains}
+    log_us = np.empty_like(normals)
+    states = []
+    counts = dict.fromkeys(names, 0)
+    decisions: dict[str, list[int]] = {}
+    for i in range(len(normals)):
+        for bid in order:
+            name = names[bid]
+            step = 0.5 * normals[i, bid]
+            theta2, sig2, pi2 = list(theta), sig, pi
+            gam2, lphi2, ll2 = ([list(r) for r in rows] for rows in (gam, lphi, ll))
+            kind, _, index = name.partition("[")
+            touched = []
+            if kind in ("theta", "joint"):
+                t = int(index[:-1])
+                theta2[t] += step
+                if kind == "joint":
+                    for k in walk_ks:
+                        gam2[k][t] -= step
+                        lphi2[k][t] = gam2[k][t]
+                touched = [(k, t) for k in range(len(designs)) if (k, t) in seen]
+            elif kind == "sigma_sq":
+                sig2 = math.exp(math.log(sig) + step)
+            elif kind == "pi_sq":
+                pi2 = math.exp(math.log(pi) + step)
+            else:
+                k, j = (int(v) for v in index[:-1].split("]["))
+                gam2[k][j] += step
+                if k in walk_ks:
+                    kind = "walk"
+                    lphi2[k][j] = gam2[k][j]
+                    touched = [(k, j)] if (k, j) in seen else []
+                else:
+                    kind = "coefficient"
+                    for t, _, _, g, terms in column[k, j].rows:
+                        if terms is None:
+                            g = gam2[k][j]
+                        else:
+                            for c_i, c in terms:
+                                g = g + c * gam2[k][c_i]
+                        lphi2[k][t] = g
+                        touched.append((k, t))
+            for k, t in touched:
+                ll2[k][t] = cell(k, t, theta2[t], lphi2[k][t])
+            want = _ratio_in_turn(name, (theta, sig, gam, pi), (theta2, sig2, gam2, pi2), ll, ll2,
+                                  step, spec, designs, walk_ks)
+            assert math.isfinite(want), name
+            accept = rng.random() < 0.5
+            log_us[i, bid] = np.nextafter(want, -np.inf) if accept else want
+            decisions.setdefault(kind, [0, 0])[not accept] += 1
+            if accept:
+                counts[name] += 1
+                theta, sig, pi, gam, lphi, ll = theta2, sig2, pi2, gam2, lphi2, ll2
+        states.append((list(theta), sig, [list(g) for g in gam], pi))
+    return log_us, states, counts, decisions
 
 
 def test_chain_ratios_add_their_terms_in_turn(monkeypatch):
-    # A one-chain batch, checked float for float above, walks ten sweeps;
-    # each block accepts or rejects at random with its log-uniform one float
-    # below its ratio or at it. The chain, given the same start, steps and
-    # log-uniforms, makes every decision the same way, and so reaches the same
-    # states, only if each of its ratios is that same float.
+    # Ten sweeps of the nine-survey fit, walked here with every sum in each
+    # ratio added in turn; each block accepts or rejects at random with its
+    # log-uniform one float below its ratio or at it. The chain, given the
+    # same start, steps and log-uniforms, makes every decision the same way,
+    # and so reaches the same states, only if each of its ratios is that same
+    # float; so does the compiled sweep.
     seed = 21
-    panel, spec, designs, columns, walk_ks, names, batch, phases = _nine_survey_batch([seed])
+    panel, spec = _nine_survey_fit()
+    designs, columns = mcmc._validate_inputs(panel, spec)
+    names = mcmc._block_names(panel.n_times, columns, True)
     n_sweeps = 10
     rng = np.random.default_rng(8)
     normals = rng.standard_normal((n_sweeps, len(names)))
-    log_us = np.full_like(normals, np.inf)
-    counts = dict.fromkeys(names, 0)
-    states = []
-    with np.errstate(all="ignore"):
-        for i in range(n_sweeps):
-            steps = 0.5 * normals[i : i + 1]  # every scale is 0.5 and burn_in 0
-            for kind, arg in phases:
-                _, want = _moved_and_ratios(batch, kind, arg, steps, spec, designs, names,
-                                            walk_ks)
-                for bid in np.isfinite(want[0]).nonzero()[0]:
-                    accept = rng.random() < 0.5
-                    log_us[i, bid] = np.nextafter(want[0, bid], -np.inf) if accept else want[0, bid]
-                    counts[names[bid]] += accept
-                getattr(batch, kind)(arg, batch.phase_major(steps),
-                                     batch.phase_major(log_us[i : i + 1]))
-            states.append(_lane_states(batch, designs)[0])
-    assert 0 < sum(counts.values()) < n_sweeps * len(names)
+    start = mcmc._start(panel, spec, designs, np.random.default_rng(seed), None)
+    log_us, states, counts, decisions = _walk_in_turn(panel, spec, designs, columns, start,
+                                                      normals, rng)
+    # every kind of block is checked as an accept and as a reject
+    assert sorted(decisions) == ["coefficient", "joint", "pi_sq", "sigma_sq", "theta", "walk"]
+    assert all(accepts and rejects for accepts, rejects in decisions.values()), decisions
 
     # the chain, and the compiled sweep fed the same streams
     monkeypatch.setattr(mcmc, "_refill", lambda rng_, blocks: (normals, log_us))
     settings_ = SamplerSettings(n_chains=1, burn_in=0, n_draws=n_sweeps, thin=1)
-    parts = [mcmc._sample_chain(panel, spec, settings_, seed, designs, columns)]
+    parts = [mcmc._sample_chain(panel, spec, settings_, [seed], designs, columns)]
     sweep = compiled_sweep()
     if sweep is not None:
         parts.append(mcmc._sample_compiled(panel, spec, settings_, [seed], designs, columns,
@@ -1557,8 +1481,8 @@ def _needs_compiled_sweep():
 @example(kinds=["walk", "linear"], n_times=5, monotone=True, n_chains=2, seed=7)
 @settings(max_examples=40, deadline=None)
 def test_compiled_sweep_gives_the_chains_draws(kinds, n_times, monotone, n_chains, seed):
-    # the strategies of test_batched_phase_log_ratios_match_the_oracle; short
-    # windows, so that scales adapt, and thinning
+    # any bias kinds, one to five time-points, free or monotone, one to three
+    # chains; short windows, so that scales adapt, and thinning
     sweep = _needs_compiled_sweep()
     panel, spec, _ = _random_fit(kinds, n_times, seed, monotone_walk=monotone)
     settings_ = SamplerSettings(n_chains=n_chains, burn_in=60, n_draws=60, thin=3,
