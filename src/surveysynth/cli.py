@@ -25,11 +25,11 @@ from .analysis import (
     n_iid_gain,
     nowcast_series,
 )
-from .config import ConfigError, RunConfig, StudyConfig
+from .config import ConfigError, RunConfig
 from .core import BiasModelSpec, ModelSpec, SurveyPanel, bias_designs
 from .datagen import draw_parameters, generate_panel
 from .mcmc import InitializationError, SamplerSettings, resolve_workers
-from .simstudy import run_grid
+from .simstudy import StudyConfig, run_grid
 
 EXIT_CODES = {
     "bad-config": 3,
@@ -275,11 +275,8 @@ def _cmd_sim_study(args) -> int:
     study = cfg.study if cfg.study is not None else StudyConfig()
     settings = cfg.study_settings()
     seed = _seed(cfg, args)
-    _check_workers(None)  # the fits read SURVEYSYNTH_WORKERS
-    results, records = run_grid(
-        study.n_times, study.n_reps, settings, seed,
-        n_anchor=study.n_anchor, n_biased=study.n_biased, population=study.population,
-    )
+    _check_workers(None)  # the study maps its fits over SURVEYSYNTH_WORKERS processes
+    results, records = run_grid(study, settings, seed)
     out = _out_dir(args)
     io.write_sim_results(results, out / "results.csv")
     io.write_rep_records(records, out / "rep_errors.csv")

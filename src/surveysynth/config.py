@@ -16,7 +16,7 @@ import numpy as np
 from .core import BiasModelSpec, ModelSpec, PriorSpec, check_count
 from .datagen import PRIOR_REGIMES, GenDesign
 from .mcmc import SamplerSettings
-from .simstudy import DEFAULT_STUDY_SETTINGS
+from .simstudy import DEFAULT_STUDY_SETTINGS, StudyConfig
 
 CONFIG_VERSION = 1
 
@@ -122,21 +122,6 @@ def _generate_from(section: dict) -> GenDesign:
         center_time=_flag(section, "center_time", True, "generate"),
         labels=None if labels is None else tuple(labels),
     )
-
-
-@dataclass(frozen=True)
-class StudyConfig:
-    n_times: tuple[int, ...] = (5, 10, 15)
-    n_reps: int = 100
-    n_anchor: int = 100
-    n_biased: int = 1000
-    population: int = 10_000_000
-
-    def __post_init__(self):
-        for t in self.n_times:
-            check_count("study.n_times entry", t, 1)
-        for name in ("n_reps", "n_anchor", "n_biased", "population"):
-            check_count(f"study.{name}", getattr(self, name), 1)
 
 
 _STUDY_KEYS = tuple(f.name for f in dataclasses.fields(StudyConfig))

@@ -823,8 +823,12 @@ def map_jobs(fn, jobs: list, workers: int | None = None) -> list:
     """``[fn(job) for job in jobs]``, spread over up to ``workers`` processes
     (see ``resolve_workers``).
 
-    Results come back in job order, so they do not depend on the worker count
-    when every job seeds itself.
+    The one place that starts worker processes. Each many-fit workload maps
+    its fits once (``analysis.nowcast_series`` its t*, the ``simstudy`` grid
+    its reps), and each of those fits runs its chains serially, so no pool
+    nests; ``run_chains`` maps chain groups only for a single fit. Results
+    come back in job order, so they do not depend on the worker count when
+    every job seeds itself.
     """
     workers = resolve_workers(workers)
     if workers > 1 and len(jobs) > 1:
@@ -891,7 +895,7 @@ def run_chains(
     library = sweep_library(spec)  # found or built here, so that the workers only load it
     jobs = [(panel, spec, settings, seeds[a:b], designs, columns, library)
             for a, b in zip(cuts, cuts[1:])]
-    parts = map_jobs(_group_job, jobs, workers)
+    parts = map_jobs(_group_job, jobs, groups)
     return _stack_chains(parts, spec, settings)
 
 

@@ -5,19 +5,26 @@ bias model (or the anchor survey alone), and scores the squared error of
 the posterior median rate at the final time-point. Replication seeds are
 derived from (truth kind, panel length, replication index) only, so every
 fit kind sees identical datasets and scheduling order cannot matter.
+
+The study is many independent fits. ``run_grid`` and ``run_cell`` list one
+job per (T, truth, fit, rep) and map the list once with ``mcmc.map_jobs``,
+as ``analysis.nowcast_series`` maps its t*; each fit then runs its chains
+serially, so no pool nests and the records do not depend on the worker
+count (``SURVEYSYNTH_WORKERS``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import BiasModelSpec, LatentState, ModelSpec, PriorSpec, SurveyPanel
+from .core import BiasModelSpec, LatentState, ModelSpec, PriorSpec, SurveyPanel, check_count
 from .datagen import GenDesign, draw_parameters, generate_panel
 from .dists import inv_logit
-from .mcmc import InitializationError, SamplerSettings, diagnose, run_chains
+from .mcmc import InitializationError, SamplerSettings, diagnose, map_jobs, run_chains, sweep_library
 
 TRUTH_KINDS = ("constant", "linear", "walk")
 FIT_KINDS = ("constant", "linear", "walk", "unbiased-only")
@@ -28,23 +35,34 @@ DEFAULT_STUDY_SETTINGS = SamplerSettings(
 )
 
 
-def study_design(
-    truth_kind: str,
-    n_times: int,
-    *,
-    n_anchor: int = 100,
-    n_biased: int = 1000,
-    population: int = 10_000_000,
-) -> GenDesign:
+@dataclass(frozen=True)
+class StudyConfig:
+    """The study's grid (panel lengths, replications per cell) and its
+    sizes: the unbiased survey's, each biased survey's and the population's."""
+
+    n_times: tuple[int, ...] = (5, 10, 15)
+    n_reps: int = 100
+    n_anchor: int = 100
+    n_biased: int = 1000
+    population: int = 10_000_000
+
+    def __post_init__(self):
+        for t in self.n_times:
+            check_count("study.n_times entry", t, 1)
+        for name in ("n_reps", "n_anchor", "n_biased", "population"):
+            check_count(f"study.{name}", getattr(self, name), 1)
+
+
+def study_design(truth_kind: str, n_times: int, study: StudyConfig = StudyConfig()) -> GenDesign:
     """One small unbiased survey plus two biased ones of the given kind."""
     if truth_kind not in TRUTH_KINDS:
         raise ValueError(f"unknown truth kind {truth_kind!r}, expected one of {TRUTH_KINDS}")
     plan = np.empty((3, n_times))
-    plan[0, :] = float(n_anchor)
-    plan[1:, :] = float(n_biased)
+    plan[0, :] = float(study.n_anchor)
+    plan[1:, :] = float(study.n_biased)
     return GenDesign(
         n_plan=plan,
-        population=population,
+        population=study.population,
         bias=(
             BiasModelSpec.anchor(),
             BiasModelSpec(kind=truth_kind),
@@ -63,23 +81,10 @@ def _rep_seeds(seed: int, truth_kind: str, n_times: int, rep: int):
 
 
 def rep_dataset(
-    seed: int,
-    truth_kind: str,
-    n_times: int,
-    rep: int,
-    *,
-    n_anchor: int = 100,
-    n_biased: int = 1000,
-    population: int = 10_000_000,
+    seed: int, truth_kind: str, n_times: int, rep: int, study: StudyConfig = StudyConfig()
 ) -> tuple[LatentState, SurveyPanel]:
     """The (truth, panel) pair a replication fits; independent of fit kind."""
-    design = study_design(
-        truth_kind,
-        n_times,
-        n_anchor=n_anchor,
-        n_biased=n_biased,
-        population=population,
-    )
+    design = study_design(truth_kind, n_times, study)
     truth_seq, panel_seq, _ = _rep_seeds(seed, truth_kind, n_times, rep)
     truth = draw_parameters(design, np.random.default_rng(truth_seq))
     panel, _ = generate_panel(truth, design, np.random.default_rng(panel_seq))
@@ -159,28 +164,42 @@ def _fit_spec(fit_kind: str) -> ModelSpec:
     return ModelSpec(bias=bias, priors=PriorSpec.narrowed())
 
 
-def _run_rep(
-    truth_kind: str,
-    fit_kind: str,
-    n_times: int,
-    rep: int,
-    settings: SamplerSettings,
-    seed: int,
-    sizes: dict,
-) -> RepRecord:
-    truth, panel = rep_dataset(seed, truth_kind, n_times, rep, **sizes)
+def _run_rep(job) -> RepRecord:
+    # run_chains, diagnose and rep_dataset are looked up in this module's
+    # globals at call time, so that a caller may wrap them here
+    n_times, truth_kind, fit_kind, rep, settings, seed, study = job
+    truth, panel = rep_dataset(seed, truth_kind, n_times, rep, study)
     _, _, fit_seed = _rep_seeds(seed, truth_kind, n_times, rep)
     run_settings = replace(settings, seed=fit_seed)
     if fit_kind == "unbiased-only":
         panel = panel.subset_surveys([0])
     cell = dict(truth_kind=truth_kind, fit_kind=fit_kind, n_times=n_times, rep=rep)
     try:
-        draws = run_chains(panel, _fit_spec(fit_kind), run_settings)
+        draws = run_chains(panel, _fit_spec(fit_kind), run_settings, workers=1)
     except InitializationError:
         return RepRecord(**cell, sq_error=math.nan, converged=False)
     est = float(np.quantile(inv_logit(draws.theta[:, :, n_times].ravel()), 0.5))
     true_rate = float(inv_logit(truth.theta[n_times]))
     return RepRecord(**cell, sq_error=(est - true_rate) ** 2, converged=diagnose(draws).converged)
+
+
+def _run_cells(study: StudyConfig, truth_kinds, fit_kinds, settings, seed):
+    """Every rep of every (T, truth, fit) cell, T-major, in one map: the
+    cells' results and their records, in that order."""
+    if settings is None:
+        settings = DEFAULT_STUDY_SETTINGS
+    # every study fit is approximate: find or build the compiled sweep
+    # before the workers start, so that they only load it
+    sweep_library(_fit_spec("unbiased-only"))
+    jobs = [
+        (*cell, rep, settings, seed, study)
+        for cell in itertools.product(study.n_times, truth_kinds, fit_kinds)
+        for rep in range(study.n_reps)
+    ]
+    records = map_jobs(_run_rep, jobs)
+    n = study.n_reps
+    results = [CellResult.from_records(records[i : i + n]) for i in range(0, len(records), n)]
+    return results, records
 
 
 def run_cell(
@@ -191,53 +210,31 @@ def run_cell(
     settings: SamplerSettings | None = None,
     seed: int = 0,
     *,
-    n_anchor: int = 100,
-    n_biased: int = 1000,
-    population: int = 10_000_000,
+    study: StudyConfig = StudyConfig(),
 ) -> tuple[CellResult, list[RepRecord]]:
+    """One truth x fit cell at one panel length, with ``study``'s sizes.
+
+    Its ``n_reps`` fits are one map over ``SURVEYSYNTH_WORKERS`` processes
+    (see the module docstring).
+    """
     if truth_kind not in TRUTH_KINDS:
         raise ValueError(f"unknown truth kind {truth_kind!r}, expected one of {TRUTH_KINDS}")
     if fit_kind not in FIT_KINDS:
         raise ValueError(f"unknown fit kind {fit_kind!r}, expected one of {FIT_KINDS}")
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be at least 1, got {n_reps}")
-    if settings is None:
-        settings = DEFAULT_STUDY_SETTINGS
-    sizes = dict(n_anchor=n_anchor, n_biased=n_biased, population=population)
-    records = [
-        _run_rep(truth_kind, fit_kind, n_times, rep, settings, seed, sizes)
-        for rep in range(n_reps)
-    ]
-    return CellResult.from_records(records), records
+    study = replace(study, n_times=(n_times,), n_reps=n_reps)
+    results, records = _run_cells(study, (truth_kind,), (fit_kind,), settings, seed)
+    return results[0], records
 
 
 def run_grid(
-    n_times_list=(5, 10, 15),
-    n_reps: int = 100,
+    study: StudyConfig = StudyConfig(),
     settings: SamplerSettings | None = None,
     seed: int = 0,
-    *,
-    n_anchor: int = 100,
-    n_biased: int = 1000,
-    population: int = 10_000_000,
 ) -> tuple[list[CellResult], list[RepRecord]]:
-    """Every truth x fit combination at every panel length."""
-    results: list[CellResult] = []
-    records: list[RepRecord] = []
-    for n_times in n_times_list:
-        for truth_kind in TRUTH_KINDS:
-            for fit_kind in FIT_KINDS:
-                cell, recs = run_cell(
-                    truth_kind,
-                    fit_kind,
-                    n_times,
-                    n_reps,
-                    settings,
-                    seed,
-                    n_anchor=n_anchor,
-                    n_biased=n_biased,
-                    population=population,
-                )
-                results.append(cell)
-                records.extend(recs)
-    return results, records
+    """Every truth x fit combination at every panel length of ``study``.
+
+    All of the study's fits are one map over ``SURVEYSYNTH_WORKERS``
+    processes (see the module docstring); cells come T-major, then by truth
+    and fit kind, and records by cell, then rep.
+    """
+    return _run_cells(study, TRUTH_KINDS, FIT_KINDS, settings, seed)

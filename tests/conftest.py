@@ -13,12 +13,14 @@ DEMO_N = [[100] * 10, [1000] * 10, [1000] * 10]
 
 
 @pytest.fixture(scope="session", autouse=True)
-def hermetic_library_cache(tmp_path_factory):
+def hermetic_environment(tmp_path_factory):
     """The compiled sweep built into a temporary cache for the session, not
     the user's: XDG_CACHE_HOME points there, subprocesses included, and the
-    library's path is looked up afresh. A test may still set its own."""
+    library's path is looked up afresh. SURVEYSYNTH_WORKERS is removed, so
+    fits run serially whatever the caller set. A test may still set either."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        patch.delenv("SURVEYSYNTH_WORKERS", raising=False)
         _chainlib.library.cache_clear()
         yield
     _chainlib.library.cache_clear()

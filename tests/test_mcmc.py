@@ -413,21 +413,21 @@ def test_runtime_modules_do_not_load_the_oracle():
     assert out.stdout.strip() == "False"
 
 
-def _prior_only_sigma_sq_marginal(sample):
+def _prior_only_sigma_sq_marginal():
     # with no observations the sampler must reproduce the half-normal prior
     panel = panel_of([[np.nan] * 3], [[np.nan] * 3])
     settings = SamplerSettings(n_chains=4, burn_in=2000, n_draws=80_000, thin=4, seed=7)
-    draws = sample(panel, anchor_spec(), settings)
+    draws = run_chains(panel, anchor_spec(), settings, workers=1)
     pooled = draws.sigma_sq.ravel()
     for q in (0.05, 0.5, 0.95):
         expect = special.ndtri((1 + q) / 2)  # half-normal quantile, scale 1
         assert np.quantile(pooled, q) == pytest.approx(expect, abs=0.02)
 
 
-def _prior_only_rate_at_origin(sample):
+def _prior_only_rate_at_origin():
     panel = panel_of([[np.nan] * 3], [[np.nan] * 3])
     settings = SamplerSettings(n_chains=4, burn_in=2000, n_draws=20_000, thin=2, seed=8)
-    draws = sample(panel, anchor_spec(), settings)
+    draws = run_chains(panel, anchor_spec(), settings, workers=1)
     pooled = inv_logit(draws.theta[:, :, 0].ravel())
     ref = inv_logit(np.sqrt(2.0) * special.ndtri([0.05, 0.5, 0.95]))
     for q, expect in zip((0.05, 0.5, 0.95), ref):
@@ -452,10 +452,10 @@ def quadrature_rate_posterior(y, n, prior_mean, prior_var, qs):
     return [float(inv_logit(np.interp(q, cdf, grid))) for q in qs]
 
 
-def _single_point_quadrature(sample):
+def _single_point_quadrature():
     panel = panel_of([[50.0]], [[100.0]])
     settings = SamplerSettings(n_chains=4, burn_in=3000, n_draws=9000, thin=3, seed=21)
-    draws = sample(panel, anchor_spec(), settings)
+    draws = run_chains(panel, anchor_spec(), settings, workers=1)
     table = summarize(draws, alpha=0.05)
     row = table.row("rate", t=1)
     expect = quadrature_rate_posterior(50, 100, 0.0, 2.0, [0.025, 0.5, 0.975])
@@ -480,7 +480,7 @@ def _simulate_walk_prior(n, monotone, seed):
     return theta, gamma
 
 
-def _prior_only_walk_panel(sample, monotone):
+def _prior_only_walk_panel(monotone):
     # an idle walk survey switches on the joint ridge blocks; with no data
     # the sampler must still reproduce the prior over levels and bias walks
     panel = panel_of([[np.nan] * 3, [np.nan] * 3], [[np.nan] * 3, [np.nan] * 3])
@@ -489,7 +489,7 @@ def _prior_only_walk_panel(sample, monotone):
         monotone_walk=monotone,
     )
     settings = SamplerSettings(n_chains=4, burn_in=2000, n_draws=40_000, thin=4, seed=14)
-    draws = sample(panel, spec, settings)
+    draws = run_chains(panel, spec, settings, workers=1)
     ref_theta, ref_gamma = _simulate_walk_prior(400_000, monotone, seed=99)
     for t in (1, 3):
         got = inv_logit(draws.theta[:, :, t].ravel())
@@ -504,39 +504,18 @@ def _prior_only_walk_panel(sample, monotone):
     assert abs(corr) < 0.1  # level and bias walk are independent a priori
 
 
-def _idle_walk_survey_quadrature(sample):
+def _idle_walk_survey_quadrature():
     # joint ridge moves must leave the anchor-driven posterior untouched
     panel = panel_of([[50.0], [np.nan]], [[100.0], [np.nan]])
     spec = ModelSpec(bias=(BiasModelSpec.anchor(), BiasModelSpec(kind="walk")))
     settings = SamplerSettings(n_chains=4, burn_in=3000, n_draws=9000, thin=3, seed=21)
-    draws = sample(panel, spec, settings)
+    draws = run_chains(panel, spec, settings, workers=1)
     table = summarize(draws, alpha=0.05)
     row = table.row("rate", t=1)
     expect = quadrature_rate_posterior(50, 100, 0.0, 2.0, [0.025, 0.5, 0.975])
     assert row.lower == pytest.approx(expect[0], abs=0.005)
     assert row.median == pytest.approx(expect[1], abs=0.005)
     assert row.upper == pytest.approx(expect[2], abs=0.005)
-
-
-def test_prior_only_run_recovers_sigma_sq_marginal():
-    _prior_only_sigma_sq_marginal(run_chains)
-
-
-def test_prior_only_run_recovers_rate_at_origin():
-    _prior_only_rate_at_origin(run_chains)
-
-
-def test_single_point_posterior_matches_quadrature():
-    _single_point_quadrature(run_chains)
-
-
-@pytest.mark.parametrize("monotone", [False, True])
-def test_prior_only_walk_panel_matches_direct_simulation(monotone):
-    _prior_only_walk_panel(run_chains, monotone)
-
-
-def test_single_point_with_idle_walk_survey_matches_quadrature():
-    _idle_walk_survey_quadrature(run_chains)
 
 
 # Approximate fits take one of two routes: the compiled sweep when its
@@ -578,15 +557,6 @@ def sample_group(panel, spec, settings, seeds, designs, columns):
     return mcmc._sample_compiled(panel, spec, settings, seeds, designs, columns, sweep)
 
 
-def run_one_group(panel, spec, settings):
-    """``run_chains`` with every chain in one group call (``sample_group``),
-    however narrow the fit."""
-    designs, columns = mcmc._validate_inputs(panel, spec)
-    seeds = np.random.SeedSequence(settings.seed).spawn(settings.n_chains)
-    part = sample_group(panel, spec, settings, seeds, designs, columns)
-    return mcmc._stack_chains([part], spec, settings)
-
-
 @pytest.mark.parametrize(
     "gate",
     [
@@ -594,18 +564,18 @@ def run_one_group(panel, spec, settings):
         _idle_walk_survey_quadrature,
         _prior_only_sigma_sq_marginal,
         _prior_only_rate_at_origin,
-        lambda sample: _prior_only_walk_panel(sample, False),
-        lambda sample: _prior_only_walk_panel(sample, True),
+        lambda: _prior_only_walk_panel(False),
+        lambda: _prior_only_walk_panel(True),
     ],
     ids=["single-point", "idle-walk", "sigma-sq-prior", "rate-at-origin", "walk-prior",
          "walk-prior-monotone"],
 )
-def test_statistical_gates_hold_through_the_batch(gate, tmp_path):
-    # the same gates, tolerances, seeds and lengths with every chain in one
-    # group: one compiled call, and with no compiler one chain-by-chain call
+def test_statistical_gates_hold_on_both_routes(gate, tmp_path):
+    # each gate fits with every chain in one group: one compiled call, and
+    # with no compiler one chain-by-chain call
     for name in ROUTES:
         with route(name, tmp_path):
-            gate(run_one_group)
+            gate()
 
 
 def test_diagnose_flags_convergence():
@@ -658,10 +628,20 @@ def _demo_spec(*kinds, exact=False):
     return ModelSpec(bias=bias, use_exact_nchg=exact)
 
 
+def _rising_panel(n_times):
+    """Rates rising through 1/2: theta starts below the prior mean that pads
+    node 0 and ends above the 0 that pads node T, so that a bound read from
+    either pad shows."""
+    rate = np.linspace(0.2, 0.8, n_times)
+    n = np.array([[100.0] * n_times, [400.0] * n_times, [400.0] * n_times])
+    return panel_of(np.round(n * [rate, 0.8 * rate, np.sqrt(rate)]), n)
+
+
 def _pinned_cases():
     demo = datagen.demo_panel()
     known = BiasModelSpec(kind="known", fixed_phi=tuple(1.2 + 0.05 * t for t in range(10)))
     vaccine = datagen.vaccine_shaped_bundle()
+    ridge = dataclasses.replace(_demo_spec("constant", "walk"), monotone_walk=True)
     return {
         "constant": (demo, _demo_spec("constant", "constant"), _SHORT),
         "linear": (demo, _demo_spec("linear", "linear"), _SHORT),
@@ -707,19 +687,34 @@ def _pinned_cases():
             ),
             SamplerSettings(n_chains=2, burn_in=300, n_draws=200, thin=1, seed=6),
         ),
+        # the cases below were first pinned with every chain in one group
+        "vaccine-four-chains": (vaccine.panel, vaccine.design.model_spec(), _short_settings(4)),
+        # 14 chains, with a linear survey's coefficient blocks beside the walk
+        "demo-linear-walk": (demo, _demo_spec("linear", "walk"), _short_settings(14)),
+        "vaccine-free": (
+            vaccine.panel,
+            dataclasses.replace(vaccine.design.model_spec(), monotone_walk=False),
+            _short_settings(4),
+        ),
+        # monotone bounds at both ends: T = 10 puts nodes 0 and T in one
+        # colour, T = 9 in different colours
+        "even-monotone": (_rising_panel(10), ridge,
+                          dataclasses.replace(_short_settings(3), seed=4, thin=3)),
+        "odd-monotone": (_rising_panel(9), ridge, dataclasses.replace(_short_settings(3), seed=7)),
     }
 
 
 # Digests of the draws, per case, as the chain-by-chain engine gives them
 # since it runs the batch's sweep: the batch's phase order, its streams (one
 # normal and one log-uniform per block and sweep, read by block id) and its
-# accept rule (numpy 2.4). An approximate case gives the same digest with
-# every chain in one group call (the tests below check this). The cases were
-# first pinned on the chain's own sweep, in t order with buffered streams,
-# where they guarded the cell table, the compiled bias designs and the merged
-# level, variance and coefficient blocks bit for bit; every one was
-# re-recorded once when the chain took the batch's sweep, the exact cases
-# included.
+# accept rule (numpy 2.4). The cases down to "mixed" were first pinned on the
+# chain's own sweep, in t order with buffered streams, where they guarded the
+# cell table, the compiled bias designs and the merged level, variance and
+# coefficient blocks bit for bit; every one was re-recorded once when the
+# chain took the batch's sweep, the exact cases included. The cases from
+# "vaccine-four-chains" on were first recorded (numpy 2.4) with every chain
+# in one group on a numpy batch engine since retired; no engine may change a
+# bit of them.
 _PINNED_DRAW_DIGESTS = {
     "constant": "ec8183aae35bc1d8",
     "linear": "d07bd5b31e362176",
@@ -731,18 +726,12 @@ _PINNED_DRAW_DIGESTS = {
     "vaccine": "a11f861520170266",
     "mixed": "7a0e4bac7265a7a1",
     "exact-walk-monotone": "65e350d63e0ff80d",
+    "vaccine-four-chains": "86cff9407e149d29",
+    "demo-linear-walk": "b0f66434d5a66347",
+    "vaccine-free": "23da6c7f1dbd6d5b",
+    "even-monotone": "979141d9b8e51e77",
+    "odd-monotone": "19e00fc590d11999",
 }
-
-
-def test_draws_match_pinned_digests(tmp_path):
-    for way in ROUTES:
-        with route(way, tmp_path):
-            for name, (panel, spec, settings) in _pinned_cases().items():
-                draws = run_chains(panel, spec, settings, workers=1)
-                assert _draws_digest(draws) == _PINNED_DRAW_DIGESTS[name], (way, name)
-                if not spec.use_exact_nchg:
-                    grouped = run_one_group(panel, spec, settings)
-                    assert _draws_digest(grouped) == _PINNED_DRAW_DIGESTS[name], (way, name)
 
 
 def _bookkeeping_digest(draws) -> str:
@@ -767,19 +756,12 @@ _PINNED_BOOKKEEPING_DIGESTS = {
     "vaccine": "c98d0331f39d02f5",
     "mixed": "504f7d4e5aa62647",
     "exact-walk-monotone": "bdd34f686919e967",
+    "vaccine-four-chains": "0eafa6dc5642a219",
+    "demo-linear-walk": "fbd9a25c9857e7f3",
+    "vaccine-free": "34f63348ba4201de",
+    "even-monotone": "77f728b70431d503",
+    "odd-monotone": "2b7da23e08aa4c5e",
 }
-
-
-def test_bookkeeping_matches_pinned_digests(tmp_path):
-    for way in ROUTES:
-        with route(way, tmp_path):
-            for name, (panel, spec, settings) in _pinned_cases().items():
-                draws = run_chains(panel, spec, settings, workers=1)
-                want = _PINNED_BOOKKEEPING_DIGESTS[name]
-                assert _bookkeeping_digest(draws) == want, (way, name)
-                if not spec.use_exact_nchg:
-                    grouped = run_one_group(panel, spec, settings)
-                    assert _bookkeeping_digest(grouped) == want, (way, name)
 
 
 def _summary_digest(table) -> str:
@@ -804,14 +786,17 @@ _PINNED_SUMMARY_DIGESTS = {
 }
 
 
-def test_summary_rows_match_pinned_digests(tmp_path):
-    cases = _pinned_cases()
+def test_pinned_cases_match_their_digests(tmp_path):
+    # each case is fitted once per route, every chain in one group call
     for way in ROUTES:
         with route(way, tmp_path):
-            for name, want in _PINNED_SUMMARY_DIGESTS.items():
-                panel, spec, settings = cases[name]
-                table = summarize(run_chains(panel, spec, settings, workers=1))
-                assert _summary_digest(table) == want, (way, name)
+            for name, (panel, spec, settings) in _pinned_cases().items():
+                draws = run_chains(panel, spec, settings, workers=1)
+                assert _draws_digest(draws) == _PINNED_DRAW_DIGESTS[name], (way, name)
+                assert _bookkeeping_digest(draws) == _PINNED_BOOKKEEPING_DIGESTS[name], (way, name)
+                if name in _PINNED_SUMMARY_DIGESTS:
+                    table = summarize(draws)
+                    assert _summary_digest(table) == _PINNED_SUMMARY_DIGESTS[name], (way, name)
 
 
 def test_exact_demo_chain_calls_kernel_once_per_touched_cell(monkeypatch):
@@ -917,7 +902,7 @@ def test_run_chains_picks_the_engine_from_the_fit(tmp_path):
                         run_chains(panel, spec, _short_settings(n_chains), workers=1)
 
 
-def test_batch_splits_into_groups_the_workers_allow():
+def test_run_chains_splits_into_groups_the_workers_allow():
     vaccine = datagen.vaccine_shaped_bundle()
     spec = vaccine.design.model_spec()
     groups = []
@@ -991,7 +976,7 @@ def test_resolve_workers_takes_only_a_count(workers):
         mcmc.resolve_workers(workers)
 
 
-def test_batched_draws_do_not_depend_on_workers_or_groups(tmp_path):
+def test_draws_do_not_depend_on_workers_or_groups(tmp_path):
     vaccine = datagen.vaccine_shaped_bundle()
     panel, spec = vaccine.panel, vaccine.design.model_spec()
     settings = SamplerSettings(n_chains=8, burn_in=40, n_draws=40, thin=1, seed=9)
@@ -1047,7 +1032,7 @@ def test_both_engines_give_the_same_draws():
     # the chain chain by chain, the chain with every chain in one group and,
     # where it can be had, the compiled sweep
     sweep = compiled_sweep()
-    cases = {**_pinned_cases(), **_group_pin_cases(),
+    cases = {**_pinned_cases(),
              "nine-surveys": (*_nine_survey_fit(), _short_settings(1))}
     for name, (panel, spec, settings_) in cases.items():
         if spec.use_exact_nchg:
@@ -1063,70 +1048,6 @@ def test_both_engines_give_the_same_draws():
             other = mcmc._stack_chains([part], spec, settings_)
             assert _draws_digest(chains) == _draws_digest(other), name
             assert books == part.books, name
-
-
-# Digests of the vaccine case's draws and bookkeeping with its four chains
-# in one group, as first recorded (numpy 2.4) on a numpy batch engine since
-# retired; any change to the sweep or its random streams shows here.
-_PINNED_BATCH_DIGESTS = ("86cff9407e149d29", "0eafa6dc5642a219")
-
-
-def test_batched_vaccine_draws_match_pinned_digests(tmp_path):
-    vaccine = datagen.vaccine_shaped_bundle()
-    for way in ROUTES:
-        with route(way, tmp_path):
-            draws = run_chains(vaccine.panel, vaccine.design.model_spec(), _short_settings(4),
-                               workers=1)
-        assert (_draws_digest(draws), _bookkeeping_digest(draws)) == _PINNED_BATCH_DIGESTS, way
-
-
-def _rising_panel(n_times):
-    """Rates rising through 1/2: theta starts below the prior mean that pads
-    node 0 and ends above the 0 that pads node T, so that a bound read from
-    either pad shows."""
-    rate = np.linspace(0.2, 0.8, n_times)
-    n = np.array([[100.0] * n_times, [400.0] * n_times, [400.0] * n_times])
-    return panel_of(np.round(n * [rate, 0.8 * rate, np.sqrt(rate)]), n)
-
-
-def _group_pin_cases():
-    demo = datagen.demo_panel()
-    vaccine = datagen.vaccine_shaped_bundle()
-    ridge = dataclasses.replace(_demo_spec("constant", "walk"), monotone_walk=True)
-    return {
-        # 14 chains, with a linear survey's coefficient blocks beside the walk
-        "demo-linear-walk": (demo, _demo_spec("linear", "walk"), _short_settings(14)),
-        "vaccine-free": (
-            vaccine.panel,
-            dataclasses.replace(vaccine.design.model_spec(), monotone_walk=False),
-            _short_settings(4),
-        ),
-        # monotone bounds at both ends: T = 10 puts nodes 0 and T in one
-        # colour, T = 9 in different colours
-        "even-monotone": (_rising_panel(10), ridge,
-                          dataclasses.replace(_short_settings(3), seed=4, thin=3)),
-        "odd-monotone": (_rising_panel(9), ridge, dataclasses.replace(_short_settings(3), seed=7)),
-    }
-
-
-# Digests of draws and bookkeeping with every chain in one group, first
-# recorded (numpy 2.4) on a numpy batch engine since retired; no engine may
-# change a bit of them.
-_PINNED_BATCH_CASE_DIGESTS = {
-    "demo-linear-walk": ("b0f66434d5a66347", "fbd9a25c9857e7f3"),
-    "vaccine-free": ("23da6c7f1dbd6d5b", "34f63348ba4201de"),
-    "even-monotone": ("979141d9b8e51e77", "77f728b70431d503"),
-    "odd-monotone": ("19e00fc590d11999", "2b7da23e08aa4c5e"),
-}
-
-
-def test_batched_draws_match_pinned_digests(tmp_path):
-    for way in ROUTES:
-        with route(way, tmp_path):
-            for name, (panel, spec, settings_) in _group_pin_cases().items():
-                draws = run_one_group(panel, spec, settings_)
-                got = (_draws_digest(draws), _bookkeeping_digest(draws))
-                assert got == _PINNED_BATCH_CASE_DIGESTS[name], (way, name)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from surveysynth import io, simstudy
+from surveysynth import io, mcmc, simstudy
 from surveysynth.mcmc import InitializationError, SamplerSettings
 from surveysynth.simstudy import (
     FIT_KINDS,
     TRUTH_KINDS,
     CellResult,
     RepRecord,
+    StudyConfig,
     rep_dataset,
     run_cell,
     run_grid,
@@ -169,11 +170,37 @@ def test_run_cell_records_a_rep_whose_chains_cannot_start(monkeypatch, tmp_path)
 
 
 def test_run_grid_row_count():
-    results, records = run_grid(
-        n_times_list=(2,), n_reps=1, settings=TINY, seed=5
-    )
+    results, records = run_grid(StudyConfig(n_times=(2,), n_reps=1), settings=TINY, seed=5)
     assert len(results) == len(TRUTH_KINDS) * len(FIT_KINDS)
     assert len(records) == len(results)
     combos = {(c.truth_kind, c.fit_kind, c.n_times) for c in results}
     assert len(combos) == len(results)
     assert all(c.n_times == 2 for c in results)
+
+
+def test_run_grid_workers_do_not_change_results(monkeypatch, tmp_path):
+    study = StudyConfig(n_times=(2,), n_reps=2)
+    written = []
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("SURVEYSYNTH_WORKERS", workers)
+        results, records = run_grid(study, TINY, seed=5)
+        io.write_sim_results(results, tmp_path / "results.csv")
+        io.write_rep_records(records, tmp_path / "rep_errors.csv")
+        written.append(((tmp_path / "results.csv").read_bytes(),
+                        (tmp_path / "rep_errors.csv").read_bytes()))
+    assert written[1] == written[0] and written[2] == written[0]
+
+
+def test_run_grid_maps_its_fits_once(monkeypatch):
+    pools = []
+
+    class RecordingPool(mcmc.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kw):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers, **kw)
+
+    monkeypatch.setattr(mcmc, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("SURVEYSYNTH_WORKERS", "2")
+    _, records = run_grid(StudyConfig(n_times=(2,), n_reps=1), TINY, seed=5)
+    assert len(records) == len(TRUTH_KINDS) * len(FIT_KINDS)
+    assert pools == [2]
