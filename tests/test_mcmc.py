@@ -557,6 +557,35 @@ def sample_group(panel, spec, settings, seeds, designs, columns):
     return mcmc._sample_compiled(panel, spec, settings, seeds, designs, columns, sweep)
 
 
+# Each gate fits with every chain in one group. The tests below run it on
+# the compiled route, test_statistical_gates_hold_through_the_batch with no
+# compiler; so each gate's fit is made once per route.
+def test_prior_only_run_recovers_sigma_sq_marginal(tmp_path):
+    with route("compiled", tmp_path):
+        _prior_only_sigma_sq_marginal()
+
+
+def test_prior_only_run_recovers_rate_at_origin(tmp_path):
+    with route("compiled", tmp_path):
+        _prior_only_rate_at_origin()
+
+
+def test_single_point_posterior_matches_quadrature(tmp_path):
+    with route("compiled", tmp_path):
+        _single_point_quadrature()
+
+
+@pytest.mark.parametrize("monotone", [False, True])
+def test_prior_only_walk_panel_matches_direct_simulation(monotone, tmp_path):
+    with route("compiled", tmp_path):
+        _prior_only_walk_panel(monotone)
+
+
+def test_single_point_with_idle_walk_survey_matches_quadrature(tmp_path):
+    with route("compiled", tmp_path):
+        _idle_walk_survey_quadrature()
+
+
 @pytest.mark.parametrize(
     "gate",
     [
@@ -570,12 +599,12 @@ def sample_group(panel, spec, settings, seeds, designs, columns):
     ids=["single-point", "idle-walk", "sigma-sq-prior", "rate-at-origin", "walk-prior",
          "walk-prior-monotone"],
 )
-def test_statistical_gates_hold_on_both_routes(gate, tmp_path):
-    # each gate fits with every chain in one group: one compiled call, and
-    # with no compiler one chain-by-chain call
-    for name in ROUTES:
-        with route(name, tmp_path):
-            gate()
+def test_statistical_gates_hold_through_the_batch(gate, tmp_path):
+    # each gate with no compiler: every chain in one chain-by-chain group
+    # call (this route was once the numpy batch, whence the name); the tests
+    # above run the same fits on the compiled route
+    with route("no-compiler", tmp_path):
+        gate()
 
 
 def test_diagnose_flags_convergence():
@@ -786,17 +815,55 @@ _PINNED_SUMMARY_DIGESTS = {
 }
 
 
-def test_pinned_cases_match_their_digests(tmp_path):
-    # each case is fitted once per route, every chain in one group call
+# The cases first pinned with every chain in one group on the numpy batch
+# engine; the tests named after the batch check them.
+_BATCH_PINNED = ("vaccine-four-chains", "demo-linear-walk", "vaccine-free", "even-monotone",
+                 "odd-monotone")
+
+
+@pytest.fixture(scope="module")
+def pinned_fits(tmp_path_factory):
+    """Each pinned case fitted once per route, every chain in one group call,
+    as {(route, case): draws}; the digest tests below share these fits."""
+    fits = {}
     for way in ROUTES:
-        with route(way, tmp_path):
-            for name, (panel, spec, settings) in _pinned_cases().items():
-                draws = run_chains(panel, spec, settings, workers=1)
-                assert _draws_digest(draws) == _PINNED_DRAW_DIGESTS[name], (way, name)
-                assert _bookkeeping_digest(draws) == _PINNED_BOOKKEEPING_DIGESTS[name], (way, name)
-                if name in _PINNED_SUMMARY_DIGESTS:
-                    table = summarize(draws)
-                    assert _summary_digest(table) == _PINNED_SUMMARY_DIGESTS[name], (way, name)
+        with route(way, tmp_path_factory.mktemp(way)):
+            for name, (panel, spec, settings_) in _pinned_cases().items():
+                fits[way, name] = run_chains(panel, spec, settings_, workers=1)
+    return fits
+
+
+def _check_pinned(fits, names, digest, pinned):
+    for way in ROUTES:
+        for name in names:
+            assert digest(fits[way, name]) == pinned[name], (way, name)
+
+
+def test_draws_match_pinned_digests(pinned_fits):
+    names = [n for n in _PINNED_DRAW_DIGESTS if n not in _BATCH_PINNED]
+    _check_pinned(pinned_fits, names, _draws_digest, _PINNED_DRAW_DIGESTS)
+
+
+def test_bookkeeping_matches_pinned_digests(pinned_fits):
+    names = [n for n in _PINNED_BOOKKEEPING_DIGESTS if n not in _BATCH_PINNED]
+    _check_pinned(pinned_fits, names, _bookkeeping_digest, _PINNED_BOOKKEEPING_DIGESTS)
+
+
+def test_summary_rows_match_pinned_digests(pinned_fits):
+    _check_pinned(pinned_fits, _PINNED_SUMMARY_DIGESTS,
+                  lambda draws: _summary_digest(summarize(draws)), _PINNED_SUMMARY_DIGESTS)
+
+
+def test_batched_vaccine_draws_match_pinned_digests(pinned_fits):
+    names = ["vaccine-four-chains"]
+    _check_pinned(pinned_fits, names, _draws_digest, _PINNED_DRAW_DIGESTS)
+    _check_pinned(pinned_fits, names, _bookkeeping_digest, _PINNED_BOOKKEEPING_DIGESTS)
+
+
+def test_batched_draws_match_pinned_digests(pinned_fits):
+    names = [n for n in _BATCH_PINNED if n != "vaccine-four-chains"]
+    _check_pinned(pinned_fits, names, _draws_digest, _PINNED_DRAW_DIGESTS)
+    _check_pinned(pinned_fits, names, _bookkeeping_digest, _PINNED_BOOKKEEPING_DIGESTS)
 
 
 def test_exact_demo_chain_calls_kernel_once_per_touched_cell(monkeypatch):
