@@ -17,6 +17,8 @@ from .core import (
     SummaryRow,
     SummaryTable,
     SurveyPanel,
+    check_alpha,
+    check_count,
     detect_saturated_cells,
 )
 from .dists import inv_logit
@@ -46,11 +48,12 @@ class DatedRecord:
     def __post_init__(self):
         if not isinstance(self.date, datetime.date) or isinstance(self.date, datetime.datetime):
             raise ValueError(f"date must be a datetime.date, got {self.date!r}")
-        y, n = int(self.y), int(self.n)
-        if n < 1 or y < 0 or y > n:
+        check_count("y", self.y, 0)
+        check_count("n", self.n, 1)
+        if self.y > self.n:
             raise ValueError(f"need 0 <= y <= n with n >= 1, got y={self.y}, n={self.n}")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "y", int(self.y))
+        object.__setattr__(self, "n", int(self.n))
 
 
 @dataclass(frozen=True)
@@ -193,12 +196,6 @@ class FitResult:
     saturated_cells: list[tuple[int, int]]
 
 
-def _check_alpha(alpha: float) -> None:
-    """Raise ValueError, before any fit, unless 0 < alpha < 1 (nan is not)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-
-
 def fit_full(
     panel: SurveyPanel,
     spec: ModelSpec,
@@ -208,7 +205,7 @@ def fit_full(
     workers: int | None = None,
 ) -> FitResult:
     """Fit the synthesis model to a whole panel and summarize it."""
-    _check_alpha(alpha)
+    check_alpha(alpha)  # before any fit
     if not panel.observed.any():
         raise ValueError("no observed cells")
     draws = run_chains(panel, spec, settings, workers=workers)
@@ -263,7 +260,7 @@ def nowcast_series(
     result is identical either way because every job seeds from settings
     alone.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)  # before any fit
     sweep_library(spec)  # before the workers start, so that they only load it
     jobs = [
         (panel, spec, settings, t_star, alpha) for t_star in range(1, panel.n_times + 1)

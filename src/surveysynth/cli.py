@@ -26,7 +26,7 @@ from .analysis import (
     nowcast_series,
 )
 from .config import ConfigError, RunConfig
-from .core import BiasModelSpec, ModelSpec, SurveyPanel, bias_designs
+from .core import BiasModelSpec, ModelSpec, SurveyPanel, bias_designs, check_alpha
 from .datagen import draw_parameters, generate_panel
 from .mcmc import InitializationError, SamplerSettings, resolve_workers
 from .simstudy import StudyConfig, run_grid
@@ -82,8 +82,10 @@ def _check_out(out: str) -> None:
 
 
 def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise CliError("bad-config", f"--alpha must lie in (0, 1), got {alpha}")
+    try:
+        check_alpha(alpha)
+    except ValueError as e:
+        raise CliError("bad-config", f"--{e}") from e
 
 
 def _check_workers(workers: int | None) -> int:

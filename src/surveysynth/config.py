@@ -26,6 +26,8 @@ class ConfigError(ValueError):
 
 
 def _check_keys(section: dict, allowed: tuple[str, ...], where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")

@@ -33,6 +33,12 @@ def check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def check_alpha(alpha) -> None:
+    """Raise ValueError unless 0 < alpha < 1 (nan is not)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def check_number(name: str, value) -> None:
     """Raise ValueError unless value is a real number (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):

@@ -34,39 +34,36 @@ by its scale times its normal and accepts when its log-uniform is below its
 log ratio d. Every block makes one decision per sweep (a theta move between
 tied monotone neighbours and a ridge move out of the order reject), so all
 adaptation windows close on the same sweep: one pass moves every log scale
-by (accepts / window - target) / sqrt(windows closed so far)
-(``_close_window``). After burn-in the same counts give the acceptance
-rates. Scales are snapshotted at the freeze point and at the end so callers
-can check that no post-burn-in adaptation happened.
+by (accepts / window - target) / sqrt(windows closed so far). After burn-in
+the same counts give the acceptance rates. Scales are snapshotted at the
+freeze point and at the end so callers can check that no post-burn-in
+adaptation happened.
 
-Two engines run this one sweep, and a chain gets the same draws from each,
-bit for bit. ``_sample_chain`` sweeps chain by chain on plain Python floats,
-under the approximation or the exact kernel, softplus as
-``np.logaddexp(0, x)`` computes it. ``_sample_compiled`` runs the chain's
-approximate sweeps as compiled code (``_chain.c``): Python draws each
-chain's start and each stretch of its streams, and one C call sweeps the
-stretch with the chain's operations in the chain's order. It calls libm's
-exp, log1p, log and sqrt, as Python's math module does, and is compiled at
-``-O2 -ffp-contract=off``, so no multiply-add is fused. Both take their
-blocks from one list in phase order (``_sweep_blocks``): the chain binds
-each block to its rows once per chain, and ``_flat_schedule`` flattens the
-list into the compiled sweep's arrays, so which cells a block touches, and
-in what order, is decided in one place. Every sum in a log ratio adds its
-terms in turn, first to last: a level move's cells walks first, a ridge
-move's walk priors and then its other cells, a coefficient's cells in t
-order, a variance's squared steps t-major with every walk at one t side by
-side. Only the chain runs the exact kernel (``_exact_cell``), whose cells
-are one call each.
+The sweep has one form, a flat schedule of its blocks in phase order
+(``_flat_schedule``), and one driver, ``_sample``. The driver draws each
+chain's start and each stretch of its streams, lays out the chain's state
+as the compiled sweep's ``struct chain`` (``_chain.c``) does, and hands
+each stretch to one of two interpreters of the schedule, which give the
+same draws, bit for bit. The compiled sweep runs approximate fits only. It
+calls libm's exp, log1p, log and sqrt, as Python's math module does, and
+is compiled at ``-O2 -ffp-contract=off``, so no multiply-add is fused.
+``_run_python`` is its port on plain Python floats, under the approximation
+or the exact kernel (``_exact_cell``, one call per cell), softplus as
+``np.logaddexp(0, x)`` computes it; it reads the schedule decoded once per
+fit (``_decode``). Which cells a block touches, and in what order, is
+decided in one place. Every sum in a log ratio adds its terms in turn,
+first to last: a level move's cells walks first, a ridge move's walk priors
+and then its other cells, a coefficient's cells in t order, a variance's
+squared steps t-major with every walk at one t side by side.
 The chain keeps each observed cell's log bias odds (lp) and log-likelihood
 (ll); a block evaluates the cells it touches at the proposal only, and an
 accepted move copies the new values over, so ll equals a fresh evaluation
-and a touched cell costs one kernel call per block. Both engines share the
-start, the block names, the adaptation rule and the bookkeeping
-(``_books``), and write a group's draws into one array per parameter with a
-leading chain axis (``_draw_arrays``, ``_Part``). A chain's start fails
-before the first sweep when a cell is not finite (``InitializationError``).
-The likelihood module is the reference density the sampler is tested
-against; the sampler does not use it.
+and a touched cell costs one kernel call per block. A group's draws go
+into one array per parameter with a leading chain axis (``_draw_arrays``,
+``_Part``), and each chain's bookkeeping into ``_books``. A chain's start
+fails before the first sweep when a cell is not finite
+(``InitializationError``). The likelihood module is the reference density
+the sampler is tested against; the sampler does not use it.
 
 ``run_chains`` splits a fit's chains into min(workers, n_chains) contiguous
 groups, one job each (``_group_job``). Under the approximation it first
@@ -74,10 +71,10 @@ finds the compiled sweep's library in its cache or builds it
 (``_chainlib.library``, once per process), before any worker starts, so
 that workers only load it; then every group runs through it. When the
 library cannot be had (no compiler, a failed build, a file that will not
-load), and for exact-kernel fits, which never load it, a group runs chain by
-chain. No draw depends on the route or the grouping, so both are speed
-choices only. A group gives one ``_Part`` on either route, and when one
-group holds every chain, its arrays are the fit's draws.
+load), and for exact-kernel fits, which never load it, a group runs through
+``_run_python``. No draw depends on the route or the grouping, so both are
+speed choices only. A group gives one ``_Part`` on either route, and when
+one group holds every chain, its arrays are the fit's draws.
 
 ``split_stats`` scores split-chain R-hat and ESS for a whole stack of
 series at once, bit for bit as ``r_hat`` and ``ess`` score one. ``diagnose``
@@ -92,6 +89,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -103,6 +101,7 @@ from .core import (
     SummaryTable,
     SurveyPanel,
     bias_designs,
+    check_alpha,
     check_count,
     coefficient_columns,
     compile_model,
@@ -272,19 +271,6 @@ def _block_names(n_times: int, columns, walk: bool) -> list[str]:
     return names
 
 
-def _close_window(log_scale: list, scale: list, acc: list, settings: SamplerSettings,
-                  n_windows: int) -> None:
-    """Close an adaptation window: move every log scale by (accepts / window
-    - target) / sqrt(windows closed so far) and reset the counts, in place."""
-    window = settings.adapt_window
-    target = settings.target_accept
-    root = math.sqrt(n_windows)
-    for b in range(len(acc)):
-        log_scale[b] += (acc[b] / window - target) / root
-        scale[b] = math.exp(log_scale[b])
-        acc[b] = 0
-
-
 class _Part(NamedTuple):
     """An engine's draws for its chains, each (chains, kept, ...), and per
     chain its bookkeeping (``_books``)."""
@@ -336,60 +322,118 @@ def _refill(rng, blocks: int):
 _LEVEL, _COEF, _WALK, _VAR = range(4)  # block kinds, numbered as the compiled sweep's (_chain.c)
 
 
-def _sweep_blocks(panel: SurveyPanel, spec: ModelSpec, designs, columns, walk_ks) -> list:
-    """The sweep's blocks in phase order (``_phase_order``): the one list
-    from which ``_sample_chain`` binds its blocks and ``_flat_schedule``
-    flattens the compiled sweep's. Node t sits at p = t + 1, as in the
-    chain's padded rows. A block is one of
+def _flat_schedule(panel: SurveyPanel, spec: ModelSpec, designs, columns, walk_ks):
+    """The sweep's blocks in phase order (``_phase_order``), flattened as the
+    compiled sweep reads them (``_chain.c`` lists the layout): int64 kinds,
+    ids and shapes, float64 constants, and each non-walk survey's first
+    coefficient in the chain's flat gamma. Node t sits at p = t + 1, as in
+    the chain's padded rows; the one schedule of both routes (``_sample``).
 
-    - (_LEVEL, id, p, walks, cells, refresh): a theta move, or a ridge move
-      with its walks as (survey, step weight before node 0); the cells its
-      ratio adds, in that order, as (survey, y, n, shift), walks first, with
-      shift 1.0 for a walk cell that a ridge move counts at shifted odds (the
-      exact kernel's); the cells an accept refreshes, as (survey, y, n).
-      Under the logit-shift approximation a ridge move leaves its walk cells
-      unchanged, so its ratio skips them and an accept refreshes them;
-    - (_COEF, id, column): a non-walk coefficient and its compiled column,
-      whose cells its ratio adds in t order;
-    - (_WALK, id, p, survey, step weight before node 0, (y, n) or None);
-    - (_VAR, id, is_pi, steps, prior scale): sigma_sq's steps of theta (row
-      -1) or pi_sq's of every walk, as (row, p) from p - 1 to p, t-major with
-      every walk at one t side by side.
+    A level move counts the cells at its node, walks first. Under the
+    logit-shift approximation a ridge move leaves its walk cells unchanged,
+    so its ratio skips them and an accept refreshes them. Under the exact
+    kernel it counts every cell and refreshes none, and a counted cell of one
+    of its walks is read at the shifted odds (``_decode``).
     """
     T = panel.n_times
     pr = spec.priors
-    exact = spec.use_exact_nchg
+    first, at = {}, 0
+    for k, d in enumerate(designs):
+        if k not in walk_ks:
+            first[k], at = at, at + len(d.var)
     seen = {(k, t): (float(y), float(n)) for k, t, y, n in panel.observed_cells()}
     w0 = {k: 0.5 / designs[k].var[0] for k in walk_ks}
-    walks = [(k, w0[k]) for k in walk_ks]
     surveys = walk_ks + [k for k in range(len(designs)) if k not in w0]
-    # each node's cells, walks first, at shift 0, as a theta move counts them
-    here = [[(k, *seen[k, t], 0.0) for k in surveys if (k, t) in seen] for t in range(T + 1)]
+    here = [[k for k in surveys if (k, t) in seen] for t in range(T + 1)]
     ridge0 = T + 3 + len(columns)  # the id of joint[0]
-    blocks: list[tuple] = []
+    ix: list[int] = []
+    fx: list[float] = []
     for name, ids in _phase_order(T, columns, walk_ks):
-        if name == "theta":
-            blocks += [(_LEVEL, b, b + 1, (), here[b], ()) for b in ids]
-        elif name == "ridge":
-            for b in ids:
-                cells = here[b - ridge0]
-                if exact:
-                    counted, refresh = [(k, y, n, float(k in w0)) for k, y, n, _ in cells], ()
-                else:
-                    counted = [c for c in cells if c[0] not in w0]
-                    refresh = [c[:3] for c in cells if c[0] in w0]
-                blocks.append((_LEVEL, b, b - ridge0 + 1, walks, counted, refresh))
-        elif name == "coefficient":
-            blocks += [(_COEF, b, columns[b - T - 2]) for b in ids]
-        elif name == "walk":
-            blocks += [(_WALK, b, c.j + 1, c.k, w0[c.k], seen.get((c.k, c.j)))
-                       for b in ids for c in [columns[b - T - 2]]]
+        for b in ids:
+            if name in ("theta", "ridge"):
+                t = b if name == "theta" else b - ridge0
+                walks = walk_ks if name == "ridge" else []
+                counted, refresh = here[t], []
+                if walks and not spec.use_exact_nchg:
+                    counted = [k for k in here[t] if k not in w0]
+                    refresh = [k for k in here[t] if k in w0]
+                ix += (_LEVEL, b, t + 1, len(walks), len(counted), len(refresh),
+                       *walks, *counted, *refresh)
+                fx += [w0[k] for k in walks]
+                for k in counted + refresh:
+                    fx += seen[k, t]
+            elif name == "coefficient":
+                c = columns[b - T - 2]
+                ix += (_COEF, b, c.k, first[c.k], c.j, len(c.rows))
+                fx.append(2.0 * c.var)
+                for t, y, n, offset, terms in c.rows:
+                    ix += ([t + 1, -1] if terms is None
+                           else [t + 1, len(terms), *(i for i, _ in terms)])
+                    fx += [y, n, offset, *(v for _, v in terms or ())]
+            elif name == "walk":
+                c = columns[b - T - 2]
+                cell = seen.get((c.k, c.j))
+                ix += (_WALK, b, c.k, c.j + 1, int(cell is not None))
+                fx += (w0[c.k], *(cell or (0.0, 0.0)))
+            else:  # sigma_sq's steps of theta (row -1) or pi_sq's of every walk, t-major
+                is_pi = name == "pi_sq"
+                steps = [(r, p) for p in range(2, T + 2) for r in (walk_ks if is_pi else (-1,))]
+                ix += (_VAR, b, int(is_pi), len(steps))
+                for step in steps:
+                    ix += step
+                fx.append(pr.pi_sq_scale if is_pi else pr.sigma_sq_scale)
+    return np.array(ix, dtype=np.int64), np.array(fx, dtype=float), first
+
+
+def _decode(ix, fx, R: int) -> list:
+    """The flat schedule read once into blocks of flat indices, at = survey *
+    R + p into the chain's lp, ll, nlp and nll, in runs of one kind as
+    ``_run_python`` sweeps them: level (id, p, walks as (at, weight before
+    node 0), counted cells as (at, y, n, shift), refreshed cells as (at, y,
+    n)), shift 1.0 for a cell of one of the move's walks; coefficient (id,
+    its index in gam, 2 var, rows as (p, at, y, n, offset, terms as (index in
+    gam, c), or None), the rows' at); walk (id, at, p, weight before node 0,
+    y, n; y None when unobserved); variance (id, is_pi, each step's at in th
+    or lp, prior scale)."""
+    ints, floats = iter(ix.tolist()), iter(fx.tolist())
+
+    def take(values, count):
+        return list(itertools.islice(values, count))
+
+    runs: list[tuple[int, list]] = []
+    for kind in ints:
+        b = next(ints)
+        if kind == _LEVEL:
+            p, nw, nc, nr = take(ints, 4)
+            walks, counted, refresh = take(ints, nw), take(ints, nc), take(ints, nr)
+            block = (b, p, [(k * R + p, w) for k, w in zip(walks, take(floats, nw))],
+                     [(k * R + p, next(floats), next(floats), float(k in walks)) for k in counted],
+                     [(k * R + p, next(floats), next(floats)) for k in refresh])
+        elif kind == _COEF:
+            k, at0, j, n_rows = take(ints, 4)
+            two_var = next(floats)
+            rows = []
+            for _ in range(n_rows):
+                p, nt = take(ints, 2)
+                y, n, offset = take(floats, 3)
+                terms = None if nt < 0 else tuple(zip([at0 + i for i in take(ints, nt)],
+                                                      take(floats, nt)))
+                rows.append((p, k * R + p, y, n, offset, terms))
+            block = (b, at0 + j, two_var, rows, [r[1] for r in rows])
+        elif kind == _WALK:
+            k, p, observed = take(ints, 3)
+            wfirst, y, n = take(floats, 3)
+            block = (b, k * R + p, p, wfirst, *((y, n) if observed else (None, None)))
         else:
-            is_pi = name == "pi_sq"
-            steps = [(r, p) for p in range(2, T + 2) for r in (walk_ks if is_pi else (-1,))]
-            blocks.append((_VAR, ids[0], is_pi, steps,
-                           pr.pi_sq_scale if is_pi else pr.sigma_sq_scale))
-    return blocks
+            is_pi, n_steps = take(ints, 2)
+            steps = take(ints, 2 * n_steps)
+            block = (b, is_pi, [p if r < 0 else r * R + p for r, p in zip(steps[::2], steps[1::2])],
+                     next(floats))
+        if runs and runs[-1][0] == kind:
+            runs[-1][1].append(block)
+        else:
+            runs.append((kind, [block]))
+    return runs
 
 
 def _draw_arrays(designs, n_chains: int, settings: SamplerSettings, n_times: int, walk: bool):
@@ -402,117 +446,38 @@ def _draw_arrays(designs, n_chains: int, settings: SamplerSettings, n_times: int
             np.empty((C, kept)) if walk else None)
 
 
-def _sample_chain(
-    panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings, seeds, designs, columns
-) -> _Part:
-    """The chains of ``seeds`` one by one on plain Python floats, under the
-    logit-shift approximation or the exact kernel, each writing its draws
-    into its row of the group's arrays (``_draw_arrays``)."""
-    T = panel.n_times
-    walk_ks = [k for k, d in enumerate(designs) if None in d.var]
-    blocks = _sweep_blocks(panel, spec, designs, columns, walk_ks)
-    names = _block_names(T, columns, bool(walk_ks))
-    out = _draw_arrays(designs, len(seeds), settings, T, bool(walk_ks))
-    theta, sig, gam, pi = out
-    books = [_sweep_chain(panel, spec, settings, seed, designs, walk_ks, blocks, names,
-                          (theta[c], sig[c], [g[c] for g in gam], None if pi is None else pi[c]))
-             for c, seed in enumerate(seeds)]
-    return _Part(*out, books)
-
-
-def _sweep_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings, seed, designs,
-                 walk_ks, blocks, names, out):
-    """One chain's sweeps from ``seed``, its draws written into ``out`` (its
-    rows of the group's arrays); returns its bookkeeping (``_books``)."""
-    rng = np.random.default_rng(seed)
-    pr = spec.priors
-    T = panel.n_times
-    K = panel.n_surveys
-    monotone = spec.monotone_walk
-    exact = spec.use_exact_nchg
-
-    # the exact kernel is a call; the logit-shift cell term x = theta + g,
-    # y*x - n*softplus(x), is written out inline wherever a cell is
-    # evaluated, softplus as np.logaddexp(0, x) computes it
+def _run_python(c, it0: int, sweeps: int, normals, log_us) -> None:
+    """``ss_chain_run`` of ``_chain.c`` on plain Python floats: sweeps it0 ..
+    it0 + sweeps - 1 of the chain ``c`` (``_sample``), reading sweep i's steps
+    and log-uniforms from row i of the stretch ``normals`` and ``log_us``,
+    with the freeze, the adaptation windows and thinning. Under the
+    logit-shift approximation the cell term x = theta + g, y*x -
+    n*softplus(x), is written out inline, softplus as np.logaddexp(0, x)
+    computes it; the exact kernel's cell is a call (``c.cell_ll``). The
+    chain's state is in lists, which it updates in place."""
+    th, lp, ll, nlp, nll, gam = c.th, c.lp, c.ll, c.nlp, c.nll, c.gam
+    log_scale, scale, frozen, acc, counts = c.log_scale, c.scale, c.frozen, c.acc, c.counts
+    # sigma_sq, pi_sq and their step weights 1 / (2 var)
+    sigma_sq, pi_sq, wsig, wpi = c.var
+    T, B, monotone, wt0 = c.T, c.B, c.monotone, c.wt0
+    burn, thin, window, target = c.burn, c.thin, c.window, c.target
+    cell_ll = c.cell_ll
+    exact = cell_ll is not None
+    out_theta, out_sig, out_pi = c.out_theta, c.out_sig, c.out_pi
+    kept = [(lp if from_lp else gam, at, at + length, out)
+            for (from_lp, at, length), out in zip(c.outs, c.out_gam)]
     exp_ = math.exp
     log1p_ = math.log1p
-    cell_ll = _exact_cell(panel.population) if exact else None
-    theta, sigma_sq, pi_sq, gam, lphi, ll0 = _start(panel, spec, designs, rng, cell_ll)
-    # padded: node t at t + 1, before node 0 its prior mean (theta0_mean, 0
-    # for a bias walk), after node T a 0 of step weight 0. A bias walk's row
-    # of lp is its coefficient vector. A block keeps its proposal's values at
-    # the cells it touches in new_lp and new_ll, and an accepted move copies
-    # them over lp and ll.
-    th = [pr.theta0_mean, *theta, 0.0]
-    lp = [[0.0, *row, 0.0] for row in lphi]
-    ll = [[0.0, *row, 0.0] for row in ll0]
-    new_lp = [[0.0] * (T + 3) for _ in range(K)]
-    new_ll = [[0.0] * (T + 3) for _ in range(K)]
-
-    # each block bound to this chain's rows, in runs of one kind: level (id,
-    # p, walks as (lp row, weight before node 0), cells in the ratio, cells
-    # refreshed); coefficient (id, gamma, j, 2 var, rows, their nodes, and
-    # the survey's lp, ll, new_lp and new_ll rows); walk (id, lp row, ll row,
-    # p, weight before node 0, y and n, or None); variance (id, is_pi, its
-    # steps as (row, p), prior scale)
-    schedule = []
-    for kind, run in itertools.groupby(blocks, key=lambda block: block[0]):
-        if kind == _LEVEL:
-            bound = [(b, p, [(lp[k], w) for k, w in walks],
-                      [(lp[k], ll[k], new_ll[k], y, n, shift) for k, y, n, shift in cells],
-                      [(lp[k], ll[k], y, n) for k, y, n in refresh])
-                     for _, b, p, walks, cells, refresh in run]
-        elif kind == _COEF:
-            bound = []
-            for _, b, c in run:
-                rows = tuple((t + 1, *rest) for t, *rest in c.rows)
-                bound.append((b, gam[c.k], c.j, 2.0 * c.var, rows, [r[0] for r in rows],
-                              lp[c.k], ll[c.k], new_lp[c.k], new_ll[c.k]))
-        elif kind == _WALK:
-            bound = [(b, lp[k], ll[k], p, wfirst, *(cell or (None, None)))
-                     for _, b, p, k, wfirst, cell in run]
-        else:
-            bound = [(b, is_pi, [(th if r < 0 else lp[r], p) for r, p in steps], prior_sq)
-                     for _, b, is_pi, steps, prior_sq in run]
-        schedule.append((kind, bound))
-    B = len(names)
-    log_scale = [math.log(0.5)] * B
-    scale = [0.5] * B
-    # accepts per block in the open adaptation window, then after burn-in
-    acc = [0] * B
-    n_windows = 0
-
-    window = settings.adapt_window
-    burn = settings.burn_in
-    thin = settings.thin
-    total = burn + settings.n_draws
-    # step weights 1 / (2 var): before node 0, and of sigma_sq's and pi_sq's steps
-    wt0 = 0.5 / pr.theta0_var
-    wsig = 0.5 / sigma_sq
-    wpi = None if pi_sq is None else 0.5 / pi_sq
     log_ = math.log
-    nodes = slice(1, T + 2)
 
-    out_theta, out_sig, out_gam, out_pi = out
-    kept_gam = [(k, out_gam[k], k in walk_ks) for k, d in enumerate(designs) if d.var]
-    keep_i = 0
-    scales_frozen: dict[str, float] = {}
-    sweep = chunk = 0
-
-    for it in range(total):
+    for it, z, lu in zip(range(it0, it0 + sweeps), normals.tolist(), log_us.tolist()):
         if it == burn:
-            scales_frozen = dict(zip(names, scale))
-            acc = [0] * B  # a partial window at the freeze point is dropped
-        if sweep == chunk:
-            normals, log_us = _refill(rng, B)
-            chunk, sweep = len(normals), 0
-            normals, log_us = normals.tolist(), log_us.tolist()
-        z, lu = normals[sweep], log_us[sweep]
-        sweep += 1
+            frozen[:] = scale
+            acc[:] = [0] * B  # a partial window at the freeze point is dropped
 
-        for kind, bound in schedule:
+        for kind, blocks in c.schedule:
             if kind == _LEVEL:
-                for bid, p, walks, tcells, refresh in bound:
+                for bid, p, walks, cells, refresh in blocks:
                     cur, prev, nxt = th[p], th[p - 1], th[p + 1]
                     delta = scale[bid] * z[bid]
                     prop = cur + delta
@@ -535,95 +500,96 @@ def _sweep_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings,
                                         - (2.0 * nxt - s) * (wsig if p <= T else 0.0))
                     if walks:  # the ridge's counter-shift of every bias walk at t
                         ws = 0.0
-                        for g, wfirst in walks:
-                            gc = g[p]
+                        for a, wfirst in walks:
+                            gc = lp[a]
                             gn = gc - delta
                             sg = gc + gn
-                            ws += (gc - gn) * ((sg - 2.0 * g[p - 1]) * (wpi if p > 1 else wfirst)
-                                               - (2.0 * g[p + 1] - sg) * (wpi if p <= T else 0.0))
+                            ws += (gc - gn) * ((sg - 2.0 * lp[a - 1]) * (wpi if p > 1 else wfirst)
+                                               - (2.0 * lp[a + 1] - sg) * (wpi if p <= T else 0.0))
                         d += ws
                     cs = 0.0
                     if exact:
-                        for lpk, llk, nllk, y, n, shift in tcells:
-                            v = nllk[p] = cell_ll(prop, lpk[p] - shift * delta, y, n)
-                            cs += v - llk[p]
+                        for a, y, n, shift in cells:
+                            v = nll[a] = cell_ll(prop, lp[a] - shift * delta, y, n)
+                            cs += v - ll[a]
                     else:
-                        for lpk, llk, nllk, y, n, _ in tcells:
-                            x = prop + lpk[p]
+                        for a, y, n, _ in cells:
+                            x = prop + lp[a]
                             v = y * x - n * (x + log1p_(exp_(-x)) if x > 0.0 else log1p_(exp_(x)))
-                            nllk[p] = v
-                            cs += v - llk[p]
+                            nll[a] = v
+                            cs += v - ll[a]
                     d += cs
                     if lu[bid] < d:
                         th[p] = prop
-                        for _, llk, nllk, _, _, _ in tcells:
-                            llk[p] = nllk[p]
+                        for a, _, _, _ in cells:
+                            ll[a] = nll[a]
                         if walks:
-                            for g, _ in walks:
-                                g[p] -= delta
-                            for lpk, llk, y, n in refresh:
-                                x = prop + lpk[p]
-                                llk[p] = y * x - n * (x + log1p_(exp_(-x)) if x > 0.0
-                                                      else log1p_(exp_(x)))
+                            for a, _ in walks:
+                                lp[a] -= delta
+                            for a, y, n in refresh:
+                                x = prop + lp[a]
+                                ll[a] = y * x - n * (x + log1p_(exp_(-x)) if x > 0.0
+                                                     else log1p_(exp_(x)))
                         acc[bid] += 1
 
             elif kind == _COEF:  # propose gamma[j], add its prior term, then
                 # re-evaluate each cell in its column at offset + sum of c * gamma
-                for bid, gk, j, two_var, rows, ps, lpk, llk, nlpk, nllk in bound:
-                    cur = gk[j]
+                for bid, gj, two_var, rows, ats in blocks:
+                    cur = gam[gj]
                     prop = cur + scale[bid] * z[bid]
                     d = (cur * cur - prop * prop) / two_var
-                    gk[j] = prop
+                    gam[gj] = prop
                     cs = 0.0
-                    for p, y, n, g, terms in rows:  # g starts as the row's offset
+                    for p, a, y, n, g, terms in rows:  # g starts as the row's offset
                         if terms is None:
                             g = prop
                         else:
-                            for i, c in terms:
-                                g = g + c * gk[i]
+                            for gi, cf in terms:
+                                g = g + cf * gam[gi]
                         if exact:
                             v = cell_ll(th[p], g, y, n)
                         else:
                             x = th[p] + g
                             v = y * x - n * (x + log1p_(exp_(-x)) if x > 0.0 else log1p_(exp_(x)))
-                        nlpk[p] = g
-                        nllk[p] = v
-                        cs += v - llk[p]
+                        nlp[a] = g
+                        nll[a] = v
+                        cs += v - ll[a]
                     d += cs
                     if lu[bid] < d:
-                        for p in ps:
-                            lpk[p] = nlpk[p]
-                            llk[p] = nllk[p]
+                        for a in ats:
+                            lp[a] = nlp[a]
+                            ll[a] = nll[a]
                         acc[bid] += 1
                     else:
-                        gk[j] = cur
+                        gam[gj] = cur
 
             elif kind == _WALK:
-                for bid, g, llk, p, wfirst, y, n in bound:
-                    cur = g[p]
+                for bid, a, p, wfirst, y, n in blocks:
+                    cur = lp[a]
                     prop = cur + scale[bid] * z[bid]
                     s = cur + prop
-                    d = (cur - prop) * ((s - 2.0 * g[p - 1]) * (wpi if p > 1 else wfirst)
-                                        - (2.0 * g[p + 1] - s) * (wpi if p <= T else 0.0))
+                    d = (cur - prop) * ((s - 2.0 * lp[a - 1]) * (wpi if p > 1 else wfirst)
+                                        - (2.0 * lp[a + 1] - s) * (wpi if p <= T else 0.0))
                     if y is not None:
                         if exact:
                             v = cell_ll(th[p], prop, y, n)
                         else:
                             x = th[p] + prop
                             v = y * x - n * (x + log1p_(exp_(-x)) if x > 0.0 else log1p_(exp_(x)))
-                        d += v - llk[p]
+                        d += v - ll[a]
                     if lu[bid] < d:
-                        g[p] = prop
+                        lp[a] = prop
                         if y is not None:
-                            llk[p] = v
+                            ll[a] = v
                         acc[bid] += 1
 
             else:  # sigma_sq or pi_sq, on the log scale against its walk steps
-                for bid, is_pi, steps, prior_sq in bound:
+                for bid, is_pi, steps, prior_sq in blocks:
+                    g = lp if is_pi else th
                     v = pi_sq if is_pi else sigma_sq
                     sse = 0.0
-                    for g, p in steps:
-                        dd = g[p] - g[p - 1]
+                    for a in steps:
+                        dd = g[a] - g[a - 1]
                         sse += dd * dd
                     lcur = log_(v)
                     lprop = lcur + scale[bid] * z[bid]
@@ -646,78 +612,38 @@ def _sweep_chain(panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings,
         # every block made one decision this sweep, so all adaptation
         # windows close together
         if it < burn and (it + 1) % window == 0:
-            n_windows += 1
-            _close_window(log_scale, scale, acc, settings, n_windows)
+            counts[1] += 1
+            root = math.sqrt(counts[1])
+            for b in range(B):
+                log_scale[b] += (acc[b] / window - target) / root
+                scale[b] = exp_(log_scale[b])
+                acc[b] = 0
 
         if it >= burn and (it - burn) % thin == thin - 1:
-            out_theta[keep_i] = th[nodes]
-            out_sig[keep_i] = sigma_sq
-            for k, g, walk in kept_gam:
-                g[keep_i] = lp[k][nodes] if walk else gam[k]
+            i = counts[0]
+            counts[0] += 1
+            out_theta[i] = th[1 : T + 2]
+            out_sig[i] = sigma_sq
+            for src, lo, hi, out in kept:
+                out[i] = src[lo:hi]
             if out_pi is not None:
-                out_pi[keep_i] = pi_sq
-            keep_i += 1
+                out_pi[i] = pi_sq
 
-    return _books(settings, names, acc, scales_frozen, scale)
-
-
-def _flat_schedule(panel: SurveyPanel, spec: ModelSpec, designs, columns, walk_ks):
-    """The approximate sweep's blocks (``_sweep_blocks``) flattened for the
-    compiled sweep (``_chain.c`` lists the layout): int64 kinds, ids and
-    shapes, float64 constants, and each non-walk survey's first coefficient
-    in the chain's flat gamma."""
-    first, at = {}, 0
-    for k, d in enumerate(designs):
-        if k not in walk_ks:
-            first[k], at = at, at + len(d.var)
-    ix: list[int] = []
-    fx: list[float] = []
-    for block in _sweep_blocks(panel, spec, designs, columns, walk_ks):
-        kind, b = block[0], block[1]
-        if kind == _LEVEL:
-            _, _, p, walks, cells, refresh = block
-            ix += (_LEVEL, b, p, len(walks), len(cells), len(refresh))
-            for k, w in walks:
-                ix.append(k)
-                fx.append(w)
-            for c in cells:
-                ix.append(c[0])
-                fx += c[1:3]
-            for c in refresh:
-                ix.append(c[0])
-                fx += c[1:3]
-        elif kind == _COEF:
-            c = block[2]
-            ix += (_COEF, b, c.k, first[c.k], c.j, len(c.rows))
-            fx.append(2.0 * c.var)
-            for t, y, n, offset, terms in c.rows:
-                ix += [t + 1, -1] if terms is None else [t + 1, len(terms), *(i for i, _ in terms)]
-                fx += [y, n, offset, *(v for _, v in terms or ())]
-        elif kind == _WALK:
-            _, _, p, k, wfirst, cell = block
-            ix += (_WALK, b, k, p, int(cell is not None))
-            fx += (wfirst, *(cell or (0.0, 0.0)))
-        else:
-            _, _, is_pi, steps, prior_sq = block
-            ix += (_VAR, b, int(is_pi), len(steps))
-            for step in steps:
-                ix += step
-            fx.append(prior_sq)
-    return np.array(ix, dtype=np.int64), np.array(fx, dtype=float), first
+    c.var[:] = (sigma_sq, pi_sq, wsig, wpi)
 
 
-def _sample_compiled(
+def _sample(
     panel: SurveyPanel, spec: ModelSpec, settings: SamplerSettings, seeds, designs, columns, run
 ) -> _Part:
-    """The chains of ``seeds`` one by one through the compiled sweep ``run``
-    (``_chainlib.load``), under the logit-shift approximation only. Each chain
-    draws its start and streams as ``_sample_chain`` does and passes each
-    stretch of streams to one call, which sweeps it as the chain would; so the
-    draws and bookkeeping are the chain's, bit for bit. Every buffer is made
-    here and dropped with the fit; the chains write their draws into the
-    group's arrays (``_draw_arrays``), as the chain does."""
-    from ._chainlib import Chain
-
+    """The chains of ``seeds`` one by one, each writing its draws into its
+    row of the group's arrays (``_draw_arrays``). A chain draws its start
+    (``_start``) and each stretch of its streams (``_refill``), lays out its
+    state as ``struct chain`` of ``_chain.c`` does, and hands each stretch to
+    ``run``: the compiled sweep (``_chainlib.load``), under the logit-shift
+    approximation only, or, when ``run`` is None, ``_run_python``. Both read
+    one schedule (``_flat_schedule``), so the draws and bookkeeping are the
+    same either way, bit for bit. Every buffer is made here and dropped with
+    the fit."""
     T, K = panel.n_times, panel.n_surveys
     R = T + 3
     walk_ks = [k for k, d in enumerate(designs) if None in d.var]
@@ -730,60 +656,73 @@ def _sample_compiled(
     kept_ks = [k for k, d in enumerate(designs) if d.var]
     outs = np.array([(1, k * R + 1, T + 1) if k in walk_ks else (0, first[k], len(designs[k].var))
                      for k in kept_ks], dtype=np.int64)
-    out_gam_at = np.empty(len(kept_ks), dtype=np.intp)
-    chain = Chain(T=T, B=B, monotone=spec.monotone_walk, burn=settings.burn_in,
-                  thin=settings.thin, window=settings.adapt_window, n_ix=len(ix),
-                  n_out=len(kept_ks), wt0=0.5 / spec.priors.theta0_var,
-                  target=settings.target_accept, ix=ix.ctypes.data, fx=fx.ctypes.data,
-                  outs=outs.ctypes.data, out_gam=out_gam_at.ctypes.data)
+    cell_ll = _exact_cell(panel.population) if spec.use_exact_nchg else None
+    fixed = dict(T=T, B=B, monotone=spec.monotone_walk, burn=settings.burn_in,
+                 thin=settings.thin, window=settings.adapt_window,
+                 wt0=0.5 / spec.priors.theta0_var, target=settings.target_accept)
+    if run is None:
+        chain = SimpleNamespace(**fixed, schedule=_decode(ix, fx, R), cell_ll=cell_ll,
+                                outs=outs.tolist())
+    else:
+        from ._chainlib import Chain
+
+        out_gam_at = np.empty(len(kept_ks), dtype=np.intp)
+        chain = Chain(**fixed, n_ix=len(ix), n_out=len(kept_ks), ix=ix.ctypes.data,
+                      fx=fx.ctypes.data, outs=outs.ctypes.data, out_gam=out_gam_at.ctypes.data)
     total = settings.burn_in + settings.n_draws
     books = []
     for c, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        theta, sigma_sq, pi_sq, gam, lphi, ll0 = _start(panel, spec, designs, rng, None)
-        th = np.array([spec.priors.theta0_mean, *theta, 0.0])
-        lp, ll, nlp, nll = (np.zeros((K, R)) for _ in range(4))
-        lp[:, 1 : T + 2] = lphi
-        ll[:, 1 : T + 2] = ll0
-        flat_gam = np.array([v for k in first for v in gam[k]], dtype=float)
-        var = np.array([sigma_sq, pi_sq or 0.0, 0.5 / sigma_sq, 0.5 / pi_sq if pi_sq else 0.0])
-        log_scale = np.full(B, math.log(0.5))
-        scale = np.full(B, 0.5)
-        frozen = np.empty(B)
-        acc = np.zeros(B, dtype=np.int64)
-        counts = np.zeros(2, dtype=np.int64)
-        out_gam_at[:] = [out_gam[k][c].ctypes.data for k in kept_ks]
-        for field, a in (("th", th), ("lp", lp), ("ll", ll), ("nlp", nlp), ("nll", nll),
-                         ("gam", flat_gam), ("var", var), ("log_scale", log_scale),
-                         ("scale", scale), ("frozen", frozen), ("acc", acc), ("counts", counts),
-                         ("out_theta", out_theta[c]), ("out_sig", out_sig[c]),
-                         ("out_pi", None if out_pi is None else out_pi[c])):
-            setattr(chain, field, None if a is None else a.ctypes.data)
+        theta, sigma_sq, pi_sq, gam, lphi, ll0 = _start(panel, spec, designs, rng, cell_ll)
+        # a survey's row of lp, ll, nlp and nll is T + 3 long: node t at t + 1,
+        # padded with 0 (a bias walk's prior mean before node 0); th is padded
+        # with theta0_mean before node 0 and 0 after node T
+        state = dict(th=[spec.priors.theta0_mean, *theta, 0.0],
+                     lp=[v for row in lphi for v in (0.0, *row, 0.0)],
+                     ll=[v for row in ll0 for v in (0.0, *row, 0.0)],
+                     nlp=[0.0] * (K * R), nll=[0.0] * (K * R),
+                     gam=[v for k in first for v in gam[k]],
+                     var=[sigma_sq, pi_sq or 0.0, 0.5 / sigma_sq, 0.5 / pi_sq if pi_sq else 0.0],
+                     log_scale=[math.log(0.5)] * B, scale=[0.5] * B, frozen=[0.0] * B,
+                     acc=[0] * B, counts=[0, 0])  # counts: draws kept, windows closed
+        outs_c = dict(out_theta=out_theta[c], out_sig=out_sig[c],
+                      out_pi=None if out_pi is None else out_pi[c])
+        if run is None:
+            vars(chain).update(state, **outs_c, out_gam=[out_gam[k][c] for k in kept_ks])
+        else:
+            state = {name: np.array(v, dtype=np.int64 if name in ("acc", "counts") else float)
+                     for name, v in state.items()}
+            out_gam_at[:] = [out_gam[k][c].ctypes.data for k in kept_ks]
+            for field, a in {**state, **outs_c}.items():
+                setattr(chain, field, None if a is None else a.ctypes.data)
         it = 0
         while it < total:
             normals, log_us = (np.ascontiguousarray(a, dtype=float) for a in _refill(rng, B))
             if normals.ndim != 2 or normals.shape[1] != B or log_us.shape != normals.shape:
                 raise ValueError(f"a stretch of streams must be two (sweeps, {B}) arrays")
             n = min(len(normals), total - it)
-            run(chain, it, n, normals.ctypes.data, log_us.ctypes.data)
+            if run is None:
+                _run_python(chain, it, n, normals, log_us)
+            else:
+                run(chain, it, n, normals.ctypes.data, log_us.ctypes.data)
             it += n
-        books.append(_books(settings, names, acc.tolist(), dict(zip(names, frozen.tolist())),
-                            scale.tolist()))
+        acc, frozen, scale = (np.asarray(state[name]).tolist()
+                              for name in ("acc", "frozen", "scale"))
+        books.append(_books(settings, names, acc, dict(zip(names, frozen)), scale))
     return _Part(out_theta, out_sig, out_gam, out_pi, books)
 
 
 def _group_job(args) -> _Part:
     """One contiguous group of a fit's chains: through the compiled sweep
-    when its library is given and loads, else chain by chain. Each way each
-    chain gets the same draws, and the group gives one ``_Part``."""
+    when its library is given and loads, else through ``_run_python``. Each
+    way each chain gets the same draws, and the group gives one ``_Part``."""
     panel, spec, settings, seeds, designs, columns, library = args
+    run = None
     if library is not None:
         from ._chainlib import load
 
         run = load(library)
-        if run is not None:
-            return _sample_compiled(panel, spec, settings, seeds, designs, columns, run)
-    return _sample_chain(panel, spec, settings, seeds, designs, columns)
+    return _sample(panel, spec, settings, seeds, designs, columns, run)
 
 
 def sweep_library(spec: ModelSpec) -> str | None:
@@ -1006,8 +945,7 @@ def summarize(draws: ChainDraws, alpha: float = 0.05, transform: str = "rate") -
     """
     if transform not in ("rate", "natural"):
         raise ValueError(f"unknown transform {transform!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     diag = diagnose(draws)
     stats = {name: (diag.r_hat[name], diag.ess[name]) for name in diag.r_hat}
     qs = [alpha / 2.0, 0.5, 1.0 - alpha / 2.0]

@@ -49,6 +49,10 @@ class StudyConfig:
     def __post_init__(self):
         for t in self.n_times:
             check_count("study.n_times entry", t, 1)
+        if not self.n_times or len(set(self.n_times)) < len(self.n_times):
+            raise ValueError(
+                f"study.n_times must list distinct panel lengths, got {self.n_times!r}"
+            )
         for name in ("n_reps", "n_anchor", "n_biased", "population"):
             check_count(f"study.{name}", getattr(self, name), 1)
 

@@ -58,6 +58,15 @@ def test_dated_record_validation():
         DatedRecord(survey="a", date="2021-01-01", y=1, n=4)
 
 
+@pytest.mark.parametrize("y, n",
+                         [(3.7, 10), (True, 10), (3, 10.0), (3, True), (np.float64(3.0), 10)])
+def test_dated_record_counts_must_be_integers(y, n):
+    with pytest.raises(ValueError, match="must be an integer"):
+        DatedRecord(survey="a", date=D(2021, 1, 1), y=y, n=n)
+    r = DatedRecord(survey="a", date=D(2021, 1, 1), y=np.int64(3), n=np.int64(10))
+    assert (r.y, r.n) == (3, 10) and type(r.y) is int and type(r.n) is int
+
+
 def test_benchmark_series_validation():
     b = BenchmarkSeries(rates=[0.1, np.nan, 0.3])
     assert b.n_times == 3

@@ -304,6 +304,12 @@ _FIT_MODEL = {"bias": [{"kind": "known"}] * 3}
         ("simulate", {"generate": {"n_plan": [[100]], "population": 50_000.7,
                                    "bias": [{"kind": "known"}]}}, []),
         ("fit", {"version": 1.5, "sampler": QUICK_SAMPLER, "model": _FIT_MODEL}, []),
+        # a section that is not a JSON object
+        ("fit", {"sampler": [], "model": _FIT_MODEL}, []),
+        ("fit", {"sampler": QUICK_SAMPLER, "model": {**_FIT_MODEL, "priors": []}}, []),
+        ("sim-study", {"study": []}, []),
+        ("simulate", {"generate": {"n_plan": [[100]], "population": 1000,
+                                   "bias": [{"kind": "known"}], "priors": []}}, []),
     ],
 )
 def test_bad_counts_and_seeds_fail_before_any_work(

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,31 @@ def test_bad_field_values_become_config_errors():
         with pytest.raises(ConfigError, match=named):
             RunConfig.from_dict(doc)
     assert StudyConfig(n_times=(np.int64(3),), n_reps=2).n_times == (3,)
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"sampler": []}, "sampler"),
+        ({"study": []}, "study"),
+        ({"model": "walk"}, "model"),
+        ({"generate": []}, "generate"),
+        ({"model": {"bias": [{"kind": "known"}], "priors": []}}, "model.priors"),
+        ({"generate": {"n_plan": [[100]], "population": 5000, "bias": [{"kind": "known"}],
+                       "priors": "narrowed"}}, "generate.priors"),
+        ({"model": {"bias": [["walk"]]}}, "model.bias[0]"),
+    ],
+)
+def test_sections_must_be_json_objects(doc, where):
+    with pytest.raises(ConfigError, match=f"^{re.escape(where)} must be a JSON object"):
+        RunConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("n_times", [[], [5, 5], [5, 10, 5]])
+def test_study_n_times_must_be_distinct_and_not_empty(n_times):
+    with pytest.raises(ConfigError, match="study.n_times must list distinct panel lengths"):
+        RunConfig.from_dict({"study": {"n_times": n_times}})
+    assert RunConfig.from_dict({"study": {"n_times": [10, 5]}}).study.n_times == (10, 5)
 
 
 def test_version_checked():

@@ -519,7 +519,8 @@ def _idle_walk_survey_quadrature():
 
 
 # Approximate fits take one of two routes: the compiled sweep when its
-# library can be had, else the chain. Tests that pin draws run under both.
+# library can be had, else the Python sweep (``_run_python``). Tests that pin
+# draws run under both.
 ROUTES = ("compiled", "no-compiler")
 
 
@@ -549,12 +550,8 @@ def compiled_sweep():
 
 def sample_group(panel, spec, settings, seeds, designs, columns):
     """One group of chains as ``_group_job`` runs it on the route in force:
-    one ``_sample_compiled`` call, or one ``_sample_chain`` call when the
-    compiled sweep cannot be had."""
-    sweep = compiled_sweep()
-    if sweep is None:
-        return mcmc._sample_chain(panel, spec, settings, seeds, designs, columns)
-    return mcmc._sample_compiled(panel, spec, settings, seeds, designs, columns, sweep)
+    one ``_sample`` call, through the compiled sweep when it can be had."""
+    return mcmc._sample(panel, spec, settings, seeds, designs, columns, compiled_sweep())
 
 
 # Each gate fits with every chain in one group. The tests below run it on
@@ -942,11 +939,16 @@ class _Picked(Exception):
     pass
 
 
+def _pick_route(*args):
+    """In place of ``_sample``: raise the route its ``run`` argument picks."""
+    raise _Picked("scalar" if args[-1] is None else "compiled")
+
+
 def test_run_chains_picks_the_engine_from_the_fit(tmp_path):
     vaccine = datagen.vaccine_shaped_bundle()
     spec = vaccine.design.model_spec()
     demo = datagen.demo_panel()
-    # with no compiler, and for exact fits, the chain whatever the chain count
+    # with no compiler, and for exact fits, the Python sweep whatever the chain count
     cases = [
         (vaccine.panel, spec, 4),
         (vaccine.panel, spec, 3),
@@ -962,9 +964,7 @@ def test_run_chains_picks_the_engine_from_the_fit(tmp_path):
                 engine = "scalar"
                 if way == "compiled" and compiled and not spec.use_exact_nchg:
                     engine = "compiled"  # whatever the chain count
-                with mock.patch.object(mcmc, "_sample_chain", side_effect=_Picked("scalar")), \
-                        mock.patch.object(mcmc, "_sample_compiled",
-                                          side_effect=_Picked("compiled")):
+                with mock.patch.object(mcmc, "_sample", _pick_route):
                     with pytest.raises(_Picked, match=engine):
                         run_chains(panel, spec, _short_settings(n_chains), workers=1)
 
@@ -1069,11 +1069,11 @@ def test_draws_do_not_depend_on_workers_or_groups(tmp_path):
 
 
 def run_chain_by_chain(panel, spec, settings):
-    """``run_chains`` with every chain in its own ``_sample_chain`` call,
-    however wide the fit, and the chains' bookkeeping."""
+    """``run_chains`` with every chain in its own ``_sample`` call through
+    ``_run_python``, however wide the fit, and the chains' bookkeeping."""
     designs, columns = mcmc._validate_inputs(panel, spec)
     seeds = np.random.SeedSequence(settings.seed).spawn(settings.n_chains)
-    parts = [mcmc._sample_chain(panel, spec, settings, [s], designs, columns) for s in seeds]
+    parts = [mcmc._sample(panel, spec, settings, [s], designs, columns, None) for s in seeds]
     return mcmc._stack_chains(parts, spec, settings), [b for p in parts for b in p.books]
 
 
@@ -1096,8 +1096,8 @@ def _nine_survey_fit(n_times=12, seed=0):
 
 
 def test_both_engines_give_the_same_draws():
-    # the chain chain by chain, the chain with every chain in one group and,
-    # where it can be had, the compiled sweep
+    # the Python sweep chain by chain, the Python sweep with every chain in one
+    # group and, where it can be had, the compiled sweep
     sweep = compiled_sweep()
     cases = {**_pinned_cases(),
              "nine-surveys": (*_nine_survey_fit(), _short_settings(1))}
@@ -1107,10 +1107,9 @@ def test_both_engines_give_the_same_draws():
         chains, books = run_chain_by_chain(panel, spec, settings_)
         designs, columns = mcmc._validate_inputs(panel, spec)
         seeds = np.random.SeedSequence(settings_.seed).spawn(settings_.n_chains)
-        parts = [mcmc._sample_chain(panel, spec, settings_, seeds, designs, columns)]
+        parts = [mcmc._sample(panel, spec, settings_, seeds, designs, columns, None)]
         if sweep is not None:
-            parts.append(mcmc._sample_compiled(panel, spec, settings_, seeds, designs, columns,
-                                               sweep))
+            parts.append(mcmc._sample(panel, spec, settings_, seeds, designs, columns, sweep))
         for part in parts:
             other = mcmc._stack_chains([part], spec, settings_)
             assert _draws_digest(chains) == _draws_digest(other), name
@@ -1248,8 +1247,8 @@ def test_scalar_sweep_log_ratios_match_the_oracle(kinds, n_times, monotone, exac
         states.append((list(theta), sig, [list(g) for g in gam], pi))
 
     settings_ = SamplerSettings(n_chains=1, burn_in=0, n_draws=n_sweeps, thin=1)
-    part = mcmc._sample_chain(panel, spec, settings_, [_ScriptedRng(seed, normals, uniforms)],
-                              designs, columns)
+    part = mcmc._sample(panel, spec, settings_, [_ScriptedRng(seed, normals, uniforms)],
+                        designs, columns, None)
     draws = mcmc._stack_chains([part], spec, settings_)
     assert draws.theta[0].tolist() == [s[0] for s in states]
     assert draws.sigma_sq[0].tolist() == [s[1] for s in states]
@@ -1428,14 +1427,13 @@ def test_chain_ratios_add_their_terms_in_turn(monkeypatch):
     assert sorted(decisions) == ["coefficient", "joint", "pi_sq", "sigma_sq", "theta", "walk"]
     assert all(accepts and rejects for accepts, rejects in decisions.values()), decisions
 
-    # the chain, and the compiled sweep fed the same streams
+    # the Python sweep, and the compiled sweep fed the same streams
     monkeypatch.setattr(mcmc, "_refill", lambda rng_, blocks: (normals, log_us))
     settings_ = SamplerSettings(n_chains=1, burn_in=0, n_draws=n_sweeps, thin=1)
-    parts = [mcmc._sample_chain(panel, spec, settings_, [seed], designs, columns)]
+    parts = [mcmc._sample(panel, spec, settings_, [seed], designs, columns, None)]
     sweep = compiled_sweep()
     if sweep is not None:
-        parts.append(mcmc._sample_compiled(panel, spec, settings_, [seed], designs, columns,
-                                           sweep))
+        parts.append(mcmc._sample(panel, spec, settings_, [seed], designs, columns, sweep))
     for part in parts:
         draws = mcmc._stack_chains([part], spec, settings_)
         assert draws.theta[0].tolist() == [s[0] for s in states]
@@ -1478,7 +1476,7 @@ def test_compiled_sweep_gives_the_chains_draws(kinds, n_times, monotone, n_chain
     chains, books = run_chain_by_chain(panel, spec, settings_)
     designs, columns = mcmc._validate_inputs(panel, spec)
     seeds = np.random.SeedSequence(seed).spawn(n_chains)
-    part = mcmc._sample_compiled(panel, spec, settings_, seeds, designs, columns, sweep)
+    part = mcmc._sample(panel, spec, settings_, seeds, designs, columns, sweep)
     assert _draws_digest(chains) == _draws_digest(mcmc._stack_chains([part], spec, settings_))
     assert books == part.books
 
@@ -1541,10 +1539,11 @@ def test_a_failed_build_takes_todays_route(tmp_path):
         try:
             assert _chainlib.library() is None
             panel, spec, settings_ = _pinned_cases()["walk"]
-            with mock.patch.object(mcmc, "_sample_compiled", side_effect=_Picked("compiled")):
+            with mock.patch.object(mcmc, "_sample", wraps=mcmc._sample) as sample:
                 draws = run_chains(panel, spec, settings_, workers=1)
         finally:
             _chainlib.library.cache_clear()
+    assert [call.args[-1] for call in sample.call_args_list] == [None]  # no compiled sweep
     assert _draws_digest(draws) == _PINNED_DRAW_DIGESTS["walk"]
 
 
