@@ -1,21 +1,24 @@
-/* The approximate sweep of surveysynth.mcmc._sample_chain, compiled.
+/* The approximate sweep of surveysynth.mcmc, compiled: one of the two
+   interpreters of the schedule that mcmc._sample hands a chain's streams to;
+   mcmc._run_python, its port on Python floats, is the other.
 
    ss_chain_run runs sweeps it0 .. it0 + n - 1 of one chain under the
    logit-shift approximation, reading sweep i's steps and log-uniforms from
    row i of z and lu, (n, blocks) each: one stretch of the chain's streams
-   (mcmc._refill). It does what the chain does at those sweeps, operation for
-   operation and in its order: the level, ridge, walk, coefficient and
+   (mcmc._refill). It does what _run_python does at those sweeps, operation
+   for operation and in its order: the level, ridge, walk, coefficient and
    variance blocks, the monotone reflection, the freeze snapshot, the
-   adaptation windows and thinning. So it gives the chain's draws bit for bit,
+   adaptation windows and thinning. So both give the same draws bit for bit,
    on the terms the build keeps (mcmc docstring): libm's exp, log1p, log and
    sqrt, which Python's math module calls; no contraction into fused
    multiply-adds; every expression associated as the Python source writes it.
-   Where the chain's Python would raise (an exp that overflows, a division by
-   0), this carries inf or nan; neither arises in a finite fit.
+   Where the Python would raise (an exp that overflows, a division by 0),
+   this carries inf or nan; neither arises in a finite fit.
 
-   The caller owns every buffer. The schedule (mcmc._flat_schedule) lists
-   the blocks of one sweep in phase order, each as a kind, its block id and
-   its shape in ix, and its constants in fx:
+   The caller owns every buffer. The schedule's flat form, ix and fx
+   (mcmc._flat_schedule, which also builds _run_python's form in the same
+   pass), lists the blocks of one sweep in phase order, each as a kind, its
+   block id and its shape in ix, and its constants in fx:
      LEVEL  p, walks, cells, refreshed cells; their surveys | a weight before
             node 0 per walk, (y, n) per cell
      COEF   survey, its first coefficient in gam, j, rows; per row p and its

@@ -21,13 +21,13 @@ from .core import (
     check_count,
     detect_saturated_cells,
 )
-from .dists import inv_logit
 from .mcmc import (
     ChainDraws,
     InitializationError,
     SamplerSettings,
     diagnose,
     map_jobs,
+    rate_row,
     run_chains,
     summarize,
     sweep_library,
@@ -234,15 +234,7 @@ def _nowcast_job(args):
     except InitializationError:
         return t_star, None, True
     diag = diagnose(draws)
-    series = inv_logit(draws.theta[:, :, t_star].ravel())
-    lo, med, hi = np.quantile(series, [alpha / 2.0, 0.5, 1.0 - alpha / 2.0])
-    key = f"theta[{t_star}]"
-    row = SummaryRow(
-        name="rate", survey=None, t=t_star,
-        median=float(med), lower=float(lo), upper=float(hi),
-        r_hat=diag.r_hat[key], ess=diag.ess[key],
-    )
-    return t_star, row, diag.converged
+    return t_star, rate_row(draws, t_star, alpha, diag), diag.converged
 
 
 def nowcast_series(

@@ -200,7 +200,12 @@ def _describe_spec(panel: SurveyPanel, spec: ModelSpec) -> str:
     return " ".join(f"{label}={b.kind}" for label, b in zip(panel.labels, spec.bias))
 
 
-def _cmd_fit(args) -> int:
+def _run_on_panel(args, workload):
+    """What ``fit`` and ``nowcast`` share: check --alpha and the worker count,
+    load the config, read the panel, resolve the model and sampler, and run
+    ``workload(panel, spec, settings, alpha=..., workers=...)``, a failed
+    start as run-failure and a rejected fit as invalid-panel. Returns
+    (panel, spec, the workload's result)."""
     _check_alpha(args.alpha)
     workers = _check_workers(args.workers)
     cfg = _load_config(args)
@@ -208,11 +213,15 @@ def _cmd_fit(args) -> int:
     spec = _resolve_spec(cfg, args, panel)
     settings = _resolve_settings(cfg, args)
     try:
-        result = fit_full(panel, spec, settings, alpha=args.alpha, workers=workers)
+        return panel, spec, workload(panel, spec, settings, alpha=args.alpha, workers=workers)
     except InitializationError as e:
         raise CliError("run-failure", str(e)) from e
     except ValueError as e:
         raise CliError("invalid-panel", str(e)) from e
+
+
+def _cmd_fit(args) -> int:
+    panel, spec, result = _run_on_panel(args, fit_full)
     out = _out_dir(args)
     io.write_summary(result.table, out / "summary.csv")
     print(f"fit: {panel.n_surveys} surveys x {panel.n_times} time-points, "
@@ -230,18 +239,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_nowcast(args) -> int:
-    _check_alpha(args.alpha)
-    workers = _check_workers(args.workers)
-    cfg = _load_config(args)
-    panel = _read_input(io.read_panel, args.panel, "panel")
-    spec = _resolve_spec(cfg, args, panel)
-    settings = _resolve_settings(cfg, args)
-    try:
-        result = nowcast_series(panel, spec, settings, alpha=args.alpha, workers=workers)
-    except InitializationError as e:
-        raise CliError("run-failure", str(e)) from e
-    except ValueError as e:
-        raise CliError("invalid-panel", str(e)) from e
+    panel, spec, result = _run_on_panel(args, nowcast_series)
     out = _out_dir(args)
     io.write_summary(result.table, out / "nowcast.csv")
     print(f"nowcast: {panel.n_times} rolling fits, bias kinds {_describe_spec(panel, spec)}")

@@ -33,6 +33,13 @@ def _check_keys(section: dict, allowed: tuple[str, ...], where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _array(value, where: str) -> list:
+    """``value``, which a key that takes a list must hold as a JSON array."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a JSON array, got {value!r}")
+    return value
+
+
 def _flag(section: dict, key: str, default: bool, where: str) -> bool:
     value = section.get(key, default)
     if not isinstance(value, bool):
@@ -56,14 +63,14 @@ def _priors_from(section: dict, where: str) -> PriorSpec:
 
 def _bias_from(entries, where: str) -> tuple[BiasModelSpec, ...]:
     out = []
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(_array(entries, f"{where}.bias")):
         _check_keys(entry, ("kind", "fixed_phi"), f"{where}.bias[{i}]")
         if "kind" not in entry:
             raise ConfigError(f"{where}.bias[{i}]: missing 'kind'")
         fixed = entry.get("fixed_phi")
-        out.append(
-            BiasModelSpec(kind=entry["kind"], fixed_phi=None if fixed is None else tuple(fixed))
-        )
+        if fixed is not None:
+            fixed = tuple(_array(fixed, f"{where}.bias[{i}].fixed_phi"))
+        out.append(BiasModelSpec(kind=entry["kind"], fixed_phi=fixed))
     return tuple(out)
 
 
@@ -122,7 +129,7 @@ def _generate_from(section: dict) -> GenDesign:
         priors=None if priors is None else _priors_from(priors, "generate.priors"),
         monotone_walk=_flag(section, "monotone_walk", False, "generate"),
         center_time=_flag(section, "center_time", True, "generate"),
-        labels=None if labels is None else tuple(labels),
+        labels=None if labels is None else tuple(_array(labels, "generate.labels")),
     )
 
 
@@ -133,7 +140,7 @@ def _study_from(section: dict) -> StudyConfig:
     _check_keys(section, _STUDY_KEYS, "study")
     kwargs = dict(section)
     if "n_times" in kwargs:
-        kwargs["n_times"] = tuple(kwargs["n_times"])
+        kwargs["n_times"] = tuple(_array(kwargs["n_times"], "study.n_times"))
     return StudyConfig(**kwargs)
 
 

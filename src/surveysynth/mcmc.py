@@ -39,22 +39,22 @@ the same counts give the acceptance rates. Scales are snapshotted at the
 freeze point and at the end so callers can check that no post-burn-in
 adaptation happened.
 
-The sweep has one form, a flat schedule of its blocks in phase order
-(``_flat_schedule``), and one driver, ``_sample``. The driver draws each
-chain's start and each stretch of its streams, lays out the chain's state
-as the compiled sweep's ``struct chain`` (``_chain.c``) does, and hands
-each stretch to one of two interpreters of the schedule, which give the
-same draws, bit for bit. The compiled sweep runs approximate fits only. It
-calls libm's exp, log1p, log and sqrt, as Python's math module does, and
-is compiled at ``-O2 -ffp-contract=off``, so no multiply-add is fused.
-``_run_python`` is its port on plain Python floats, under the approximation
-or the exact kernel (``_exact_cell``, one call per cell), softplus as
-``np.logaddexp(0, x)`` computes it; it reads the schedule decoded once per
-fit (``_decode``). Which cells a block touches, and in what order, is
-decided in one place. Every sum in a log ratio adds its terms in turn,
-first to last: a level move's cells walks first, a ridge move's walk priors
-and then its other cells, a coefficient's cells in t order, a variance's
-squared steps t-major with every walk at one t side by side.
+The sweep is laid out in one place, ``_flat_schedule``, which lists its
+blocks in phase order in two forms, one per interpreter, and one driver,
+``_sample``, runs it. The driver draws each chain's start and each stretch
+of its streams, lays out the chain's state as the compiled sweep's ``struct
+chain`` (``_chain.c``) does, and hands each stretch to one of the two
+interpreters, which give the same draws, bit for bit. The compiled sweep
+runs approximate fits only. It calls libm's exp, log1p, log and sqrt, as
+Python's math module does, and is compiled at ``-O2 -ffp-contract=off``, so
+no multiply-add is fused. ``_run_python`` is its port on plain Python
+floats, under the approximation or the exact kernel (``_exact_cell``, one
+call per cell), softplus as ``np.logaddexp(0, x)`` computes it. Which cells
+a block touches, and in what order, is decided in one place. Every sum in a
+log ratio adds its terms in turn, first to last: a level move's cells walks
+first, a ridge move's walk priors and then its other cells, a coefficient's
+cells in t order, a variance's squared steps t-major with every walk at one
+t side by side.
 The chain keeps each observed cell's log bias odds (lp) and log-likelihood
 (ll); a block evaluates the cells it touches at the proposal only, and an
 accepted move copies the new values over, so ll equals a fresh evaluation
@@ -84,7 +84,6 @@ bias-odds rows that are not a coefficient's own series.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -249,8 +248,9 @@ def _start(panel: SurveyPanel, spec: ModelSpec, designs, rng, cell_ll):
         if cell_ll is not None:
             ll[k][t] = cell_ll(theta[t], lphi[k][t], y, n)
         else:
-            x = theta[t] + lphi[k][t]
-            ll[k][t] = y * x - n * (x if x > 35.0 else math.log1p(math.exp(x)))
+            x = theta[t] + lphi[k][t]  # softplus as the sweep computes it
+            ll[k][t] = y * x - n * (x + math.log1p(math.exp(-x)) if x > 0.0
+                                    else math.log1p(math.exp(x)))
     # the start's prior terms are finite by construction; only a cell can fail
     for k, row in enumerate(ll):
         if not all(math.isfinite(v) for v in row):
@@ -320,22 +320,34 @@ def _refill(rng, blocks: int):
 
 
 _LEVEL, _COEF, _WALK, _VAR = range(4)  # block kinds, numbered as the compiled sweep's (_chain.c)
+_KIND = dict(theta=_LEVEL, sigma_sq=_VAR, coefficient=_COEF, walk=_WALK, pi_sq=_VAR, ridge=_LEVEL)
 
 
 def _flat_schedule(panel: SurveyPanel, spec: ModelSpec, designs, columns, walk_ks):
-    """The sweep's blocks in phase order (``_phase_order``), flattened as the
-    compiled sweep reads them (``_chain.c`` lists the layout): int64 kinds,
-    ids and shapes, float64 constants, and each non-walk survey's first
-    coefficient in the chain's flat gamma. Node t sits at p = t + 1, as in
-    the chain's padded rows; the one schedule of both routes (``_sample``).
+    """The sweep's blocks in phase order (``_phase_order``), in the two forms
+    of its two interpreters, built in one pass: (ix, fx, first, runs).
+
+    ix and fx are the compiled sweep's form, int64 kinds, ids and shapes and
+    float64 constants laid out as ``_chain.c`` lists them; first holds each
+    non-walk survey's first coefficient in the chain's flat gamma. runs is
+    ``_run_python``'s form: one (kind, blocks) run per non-empty phase, each
+    block a tuple over flat indices at = survey * R + p into the chain's lp,
+    ll, nlp and nll, node t at p = t + 1 as in the chain's padded rows:
+      LEVEL  (id, p, walks as (at, weight before node 0), counted cells as
+             (at, y, n, shift), refreshed cells as (at, y, n))
+      COEF   (id, its index in gam, 2 var, rows as (p, at, y, n, offset,
+             terms as (index in gam, c), or None), the rows' at)
+      WALK   (id, at, p, weight before node 0, y, n; y None if unobserved)
+      VAR    (id, is_pi, each step's at in th or lp, prior scale)
 
     A level move counts the cells at its node, walks first. Under the
     logit-shift approximation a ridge move leaves its walk cells unchanged,
     so its ratio skips them and an accept refreshes them. Under the exact
     kernel it counts every cell and refreshes none, and a counted cell of one
-    of its walks is read at the shifted odds (``_decode``).
+    of its walks is read at the shifted odds (shift 1.0).
     """
     T = panel.n_times
+    R = T + 3
     pr = spec.priors
     first, at = {}, 0
     for k, d in enumerate(designs):
@@ -348,92 +360,57 @@ def _flat_schedule(panel: SurveyPanel, spec: ModelSpec, designs, columns, walk_k
     ridge0 = T + 3 + len(columns)  # the id of joint[0]
     ix: list[int] = []
     fx: list[float] = []
+    runs: list[tuple[int, list]] = []
     for name, ids in _phase_order(T, columns, walk_ks):
+        kind, blocks = _KIND[name], []
         for b in ids:
-            if name in ("theta", "ridge"):
+            ix += (kind, b)
+            if kind == _LEVEL:
                 t = b if name == "theta" else b - ridge0
+                p = t + 1
                 walks = walk_ks if name == "ridge" else []
                 counted, refresh = here[t], []
                 if walks and not spec.use_exact_nchg:
                     counted = [k for k in here[t] if k not in w0]
                     refresh = [k for k in here[t] if k in w0]
-                ix += (_LEVEL, b, t + 1, len(walks), len(counted), len(refresh),
-                       *walks, *counted, *refresh)
+                ix += (p, len(walks), len(counted), len(refresh), *walks, *counted, *refresh)
                 fx += [w0[k] for k in walks]
                 for k in counted + refresh:
                     fx += seen[k, t]
-            elif name == "coefficient":
+                blocks.append((b, p, [(k * R + p, w0[k]) for k in walks],
+                               [(k * R + p, *seen[k, t], float(k in walks)) for k in counted],
+                               [(k * R + p, *seen[k, t]) for k in refresh]))
+            elif kind == _COEF:
                 c = columns[b - T - 2]
-                ix += (_COEF, b, c.k, first[c.k], c.j, len(c.rows))
+                at0 = first[c.k]
+                ix += (c.k, at0, c.j, len(c.rows))
                 fx.append(2.0 * c.var)
+                rows = []
                 for t, y, n, offset, terms in c.rows:
                     ix += ([t + 1, -1] if terms is None
                            else [t + 1, len(terms), *(i for i, _ in terms)])
                     fx += [y, n, offset, *(v for _, v in terms or ())]
-            elif name == "walk":
+                    rows.append((t + 1, c.k * R + t + 1, y, n, offset,
+                                 None if terms is None else tuple((at0 + i, v) for i, v in terms)))
+                blocks.append((b, at0 + c.j, 2.0 * c.var, rows, [r[1] for r in rows]))
+            elif kind == _WALK:
                 c = columns[b - T - 2]
                 cell = seen.get((c.k, c.j))
-                ix += (_WALK, b, c.k, c.j + 1, int(cell is not None))
+                ix += (c.k, c.j + 1, int(cell is not None))
                 fx += (w0[c.k], *(cell or (0.0, 0.0)))
+                blocks.append((b, c.k * R + c.j + 1, c.j + 1, w0[c.k], *(cell or (None, None))))
             else:  # sigma_sq's steps of theta (row -1) or pi_sq's of every walk, t-major
-                is_pi = name == "pi_sq"
+                is_pi = int(name == "pi_sq")
                 steps = [(r, p) for p in range(2, T + 2) for r in (walk_ks if is_pi else (-1,))]
-                ix += (_VAR, b, int(is_pi), len(steps))
+                ix += (is_pi, len(steps))
                 for step in steps:
                     ix += step
-                fx.append(pr.pi_sq_scale if is_pi else pr.sigma_sq_scale)
-    return np.array(ix, dtype=np.int64), np.array(fx, dtype=float), first
-
-
-def _decode(ix, fx, R: int) -> list:
-    """The flat schedule read once into blocks of flat indices, at = survey *
-    R + p into the chain's lp, ll, nlp and nll, in runs of one kind as
-    ``_run_python`` sweeps them: level (id, p, walks as (at, weight before
-    node 0), counted cells as (at, y, n, shift), refreshed cells as (at, y,
-    n)), shift 1.0 for a cell of one of the move's walks; coefficient (id,
-    its index in gam, 2 var, rows as (p, at, y, n, offset, terms as (index in
-    gam, c), or None), the rows' at); walk (id, at, p, weight before node 0,
-    y, n; y None when unobserved); variance (id, is_pi, each step's at in th
-    or lp, prior scale)."""
-    ints, floats = iter(ix.tolist()), iter(fx.tolist())
-
-    def take(values, count):
-        return list(itertools.islice(values, count))
-
-    runs: list[tuple[int, list]] = []
-    for kind in ints:
-        b = next(ints)
-        if kind == _LEVEL:
-            p, nw, nc, nr = take(ints, 4)
-            walks, counted, refresh = take(ints, nw), take(ints, nc), take(ints, nr)
-            block = (b, p, [(k * R + p, w) for k, w in zip(walks, take(floats, nw))],
-                     [(k * R + p, next(floats), next(floats), float(k in walks)) for k in counted],
-                     [(k * R + p, next(floats), next(floats)) for k in refresh])
-        elif kind == _COEF:
-            k, at0, j, n_rows = take(ints, 4)
-            two_var = next(floats)
-            rows = []
-            for _ in range(n_rows):
-                p, nt = take(ints, 2)
-                y, n, offset = take(floats, 3)
-                terms = None if nt < 0 else tuple(zip([at0 + i for i in take(ints, nt)],
-                                                      take(floats, nt)))
-                rows.append((p, k * R + p, y, n, offset, terms))
-            block = (b, at0 + j, two_var, rows, [r[1] for r in rows])
-        elif kind == _WALK:
-            k, p, observed = take(ints, 3)
-            wfirst, y, n = take(floats, 3)
-            block = (b, k * R + p, p, wfirst, *((y, n) if observed else (None, None)))
-        else:
-            is_pi, n_steps = take(ints, 2)
-            steps = take(ints, 2 * n_steps)
-            block = (b, is_pi, [p if r < 0 else r * R + p for r, p in zip(steps[::2], steps[1::2])],
-                     next(floats))
-        if runs and runs[-1][0] == kind:
-            runs[-1][1].append(block)
-        else:
-            runs.append((kind, [block]))
-    return runs
+                prior_sq = float(pr.pi_sq_scale if is_pi else pr.sigma_sq_scale)
+                fx.append(prior_sq)
+                blocks.append((b, is_pi, [p if r < 0 else r * R + p for r, p in steps], prior_sq))
+        if blocks:
+            runs.append((kind, blocks))
+    return np.array(ix, dtype=np.int64), np.array(fx, dtype=float), first, runs
 
 
 def _draw_arrays(designs, n_chains: int, settings: SamplerSettings, n_times: int, walk: bool):
@@ -649,7 +626,7 @@ def _sample(
     walk_ks = [k for k, d in enumerate(designs) if None in d.var]
     names = _block_names(T, columns, bool(walk_ks))
     B = len(names)
-    ix, fx, first = _flat_schedule(panel, spec, designs, columns, walk_ks)
+    ix, fx, first, runs = _flat_schedule(panel, spec, designs, columns, walk_ks)
     out_theta, out_sig, out_gam, out_pi = _draw_arrays(designs, len(seeds), settings, T,
                                                        bool(walk_ks))
     # a kept survey's draws: its row of lp (a walk) or its coefficients in gam
@@ -661,8 +638,7 @@ def _sample(
                  thin=settings.thin, window=settings.adapt_window,
                  wt0=0.5 / spec.priors.theta0_var, target=settings.target_accept)
     if run is None:
-        chain = SimpleNamespace(**fixed, schedule=_decode(ix, fx, R), cell_ll=cell_ll,
-                                outs=outs.tolist())
+        chain = SimpleNamespace(**fixed, schedule=runs, cell_ll=cell_ll, outs=outs.tolist())
     else:
         from ._chainlib import Chain
 
@@ -936,19 +912,36 @@ def diagnose(draws: ChainDraws, threshold: float = 1.1) -> Diagnostics:
     return Diagnostics(r_hat=rh_map, ess=dict(zip(series, es.tolist())), converged=converged)
 
 
+def _summary_row(name, survey, t, values, alpha: float, stats) -> SummaryRow:
+    """The median and equal-tailed (1 - alpha) interval of ``values``, with stats (R-hat, ESS)."""
+    lo, med, hi = np.quantile(values, [alpha / 2.0, 0.5, 1.0 - alpha / 2.0])
+    return SummaryRow(name=name, survey=survey, t=t, median=float(med), lower=float(lo),
+                      upper=float(hi), r_hat=stats[0], ess=stats[1])
+
+
+def rate_row(draws: ChainDraws, t: int, alpha: float, diag: Diagnostics) -> SummaryRow:
+    """The posterior population rate at t as a "rate" row: inv_logit of
+    theta[t] over every chain's draws, with theta[t]'s R-hat and ESS from
+    ``diag``. The one place a rate row is built (``summarize``, the
+    now-cast's fits, the simulation study's estimate)."""
+    key = f"theta[{t}]"
+    return _summary_row("rate", None, t, inv_logit(draws.theta[:, :, t].ravel()), alpha,
+                        (diag.r_hat[key], diag.ess[key]))
+
+
 def summarize(draws: ChainDraws, alpha: float = 0.05, transform: str = "rate") -> SummaryTable:
     """Posterior summary table with equal-tailed (1 - alpha) intervals.
 
-    transform="rate" reports the latent series as population rates in (0, 1);
-    "natural" leaves it on the logit scale. Bias odds rows (one per modeled
-    survey and time-point) and variance rows are always on their own scale.
+    transform="rate" reports the latent series as population rates in (0, 1)
+    (``rate_row``); "natural" leaves it on the logit scale. Bias odds rows
+    (one per modeled survey and time-point) and variance rows are always on
+    their own scale.
     """
     if transform not in ("rate", "natural"):
         raise ValueError(f"unknown transform {transform!r}")
     check_alpha(alpha)
     diag = diagnose(draws)
     stats = {name: (diag.r_hat[name], diag.ess[name]) for name in diag.r_hat}
-    qs = [alpha / 2.0, 0.5, 1.0 - alpha / 2.0]
     T = draws.n_times
     designs = bias_designs(draws.spec, T)
     coefs = [np.moveaxis(g, -1, 0) for g in draws.gamma]
@@ -976,27 +969,13 @@ def summarize(draws: ChainDraws, alpha: float = 0.05, transform: str = "rate") -
     rows: list[SummaryRow] = []
 
     def add(name, survey, t, values, key):
-        lo, med, hi = np.quantile(values, qs)
-        rh, es = stats[key]
-        rows.append(
-            SummaryRow(
-                name=name,
-                survey=survey,
-                t=t,
-                median=float(med),
-                lower=float(lo),
-                upper=float(hi),
-                r_hat=rh,
-                ess=es,
-            )
-        )
+        rows.append(_summary_row(name, survey, t, values, alpha, stats[key]))
 
     for t in range(1, T + 1):
-        values = draws.theta[:, :, t].ravel()
         if transform == "rate":
-            add("rate", None, t, inv_logit(values), f"theta[{t}]")
+            rows.append(rate_row(draws, t, alpha, diag))
         else:
-            add("theta", None, t, values, f"theta[{t}]")
+            add("theta", None, t, draws.theta[:, :, t].ravel(), f"theta[{t}]")
     for (k, t), key in phi_keys.items():
         add("phi", k, t, np.exp(designs[k].log_phi(coefs[k], t).ravel()), key)
     add("sigma_sq", None, None, draws.sigma_sq.ravel(), "sigma_sq")

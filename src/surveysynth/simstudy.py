@@ -24,7 +24,8 @@ import numpy as np
 from .core import BiasModelSpec, LatentState, ModelSpec, PriorSpec, SurveyPanel, check_count
 from .datagen import GenDesign, draw_parameters, generate_panel
 from .dists import inv_logit
-from .mcmc import InitializationError, SamplerSettings, diagnose, map_jobs, run_chains, sweep_library
+from .mcmc import (InitializationError, SamplerSettings, diagnose, map_jobs, rate_row, run_chains,
+                   sweep_library)
 
 TRUTH_KINDS = ("constant", "linear", "walk")
 FIT_KINDS = ("constant", "linear", "walk", "unbiased-only")
@@ -182,9 +183,10 @@ def _run_rep(job) -> RepRecord:
         draws = run_chains(panel, _fit_spec(fit_kind), run_settings, workers=1)
     except InitializationError:
         return RepRecord(**cell, sq_error=math.nan, converged=False)
-    est = float(np.quantile(inv_logit(draws.theta[:, :, n_times].ravel()), 0.5))
+    diag = diagnose(draws)
+    est = rate_row(draws, n_times, 0.05, diag).median  # the median does not depend on alpha
     true_rate = float(inv_logit(truth.theta[n_times]))
-    return RepRecord(**cell, sq_error=(est - true_rate) ** 2, converged=diagnose(draws).converged)
+    return RepRecord(**cell, sq_error=(est - true_rate) ** 2, converged=diag.converged)
 
 
 def _run_cells(study: StudyConfig, truth_kinds, fit_kinds, settings, seed):

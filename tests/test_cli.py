@@ -310,6 +310,13 @@ _FIT_MODEL = {"bias": [{"kind": "known"}] * 3}
         ("sim-study", {"study": []}, []),
         ("simulate", {"generate": {"n_plan": [[100]], "population": 1000,
                                    "bias": [{"kind": "known"}], "priors": []}}, []),
+        # a key that takes a list but holds no JSON array
+        ("fit", {"sampler": QUICK_SAMPLER, "model": {"bias": "walk"}}, []),
+        ("nowcast", {"sampler": QUICK_SAMPLER,
+                     "model": {"bias": [{"kind": "known", "fixed_phi": "12"}] * 3}}, []),
+        ("sim-study", {"study": {"n_times": 2, "n_reps": 1}}, []),
+        ("simulate", {"generate": {"n_plan": [[100]], "population": 1000,
+                                   "bias": [{"kind": "known"}], "labels": "a"}}, []),
     ],
 )
 def test_bad_counts_and_seeds_fail_before_any_work(

@@ -73,6 +73,28 @@ def test_sections_must_be_json_objects(doc, where):
         RunConfig.from_dict(doc)
 
 
+_GENERATE = {"n_plan": [[100]], "population": 1000, "bias": [{"kind": "known"}]}
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"model": {"bias": "walk"}}, "model.bias"),
+        ({"model": {"bias": {"kind": "walk"}}}, "model.bias"),
+        ({"model": {"bias": 3}}, "model.bias"),
+        ({"generate": {**_GENERATE, "bias": {"kind": "known"}}}, "generate.bias"),
+        ({"model": {"bias": [{"kind": "known", "fixed_phi": "12"}]}}, "model.bias[0].fixed_phi"),
+        ({"generate": {**_GENERATE, "bias": [{"kind": "known", "fixed_phi": 2.0}]}},
+         "generate.bias[0].fixed_phi"),
+        ({"generate": {**_GENERATE, "labels": "a"}}, "generate.labels"),
+        ({"study": {"n_times": 5}}, "study.n_times"),
+    ],
+)
+def test_list_keys_must_be_json_arrays(doc, where):
+    with pytest.raises(ConfigError, match=f"^{re.escape(where)} must be a JSON array"):
+        RunConfig.from_dict(doc)
+
+
 @pytest.mark.parametrize("n_times", [[], [5, 5], [5, 10, 5]])
 def test_study_n_times_must_be_distinct_and_not_empty(n_times):
     with pytest.raises(ConfigError, match="study.n_times must list distinct panel lengths"):

@@ -403,6 +403,22 @@ def test_impossible_start_cell_fails_before_sampling(monkeypatch, phi):
     assert calls[0] <= 4  # at most the start's own cells: no sweep ran
 
 
+def test_start_cells_use_the_sweeps_softplus():
+    # the sweep's ratios subtract the start's cell table, so each cell must
+    # be the float the sweep computes there, softplus as x + log1p(exp(-x))
+    # for x > 0, else log1p(exp(x))
+    vaccine = datagen.vaccine_shaped_bundle()
+    panel, spec = vaccine.panel, vaccine.design.model_spec()
+    designs, _ = mcmc._validate_inputs(panel, spec)
+    for seed in range(4):
+        theta, _, _, _, lphi, ll = mcmc._start(panel, spec, designs,
+                                               np.random.default_rng(seed), None)
+        for k, t, y, n in panel.observed_cells():
+            x = theta[t] + lphi[k][t]
+            softplus = x + math.log1p(math.exp(-x)) if x > 0.0 else math.log1p(math.exp(x))
+            assert ll[k][t] == float(y) * x - float(n) * softplus, (seed, k, t)
+
+
 def test_runtime_modules_do_not_load_the_oracle():
     # the cli imports every runtime module; none of them needs likelihood
     code = "import sys, surveysynth.cli; print('surveysynth.likelihood' in sys.modules)"
