@@ -233,7 +233,7 @@ def _nowcast_job(args):
         draws = run_chains(sub, spec, settings, workers=1)
     except InitializationError:
         return t_star, None, True
-    diag = diagnose(draws)
+    diag = diagnose(draws, ess_of=(f"theta[{t_star}]",))  # all rate_row reads
     return t_star, rate_row(draws, t_star, alpha, diag), diag.converged
 
 

@@ -40,6 +40,19 @@ def _array(value, where: str) -> list:
     return value
 
 
+def _plan_from(value) -> np.ndarray:
+    """``generate.n_plan``: a JSON array of equal-length rows of numbers."""
+    rows = [_array(row, f"generate.n_plan[{i}]")
+            for i, row in enumerate(_array(value, "generate.n_plan"))]
+    for i, row in enumerate(rows):
+        for v in row:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ConfigError(f"generate.n_plan[{i}] must hold numbers, got {v!r}")
+    if len({len(row) for row in rows}) > 1:
+        raise ConfigError(f"generate.n_plan rows must be of one length, got {[len(r) for r in rows]}")
+    return np.asarray(rows, dtype=float)
+
+
 def _flag(section: dict, key: str, default: bool, where: str) -> bool:
     value = section.get(key, default)
     if not isinstance(value, bool):
@@ -122,7 +135,7 @@ def _generate_from(section: dict) -> GenDesign:
     priors = section.get("priors")
     labels = section.get("labels")
     return GenDesign(
-        n_plan=np.asarray(section["n_plan"], dtype=float),
+        n_plan=_plan_from(section["n_plan"]),
         population=section["population"],
         bias=_bias_from(section["bias"], "generate"),
         prior_regime=section.get("prior_regime", "default"),

@@ -77,9 +77,13 @@ speed choices only. A group gives one ``_Part`` on either route, and when
 one group holds every chain, its arrays are the fit's draws.
 
 ``split_stats`` scores split-chain R-hat and ESS for a whole stack of
-series at once, bit for bit as ``r_hat`` and ``ess`` score one. ``diagnose``
-scores every parameter in one call; ``summarize`` adds one call for the
-bias-odds rows that are not a coefficient's own series.
+series at once, bit for bit as ``r_hat`` and ``ess`` score one. R-hat reads
+no autocovariance, so the FFT runs only over the series whose ESS is asked
+for (``ess_of``). ``diagnose`` scores every parameter's R-hat in one call,
+and the ESS of every parameter or only of the named ones: the now-cast's
+and the simulation study's fits name theta at their last time point, the
+one ESS their rate row reads. ``summarize`` scores every ESS, and adds one
+call for the bias-odds rows that are not a coefficient's own series.
 """
 
 from __future__ import annotations
@@ -764,7 +768,9 @@ def _stack_chains(parts: list[_Part], spec: ModelSpec, settings: SamplerSettings
         sigma_sq = np.concatenate([p.sigma_sq for p in parts])
         gamma = [np.concatenate(g) for g in zip(*(p.gamma for p in parts))]
         pi_sq = None if parts[0].pi_sq is None else np.concatenate([p.pi_sq for p in parts])
-    acceptance = {name: float(np.mean([b[0][name] for b in books])) for name in books[0][0]}
+    names = list(books[0][0])
+    rates = np.array([[b[0][name] for b in books] for name in names])  # (blocks, chains)
+    acceptance = dict(zip(names, rates.mean(axis=1).tolist()))
     scales_burn: dict[str, float] = {}
     scales_final: dict[str, float] = {}
     for ci, (_, frozen, final) in enumerate(books):
@@ -818,15 +824,18 @@ def run_chains(
 # convergence diagnostics
 
 
-def split_stats(series) -> tuple[np.ndarray, np.ndarray]:
+def split_stats(series, ess_of=None) -> tuple[np.ndarray, np.ndarray]:
     """Split-chain R-hat and ESS of every series in a stack, as two arrays.
 
     ``series`` is a (P, chains, draws) array or a list of P equal-shaped
     (chains, draws) arrays. Each series is split into half-chains and scored
     exactly as ``r_hat`` and ``ess`` score it alone, bit for bit: every
     reduction runs along the same axis in the same order, and the FFT is one
-    batched call over the half-chains. Series are taken in chunks of at most
-    about 2**15 floats per stacked array, which bounds the working memory.
+    batched call over the half-chains. R-hat reads no autocovariance, so
+    ``ess_of``, the indices of the series whose ESS is wanted (None: every
+    series), limits the FFT to those; the other ESS entries are NaN. Series
+    are taken in chunks of at most about 2**15 floats per stacked array (the
+    FFT's, for a series whose ESS is wanted), which bounds the working memory.
     """
     P = len(series)
     chains, draws = np.shape(series[0])
@@ -834,40 +843,53 @@ def split_stats(series) -> tuple[np.ndarray, np.ndarray]:
     if n < 1:
         raise ValueError("need at least 2 draws per chain")
     m = 2 * chains
-    total = float(m * n)
     coef = (n - 1) / n
     nfft = 1 << (2 * n - 1).bit_length()
-    step = max(1, _STACK_FLOATS // (m * nfft))
+    want = np.ones(P, dtype=bool)
+    if ess_of is not None:
+        want[:] = False
+        want[list(ess_of)] = True
     rh = np.empty(P)
-    es = np.empty(P)
-    for lo in range(0, P, step):
-        x = np.asarray(series[lo : lo + step], dtype=float)
-        p = x.shape[0]
-        halves = np.concatenate([x[:, :, :n], x[:, :, n : 2 * n]], axis=1)
-        means = halves.mean(axis=2)
-        within = halves.var(axis=2, ddof=1).mean(axis=1)
-        between = means.var(axis=1, ddof=1)
-        var_plus = coef * within + between
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rh[lo : lo + p] = np.where(
-                within == 0.0,
-                np.where(between == 0.0, 1.0, _INF),
-                np.sqrt(var_plus / within),
-            )
-            f = np.fft.rfft(halves - means[:, :, None], nfft, axis=2)
-            acov = np.fft.irfft(f.real**2 + f.imag**2, nfft, axis=2)[:, :, :n] / n
-            rho = 1.0 - (within[:, None] - acov.mean(axis=1)) / var_plus[:, None]
-        # Geyer's initial monotone sequence: sum the lag pairs up to the first
-        # non-positive one, each clipped to the smallest pair before it
-        pairs = rho[:, 0 : 2 * (n // 2) : 2] + rho[:, 1 : 2 * (n // 2) : 2]
-        stop = np.concatenate([pairs <= 0.0, np.ones((p, 1), dtype=bool)], axis=1).argmax(axis=1)
-        running = np.zeros((p, pairs.shape[1] + 1))
-        np.cumsum(np.minimum.accumulate(pairs, axis=1), axis=1, out=running[:, 1:])
-        tau = np.maximum(2.0 * running[np.arange(p), stop] - 1.0, 1e-12)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fitted = np.minimum(np.maximum(total / tau, 1.0), total)
-        es[lo : lo + p] = np.where((var_plus > 0.0) & np.isfinite(var_plus), fitted, total)
+    es = np.full(P, np.nan)
+    for rows, with_ess in ((np.flatnonzero(~want), False), (np.flatnonzero(want), True)):
+        step = max(1, _STACK_FLOATS // (m * (nfft if with_ess else n)))
+        for lo in range(0, len(rows), step):
+            at = rows[lo : lo + step]
+            x = np.asarray([series[i] for i in at], dtype=float)
+            halves = np.concatenate([x[:, :, :n], x[:, :, n : 2 * n]], axis=1)
+            means = halves.mean(axis=2)
+            within = halves.var(axis=2, ddof=1).mean(axis=1)
+            between = means.var(axis=1, ddof=1)
+            var_plus = coef * within + between
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rh[at] = np.where(
+                    within == 0.0,
+                    np.where(between == 0.0, 1.0, _INF),
+                    np.sqrt(var_plus / within),
+                )
+            if with_ess:
+                es[at] = _geyer_ess(halves, means, within, var_plus, nfft)
     return rh, es
+
+
+def _geyer_ess(halves, means, within, var_plus, nfft: int) -> np.ndarray:
+    """The ESS half of ``split_stats`` for a stacked chunk of half-chains."""
+    p, m, n = halves.shape
+    total = float(m * n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.fft.rfft(halves - means[:, :, None], nfft, axis=2)
+        acov = np.fft.irfft(f.real**2 + f.imag**2, nfft, axis=2)[:, :, :n] / n
+        rho = 1.0 - (within[:, None] - acov.mean(axis=1)) / var_plus[:, None]
+    # Geyer's initial monotone sequence: sum the lag pairs up to the first
+    # non-positive one, each clipped to the smallest pair before it
+    pairs = rho[:, 0 : 2 * (n // 2) : 2] + rho[:, 1 : 2 * (n // 2) : 2]
+    stop = np.concatenate([pairs <= 0.0, np.ones((p, 1), dtype=bool)], axis=1).argmax(axis=1)
+    running = np.zeros((p, pairs.shape[1] + 1))
+    np.cumsum(np.minimum.accumulate(pairs, axis=1), axis=1, out=running[:, 1:])
+    tau = np.maximum(2.0 * running[np.arange(p), stop] - 1.0, 1e-12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fitted = np.minimum(np.maximum(total / tau, 1.0), total)
+    return np.where((var_plus > 0.0) & np.isfinite(var_plus), fitted, total)
 
 
 def _one_series(chains) -> tuple[np.ndarray, np.ndarray]:
@@ -897,19 +919,30 @@ def ess(chains) -> float:
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Per-parameter split-chain statistics plus an overall verdict."""
+    """Per-parameter split-chain statistics plus an overall verdict.
+
+    ``r_hat`` holds every parameter; ``ess`` only the ones ``diagnose`` was
+    asked for (every parameter by default).
+    """
 
     r_hat: dict[str, float]
     ess: dict[str, float]
     converged: bool
 
 
-def diagnose(draws: ChainDraws, threshold: float = 1.1) -> Diagnostics:
+def diagnose(draws: ChainDraws, threshold: float = 1.1, ess_of=None) -> Diagnostics:
+    """Split-chain R-hat of every parameter, and converged when each is
+    finite and at most ``threshold``. ESS is computed only for the names in
+    ``ess_of`` (None: every parameter), in one stacked ``split_stats`` pass;
+    each value equals the one the full pass gives, bit for bit."""
     series = draws.param_series()
-    rh, es = split_stats(list(series.values()))
-    rh_map = dict(zip(series, rh.tolist()))
+    names = list(series)
+    rows = range(len(names)) if ess_of is None else sorted({names.index(k) for k in ess_of})
+    rh, es = split_stats(list(series.values()), rows)
+    rh_map = dict(zip(names, rh.tolist()))
     converged = all(math.isfinite(v) and v <= threshold for v in rh_map.values())
-    return Diagnostics(r_hat=rh_map, ess=dict(zip(series, es.tolist())), converged=converged)
+    return Diagnostics(r_hat=rh_map, ess={names[i]: float(es[i]) for i in rows},
+                       converged=converged)
 
 
 def _summary_row(name, survey, t, values, alpha: float, stats) -> SummaryRow:

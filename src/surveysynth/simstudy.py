@@ -183,7 +183,7 @@ def _run_rep(job) -> RepRecord:
         draws = run_chains(panel, _fit_spec(fit_kind), run_settings, workers=1)
     except InitializationError:
         return RepRecord(**cell, sq_error=math.nan, converged=False)
-    diag = diagnose(draws)
+    diag = diagnose(draws, ess_of=(f"theta[{n_times}]",))  # all rate_row reads
     est = rate_row(draws, n_times, 0.05, diag).median  # the median does not depend on alpha
     true_rate = float(inv_logit(truth.theta[n_times]))
     return RepRecord(**cell, sq_error=(est - true_rate) ** 2, converged=diag.converged)

@@ -1,7 +1,9 @@
+import collections
+
 import numpy as np
 import pytest
 
-from surveysynth import _chainlib
+from surveysynth import _chainlib, mcmc
 from surveysynth.core import BiasModelSpec, ModelSpec, SurveyPanel
 
 DEMO_Y = [
@@ -46,3 +48,41 @@ def demo_spec() -> ModelSpec:
             BiasModelSpec(kind="linear"),
         )
     )
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count(module, *names)`` wraps each named attribute of ``module`` as
+    a benchmark wraps it, through the module's globals, and returns a
+    Counter of the calls made through each."""
+
+    def count(module, *names):
+        calls = collections.Counter()
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        return calls
+
+    return count
+
+
+@pytest.fixture
+def fft_rows(monkeypatch):
+    """The number of series each ESS pass of ``mcmc.split_stats`` takes
+    through the FFT, one entry per chunk."""
+    rows = []
+    real = mcmc._geyer_ess
+
+    def recording(halves, *args):
+        rows.append(halves.shape[0])
+        return real(halves, *args)
+
+    monkeypatch.setattr(mcmc, "_geyer_ess", recording)
+    return rows

@@ -227,8 +227,8 @@ def test_nowcast_series_rows_and_missing_anchor_widens():
 def test_nowcast_lists_the_fits_that_did_not_converge(monkeypatch):
     real = analysis.diagnose
 
-    def fails_at_two(draws):  # the fit at t* = 2 reads as unconverged
-        diag = real(draws)
+    def fails_at_two(draws, **kwargs):  # the fit at t* = 2 reads as unconverged
+        diag = real(draws, **kwargs)
         return dataclasses.replace(diag, converged=diag.converged and draws.n_times != 2)
 
     monkeypatch.setattr(analysis, "diagnose", fails_at_two)
@@ -238,6 +238,20 @@ def test_nowcast_lists_the_fits_that_did_not_converge(monkeypatch):
     assert out.table.converged is False
     monkeypatch.setattr(analysis, "diagnose", real)
     assert nowcast_series(panel, ModelSpec(bias=(BiasModelSpec.anchor(),)), QUICK).unconverged == ()
+
+
+def test_nowcast_calls_its_hooks_once_per_fit_and_scores_one_ess(count_calls, fft_rows):
+    # a benchmark times each fit by wrapping analysis.run_chains and
+    # analysis.diagnose; a fit's rate row reads the ESS of theta[t*] only
+    bundle = vaccine_shaped_bundle()
+    calls = count_calls(analysis, "run_chains", "diagnose")
+    settings = SamplerSettings(n_chains=2, burn_in=20, n_draws=20, thin=1, adapt_window=10,
+                               seed=3)
+    out = nowcast_series(bundle.panel, bundle.design.model_spec(), settings, workers=1)
+    T = bundle.panel.n_times
+    assert T == 48 and out.failures == ()
+    assert calls == {"run_chains": T, "diagnose": T}
+    assert fft_rows == [1] * T
 
 
 def test_nowcast_workers_do_not_change_results():

@@ -7,6 +7,7 @@ import pytest
 from surveysynth import io
 from surveysynth.analysis import BenchmarkSeries, DatedRecord
 from surveysynth.cli import main
+from surveysynth.config import ConfigError, RunConfig
 from surveysynth.core import SummaryRow, SummaryTable, SurveyPanel
 
 
@@ -333,6 +334,29 @@ def test_bad_counts_and_seeds_fail_before_any_work(
         args += ["--panel", demo_panel_file(tmp_path, demo_panel)]
     assert main(args) == 3
     assert "error: bad-config:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "n_plan, message",
+    [
+        ("ab", "generate.n_plan must be a JSON array, got 'ab'"),
+        ({"a": 1}, "generate.n_plan must be a JSON array, got {'a': 1}"),
+        ([100, 100], "generate.n_plan[0] must be a JSON array, got 100"),
+        ([[1, "x"]], "generate.n_plan[0] must hold numbers, got 'x'"),
+        ([[100], [True]], "generate.n_plan[1] must hold numbers, got True"),
+        ([[1, 2], [3]], "generate.n_plan rows must be of one length, got [2, 1]"),
+    ],
+    ids=["string", "object", "flat", "text-cell", "bool-cell", "ragged"],
+)
+def test_n_plan_errors_name_the_key(tmp_path, capsys, n_plan, message):
+    doc = {"generate": {"n_plan": n_plan, "population": 1000, "bias": [{"kind": "known"}]}}
+    with pytest.raises(ConfigError) as exc:
+        RunConfig.from_dict(doc)
+    assert str(exc.value) == message
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 3
+    assert f"error: bad-config: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

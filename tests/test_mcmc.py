@@ -229,10 +229,15 @@ def test_split_stats_rows_match_one_series_bit_for_bit(chains, draws, kinds, chu
             rh, es = mcmc.split_stats(stack)
             rows = [(r_hat(s), ess(s), _reference_r_hat_ess(s)) for s in stack]
             listed = mcmc.split_stats(list(stack))
+            # the ESS of a few series only: the FFT runs over those alone
+            picked = rng.permutation(len(kinds))[: rng.integers(0, len(kinds) + 1)]
+            some = mcmc.split_stats(stack, picked.tolist())
     for i, (kind, (rh1, es1, ref)) in enumerate(zip(kinds, rows)):
         got = (float(rh[i]), float(es[i]))
         assert repr(got) == repr((rh1, es1)) == repr(ref), (kind, i)
         assert repr((float(listed[0][i]), float(listed[1][i]))) == repr(ref)
+        assert repr(float(some[0][i])) == repr(ref[0])
+        assert repr(float(some[1][i])) == (repr(ref[1]) if i in picked else "nan")
         if draws >= 4:  # two draws per half give a within-half variance
             if kind == "constant":
                 assert got == (1.0, float(2 * chains * (draws // 2)))
@@ -877,6 +882,23 @@ def test_batched_draws_match_pinned_digests(pinned_fits):
     names = [n for n in _BATCH_PINNED if n != "vaccine-four-chains"]
     _check_pinned(pinned_fits, names, _draws_digest, _PINNED_DRAW_DIGESTS)
     _check_pinned(pinned_fits, names, _bookkeeping_digest, _PINNED_BOOKKEEPING_DIGESTS)
+
+
+def test_diagnose_scores_the_named_ess_only_and_every_r_hat(pinned_fits):
+    # R-hat reads no autocovariance: naming fewer ESS series changes no R-hat,
+    # no verdict and no named ESS, bit for bit (both routes give the same draws)
+    for (way, name), draws in pinned_fits.items():
+        if way != ROUTES[0]:
+            continue
+        full = diagnose(draws)
+        last = f"theta[{draws.n_times}]"
+        for keys in [(), (last,), ("sigma_sq", "theta[0]", last), tuple(full.ess)]:
+            part = diagnose(draws, ess_of=keys)
+            assert repr(part.r_hat) == repr(full.r_hat), (name, keys)
+            assert part.converged == full.converged, (name, keys)
+            assert repr(part.ess) == repr({k: v for k, v in full.ess.items() if k in keys})
+    with pytest.raises(ValueError, match="nothing"):
+        diagnose(draws, ess_of=("nothing",))
 
 
 def test_exact_demo_chain_calls_kernel_once_per_touched_cell(monkeypatch):

@@ -124,6 +124,16 @@ def test_run_cell_smoke_and_deterministic():
     assert again == cell
 
 
+def test_run_cell_calls_its_hooks_once_per_fit_and_scores_one_ess(count_calls, fft_rows):
+    # a benchmark times each fit by wrapping these three in simstudy's
+    # globals; a rep's estimate reads the ESS of theta[T] only
+    calls = count_calls(simstudy, "run_chains", "diagnose", "rep_dataset")
+    _, records = run_cell("walk", "walk", n_times=2, n_reps=3, settings=TINY, seed=3)
+    assert all(math.isfinite(r.sq_error) for r in records)
+    assert calls == {"run_chains": 3, "diagnose": 3, "rep_dataset": 3}
+    assert fft_rows == [1] * 3
+
+
 def test_run_cell_unbiased_only_ignores_biased_surveys():
     cell, records = run_cell(
         "walk", "unbiased-only", n_times=2, n_reps=1, settings=TINY, seed=4
