@@ -1,19 +1,22 @@
-/* The approximate sweep of surveysynth.mcmc, compiled: one of the two
-   interpreters of the schedule that mcmc._sample hands a chain's streams to;
-   mcmc._run_python, its port on Python floats, is the other.
+/* The sweep of surveysynth.mcmc, compiled: one of the two interpreters of
+   the schedule that mcmc._sample hands a chain's streams to; mcmc._run_python,
+   its port on Python floats, is the other.
 
-   ss_chain_run runs sweeps it0 .. it0 + n - 1 of one chain under the
-   logit-shift approximation, reading sweep i's steps and log-uniforms from
-   row i of z and lu, (n, blocks) each: one stretch of the chain's streams
-   (mcmc._refill). It does what _run_python does at those sweeps, operation
-   for operation and in its order: the level, ridge, walk, coefficient and
-   variance blocks, the monotone reflection, the freeze snapshot, the
-   adaptation windows and thinning. So both give the same draws bit for bit,
-   on the terms the build keeps (mcmc docstring): libm's exp, log1p, log and
-   sqrt, which Python's math module calls; no contraction into fused
-   multiply-adds; every expression associated as the Python source writes it.
-   Where the Python would raise (an exp that overflows, a division by 0),
-   this carries inf or nan; neither arises in a finite fit.
+   ss_chain_run runs sweeps it0 .. it0 + n - 1 of one chain, reading sweep
+   i's steps and log-uniforms from row i of z and lu, (n, blocks) each: one
+   stretch of the chain's streams (mcmc._refill). It does what _run_python
+   does at those sweeps, operation for operation and in its order: the level,
+   ridge, walk, coefficient and variance blocks, the monotone reflection, the
+   freeze snapshot, the adaptation windows and thinning. A cell is scored
+   under the logit-shift approximation or, when the chain is exact, under
+   Fisher's non-central hypergeometric law as mcmc._exact_cell and
+   dists._log_probs score it. So both give the same draws bit for bit, on the
+   terms the build keeps (mcmc docstring): libm's exp, expm1, log1p, log and
+   sqrt, which Python's math module calls, and CPython's own lgamma, copied
+   below; no contraction into fused multiply-adds; every expression
+   associated as the Python source writes it. Where the Python would raise
+   (an exp that overflows, a division by 0), this carries inf or nan; neither
+   arises in a finite fit.
 
    The caller owns every buffer. The schedule's flat form, ix and fx
    (mcmc._flat_schedule, which also builds _run_python's form in the same
@@ -27,7 +30,8 @@
      WALK   survey, p, observed | weight before node 0, y, n
      VAR    is pi_sq, steps; per step its row (-1: theta) and p | prior scale
    A survey's row of lp, ll, nlp and nll is T + 3 long, padded as the
-   chain's: node t at t + 1. */
+   chain's: node t at t + 1. Under the exact law a ridge move counts the
+   cells of its walks, at the shifted odds, and refreshes none. */
 
 #include <math.h>
 #include <stdint.h>
@@ -36,6 +40,7 @@ enum { LEVEL, COEF, WALK, VAR };
 
 struct chain {
     int64_t T, B, monotone, burn, thin, window, n_ix, n_out;
+    int64_t population, exact;  /* exact: cells under the NCHG law, else the approximation */
     double wt0, target;
     const int64_t *ix;  /* the schedule */
     const double *fx;
@@ -46,12 +51,210 @@ struct chain {
     int64_t *acc, *counts;  /* counts: draws kept, windows closed */
     double *out_theta, *out_sig, *out_pi;
     double **out_gam;  /* per kept survey: its (draws, length) block */
+    double *win;  /* exact: the window's log-weights, the largest n + 1 long */
 };
 
-/* y * x - n * softplus(x), softplus as np.logaddexp(0, x) computes it */
-static double cell(double y, double n, double x)
+/* Python's max(a, b) and min(a, b): the first unless the second is beyond it */
+static double py_max(double a, double b) { return b > a ? b : a; }
+static double py_min(double a, double b) { return b < a ? b : a; }
+
+/* CPython's m_lgamma (Modules/mathmodule.c), which math.lgamma calls, for
+   x > 0: the Lanczos sum with N = 13 and g = 6.024680040776729583740234375,
+   as a rational function. */
+#define LANCZOS_N 13
+static const double lanczos_g = 6.024680040776729583740234375;
+static const double lanczos_num_coeffs[LANCZOS_N] = {
+    23531376880.410759688572007674451636754734846804940,
+    42919803642.649098768957899047001988850926355848959,
+    35711959237.355668049440185451547166705960488635843,
+    17921034426.037209699919755754458931112671403265390,
+    6039542586.3520280050642916443072979210699388420708,
+    1439720407.3117216736632230727949123939715485786772,
+    248874557.86205415651146038641322942321632125127801,
+    31426415.585400194380614231628318205362874684987640,
+    2876370.6289353724412254090516208496135991145378768,
+    186056.26539522349504029498971604569928220784236328,
+    8071.6720023658162106380029022722506138218516325024,
+    210.82427775157934587250973392071336271166969580291,
+    2.5066282746310002701649081771338373386264310793408
+};
+static const double lanczos_den_coeffs[LANCZOS_N] = {
+    0.0, 39916800.0, 120543840.0, 150917976.0, 105258076.0, 45995730.0,
+    13339535.0, 2637558.0, 357423.0, 32670.0, 1925.0, 66.0, 1.0};
+
+static double lanczos_sum(double x)
 {
+    double num = 0.0, den = 0.0;
+    if (x < 5.0) {
+        for (int i = LANCZOS_N; --i >= 0;) {
+            num = num * x + lanczos_num_coeffs[i];
+            den = den * x + lanczos_den_coeffs[i];
+        }
+    } else {
+        for (int i = 0; i < LANCZOS_N; i++) {
+            num = num / x + lanczos_num_coeffs[i];
+            den = den / x + lanczos_den_coeffs[i];
+        }
+    }
+    return num / den;
+}
+
+static double m_lgamma(double x)
+{
+    if (!isfinite(x))
+        return isnan(x) ? x : HUGE_VAL;
+    if (x == floor(x) && x <= 2.0)
+        return x <= 0.0 ? HUGE_VAL : 0.0;  /* lgamma(1) = lgamma(2) = 0 */
+    double absx = fabs(x);
+    if (absx < 1e-20)
+        return -log(absx);
+    double r = log(lanczos_sum(absx)) - lanczos_g;
+    r += (absx - 0.5) * (log(absx + lanczos_g - 0.5) - 1);
+    return r;
+}
+
+/* The Fisher non-central hypergeometric law of surveysynth.dists, in the
+   operations of its libm form (dists._libm_fill, _log_probs). */
+#define WINDOW_SD 13.0
+#define LOG_TAIL_TOL (-36.841361487904734)  /* log(1e-16), as dists writes it */
+#define MAX_LOG_ODDS 690.0
+
+/* dists._lchoose: log C(m, k) */
+static double lchoose(int64_t m, int64_t k)
+{
+    if (m - k < k)
+        k = m - k;
+    if (m < 1000)
+        return m_lgamma((double)(m + 1)) - m_lgamma((double)(k + 1)) - m_lgamma((double)(m - k + 1));
+    const double dm = (double)m, dk = (double)k, j = (double)(m - k);
+    return (j + 0.5) * log1p(dk / j)
+           + dk * (log(dm) - 1.0)
+           + (1.0 / 12.0 - 1.0 / (360.0 * dm * dm)) / dm
+           - (1.0 / 12.0 - 1.0 / (360.0 * j * j)) / j
+           - m_lgamma(dk + 1.0);
+}
+
+static double log_weight(int64_t m1, int64_t m2, int64_t n, double log_phi, int64_t y)
+{
+    return lchoose(m1, y) + lchoose(m2, n - y) + (double)y * log_phi;
+}
+
+/* dists._approx_mode: the root of Liao & Rosen's mode quadratic */
+static double approx_mode(int64_t m1, int64_t m2, int64_t n, double phi)
+{
+    const double a = (double)m1 + 1.0, b = (double)n + 1.0, ell = (double)(n - m2);
+    double qa, qb, qc;
+    if (phi > 1.0) {
+        qa = 1.0 / phi - 1.0;
+        qb = a + b - ell / phi;
+        qc = -a * b;
+    } else {
+        qa = 1.0 - phi;
+        qb = (a + b) * phi - ell;
+        qc = -a * b * phi;
+    }
+    double d = sqrt(py_max(qb * qb - 4.0 * qa * qc, 0.0));
+    return qb > 0.0 ? -2.0 * qc / (qb + d) : (d - qb) / (2.0 * qa);
+}
+
+/* dists._log_ratio: log(w(y + 1) / w(y)) */
+static double log_ratio(int64_t m1, int64_t m2, int64_t n, double log_phi, int64_t y)
+{
+    return log((double)(m1 - y)) + log((double)(n - y)) - log((double)(y + 1))
+           - log((double)(m2 - n + y + 1)) + log_phi;
+}
+
+/* dists._tail_ok: the geometric bound on the mass beyond an edge */
+static int tail_ok(double log_edge, double log_step, double log_s)
+{
+    return log_step < 0.0 && log_edge + log_step - log(-expm1(log_step)) <= log_s + LOG_TAIL_TOL;
+}
+
+/* dists._log_probs at one count y: -inf outside the support; at phi = 1 the
+   Vandermonde normalizer; else the certified window (dists._nchg_window with
+   dists._libm_fill), written into w, and beyond it the closed form */
+static double log_prob(int64_t y, int64_t m1, int64_t m2, int64_t n, double phi, double *w)
+{
+    const int64_t lo = n - m2 > 0 ? n - m2 : 0, hi = n < m1 ? n : m1;
+    if (y < lo || y > hi)
+        return -INFINITY;
+    if (phi == 1.0)
+        return log_weight(m1, m2, n, 0.0, y) - lchoose(m1 + m2, n);
+    const double log_phi = log(phi);
+    double x = py_min(py_max(approx_mode(m1, m2, n, phi), (double)lo), (double)hi);
+    double inv_var = 1.0 / py_max(x, 1.0) + 1.0 / py_max((double)m1 - x, 1.0)
+                     + 1.0 / py_max((double)n - x, 1.0);
+    inv_var += 1.0 / py_max(x - (double)n + (double)m2, 1.0);
+    int64_t half = (int64_t)(WINDOW_SD / sqrt(inv_var)) + 2;
+    const int64_t centre = (int64_t)x;
+    for (;;) {
+        const int64_t a = centre - half > lo ? centre - half : lo;
+        const int64_t b = centre + half < hi ? centre + half : hi;
+        double acc = 0.0, top = 0.0, s = 0.0;
+        int64_t k = 0;
+        w[0] = 0.0;
+        for (int64_t i = a; i < b; i++) {
+            double r = ((double)(m1 - i) * (double)(n - i))
+                       / ((double)(i + 1) * (double)(m2 - n + i + 1));
+            acc += log(r) + log_phi;
+            w[i - a + 1] = acc;
+            if (acc > top) {
+                top = acc;
+                k = i - a + 1;
+            }
+        }
+        for (int64_t i = 0; i <= b - a; i++) {
+            w[i] -= top;
+            s += exp(w[i]);
+        }
+        const double log_s = log(s);
+        if ((a == lo || tail_ok(w[0], -log_ratio(m1, m2, n, log_phi, a - 1), log_s))
+            && (b == hi || tail_ok(w[b - a], log_ratio(m1, m2, n, log_phi, b), log_s))) {
+            if (a <= y && y <= b)
+                return w[y - a] - log_s;
+            return log_weight(m1, m2, n, log_phi, y) - (log_weight(m1, m2, n, log_phi, a + k) + log_s);
+        }
+        half *= 2;
+    }
+}
+
+/* mcmc._exact_cell: m1 = round(N inv_logit(th)) positives and odds exp(g),
+   impossible beyond MAX_LOG_ODDS */
+static double exact_cell(const struct chain *c, double y, double n, double th, double g)
+{
+    if (fabs(g) > MAX_LOG_ODDS)
+        return -INFINITY;
+    double p;
+    if (th >= 0.0) {
+        p = 1.0 / (1.0 + exp(-th));
+    } else {
+        double e = exp(th);
+        p = e / (1.0 + e);
+    }
+    const int64_t m1 = (int64_t)floor(p * (double)c->population + 0.5);
+    return log_prob((int64_t)y, m1, c->population - m1, (int64_t)n, exp(g), c->win);
+}
+
+/* A cell's log-likelihood at level th and log odds g: exact, or y * x - n *
+   softplus(x) at x = th + g, softplus as np.logaddexp(0, x) computes it */
+static inline double cell(const struct chain *c, double y, double n, double th, double g)
+{
+    if (c->exact)
+        return exact_cell(c, y, n, th, g);
+    double x = th + g;
     return y * x - n * (x > 0.0 ? x + log1p(exp(-x)) : log1p(exp(x)));
+}
+
+/* For tests: one exact cell, with a window buffer of n + 1 doubles, and lgamma */
+double ss_exact_cell(int64_t population, double th, double g, double y, double n, double *win)
+{
+    struct chain c = {.population = population, .exact = 1, .win = win};
+    return cell(&c, y, n, th, g);
+}
+
+double ss_lgamma(double x)
+{
+    return m_lgamma(x);
 }
 
 /* Python's float a % b */
@@ -122,7 +325,11 @@ static void sweep(struct chain *c, const double *z, const double *lu)
             double cs = 0.0;
             for (int64_t i = 0; i < nc; i++) {
                 int64_t at = ck[i] * R + p;
-                double v = cell(cyn[2 * i], cyn[2 * i + 1], prop + lp[at]);
+                double g = lp[at];
+                for (int64_t j = 0; j < nw; j++)
+                    if (wk[j] == ck[i])
+                        g -= delta;  /* a walk's cell, exact only: at the shifted odds */
+                double v = cell(c, cyn[2 * i], cyn[2 * i + 1], prop, g);
                 nll[at] = v;
                 cs += v - ll[at];
             }
@@ -135,7 +342,7 @@ static void sweep(struct chain *c, const double *z, const double *lu)
                     lp[wk[i] * R + p] -= delta;
                 for (int64_t i = 0; i < nr; i++) {
                     int64_t at = rk[i] * R + p;
-                    ll[at] = cell(ryn[2 * i], ryn[2 * i + 1], prop + lp[at]);
+                    ll[at] = cell(c, ryn[2 * i], ryn[2 * i + 1], prop, lp[at]);
                 }
                 acc[bid] += 1;
             }
@@ -165,7 +372,7 @@ static void sweep(struct chain *c, const double *z, const double *lu)
                     f += nt;
                 }
                 int64_t at = k * R + p;
-                double v = cell(y, n, th[p] + g);
+                double v = cell(c, y, n, th[p], g);
                 nlp[at] = g;
                 nll[at] = v;
                 cs += v - ll[at];
@@ -196,7 +403,7 @@ static void sweep(struct chain *c, const double *z, const double *lu)
                                        - (2.0 * g[p + 1] - s) * (p <= T ? wpi : 0.0));
             double v = 0.0;
             if (observed) {
-                v = cell(fx[1], fx[2], th[p] + prop);
+                v = cell(c, fx[1], fx[2], th[p], prop);
                 d += v - ll[ix[2] * R + p];
             }
             if (lu[bid] < d) {

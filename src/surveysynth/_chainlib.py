@@ -13,7 +13,7 @@ truncated library without complaint and the process dies of SIGBUS when it
 touches the missing pages. A file that will not load is rebuilt too. When no
 library can be had, ``library()`` returns None and fits take the Python route.
 ``load(path)`` returns the sweep function, or None. Only ``mcmc`` imports this
-module, and only for an approximate fit.
+module, on the first fit in a process.
 """
 
 from __future__ import annotations
@@ -39,11 +39,12 @@ class Chain(ctypes.Structure):
     the addresses of its schedule and of one chain's buffers."""
 
     _fields_ = [(name, _I) for name in ("T", "B", "monotone", "burn", "thin", "window", "n_ix",
-                                        "n_out")]
+                                        "n_out", "population", "exact")]
     _fields_ += [("wt0", _F), ("target", _F)]
     _fields_ += [(name, _P) for name in ("ix", "fx", "outs", "th", "lp", "ll", "nlp", "nll",
                                          "gam", "var", "log_scale", "scale", "frozen", "acc",
-                                         "counts", "out_theta", "out_sig", "out_pi", "out_gam")]
+                                         "counts", "out_theta", "out_sig", "out_pi", "out_gam",
+                                         "win")]
 
 
 _loaded: dict[str, object] = {}

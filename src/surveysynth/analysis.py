@@ -253,7 +253,7 @@ def nowcast_series(
     alone.
     """
     check_alpha(alpha)  # before any fit
-    sweep_library(spec)  # before the workers start, so that they only load it
+    sweep_library()  # before the workers start, so that they only load it
     jobs = [
         (panel, spec, settings, t_star, alpha) for t_star in range(1, panel.n_times + 1)
     ]

@@ -17,12 +17,21 @@ beyond each edge of the window is at most a geometric series in the edge
 ratio; the window widens until that bound certifies every tail below 1e-16
 of the window's mass (the scheme of A. Fog, 2008, for Fisher's law). The
 cost is O(sqrt(n)). Sampling inverts the CDF over the same window.
+
+Every pmf evaluation fills the window in libm terms (``_libm_fill``): the
+log of each ratio by ``math.log``, their running sum in turn, and the
+``math.exp`` of each weight summed in turn, with ``math.lgamma`` in the
+closed form. The compiled sweep (``_chain.c``) repeats those operations,
+so the two give the same floats whatever numpy's CPU dispatch. Sampling
+keeps numpy's fill (``_numpy_fill``), and shares only the window's sizing
+and its tail test with the pmf.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy import special
@@ -152,7 +161,9 @@ class NchgParams:
 # Initial half-width of the summation window, in approximate sd. Wider than a
 # normal tail needs, so that skewed laws near a support edge rarely widen.
 _WINDOW_SD = 13.0
-_LOG_TAIL_TOL = math.log(1e-16)  # certified bound on each tail, relative to the window
+# certified bound on each tail, relative to the window: log(1e-16), written as
+# its float so that the compiled sweep (_chain.c) can write the same one
+_LOG_TAIL_TOL = -36.841361487904734
 
 
 def _lchoose(m: int, k: int) -> float:
@@ -216,14 +227,47 @@ def _tail_ok(log_edge: float, log_step: float, log_s: float) -> bool:
     )
 
 
-def _nchg_window(
-    m1: int, m2: int, n: int, phi: float
-) -> tuple[int, np.ndarray, float, int]:
+def _ratios(m1: int, m2: int, n: int, a: int, b: int) -> np.ndarray:
+    """r(y) = w(y + 1) / w(y) / phi for y = a .. b - 1, each as one ratio of
+    float products of integers: (m1 - y)(n - y) / ((y + 1)(m2 - n + y + 1))."""
+    return (np.arange(m1 - a, m1 - b, -1.0) * np.arange(n - a, n - b, -1.0)) / (
+        np.arange(a + 1.0, b + 1.0) * np.arange(m2 - n + a + 1.0, m2 - n + b + 1.0)
+    )
+
+
+def _numpy_fill(m1: int, m2: int, n: int, log_phi: float, a: int, b: int):
+    """The window's log-weights by numpy: (lw relative to its largest, log of
+    their sum, the index of the largest)."""
+    lw = np.zeros(b - a + 1)
+    np.add.accumulate(np.log(_ratios(m1, m2, n, a, b)) + log_phi, out=lw[1:])
+    k = int(lw.argmax())
+    lw -= lw[k]
+    return lw, math.log(float(np.exp(lw).sum())), k
+
+
+def _libm_fill(m1: int, m2: int, n: int, log_phi: float, a: int, b: int):
+    """``_numpy_fill`` in libm terms, as the compiled sweep computes it:
+    ``math.log`` of each ratio, the log-weights summed in turn from 0, and
+    their ``math.exp`` summed in turn. Returns lw as a list."""
+    log, exp = math.log, math.exp
+    lw = list(accumulate([log(r) + log_phi for r in _ratios(m1, m2, n, a, b).tolist()],
+                         initial=0.0))
+    top = max(lw)
+    k = lw.index(top)
+    lw = [v - top for v in lw]
+    s = 0.0
+    for v in lw:
+        s += exp(v)
+    return lw, log(s), k
+
+
+def _nchg_window(m1: int, m2: int, n: int, phi: float, fill=_numpy_fill):
     """Log-weights over a window that holds all but 1e-16 of the mass.
 
     Returns the window's first count a, the log-weights of a, a + 1, ...
     relative to the largest one, the log of their sum, and the mode. The
-    weights are filled by the odds-ratio recurrence from a. The window
+    weights are filled by the odds-ratio recurrence from a (``fill``:
+    ``_numpy_fill`` for sampling, ``_libm_fill`` for the log-pmf). The window
     starts _WINDOW_SD approximate standard deviations either side of the
     mode and doubles until the tail bound holds at every edge inside the
     support.
@@ -238,15 +282,7 @@ def _nchg_window(
     centre = int(x)
     while True:
         a, b = max(lo, centre - half), min(hi, centre + half)
-        # log r(y) for y = a .. b-1, as one log of a ratio of integer products
-        ratio = (np.arange(m1 - a, m1 - b, -1.0) * np.arange(n - a, n - b, -1.0)) / (
-            np.arange(a + 1.0, b + 1.0) * np.arange(m2 - n + a + 1.0, m2 - n + b + 1.0)
-        )
-        lw = np.zeros(b - a + 1)
-        np.add.accumulate(np.log(ratio) + log_phi, out=lw[1:])
-        k = int(lw.argmax())
-        lw -= lw[k]
-        log_s = math.log(float(np.exp(lw).sum()))
+        lw, log_s, k = fill(m1, m2, n, log_phi, a, b)
         if (a == lo or _tail_ok(lw[0], -_log_ratio(m1, m2, n, log_phi, a - 1), log_s)) and (
             b == hi or _tail_ok(lw[-1], _log_ratio(m1, m2, n, log_phi, b), log_s)
         ):
@@ -267,7 +303,7 @@ def _log_probs(ys, m1: int, m2: int, n: int, phi: float) -> list[float]:
         a, lw, log_s, log_phi = lo, (), 0.0, 0.0
         log_z = _lchoose(m1 + m2, n)
     else:
-        a, lw, log_s, mode = _nchg_window(m1, m2, n, phi)
+        a, lw, log_s, mode = _nchg_window(m1, m2, n, phi, _libm_fill)
         log_phi = math.log(phi)
         log_z = None
     out = []
@@ -275,7 +311,7 @@ def _log_probs(ys, m1: int, m2: int, n: int, phi: float) -> list[float]:
         if y < lo or y > hi:
             out.append(-math.inf)
         elif a <= y < a + len(lw):
-            out.append(float(lw[y - a]) - log_s)
+            out.append(lw[y - a] - log_s)
         else:
             if log_z is None:
                 log_z = _log_weight(m1, m2, n, log_phi, mode) + log_s

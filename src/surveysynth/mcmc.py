@@ -45,16 +45,17 @@ blocks in phase order in two forms, one per interpreter, and one driver,
 of its streams, lays out the chain's state as the compiled sweep's ``struct
 chain`` (``_chain.c``) does, and hands each stretch to one of the two
 interpreters, which give the same draws, bit for bit. The compiled sweep
-runs approximate fits only. It calls libm's exp, log1p, log and sqrt, as
-Python's math module does, and is compiled at ``-O2 -ffp-contract=off``, so
-no multiply-add is fused. ``_run_python`` is its port on plain Python
-floats, under the approximation or the exact kernel (``_exact_cell``, one
-call per cell), softplus as ``np.logaddexp(0, x)`` computes it. Which cells
-a block touches, and in what order, is decided in one place. Every sum in a
-log ratio adds its terms in turn, first to last: a level move's cells walks
-first, a ridge move's walk priors and then its other cells, a coefficient's
-cells in t order, a variance's squared steps t-major with every walk at one
-t side by side.
+runs approximate and exact fits alike. It calls libm's exp, expm1, log1p,
+log and sqrt, as Python's math module does, and a copy of CPython's own
+lgamma, and is compiled at ``-O2 -ffp-contract=off``, so no multiply-add is
+fused. ``_run_python`` is its port on plain Python floats, under the
+approximation, softplus as ``np.logaddexp(0, x)`` computes it, or the exact
+kernel (``_exact_cell``, one call per cell, whose pmf ``dists`` evaluates in
+the same libm terms). Which cells a block touches, and in what order, is
+decided in one place. Every sum in a log ratio adds its terms in turn, first
+to last: a level move's cells walks first, a ridge move's walk priors and
+then its other cells, a coefficient's cells in t order, a variance's squared
+steps t-major with every walk at one t side by side.
 The chain keeps each observed cell's log bias odds (lp) and log-likelihood
 (ll); a block evaluates the cells it touches at the proposal only, and an
 accepted move copies the new values over, so ll equals a fresh evaluation
@@ -66,12 +67,11 @@ fails before the first sweep when a cell is not finite
 the sampler is tested against; the sampler does not use it.
 
 ``run_chains`` splits a fit's chains into min(workers, n_chains) contiguous
-groups, one job each (``_group_job``). Under the approximation it first
-finds the compiled sweep's library in its cache or builds it
-(``_chainlib.library``, once per process), before any worker starts, so
-that workers only load it; then every group runs through it. When the
-library cannot be had (no compiler, a failed build, a file that will not
-load), and for exact-kernel fits, which never load it, a group runs through
+groups, one job each (``_group_job``). It first finds the compiled
+sweep's library in its cache or builds it (``_chainlib.library``, once per
+process), before any worker starts, so that workers only load it; then
+every group runs through it. When the library cannot be had (no compiler, a
+failed build, a file that will not load), a group runs through
 ``_run_python``. No draw depends on the route or the grouping, so both are
 speed choices only. A group gives one ``_Part`` on either route, and when
 one group holds every chain, its arrays are the fit's draws.
@@ -620,11 +620,10 @@ def _sample(
     row of the group's arrays (``_draw_arrays``). A chain draws its start
     (``_start``) and each stretch of its streams (``_refill``), lays out its
     state as ``struct chain`` of ``_chain.c`` does, and hands each stretch to
-    ``run``: the compiled sweep (``_chainlib.load``), under the logit-shift
-    approximation only, or, when ``run`` is None, ``_run_python``. Both read
-    one schedule (``_flat_schedule``), so the draws and bookkeeping are the
-    same either way, bit for bit. Every buffer is made here and dropped with
-    the fit."""
+    ``run``: the compiled sweep (``_chainlib.load``) or, when ``run`` is
+    None, ``_run_python``. Both read one schedule (``_flat_schedule``), so
+    the draws and bookkeeping are the same either way, bit for bit. Every
+    buffer is made here and dropped with the fit."""
     T, K = panel.n_times, panel.n_surveys
     R = T + 3
     walk_ks = [k for k, d in enumerate(designs) if None in d.var]
@@ -647,8 +646,12 @@ def _sample(
         from ._chainlib import Chain
 
         out_gam_at = np.empty(len(kept_ks), dtype=np.intp)
+        # an exact cell's window is at most its n + 1 counts
+        win = np.empty(1 + max((int(n) for *_, n in panel.observed_cells()), default=0))
         chain = Chain(**fixed, n_ix=len(ix), n_out=len(kept_ks), ix=ix.ctypes.data,
-                      fx=fx.ctypes.data, outs=outs.ctypes.data, out_gam=out_gam_at.ctypes.data)
+                      fx=fx.ctypes.data, outs=outs.ctypes.data, out_gam=out_gam_at.ctypes.data,
+                      population=panel.population, exact=spec.use_exact_nchg,
+                      win=win.ctypes.data)
     total = settings.burn_in + settings.n_draws
     books = []
     for c, seed in enumerate(seeds):
@@ -705,14 +708,11 @@ def _group_job(args) -> _Part:
     return _sample(panel, spec, settings, seeds, designs, columns, run)
 
 
-def sweep_library(spec: ModelSpec) -> str | None:
-    """The path of the compiled sweep's library for a fit of ``spec``, found
-    in the cache or built on the first call in a process
-    (``_chainlib.library``); None for an exact-kernel fit, which never loads
-    it, or when it cannot be had. Call it before starting worker processes,
-    so that they only load it."""
-    if spec.use_exact_nchg:
-        return None
+def sweep_library() -> str | None:
+    """The path of the compiled sweep's library, found in the cache or built
+    on the first call in a process (``_chainlib.library``); None when it
+    cannot be had. Call it before starting worker processes, so that they
+    only load it."""
     from . import _chainlib
 
     return _chainlib.library()
@@ -813,7 +813,7 @@ def run_chains(
     seeds = np.random.SeedSequence(settings.seed).spawn(n)
     groups = min(resolve_workers(workers), n)
     cuts = [n * g // groups for g in range(groups + 1)]
-    library = sweep_library(spec)  # found or built here, so that the workers only load it
+    library = sweep_library()  # found or built here, so that the workers only load it
     jobs = [(panel, spec, settings, seeds[a:b], designs, columns, library)
             for a, b in zip(cuts, cuts[1:])]
     parts = map_jobs(_group_job, jobs, groups)

@@ -194,9 +194,7 @@ def _run_cells(study: StudyConfig, truth_kinds, fit_kinds, settings, seed):
     cells' results and their records, in that order."""
     if settings is None:
         settings = DEFAULT_STUDY_SETTINGS
-    # every study fit is approximate: find or build the compiled sweep
-    # before the workers start, so that they only load it
-    sweep_library(_fit_spec("unbiased-only"))
+    sweep_library()  # before the workers start, so that they only load it
     jobs = [
         (*cell, rep, settings, seed, study)
         for cell in itertools.product(study.n_times, truth_kinds, fit_kinds)

@@ -1,4 +1,5 @@
 import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import math
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 import surveysynth
-from surveysynth import _chainlib, datagen, mcmc
+from surveysynth import _chainlib, datagen, dists, mcmc
 from surveysynth.core import (
     BiasModelSpec,
     ChainDraws,
@@ -31,7 +32,7 @@ from surveysynth.core import (
     SurveyPanel,
     validate_state,
 )
-from surveysynth.dists import inv_logit
+from surveysynth.dists import MAX_LOG_ODDS, inv_logit
 from surveysynth.likelihood import log_posterior
 from surveysynth.mcmc import (
     InitializationError,
@@ -901,9 +902,10 @@ def test_diagnose_scores_the_named_ess_only_and_every_r_hat(pinned_fits):
         diagnose(draws, ess_of=("nothing",))
 
 
-def test_exact_demo_chain_calls_kernel_once_per_touched_cell(monkeypatch):
+def test_exact_demo_chain_calls_kernel_once_per_touched_cell(monkeypatch, tmp_path):
     # demo panel, anchor + 2 linear: 30 cells filled once, then per sweep
-    # 30 theta-block calls and 10 + 10 per linear survey
+    # 30 theta-block calls and 10 + 10 per linear survey; counted on the
+    # Python route, whose every cell is a call of the Python kernel
     calls = [0]
     kernel = mcmc.nchg_logpmf_unchecked
 
@@ -912,7 +914,8 @@ def test_exact_demo_chain_calls_kernel_once_per_touched_cell(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(mcmc, "nchg_logpmf_unchecked", counted)
-    run_chains(datagen.demo_panel(), _demo_spec("linear", "linear", exact=True), _EXACT_DEMO)
+    with route("no-compiler", tmp_path):
+        run_chains(datagen.demo_panel(), _demo_spec("linear", "linear", exact=True), _EXACT_DEMO)
     assert calls[0] == 30 + 70 * 120
 
 
@@ -986,7 +989,8 @@ def test_run_chains_picks_the_engine_from_the_fit(tmp_path):
     vaccine = datagen.vaccine_shaped_bundle()
     spec = vaccine.design.model_spec()
     demo = datagen.demo_panel()
-    # with no compiler, and for exact fits, the Python sweep whatever the chain count
+    # the compiled sweep for approximate and exact fits alike, and with no
+    # compiler the Python sweep, whatever the chain count
     cases = [
         (vaccine.panel, spec, 4),
         (vaccine.panel, spec, 3),
@@ -1000,7 +1004,7 @@ def test_run_chains_picks_the_engine_from_the_fit(tmp_path):
         with route(way, tmp_path):
             for panel, spec, n_chains in cases:
                 engine = "scalar"
-                if way == "compiled" and compiled and not spec.use_exact_nchg:
+                if way == "compiled" and compiled:
                     engine = "compiled"  # whatever the chain count
                 with mock.patch.object(mcmc, "_sample", _pick_route):
                     with pytest.raises(_Picked, match=engine):
@@ -1141,6 +1145,8 @@ def test_both_engines_give_the_same_draws():
              "nine-surveys": (*_nine_survey_fit(), _short_settings(1))}
     for name, (panel, spec, settings_) in cases.items():
         if spec.use_exact_nchg:
+            # one chain each: pinned on both routes (pinned_fits), and the
+            # routes compared by test_compiled_sweep_gives_the_exact_chains_draws
             continue
         chains, books = run_chain_by_chain(panel, spec, settings_)
         designs, columns = mcmc._validate_inputs(panel, spec)
@@ -1519,6 +1525,88 @@ def test_compiled_sweep_gives_the_chains_draws(kinds, n_times, monotone, n_chain
     assert books == part.books
 
 
+@given(kinds=_KINDS, n_times=st.integers(1, 4), monotone=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(kinds=["walk", "walk"], n_times=3, monotone=True, seed=5)
+@example(kinds=["linear", "constant"], n_times=4, monotone=False, seed=6)
+@settings(max_examples=40, deadline=None)
+def test_compiled_sweep_gives_the_exact_chains_draws(kinds, n_times, monotone, seed):
+    # the exact kernel on a small population, where the cell tells theta and
+    # the odds apart: a ridge move counts its walks' cells at shifted odds
+    sweep = _needs_compiled_sweep()
+    panel, spec, _ = _random_fit(kinds, n_times, seed, 400, monotone_walk=monotone,
+                                 use_exact_nchg=True)
+    settings_ = SamplerSettings(n_chains=1, burn_in=40, n_draws=40, thin=2, seed=seed,
+                                adapt_window=10)
+    chains, books = run_chain_by_chain(panel, spec, settings_)
+    designs, columns = mcmc._validate_inputs(panel, spec)
+    seeds = np.random.SeedSequence(seed).spawn(1)
+    part = mcmc._sample(panel, spec, settings_, seeds, designs, columns, sweep)
+    assert _draws_digest(chains) == _draws_digest(mcmc._stack_chains([part], spec, settings_))
+    assert books == part.books
+
+
+def _compiled(name, restype, *argtypes):
+    """A function of the compiled sweep's library, or of the libm it links."""
+    _needs_compiled_sweep()
+    fn = getattr(ctypes.CDLL(_chainlib.library()), name)
+    fn.argtypes, fn.restype = list(argtypes), restype
+    return fn
+
+
+def test_compiled_exact_cell_is_the_python_cell():
+    # every branch of the kernel: phi = 1 (Vandermonde, g = 0 and a g whose
+    # exp rounds to 1), counts inside and beyond the certified window, the
+    # support's edges and beyond them, odds beyond MAX_LOG_ODDS, and
+    # populations on either side of _lchoose's m = 1000
+    cell = _compiled("ss_exact_cell", ctypes.c_double, ctypes.c_int64, *[ctypes.c_double] * 4,
+                     ctypes.c_void_p)
+    win = np.empty(2001)
+    seen = set()
+    for population in (40, 900, 5000, 10**6):
+        python_cell = mcmc._exact_cell(population)
+        for th in (-6.0, -1.3, 0.4, 2.2):
+            m1 = math.floor(inv_logit(th) * population + 0.5)
+            for g in (0.0, 1e-17, 0.7, -3.1, 12.0, -MAX_LOG_ODDS, MAX_LOG_ODDS, 690.5, -700.0):
+                for n in [v for v in (1, 7, 25, 180, 2000) if v <= population]:
+                    lo, hi = max(0, n - population + m1), min(n, m1)
+                    ys = {0, lo - 1, lo, lo + 1, (lo + hi) // 2, hi - 1, hi, hi + 1, n}
+                    ys = sorted(v for v in ys if 0 <= v <= n)
+                    for y in ys:
+                        want = python_cell(th, g, float(y), float(n))
+                        got = cell(population, th, g, float(y), float(n), win.ctypes.data)
+                        assert repr(got) == repr(want), (population, th, g, y, n)
+                    if abs(g) > MAX_LOG_ODDS:
+                        seen.add("beyond-max-odds")
+                    elif math.exp(g) == 1.0:
+                        seen.add("vandermonde")
+                    elif lo < hi:
+                        a, lw, _, _ = dists._nchg_window(m1, population - m1, n, math.exp(g),
+                                                         dists._libm_fill)
+                        seen.update("window" if a <= y < a + len(lw) else
+                                    "beyond-window" if lo <= y <= hi else "outside-support"
+                                    for y in ys)
+    assert seen == {"beyond-max-odds", "vandermonde", "outside-support", "window",
+                    "beyond-window"}
+
+
+def test_compiled_lgamma_is_math_lgamma():
+    lgamma = _compiled("ss_lgamma", ctypes.c_double, ctypes.c_double)
+    rng = np.random.default_rng(3)
+    args = [float(i) for i in range(1, 100_001)]
+    args += rng.uniform(1.0, 1e6, 100_000).tolist() + rng.uniform(1e-3, 30.0, 20_000).tolist()
+    assert [x for x in args if lgamma(x) != math.lgamma(x)] == []
+
+
+def test_libm_expm1_is_math_expm1():
+    # the kernel's tail bound calls expm1 of a negative log step
+    expm1 = _compiled("expm1", ctypes.c_double, ctypes.c_double)
+    rng = np.random.default_rng(4)
+    args = rng.uniform(-50.0, 0.0, 100_000).tolist() + rng.uniform(-1e-6, 1e-6, 50_000).tolist()
+    args += rng.uniform(0.0, 700.0, 50_000).tolist()
+    assert [x for x in args if expm1(x) != math.expm1(x)] == []
+
+
 def _run_python(code, cache):
     """``code`` run by a fresh interpreter on this checkout's package, with
     ``cache`` as XDG_CACHE_HOME; its standard output, stripped."""
@@ -1592,7 +1680,9 @@ def test_import_builds_and_loads_nothing(tmp_path):
     assert not tmp_path.joinpath("surveysynth").exists()
 
 
-def test_exact_fits_never_load_the_compiled_loop(tmp_path):
+def test_exact_fits_load_the_compiled_loop(tmp_path):
+    if not _compiler_on_path():
+        pytest.skip("no C compiler to build the compiled sweep")
     code = (
         "import sys\n"
         "from surveysynth import datagen, mcmc\n"
@@ -1604,8 +1694,8 @@ def test_exact_fits_never_load_the_compiled_loop(tmp_path):
         "mcmc.run_chains(panel, spec, settings, workers=1)\n"
         "print(sorted(m for m in sys.modules if m.startswith('surveysynth._chain')))"
     )
-    assert _run_python(code, tmp_path) == "[]"
-    assert not tmp_path.joinpath("surveysynth").exists()
+    assert _run_python(code, tmp_path) == "['surveysynth._chainlib']"
+    assert any(tmp_path.joinpath("surveysynth").glob("chain-*.so"))
 
 
 def test_chain_source_ships_with_the_package():
