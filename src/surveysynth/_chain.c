@@ -18,20 +18,13 @@
    (an exp that overflows, a division by 0), this carries inf or nan; neither
    arises in a finite fit.
 
-   The caller owns every buffer. The schedule's flat form, ix and fx
-   (mcmc._flat_schedule, which also builds _run_python's form in the same
-   pass), lists the blocks of one sweep in phase order, each as a kind, its
-   block id and its shape in ix, and its constants in fx:
-     LEVEL  p, walks, cells, refreshed cells; their surveys | a weight before
-            node 0 per walk, (y, n) per cell
-     COEF   survey, its first coefficient in gam, j, rows; per row p and its
-            term count (-1: the log odds are gamma[j]) then the terms'
-            coefficients | 2 var; per row y, n, offset, then the terms' c
-     WALK   survey, p, observed | weight before node 0, y, n
-     VAR    is pi_sq, steps; per step its row (-1: theta) and p | prior scale
-   A survey's row of lp, ll, nlp and nll is T + 3 long, padded as the
-   chain's: node t at t + 1. Under the exact law a ridge move counts the
-   cells of its walks, at the shifted odds, and refreshes none. */
+   The caller owns every buffer. The schedule, ix and fx, is the packing
+   (mcmc._pack) of the block tuples that mcmc._flat_schedule builds and
+   _run_python reads; that function's docstring is the one table of their
+   layout. Each block is its kind, then its items in turn: an int in ix, a
+   float in fx, a list as its length in ix and then its items. An index into
+   lp, ll, nlp, nll, th or gam is flat: a survey's row of the first four is
+   T + 3 long, padded as the chain's, node t at t + 1. */
 
 #include <math.h>
 #include <stdint.h>
@@ -272,22 +265,23 @@ static double py_mod(double a, double b)
 
 static void sweep(struct chain *c, const double *z, const double *lu)
 {
-    const int64_t T = c->T, R = T + 3;
+    const int64_t T = c->T;
     const int64_t *ix = c->ix, *end = c->ix + c->n_ix;
     const double *fx = c->fx;
     double *th = c->th, *lp = c->lp, *ll = c->ll, *nlp = c->nlp, *nll = c->nll;
-    double *var = c->var, *scale = c->scale;
+    double *gam = c->gam, *var = c->var, *scale = c->scale;
     int64_t *acc = c->acc;
 
     while (ix < end) {
         const int64_t kind = ix[0], bid = ix[1];
         if (kind == LEVEL) {
-            const int64_t p = ix[2], nw = ix[3], nc = ix[4], nr = ix[5];
-            const int64_t *wk = ix + 6, *ck = wk + nw, *rk = ck + nc;
-            const double *wf = fx, *cyn = fx + nw, *ryn = cyn + 2 * nc;
+            const int64_t p = ix[2], nw = ix[3], *wa = ix + 4;
+            const int64_t nc = wa[nw], *ca = wa + nw + 1;
+            const int64_t nr = ca[nc], *ra = ca + nc + 1;
+            const double *wf = fx, *cf = wf + nw, *rf = cf + 3 * nc;
             const double wsig = var[2], wpi = var[3];
-            ix = rk + nr;
-            fx = ryn + 2 * nr;
+            ix = ra + nr;
+            fx = rf + 2 * nr;
             double cur = th[p], prev = th[p - 1], nxt = th[p + 1];
             double delta = scale[bid] * z[bid];
             double prop = cur + delta;
@@ -313,23 +307,21 @@ static void sweep(struct chain *c, const double *z, const double *lu)
             if (nw) {
                 double ws = 0.0;
                 for (int64_t i = 0; i < nw; i++) {
-                    const double *g = lp + wk[i] * R;
-                    double gc = g[p];
+                    const int64_t at = wa[i];
+                    double gc = lp[at];
                     double gn = gc - delta;
                     double sg = gc + gn;
-                    ws += (gc - gn) * ((sg - 2.0 * g[p - 1]) * (p > 1 ? wpi : wf[i])
-                                       - (2.0 * g[p + 1] - sg) * (p <= T ? wpi : 0.0));
+                    ws += (gc - gn) * ((sg - 2.0 * lp[at - 1]) * (p > 1 ? wpi : wf[i])
+                                       - (2.0 * lp[at + 1] - sg) * (p <= T ? wpi : 0.0));
                 }
                 d += ws;
             }
             double cs = 0.0;
             for (int64_t i = 0; i < nc; i++) {
-                int64_t at = ck[i] * R + p;
-                double g = lp[at];
-                for (int64_t j = 0; j < nw; j++)
-                    if (wk[j] == ck[i])
-                        g -= delta;  /* a walk's cell, exact only: at the shifted odds */
-                double v = cell(c, cyn[2 * i], cyn[2 * i + 1], prop, g);
+                const int64_t at = ca[i];
+                const double *f = cf + 3 * i;  /* y, n, shift */
+                /* exact only: a walk's cell at the shifted odds */
+                double v = cell(c, f[0], f[1], prop, c->exact ? lp[at] - f[2] * delta : lp[at]);
                 nll[at] = v;
                 cs += v - ll[at];
             }
@@ -337,92 +329,82 @@ static void sweep(struct chain *c, const double *z, const double *lu)
             if (lu[bid] < d) {
                 th[p] = prop;
                 for (int64_t i = 0; i < nc; i++)
-                    ll[ck[i] * R + p] = nll[ck[i] * R + p];
+                    ll[ca[i]] = nll[ca[i]];
                 for (int64_t i = 0; i < nw; i++)
-                    lp[wk[i] * R + p] -= delta;
-                for (int64_t i = 0; i < nr; i++) {
-                    int64_t at = rk[i] * R + p;
-                    ll[at] = cell(c, ryn[2 * i], ryn[2 * i + 1], prop, lp[at]);
-                }
+                    lp[wa[i]] -= delta;
+                for (int64_t i = 0; i < nr; i++)
+                    ll[ra[i]] = cell(c, rf[2 * i], rf[2 * i + 1], prop, lp[ra[i]]);
                 acc[bid] += 1;
             }
         } else if (kind == COEF) {
             /* propose gamma[j], add its prior term, then re-evaluate each
                cell in its column at offset + sum of c * gamma */
-            const int64_t k = ix[2], j = ix[4], rows = ix[5];
-            double *gk = c->gam + ix[3];
-            const int64_t *row = ix + 6;
+            double *gj = gam + ix[2];
+            const int64_t rows = ix[3];
+            const int64_t *row = ix + 4;
             const double *f = fx + 1;
-            double cur = gk[j];
+            double cur = *gj;
             double prop = cur + scale[bid] * z[bid];
             double d = (cur * cur - prop * prop) / fx[0];
-            gk[j] = prop;
+            *gj = prop;
             double cs = 0.0;
             for (int64_t r = 0; r < rows; r++) {
-                const int64_t p = row[0], nt = row[1];
+                const int64_t p = row[0], at = row[1], nt = row[2];
                 double y = f[0], n = f[1], g = f[2];
-                row += 2;
+                row += 3;
                 f += 3;
-                if (nt < 0) {
-                    g = prop;
-                } else {
-                    for (int64_t i = 0; i < nt; i++)
-                        g = g + f[i] * gk[row[i]];
-                    row += nt;
-                    f += nt;
-                }
-                int64_t at = k * R + p;
+                if (nt == 0)
+                    g = prop;  /* no terms: the log odds are gamma[j] */
+                for (int64_t i = 0; i < nt; i++)
+                    g = g + f[i] * gam[row[i]];
+                row += nt;
+                f += nt;
                 double v = cell(c, y, n, th[p], g);
                 nlp[at] = g;
                 nll[at] = v;
                 cs += v - ll[at];
             }
             d += cs;
+            const int64_t nats = row[0], *ats = row + 1;
             if (lu[bid] < d) {
-                const int64_t *q = ix + 6;
-                for (int64_t r = 0; r < rows; r++) {
-                    int64_t at = k * R + q[0];
-                    lp[at] = nlp[at];
-                    ll[at] = nll[at];
-                    q += 2 + (q[1] < 0 ? 0 : q[1]);
+                for (int64_t i = 0; i < nats; i++) {
+                    lp[ats[i]] = nlp[ats[i]];
+                    ll[ats[i]] = nll[ats[i]];
                 }
                 acc[bid] += 1;
             } else {
-                gk[j] = cur;
+                *gj = cur;
             }
-            ix = row;
+            ix = ats + nats;
             fx = f;
         } else if (kind == WALK) {
-            const int64_t p = ix[3], observed = ix[4];
-            double *g = lp + ix[2] * R;
+            const int64_t at = ix[2], p = ix[3], observed = ix[4];
             const double wpi = var[3];
-            double cur = g[p];
+            double cur = lp[at];
             double prop = cur + scale[bid] * z[bid];
             double s = cur + prop;
-            double d = (cur - prop) * ((s - 2.0 * g[p - 1]) * (p > 1 ? wpi : fx[0])
-                                       - (2.0 * g[p + 1] - s) * (p <= T ? wpi : 0.0));
+            double d = (cur - prop) * ((s - 2.0 * lp[at - 1]) * (p > 1 ? wpi : fx[0])
+                                       - (2.0 * lp[at + 1] - s) * (p <= T ? wpi : 0.0));
             double v = 0.0;
             if (observed) {
                 v = cell(c, fx[1], fx[2], th[p], prop);
-                d += v - ll[ix[2] * R + p];
+                d += v - ll[at];
             }
             if (lu[bid] < d) {
-                g[p] = prop;
+                lp[at] = prop;
                 if (observed)
-                    ll[ix[2] * R + p] = v;
+                    ll[at] = v;
                 acc[bid] += 1;
             }
             ix += 5;
             fx += 3;
         } else {  /* sigma_sq or pi_sq, on the log scale against its walk steps */
-            const int64_t is_pi = ix[2], steps = ix[3];
-            const int64_t *step = ix + 4;
+            const int64_t is_pi = ix[2], steps = ix[3], *step = ix + 4;
+            const double *g = is_pi ? lp : th;
             double v = var[is_pi];
             double sse = 0.0;
             for (int64_t i = 0; i < steps; i++) {
-                const double *g = step[2 * i] < 0 ? th : lp + step[2 * i] * R;
-                int64_t p = step[2 * i + 1];
-                double dd = g[p] - g[p - 1];
+                double dd = g[step[i]] - g[step[i] - 1];
                 sse += dd * dd;
             }
             double lcur = log(v);
@@ -437,7 +419,7 @@ static void sweep(struct chain *c, const double *z, const double *lu)
                 var[2 + is_pi] = 0.5 / vprop;
                 acc[bid] += 1;
             }
-            ix = step + 2 * steps;
+            ix = step + steps;
             fx += 1;
         }
     }

@@ -47,6 +47,12 @@ class Chain(ctypes.Structure):
                                          "win")]
 
 
+def compilers() -> list[list[str]]:
+    """The compiler commands to build with, in turn: sysconfig's ``CC``, then ``cc``."""
+    commands = [shlex.split(sysconfig.get_config_var("CC") or ""), ["cc"]]
+    return [c for i, c in enumerate(commands) if c and c not in commands[:i]]
+
+
 _loaded: dict[str, object] = {}
 
 
@@ -131,12 +137,12 @@ def library() -> str | None:
     folder = _cache_dir()
     try:
         source = SOURCE.read_bytes()
-        commands = [shlex.split(sysconfig.get_config_var("CC") or ""), ["cc"]]
+        commands = compilers()
     except (OSError, ValueError):  # no source shipped, or a CC shlex cannot split
         return None
     if folder is None:
         return None
-    for cc in [c for i, c in enumerate(commands) if c and c not in commands[:i]]:
+    for cc in commands:
         key = hashlib.sha256(repr((source, cc, FLAGS, sysconfig.get_platform())).encode())
         path = folder / f"chain-{key.hexdigest()[:16]}.so"
         if _intact(path) and load(str(path)) is not None:

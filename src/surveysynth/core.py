@@ -296,8 +296,7 @@ class CoefficientColumn(NamedTuple):
     """Bias coefficient gamma[j] of survey k: its prior and the cells it moves.
 
     The prior is Normal(0, var), or with var None a walk step from
-    gamma[j - 1]; link_next says gamma[j + 1] is a walk step from gamma[j].
-    rows holds the observed cells that use gamma[j], in t order, as
+    gamma[j - 1]. rows holds the observed cells that use gamma[j], in t order, as
     (t, y, n, offset, terms), with the design's offset and terms at t;
     terms is None where the log odds are gamma[j] itself (``BiasDesign.own``).
     """
@@ -305,7 +304,6 @@ class CoefficientColumn(NamedTuple):
     k: int
     j: int
     var: float | None
-    link_next: bool
     rows: tuple[tuple, ...]
 
 
@@ -329,7 +327,7 @@ def coefficient_columns(
             terms = None if j == own else d.terms[t]
             rows[k][j].append((t, float(y), float(n), d.offset[t], terms))
     return tuple(
-        CoefficientColumn(k, j, var, j + 1 < len(d.var) and d.var[j + 1] is None, tuple(rows[k][j]))
+        CoefficientColumn(k, j, var, tuple(rows[k][j]))
         for k, d in enumerate(designs)
         for j, var in enumerate(d.var)
     )

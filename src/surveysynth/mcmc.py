@@ -40,15 +40,16 @@ freeze point and at the end so callers can check that no post-burn-in
 adaptation happened.
 
 The sweep is laid out in one place, ``_flat_schedule``, which lists its
-blocks in phase order in two forms, one per interpreter, and one driver,
-``_sample``, runs it. The driver draws each chain's start and each stretch
-of its streams, lays out the chain's state as the compiled sweep's ``struct
-chain`` (``_chain.c``) does, and hands each stretch to one of the two
-interpreters, which give the same draws, bit for bit. The compiled sweep
-runs approximate and exact fits alike. It calls libm's exp, expm1, log1p,
-log and sqrt, as Python's math module does, and a copy of CPython's own
-lgamma, and is compiled at ``-O2 -ffp-contract=off``, so no multiply-add is
-fused. ``_run_python`` is its port on plain Python floats, under the
+blocks in phase order as tuples, and one driver, ``_sample``, runs it. The
+driver draws each chain's start and each stretch of its streams, lays out
+the chain's state as the compiled sweep's ``struct chain`` (``_chain.c``)
+does, and hands each stretch to one of the two interpreters, which give the
+same draws, bit for bit: ``_run_python`` reads the tuples, the compiled
+sweep their packing into an int and a float array (``_pack``). The
+compiled sweep runs approximate and exact fits alike. It calls libm's exp,
+expm1, log1p, log and sqrt, as Python's math module does, and a copy of
+CPython's own lgamma, and is compiled at ``-O2 -ffp-contract=off``, so no
+multiply-add is fused. ``_run_python`` is its port on plain Python floats, under the
 approximation, softplus as ``np.logaddexp(0, x)`` computes it, or the exact
 kernel (``_exact_cell``, one call per cell, whose pmf ``dists`` evaluates in
 the same libm terms). Which cells a block touches, and in what order, is
@@ -328,21 +329,25 @@ _KIND = dict(theta=_LEVEL, sigma_sq=_VAR, coefficient=_COEF, walk=_WALK, pi_sq=_
 
 
 def _flat_schedule(panel: SurveyPanel, spec: ModelSpec, designs, columns, walk_ks):
-    """The sweep's blocks in phase order (``_phase_order``), in the two forms
-    of its two interpreters, built in one pass: (ix, fx, first, runs).
+    """The sweep's blocks in phase order (``_phase_order``): (runs, first).
 
-    ix and fx are the compiled sweep's form, int64 kinds, ids and shapes and
-    float64 constants laid out as ``_chain.c`` lists them; first holds each
-    non-walk survey's first coefficient in the chain's flat gamma. runs is
-    ``_run_python``'s form: one (kind, blocks) run per non-empty phase, each
-    block a tuple over flat indices at = survey * R + p into the chain's lp,
-    ll, nlp and nll, node t at p = t + 1 as in the chain's padded rows:
-      LEVEL  (id, p, walks as (at, weight before node 0), counted cells as
-             (at, y, n, shift), refreshed cells as (at, y, n))
-      COEF   (id, its index in gam, 2 var, rows as (p, at, y, n, offset,
-             terms as (index in gam, c), or None), the rows' at)
-      WALK   (id, at, p, weight before node 0, y, n; y None if unobserved)
-      VAR    (id, is_pi, each step's at in th or lp, prior scale)
+    first holds each non-walk survey's first coefficient in the chain's flat
+    gamma. runs holds one (kind, blocks) run per non-empty phase, each block
+    a tuple over flat indices at = survey * R + p into the chain's lp, ll,
+    nlp and nll, node t at p = t + 1 as in the chain's padded rows (R = T +
+    3). This is the one layout table of the schedule. ``_run_python`` reads
+    it as it is; ``_chain.c`` reads its packing (``_pack``), in which each
+    block's kind comes first, then its items in turn: an int goes to ix, a
+    float to fx, a list puts its length into ix and then its items, a tuple
+    puts its items.
+      LEVEL  (id, p, walks as [(at, weight before node 0)], counted cells as
+             [(at, y, n, shift)], refreshed cells as [(at, y, n)])
+      COEF   (id, its index in gam, 2 var, rows as [(p, at, y, n, offset,
+             terms as [(index in gam, c)])], the rows' [at]); the log odds
+             of a row with no terms are the coefficient itself
+      WALK   (id, at, p, weight before node 0, observed, y, n); y and n are
+             0.0 where unobserved
+      VAR    (id, is_pi, each step's [at] in th or lp, prior scale)
 
     A level move counts the cells at its node, walks first. Under the
     logit-shift approximation a ridge move leaves its walk cells unchanged,
@@ -358,17 +363,14 @@ def _flat_schedule(panel: SurveyPanel, spec: ModelSpec, designs, columns, walk_k
         if k not in walk_ks:
             first[k], at = at, at + len(d.var)
     seen = {(k, t): (float(y), float(n)) for k, t, y, n in panel.observed_cells()}
-    w0 = {k: 0.5 / designs[k].var[0] for k in walk_ks}
+    w0 = {k: float(0.5 / designs[k].var[0]) for k in walk_ks}
     surveys = walk_ks + [k for k in range(len(designs)) if k not in w0]
     here = [[k for k in surveys if (k, t) in seen] for t in range(T + 1)]
     ridge0 = T + 3 + len(columns)  # the id of joint[0]
-    ix: list[int] = []
-    fx: list[float] = []
     runs: list[tuple[int, list]] = []
     for name, ids in _phase_order(T, columns, walk_ks):
         kind, blocks = _KIND[name], []
         for b in ids:
-            ix += (kind, b)
             if kind == _LEVEL:
                 t = b if name == "theta" else b - ridge0
                 p = t + 1
@@ -377,44 +379,55 @@ def _flat_schedule(panel: SurveyPanel, spec: ModelSpec, designs, columns, walk_k
                 if walks and not spec.use_exact_nchg:
                     counted = [k for k in here[t] if k not in w0]
                     refresh = [k for k in here[t] if k in w0]
-                ix += (p, len(walks), len(counted), len(refresh), *walks, *counted, *refresh)
-                fx += [w0[k] for k in walks]
-                for k in counted + refresh:
-                    fx += seen[k, t]
                 blocks.append((b, p, [(k * R + p, w0[k]) for k in walks],
                                [(k * R + p, *seen[k, t], float(k in walks)) for k in counted],
                                [(k * R + p, *seen[k, t]) for k in refresh]))
             elif kind == _COEF:
                 c = columns[b - T - 2]
                 at0 = first[c.k]
-                ix += (c.k, at0, c.j, len(c.rows))
-                fx.append(2.0 * c.var)
-                rows = []
-                for t, y, n, offset, terms in c.rows:
-                    ix += ([t + 1, -1] if terms is None
-                           else [t + 1, len(terms), *(i for i, _ in terms)])
-                    fx += [y, n, offset, *(v for _, v in terms or ())]
-                    rows.append((t + 1, c.k * R + t + 1, y, n, offset,
-                                 None if terms is None else tuple((at0 + i, v) for i, v in terms)))
-                blocks.append((b, at0 + c.j, 2.0 * c.var, rows, [r[1] for r in rows]))
+                rows = [(t + 1, c.k * R + t + 1, y, n, offset,
+                         [(at0 + i, v) for i, v in terms or ()])
+                        for t, y, n, offset, terms in c.rows]
+                blocks.append((b, at0 + c.j, float(2.0 * c.var), rows, [r[1] for r in rows]))
             elif kind == _WALK:
                 c = columns[b - T - 2]
                 cell = seen.get((c.k, c.j))
-                ix += (c.k, c.j + 1, int(cell is not None))
-                fx += (w0[c.k], *(cell or (0.0, 0.0)))
-                blocks.append((b, c.k * R + c.j + 1, c.j + 1, w0[c.k], *(cell or (None, None))))
-            else:  # sigma_sq's steps of theta (row -1) or pi_sq's of every walk, t-major
+                blocks.append((b, c.k * R + c.j + 1, c.j + 1, w0[c.k], int(cell is not None),
+                               *(cell or (0.0, 0.0))))
+            else:  # sigma_sq's steps of theta or pi_sq's of every walk, t-major
                 is_pi = int(name == "pi_sq")
-                steps = [(r, p) for p in range(2, T + 2) for r in (walk_ks if is_pi else (-1,))]
-                ix += (is_pi, len(steps))
-                for step in steps:
-                    ix += step
+                steps = ([r * R + p for p in range(2, T + 2) for r in walk_ks] if is_pi
+                         else list(range(2, T + 2)))
                 prior_sq = float(pr.pi_sq_scale if is_pi else pr.sigma_sq_scale)
-                fx.append(prior_sq)
-                blocks.append((b, is_pi, [p if r < 0 else r * R + p for r, p in steps], prior_sq))
+                blocks.append((b, is_pi, steps, prior_sq))
         if blocks:
             runs.append((kind, blocks))
-    return np.array(ix, dtype=np.int64), np.array(fx, dtype=float), first, runs
+    return runs, first
+
+
+def _pack(runs):
+    """``_chain.c``'s form of the schedule ``runs``: (ix, fx), by ``_flat_schedule``'s rule."""
+    ix: list[int] = []
+    fx: list[float] = []
+
+    def put(items, to_ix=ix.append, to_fx=fx.append):  # bound once: it runs per item
+        for v in items:
+            kind = type(v)
+            if kind is int:
+                to_ix(v)
+            elif kind is float:
+                to_fx(v)
+            elif kind is tuple or kind is list:
+                if kind is list:
+                    to_ix(len(v))
+                put(v)
+            else:
+                raise TypeError(f"cannot pack {v!r} of type {kind.__name__} into the schedule")
+
+    for kind, blocks in runs:
+        for block in blocks:
+            put((kind, *block))
+    return np.array(ix, dtype=np.int64), np.array(fx, dtype=float)
 
 
 def _draw_arrays(designs, n_chains: int, settings: SamplerSettings, n_times: int, walk: bool):
@@ -522,11 +535,10 @@ def _run_python(c, it0: int, sweeps: int, normals, log_us) -> None:
                     gam[gj] = prop
                     cs = 0.0
                     for p, a, y, n, g, terms in rows:  # g starts as the row's offset
-                        if terms is None:
+                        if not terms:
                             g = prop
-                        else:
-                            for gi, cf in terms:
-                                g = g + cf * gam[gi]
+                        for gi, cf in terms:
+                            g = g + cf * gam[gi]
                         if exact:
                             v = cell_ll(th[p], g, y, n)
                         else:
@@ -545,13 +557,13 @@ def _run_python(c, it0: int, sweeps: int, normals, log_us) -> None:
                         gam[gj] = cur
 
             elif kind == _WALK:
-                for bid, a, p, wfirst, y, n in blocks:
+                for bid, a, p, wfirst, observed, y, n in blocks:
                     cur = lp[a]
                     prop = cur + scale[bid] * z[bid]
                     s = cur + prop
                     d = (cur - prop) * ((s - 2.0 * lp[a - 1]) * (wpi if p > 1 else wfirst)
                                         - (2.0 * lp[a + 1] - s) * (wpi if p <= T else 0.0))
-                    if y is not None:
+                    if observed:
                         if exact:
                             v = cell_ll(th[p], prop, y, n)
                         else:
@@ -560,7 +572,7 @@ def _run_python(c, it0: int, sweeps: int, normals, log_us) -> None:
                         d += v - ll[a]
                     if lu[bid] < d:
                         lp[a] = prop
-                        if y is not None:
+                        if observed:
                             ll[a] = v
                         acc[bid] += 1
 
@@ -629,7 +641,7 @@ def _sample(
     walk_ks = [k for k, d in enumerate(designs) if None in d.var]
     names = _block_names(T, columns, bool(walk_ks))
     B = len(names)
-    ix, fx, first, runs = _flat_schedule(panel, spec, designs, columns, walk_ks)
+    runs, first = _flat_schedule(panel, spec, designs, columns, walk_ks)
     out_theta, out_sig, out_gam, out_pi = _draw_arrays(designs, len(seeds), settings, T,
                                                        bool(walk_ks))
     # a kept survey's draws: its row of lp (a walk) or its coefficients in gam
@@ -645,6 +657,7 @@ def _sample(
     else:
         from ._chainlib import Chain
 
+        ix, fx = _pack(runs)
         out_gam_at = np.empty(len(kept_ks), dtype=np.intp)
         # an exact cell's window is at most its n + 1 counts
         win = np.empty(1 + max((int(n) for *_, n in panel.observed_cells()), default=0))

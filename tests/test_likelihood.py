@@ -477,7 +477,7 @@ def test_coefficient_columns_match_designs_and_prior_blocks(kinds, n_times, cent
         else:
             prev = g[col.j - 1]
             delta = ((cur - prev) ** 2 - (prop - prev) ** 2) / (2.0 * pi_sq)
-        if col.link_next:
+        if col.j + 1 < len(d.var) and d.var[col.j + 1] is None:  # gamma[j + 1] steps from it
             nxt = g[col.j + 1]
             delta += ((nxt - cur) ** 2 - (nxt - prop) ** 2) / (2.0 * pi_sq)
         after = prior_blocks([moved if k == col.k else gk for k, gk in enumerate(gamma)])

@@ -1493,8 +1493,7 @@ def test_chain_ratios_add_their_terms_in_turn(monkeypatch):
 
 
 def _compiler_on_path() -> bool:
-    cc = sysconfig.get_config_var("CC")
-    return any(shutil.which(shlex.split(c)[0]) for c in (cc, "cc") if c)
+    return any(shutil.which(cc[0]) for cc in _chainlib.compilers())
 
 
 def _needs_compiled_sweep():
@@ -1636,6 +1635,28 @@ def test_compiled_loop_builds_and_loads(tmp_path):
                                                                      path.name]
         finally:
             _chainlib.library.cache_clear()
+
+
+def test_compiled_sweep_builds_without_warnings(tmp_path):
+    # the library's compiler and flags, with every -Wall -Wextra warning an error
+    _needs_compiled_sweep()
+    cc = next(cc for cc in _chainlib.compilers() if shutil.which(cc[0]))
+    out = subprocess.run([*cc, *_chainlib.FLAGS, "-Wall", "-Wextra", "-Werror",
+                          str(_chainlib.SOURCE), "-o", str(tmp_path / "chain.so"), "-lm"],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+
+
+def test_schedule_packing_rule():
+    # the kind first; an int to ix, a float to fx; a list its length, then its
+    # items; a tuple its items alone
+    ix, fx = mcmc._pack([(7, [(1, 2.5, [(3, 4.5), (5, 6.5)], (8, 9.5)), (10, [])])])
+    assert ix.dtype == np.int64 and fx.dtype == np.float64
+    assert ix.tolist() == [7, 1, 2, 3, 5, 8, 7, 10, 0]
+    assert fx.tolist() == [2.5, 4.5, 6.5, 9.5]
+    for item in (None, True, np.float64(1.0), np.int64(1)):
+        with pytest.raises(TypeError):
+            mcmc._pack([(0, [(1, item)])])
 
 
 def test_truncated_cached_library_is_rebuilt(tmp_path):
